@@ -187,12 +187,12 @@ def cmd_parse(args, argv):
     model = ParserModel.load(args.model)
     tb = load_treebank(args.input)
     tagger = TaggerModel.load(args.tagger) if args.tagger else None
-
-    def one(tree):
+    memo: dict = {}
+    trees = []
+    for tree in tb:
         tags = tag_sentence(tagger, tree.forms()) if tagger else None
-        return parse_tree(model, tree, tags=tags)
-
-    pred = Treebank(_pmap(one, tb.trees, args.jobs))
+        trees.append(parse_tree(model, tree, tags=tags, memo=memo))
+    pred = Treebank(trees)
     dump_treebank(_stamp(pred, argv), args.output)
     mode = "predicted" if tagger else "input"
     print(f"parsed {len(tb)} sentences ({mode} tags) -> {args.output}")
@@ -325,7 +325,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", dest="output", required=True)
     sp.add_argument("--tagger", default=None,
                     help="tagger checkpoint for the predicted-POS setting")
-    sp.add_argument("--jobs", type=int, default=1)
 
     sp = add("tag", cmd_tag, help="POS tagging")
     sp.add_argument("--model", required=True)

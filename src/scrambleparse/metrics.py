@@ -114,7 +114,8 @@ def learning_curve(train: Treebank, dev: Treebank, sizes: list[int], cfg) -> Lea
     for size in sizes:
         subset = Treebank(train.trees[:size], source_name=f"{train.source_name}[:{size}]")
         model = train_parser(subset, None, cfg)
-        pred = Treebank([parse_tree(model, tree) for tree in dev])
+        memo: dict = {}
+        pred = Treebank([parse_tree(model, tree, memo=memo) for tree in dev])
         points.append((size, score(dev, pred)))
     return LearningCurve(points=points)
 

@@ -36,10 +36,20 @@ def glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def sigmoid(x):
-    pos = x >= 0
-    z = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+def sigmoid(x, out=None):
+    """Logistic function split on the sign of x, so exp never overflows.
+
+    ``exp(-|x|)`` is ``exp(x)`` for negative x and ``exp(-x)`` otherwise,
+    and the numerator is 1 or that exponential: the same arithmetic as
+    ``where(x >= 0, 1/(1+z), z/(1+z))``, with the result written to
+    ``out`` when given.
+    """
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    num = np.where(x >= 0, 1.0, z)
+    den = np.add(z, 1.0, out=z)
+    return np.divide(num, den, out=out)
 
 
 def softmax(logits):
@@ -106,32 +116,34 @@ class LSTMCell:
         """Hidden states for every position; X is (T, in_dim)."""
         T = X.shape[0]
         H = self.hidden
-        order = range(T - 1, -1, -1) if reverse else range(T)
+        Wh = self.Wh.value
         G_in = X @ self.Wx.value + self.b.value
-        Hs = np.zeros((T, H))
-        gates = np.zeros((T, 4 * H))
-        c_prevs = np.zeros((T, H))
-        h_prevs = np.zeros((T, H))
-        tanh_cs = np.zeros((T, H))
-        h = np.zeros(H)
-        c = np.zeros(H)
+        gates = np.empty((T, 4 * H))
+        tanh_cs = np.empty((T, H))
+        # Row k of hs/cs is the state after step k-1 (forward) or step k
+        # (reverse), with a zero initial state at the end the pass starts
+        # from, so each step's previous state is just the neighbouring row.
+        hs = np.empty((T + 1, H))
+        cs = np.empty((T + 1, H))
+        if reverse:
+            order, prev, new = range(T - 1, -1, -1), 1, 0
+            Hs, h_prevs, c_prevs = hs[:T], hs[1:], cs[1:]
+            hs[T] = cs[T] = 0.0
+        else:
+            order, prev, new = range(T), 0, 1
+            Hs, h_prevs, c_prevs = hs[1:], hs[:T], cs[:T]
+            hs[0] = cs[0] = 0.0
         for t in order:
-            z = G_in[t] + h @ self.Wh.value
-            i = sigmoid(z[:H])
-            f = sigmoid(z[H:2 * H])
-            o = sigmoid(z[2 * H:3 * H])
-            g = np.tanh(z[3 * H:])
-            h_prevs[t] = h
-            c_prevs[t] = c
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            gates[t, :H] = i
-            gates[t, H:2 * H] = f
-            gates[t, 2 * H:3 * H] = o
-            gates[t, 3 * H:] = g
-            tanh_cs[t] = tc
-            Hs[t] = h
+            h, c = hs[t + prev], cs[t + prev]
+            z = G_in[t]
+            z += h @ Wh
+            gate = gates[t]
+            sigmoid(z[:3 * H], out=gate[:3 * H])
+            np.tanh(z[3 * H:], out=gate[3 * H:])
+            c_new = np.multiply(gate[H:2 * H], c, out=cs[t + new])
+            c_new += gate[:H] * gate[3 * H:]
+            np.tanh(c_new, out=tanh_cs[t])
+            np.multiply(gate[2 * H:3 * H], tanh_cs[t], out=hs[t + new])
         cache = (X, gates, c_prevs, h_prevs, tanh_cs, reverse)
         return Hs, cache
 
@@ -140,28 +152,32 @@ class LSTMCell:
         T = X.shape[0]
         H = self.hidden
         order = range(T) if reverse else range(T - 1, -1, -1)
-        dZ = np.zeros((T, 4 * H))
+        WhT = self.Wh.value.T
+        sig = gates[:, :3 * H]
+        one_minus_sig = 1.0 - sig
+        g = gates[:, 3 * H:]
+        one_minus_g2 = 1.0 - g * g
+        one_minus_tc2 = 1.0 - tanh_cs * tanh_cs
+        dZ = np.empty((T, 4 * H))
         dh_carry = np.zeros(H)
         dc_carry = np.zeros(H)
         for t in order:
-            i = gates[t, :H]
-            f = gates[t, H:2 * H]
-            o = gates[t, 2 * H:3 * H]
-            g = gates[t, 3 * H:]
-            tc = tanh_cs[t]
-            dh = dHs[t] + dh_carry
-            do = dh * tc
-            dc = dc_carry + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prevs[t]
-            dc_carry = dc * f
+            gate = gates[t]
             dz = dZ[t]
-            dz[:H] = di * i * (1.0 - i)
-            dz[H:2 * H] = df * f * (1.0 - f)
-            dz[2 * H:3 * H] = do * o * (1.0 - o)
-            dz[3 * H:] = dg * (1.0 - g * g)
-            dh_carry = dz @ self.Wh.value.T
+            dh = dh_carry
+            dh += dHs[t]
+            np.multiply(dh, tanh_cs[t], out=dz[2 * H:3 * H])      # do
+            dc = dh * gate[2 * H:3 * H]
+            dc *= one_minus_tc2[t]
+            dc += dc_carry
+            np.multiply(dc, gate[3 * H:], out=dz[:H])             # di
+            np.multiply(dc, c_prevs[t], out=dz[H:2 * H])          # df
+            np.multiply(dc, gate[:H], out=dz[3 * H:])             # dg
+            dc_carry = np.multiply(dc, gate[H:2 * H], out=dc)
+            dz[:3 * H] *= sig[t]
+            dz[:3 * H] *= one_minus_sig[t]
+            dz[3 * H:] *= one_minus_g2[t]
+            dh_carry = dz @ WhT
         self.Wx.grad += X.T @ dZ
         self.Wh.grad += h_prevs.T @ dZ
         self.b.grad += dZ.sum(axis=0)
@@ -275,19 +291,32 @@ class MomentumSGD:
         self.l2 = l2
         self.clip_norm = clip_norm
         self.velocity = [np.zeros_like(p.value) for p in self.params]
+        self._scratch = [np.empty_like(p.value) for p in self.params]
 
     def step(self):
         sq = 0.0
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise FloatingPointError(f"non-finite gradient in {p.name}")
-            sq += float((p.grad * p.grad).sum())
+        for p, buf in zip(self.params, self._scratch):
+            sq += float(np.multiply(p.grad, p.grad, out=buf).sum())
+        if not np.isfinite(sq):
+            # NaN or inf in some gradient, or finite ones whose squares
+            # overflow; only the former is an error.
+            for p in self.params:
+                if not np.all(np.isfinite(p.grad)):
+                    raise FloatingPointError(f"non-finite gradient in {p.name}")
         scale = 1.0
         if self.clip_norm is not None and sq > self.clip_norm ** 2:
             scale = self.clip_norm / np.sqrt(sq)
-        for p, v in zip(self.params, self.velocity):
+        for p, v, buf in zip(self.params, self.velocity, self._scratch):
+            # buf = lr * (scale * grad + l2 * value), same rounding as written
+            if scale == 1.0:
+                np.multiply(p.value, self.l2, out=buf)
+                buf += p.grad
+            else:
+                np.multiply(p.grad, scale, out=buf)
+                buf += self.l2 * p.value
+            buf *= self.lr
             v *= self.momentum
-            v -= self.lr * (scale * p.grad + self.l2 * p.value)
+            v -= buf
             p.value += v
 
     def zero_grad(self):

@@ -184,10 +184,19 @@ class SentenceEncoder:
         return loaded
 
     def encode(self, words: list[str], tags: list[str] | None,
-               training: bool = False, rng=None, word_dropout: float | None = None):
-        """Context vectors for ROOT plus every token: shape (n+1, out_dim)."""
+               training: bool = False, rng=None, word_dropout: float | None = None,
+               memo: dict | None = None):
+        """Context vectors for ROOT plus every token: shape (n+1, out_dim).
+
+        ``memo`` maps a truncated form to its char-BiLSTM vector and is
+        filled as words are met, so a caller parsing many sentences with
+        the same parameters runs the char-BiLSTM once per form. It is for
+        inference only: the cache returned with it is None.
+        """
         if not words:
             raise ValueError("cannot encode an empty sentence")
+        if memo is not None and training:
+            raise ValueError("a char-vector memo cannot be used while training")
         if self.use_tags:
             if tags is None or len(tags) != len(words):
                 raise ValueError("tag sequence must align with the sentence")
@@ -207,12 +216,16 @@ class SentenceEncoder:
                 word_vec = self.word_emb.value[wid]
             else:
                 chars = words[pos - 1][:cfg.max_word_chars]
-                if chars:
+                if memo is not None and chars in memo:
+                    char_vec = memo[chars]
+                elif chars:
                     char_ids = [self.vocabs.chars.id(c) for c in chars]
                     C = self.char_emb.value[char_ids]
                     Hs, cache = self.char_rnn.forward(C)
                     char_vec = self.char_rnn.final_states(Hs)
                     char_caches.append((char_ids, Hs.shape[0], cache))
+                    if memo is not None:
+                        memo[chars] = char_vec
                 else:
                     char_vec = np.zeros(2 * cfg.char_hidden)
                     char_caches.append(None)
@@ -224,6 +237,8 @@ class SentenceEncoder:
             rows.append(np.concatenate(parts))
         X = np.asarray(rows)
         ctx, stack_caches = self.stack.forward(X)
+        if memo is not None:
+            return ctx, None
         cache = (word_ids, drop, char_caches, stack_caches,
                  None if not self.use_tags else ([1] + [self.vocabs.tags.id(t) for t in tags]))
         return ctx, cache
@@ -473,7 +488,8 @@ def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Par
         if dev is not None and len(dev) > 0:
             from .metrics import score
 
-            pred = Treebank([parse_tree(model, tree) for tree in dev])
+            memo: dict = {}  # fresh per pass: the parameters changed since the last
+            pred = Treebank([parse_tree(model, tree, memo=memo) for tree in dev])
             las = score(dev, pred).las
             msg += f", dev LAS {las:.2f}"
             if las > best_las:
@@ -486,11 +502,16 @@ def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Par
     return model
 
 
-def parse(model: ParserModel, words: list[str], tags: list[str]) -> DepTree:
-    """Greedy decode; always returns a valid tree."""
+def parse(model: ParserModel, words: list[str], tags: list[str],
+          memo: dict | None = None) -> DepTree:
+    """Greedy decode; always returns a valid tree.
+
+    ``memo`` is the char-vector memo of ``SentenceEncoder.encode``; share
+    one across the sentences of a treebank parsed with this model.
+    """
     if not words:
         raise ValueError("cannot parse an empty sentence")
-    ctx, _ = model.encoder.encode(words, tags, training=False)
+    ctx, _ = model.encoder.encode(words, tags, training=False, memo=memo)
     c = arceager.initial_config(len(words))
     max_steps = 3 * len(words)
     for _ in range(max_steps):
@@ -513,10 +534,11 @@ def parse(model: ParserModel, words: list[str], tags: list[str]) -> DepTree:
     return tree
 
 
-def parse_tree(model: ParserModel, tree: DepTree, tags: list[str] | None = None) -> DepTree:
+def parse_tree(model: ParserModel, tree: DepTree, tags: list[str] | None = None,
+               memo: dict | None = None) -> DepTree:
     """Re-parse a sentence, keeping its surface columns."""
     tags = tags if tags is not None else tree.upos_tags()
-    pred = parse(model, tree.forms(), tags)
+    pred = parse(model, tree.forms(), tags, memo=memo)
     tokens = [replace(t, head=p.head, deprel=p.deprel, upos=tag)
               for t, p, tag in zip(tree.tokens, pred.tokens, tags)]
     return tree.with_tokens(tokens)

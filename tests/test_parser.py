@@ -116,6 +116,69 @@ class TestFeaturize:
         assert widths == {11 * dim}
 
 
+def _memo_treebank() -> Treebank:
+    """Repeated forms, and long forms that share their first five characters."""
+    sents = [[("ramesh", "N", "s"), ("ne", "P", "case"), ("kitabein", "N", "o"), ("di", "V", "root")],
+             [("kitabghar", "N", "o"), ("ramesh", "N", "s"), ("ne", "P", "case"), ("di", "V", "root")],
+             [("ne", "P", "case"), ("kitab", "N", "o"), ("ne", "P", "case"), ("di", "V", "root")]]
+    trees = []
+    for sent in sents:
+        root = next(i for i, (_, _, rel) in enumerate(sent, start=1) if rel == "root")
+        trees.append(DepTree([Token(i, form, upos=tag, head=0 if rel == "root" else root,
+                                    deprel=rel)
+                              for i, (form, tag, rel) in enumerate(sent, start=1)]))
+    return Treebank(trees)
+
+
+class TestCharMemo:
+    CFG = TINY.merged(max_word_chars=5)
+
+    def _model(self):
+        tb = _memo_treebank()
+        return train_parser(tb, None, self.CFG), tb
+
+    def test_memo_parses_bit_identical(self):
+        model, tb = self._model()
+        memo = {}
+        for tree in tb:
+            words, tags = tree.forms(), tree.upos_tags()
+            plain, _ = model.encoder.encode(words, tags)
+            memoized, cache = model.encoder.encode(words, tags, memo=memo)
+            assert np.array_equal(plain, memoized)
+            assert cache is None
+        memo = {}
+        with_memo = [parse_tree(model, tree, memo=memo) for tree in tb]
+        without = [parse_tree(model, tree) for tree in tb]
+        assert [t.tokens for t in with_memo] == [t.tokens for t in without]
+        assert set(memo) == {"rames", "ne", "kitab", "di"}
+
+    def test_char_bilstm_runs_once_per_truncated_form(self, monkeypatch):
+        model, tb = self._model()
+        calls = []
+        forward = model.encoder.char_rnn.forward
+
+        def counting(C):
+            calls.append(C.shape[0])
+            return forward(C)
+
+        monkeypatch.setattr(model.encoder.char_rnn, "forward", counting)
+        memo = {}
+        for tree in tb:
+            parse_tree(model, tree, memo=memo)
+        distinct = {t.form[:self.CFG.max_word_chars] for tree in tb for t in tree.tokens}
+        assert len(calls) == len(distinct) == 4
+        calls.clear()
+        for tree in tb:
+            parse_tree(model, tree)
+        assert len(calls) == sum(len(tree) for tree in tb)
+
+    def test_memo_rejected_while_training(self):
+        model, tb = self._model()
+        with pytest.raises(ValueError, match="memo"):
+            model.encoder.encode(tb[0].forms(), tb[0].upos_tags(), training=True,
+                                 rng=np.random.default_rng(0), memo={})
+
+
 class TestTrainingAndParse:
     def test_train_rejects_empty_and_nonprojective(self):
         with pytest.raises(ValueError):
