@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from . import conllu, metrics, ngram, projectivity, scramble, synthetic
 from .conllu import Treebank, dump_treebank, load_treebank
@@ -28,16 +27,6 @@ DEFAULT_SEED = 42
 def _default_seed() -> int:
     env = os.environ.get("SCRAMBLE_SEED")
     return int(env) if env else DEFAULT_SEED
-
-
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, optionally across processes."""
-    items = list(items)
-    if jobs <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
 
 
 def _provenance_comment(argv) -> str:
@@ -123,16 +112,6 @@ def cmd_train_lm(args, argv):
     return 0
 
 
-def _permute_one(item):
-    tree, mapping, limit, seed, model, keep = item
-    batches = []
-    for projection in scramble.extract_projections(tree, mapping):
-        batch = scramble.permute_projection(tree, projection, limit=limit,
-                                            mapping=mapping, seed=seed)
-        batches.append(ngram.filter_by_perplexity(batch, model, k=keep))
-    return batches
-
-
 def cmd_permute(args, argv):
     tb = load_treebank(args.input)
     mapping = MAPPING_PRESETS[args.labels]
@@ -142,9 +121,12 @@ def cmd_permute(args, argv):
         tb = Treebank([projectivity.projectivize(t)[0] for t in tb],
                       source_name=tb.source_name)
     subset = scramble.select_representative(tb, n=args.select, seed=args.seed)
-    work = [(tree, mapping, args.max_variants, args.seed, model, args.keep)
-            for tree in subset]
-    batches = [b for per_tree in _pmap(_permute_one, work, args.jobs) for b in per_tree]
+    batches = []
+    for tree in subset:
+        for projection in scramble.extract_projections(tree, mapping):
+            batch = scramble.permute_projection(tree, projection, limit=args.max_variants,
+                                                mapping=mapping, seed=args.seed)
+            batches.append(ngram.filter_by_perplexity(batch, model, k=args.keep))
     pool_size = sum(len(b.variants) for b in batches)
     augmented = scramble.balance_orders(batches, budget=args.budget)
     dump_treebank(_stamp(augmented, argv), args.output)
@@ -188,9 +170,10 @@ def cmd_parse(args, argv):
     tb = load_treebank(args.input)
     tagger = TaggerModel.load(args.tagger) if args.tagger else None
     memo: dict = {}
+    tag_memo: dict = {}  # the tagger's own char vectors
     trees = []
     for tree in tb:
-        tags = tag_sentence(tagger, tree.forms()) if tagger else None
+        tags = tag_sentence(tagger, tree.forms(), memo=tag_memo) if tagger else None
         trees.append(parse_tree(model, tree, tags=tags, memo=memo))
     pred = Treebank(trees)
     dump_treebank(_stamp(pred, argv), args.output)
@@ -202,16 +185,12 @@ def cmd_parse(args, argv):
 def cmd_tag(args, argv):
     model = TaggerModel.load(args.model)
     tb = load_treebank(args.input)
-    tagged = Treebank([conllu.retag(tree, tag_sentence(model, tree.forms()))
+    memo: dict = {}
+    tagged = Treebank([conllu.retag(tree, tag_sentence(model, tree.forms(), memo=memo))
                        for tree in tb])
     dump_treebank(_stamp(tagged, argv), args.output)
     print(f"tagged {len(tb)} sentences -> {args.output}")
     return 0
-
-
-def _classify_one(item):
-    tree, mapping = item
-    return scramble.classify_order(tree, mapping)
 
 
 def cmd_eval(args, argv):
@@ -219,10 +198,8 @@ def cmd_eval(args, argv):
     pred = load_treebank(args.pred)
     mapping = MAPPING_PRESETS[args.labels]
     overall = metrics.score(gold, pred, exclude_punct=not args.include_punct)
-    labels = _pmap(_classify_one, [(t, mapping) for t in gold], args.jobs)
     by_order = metrics.score_by_order(gold, pred, mapping,
-                                      exclude_punct=not args.include_punct,
-                                      labels=labels)
+                                      exclude_punct=not args.include_punct)
     pos = metrics.pos_accuracy(gold, [t.upos_tags() for t in pred])
     print(f"LAS\t{overall.las:.2f}")
     print(f"UAS\t{overall.uas:.2f}")
@@ -307,7 +284,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--keep", type=int, default=None,
                     help="survivors per projection (default: unit count)")
     sp.add_argument("--max-variants", type=int, default=120)
-    sp.add_argument("--jobs", type=int, default=1)
 
     for name, fn in (("train", cmd_train), ("train-tagger", cmd_train_tagger)):
         sp = add(name, fn, help=f"{name.replace('-', ' ')} on CoNLL-U data")
@@ -336,7 +312,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pred", required=True)
     sp.add_argument("--labels", choices=sorted(MAPPING_PRESETS), default="ud")
     sp.add_argument("--include-punct", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
 
     sp = add("curve", cmd_curve, help="learning curve over training prefixes")
     sp.add_argument("--train", required=True)

@@ -148,20 +148,23 @@ def validate_tree(tree: DepTree, single_root: bool = False) -> list[str]:
     if single_root and len(roots) > 1:
         violations.append("multiple roots: tokens " + ",".join(map(str, roots)))
 
-    # Cycle check: walk each token towards the root.
-    flagged: set[int] = set()
+    # Cycle check: walk each token towards the root until the walk meets a
+    # token an earlier walk has passed (it reaches the root, or a cycle
+    # already reported), so each token is walked once.
+    settled: set[int] = {0}
     for start in range(1, n + 1):
-        seen: list[int] = []
+        path: list[int] = []
+        on_path: set[int] = set()
         node = start
-        while node != 0:
-            if node in seen:
-                cycle = seen[seen.index(node):]
-                if not flagged & set(cycle):
-                    flagged.update(cycle)
-                    violations.append("cycle involving " + ",".join(map(str, sorted(cycle))))
+        while node not in settled:
+            if node in on_path:
+                cycle = path[path.index(node):]
+                violations.append("cycle involving " + ",".join(map(str, sorted(cycle))))
                 break
-            seen.append(node)
+            path.append(node)
+            on_path.add(node)
             node = tree.tokens[node - 1].head
+        settled.update(path)
     return violations
 
 

@@ -82,22 +82,16 @@ def pos_accuracy(gold: Treebank, pred_tags: list[list[str]]) -> float:
 
 
 def score_by_order(gold: Treebank, pred: Treebank, mapping: DeprelMapping,
-                   exclude_punct: bool = True,
-                   labels: list | None = None) -> dict[OrderLabel, ParseScore]:
+                   exclude_punct: bool = True) -> dict[OrderLabel, ParseScore]:
     """Per word-order-class scores; classification uses the gold trees.
 
     Classes with no sentences are omitted. The token-weighted average of
-    the per-class scores equals the overall score. Precomputed order
-    ``labels`` (aligned with the gold trees) skip reclassification.
+    the per-class scores equals the overall score.
     """
     _check_alignment(gold, pred)
-    if labels is None:
-        labels = [classify_order(gt, mapping) for gt in gold]
-    elif len(labels) != len(gold):
-        raise ValueError("precomputed labels do not align with the gold treebank")
     buckets: dict[OrderLabel, list] = {}
-    for label, gt, pt in zip(labels, gold, pred):
-        buckets.setdefault(label, []).extend(zip(gt.tokens, pt.tokens))
+    for gt, pt in zip(gold, pred):
+        buckets.setdefault(classify_order(gt, mapping), []).extend(zip(gt.tokens, pt.tokens))
     return {label: _score_pairs(pairs, exclude_punct)
             for label, pairs in buckets.items()}
 

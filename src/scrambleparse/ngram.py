@@ -64,12 +64,24 @@ class NGramModel:
             context = context[-(self.order - 1):]
         return self._interp(word, context)
 
-    def logprob(self, sentence: list[str]) -> float:
-        """Natural-log probability of a sentence including the </s> event."""
-        history = [BOS] * (self.order - 1) + list(sentence)
+    def logprob(self, sentence: list[str], memo: dict | None = None) -> float:
+        """Natural-log probability of a sentence including the </s> event.
+
+        ``memo`` maps an n-gram (context words, then the word) to its log
+        probability; sentences scored with one memo and this model compute
+        each distinct n-gram once.
+        """
+        if memo is None:
+            memo = {}
+        k = self.order - 1
+        events = [BOS] * k + list(sentence) + [EOS]
         total = 0.0
-        for i, word in enumerate(list(sentence) + [EOS]):
-            total += math.log(self.prob(word, history[i:i + self.order - 1]))
+        for i in range(len(events) - k):
+            gram = tuple(events[i:i + k + 1])
+            lp = memo.get(gram)
+            if lp is None:
+                lp = memo[gram] = math.log(self.prob(gram[-1], gram[:-1]))
+            total += lp
         return total
 
     def save(self, path, meta: dict | None = None) -> None:
@@ -119,12 +131,15 @@ def train_lm(corpus: list[list[str]], order: int = 3) -> NGramModel:
                       vocab=vocab)
 
 
-def perplexity(model: NGramModel, sentence: list[str]) -> float:
-    """exp of the average negative log-probability per event (tokens + </s>)."""
+def perplexity(model: NGramModel, sentence: list[str], memo: dict | None = None) -> float:
+    """exp of the average negative log-probability per event (tokens + </s>).
+
+    ``memo`` is the n-gram memo of ``NGramModel.logprob``.
+    """
     if not sentence:
         raise ValueError("cannot score an empty sentence")
     n_events = len(sentence) + 1
-    return math.exp(-model.logprob(sentence) / n_events)
+    return math.exp(-model.logprob(sentence, memo) / n_events)
 
 
 def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
@@ -133,15 +148,17 @@ def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
     k defaults to the number of permuted units of the batch's projection.
     Ties break on the lexicographic order of the permutation, so the
     result is deterministic. Returns a new batch; scores are recorded on
-    the surviving variants.
+    the surviving variants. The variants of a batch share most of their
+    n-grams, so they are scored through one memo.
     """
     from .scramble import PermutationBatch
 
     if k is None:
         k = batch.projection.unit_count
+    memo: dict = {}
     scored = []
     for v in batch.variants:
-        ppl = perplexity(model, [t.form for t in v.tree.tokens])
+        ppl = perplexity(model, v.forms, memo)
         scored.append((ppl, v.perm, v))
     scored.sort(key=lambda item: (item[0], item[1]))
     survivors = []

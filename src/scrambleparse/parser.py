@@ -620,7 +620,9 @@ def train_tagger(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Tag
             n_tok += len(words)
         msg = f"tagger epoch {epoch + 1}/{cfg.epochs}: loss/token {total / n_tok:.4f}"
         if dev is not None and len(dev) > 0:
-            correct = sum(sum(p == g.upos for p, g in zip(tag(model, t.forms()), t.tokens))
+            memo: dict = {}  # fresh per pass: the parameters changed since the last
+            correct = sum(sum(p == g.upos
+                              for p, g in zip(tag(model, t.forms(), memo=memo), t.tokens))
                           for t in dev)
             n_dev = sum(len(t) for t in dev)
             acc = 100.0 * correct / n_dev
@@ -635,11 +637,15 @@ def train_tagger(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Tag
     return model
 
 
-def tag(model: TaggerModel, words: list[str]) -> list[str]:
-    """Per-token argmax tags; output length always matches the input."""
+def tag(model: TaggerModel, words: list[str], memo: dict | None = None) -> list[str]:
+    """Per-token argmax tags; output length always matches the input.
+
+    ``memo`` is the char-vector memo of ``SentenceEncoder.encode``; share
+    one across the sentences of a treebank tagged with this model.
+    """
     if not words:
         raise ValueError("cannot tag an empty sentence")
-    ctx, _ = model.encoder.encode(words, None, training=False)
+    ctx, _ = model.encoder.encode(words, None, training=False, memo=memo)
     logits, _ = model.mlp.forward(ctx[1:], training=False)
     ids = logits.argmax(axis=1)
     return [model.vocabs.tags.itos[i] for i in ids]

@@ -37,17 +37,16 @@ def _descendant_sets(heads: dict[int, int], n: int) -> dict[int, set[int]]:
     children: dict[int, list[int]] = {i: [] for i in range(n + 1)}
     for d, h in heads.items():
         children[h].append(d)
+    order = [0]  # breadth-first; walked backwards, every child comes before its head
+    for node in order:
+        order.extend(children[node])
     out: dict[int, set[int]] = {}
-
-    def collect(node: int) -> set[int]:
+    for node in reversed(order):
         acc: set[int] = set()
         for c in children[node]:
             acc.add(c)
-            acc |= collect(c)
+            acc |= out[c]
         out[node] = acc
-        return acc
-
-    collect(0)
     return out
 
 

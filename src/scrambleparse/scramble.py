@@ -13,10 +13,11 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .conllu import DepTree, Token, Treebank
+from .conllu import DepTree, Treebank
 from .projectivity import base_label, is_projective
 
 MAX_UNITS_WITHOUT_LIMIT = 8  # 8! = 40320 variants; beyond that require an explicit cap
@@ -69,13 +70,43 @@ class VerbalProjection:
         return 1 + len(self.constituent_roots)
 
 
-@dataclass
 class PermutationVariant:
-    tree: DepTree
-    order: OrderLabel
-    perm: tuple[int, ...]        # permutation of unit slots, identity = (0, 1, ...)
-    positions: tuple[int, ...]   # source token index occupying each new position
-    perplexity: float | None = None
+    """One linear order of a projection's units.
+
+    ``positions`` holds the source token at each new position and
+    ``forms`` the words in that order. The relinearized tree is built
+    from ``source`` the first time ``tree`` is read, so variants that the
+    LM filter or the balancer drop never build one. A variant can also
+    be made from a ready ``tree``.
+    """
+
+    def __init__(self, *, order: OrderLabel, perm: tuple[int, ...],
+                 positions: tuple[int, ...], perplexity: float | None = None,
+                 tree: DepTree | None = None, source: DepTree | None = None,
+                 forms: tuple[str, ...] | None = None):
+        self.order = order
+        self.perm = perm              # permutation of unit slots, identity = (0, 1, ...)
+        self.positions = positions    # source token index occupying each new position
+        self.perplexity = perplexity
+        self.source = source
+        if tree is not None:
+            self.__dict__["tree"] = tree
+        self.forms = forms if forms is not None else tuple(self.tree.forms())
+
+    @cached_property
+    def tree(self) -> DepTree:
+        src = self.source
+        new_index = {old: new for new, old in enumerate(self.positions, start=1)}
+        new_index[0] = 0
+        tokens = []
+        for new_pos, old in enumerate(self.positions, start=1):
+            tok = src.token(old)
+            tokens.append(replace(tok, index=new_pos, head=new_index[tok.head]))
+        tree = src.with_tokens(tokens)
+        perm_str = ",".join(map(str, self.perm))
+        tree.comments = list(src.comments) + [
+            f"# scramble_order={self.order.value} perm={perm_str}"]
+        return tree
 
     @property
     def is_identity(self) -> bool:
@@ -89,8 +120,8 @@ class PermutationBatch:
     variants: list[PermutationVariant]
 
 
-def _verbal_heads(tree: DepTree, mapping: DeprelMapping) -> list[int]:
-    children = tree.children_map()
+def _verbal_heads(tree: DepTree, mapping: DeprelMapping,
+                  children: dict[int, list[int]]) -> list[int]:
     role_labels = mapping.subject_labels | mapping.object_labels
     heads = []
     for tok in tree.tokens:
@@ -108,7 +139,7 @@ def extract_projections(tree: DepTree, mapping: DeprelMapping) -> list[VerbalPro
         raise ValueError(f"sentence {tree.label()} is non-projective; projectivize first")
     children = tree.children_map()
     projections = []
-    for v in _verbal_heads(tree, mapping):
+    for v in _verbal_heads(tree, mapping, children):
         roots = []
         for c in children[v]:
             lbl = base_label(tree.deprel_of(c))
@@ -130,12 +161,14 @@ def extract_projections(tree: DepTree, mapping: DeprelMapping) -> list[VerbalPro
     return projections
 
 
-def classify_order(tree: DepTree, mapping: DeprelMapping) -> OrderLabel:
-    """S/O/V order of the main clause, or NONTRANSITIVE when the main
-    verbal head does not have exactly one subject and one object."""
-    heads = _verbal_heads(tree, mapping)
+def _clause_roles(tree: DepTree, mapping: DeprelMapping) -> list[tuple[int, list[int], list[int]]]:
+    """The shallowest verbal heads of ``tree``, each with its subject and
+    object children. Relinearizing the tree changes none of these; it only
+    changes which of the heads comes first."""
+    children = tree.children_map()
+    heads = _verbal_heads(tree, mapping, children)
     if not heads:
-        return OrderLabel.NONTRANSITIVE
+        return []
 
     def depth(i: int) -> int:
         d = 0
@@ -145,14 +178,37 @@ def classify_order(tree: DepTree, mapping: DeprelMapping) -> OrderLabel:
             d += 1
         return d
 
-    main = min(heads, key=lambda i: (depth(i), i))
-    children = tree.children_map()[main]
-    subjects = [c for c in children if base_label(tree.deprel_of(c)) in mapping.subject_labels]
-    objects = [c for c in children if base_label(tree.deprel_of(c)) in mapping.object_labels]
+    depths = {h: depth(h) for h in heads}
+    top = min(depths.values())
+    roles = []
+    for h in heads:
+        if depths[h] == top:
+            subjects = [c for c in children[h]
+                        if base_label(tree.deprel_of(c)) in mapping.subject_labels]
+            objects = [c for c in children[h]
+                       if base_label(tree.deprel_of(c)) in mapping.object_labels]
+            roles.append((h, subjects, objects))
+    return roles
+
+
+def _order_label(roles, position) -> OrderLabel:
+    """S/O/V label of a linearization, given ``_clause_roles`` of the tree
+    and a function from token to its (increasing) position."""
+    if not roles:
+        return OrderLabel.NONTRANSITIVE
+    main, subjects, objects = roles[0] if len(roles) == 1 else min(
+        roles, key=lambda r: position(r[0]))
     if len(subjects) != 1 or len(objects) != 1:
         return OrderLabel.NONTRANSITIVE
-    order = sorted([(subjects[0], "S"), (objects[0], "O"), (main, "V")])
-    return OrderLabel("".join(letter for _, letter in order))
+    (_, a), (_, b), (_, c) = sorted([(position(subjects[0]), "S"),
+                                     (position(objects[0]), "O"), (position(main), "V")])
+    return OrderLabel(a + b + c)
+
+
+def classify_order(tree: DepTree, mapping: DeprelMapping) -> OrderLabel:
+    """S/O/V order of the main clause, or NONTRANSITIVE when the main
+    verbal head does not have exactly one subject and one object."""
+    return _order_label(_clause_roles(tree, mapping), lambda i: i)
 
 
 def order_distribution(tb: Treebank, mapping: DeprelMapping) -> dict[OrderLabel, float]:
@@ -180,22 +236,6 @@ def select_representative(tb: Treebank, n: int = 4000, seed: int = 42) -> Treeba
     return Treebank([tb[int(i)] for i in picked], source_name=tb.source_name)
 
 
-def _relinearize(tree: DepTree, slots: list[int], unit_tokens: list[list[int]],
-                 perm: tuple[int, ...]) -> tuple[list[Token], tuple[int, ...]]:
-    n = len(tree.tokens)
-    new_positions = list(range(1, n + 1))
-    refill = [idx for u in perm for idx in unit_tokens[u]]
-    for slot, old in zip(slots, refill):
-        new_positions[slot - 1] = old
-    new_index = {old: new for new, old in enumerate(new_positions, start=1)}
-    new_index[0] = 0
-    tokens = []
-    for new_pos, old in enumerate(new_positions, start=1):
-        src = tree.token(old)
-        tokens.append(replace(src, index=new_pos, head=new_index[src.head]))
-    return tokens, tuple(new_positions)
-
-
 def permute_projection(tree: DepTree, projection: VerbalProjection,
                        limit: int | None = None, *,
                        mapping: DeprelMapping = UD_MAPPING,
@@ -204,16 +244,27 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
 
     Each unit keeps its internal token order; heads and labels are
     remapped to the new indices; frozen tokens never move. Every variant
-    carries a comment recording its order class and permutation.
+    carries a comment recording its order class and permutation. Variants
+    get their order class and word sequence here; their trees are built
+    only when read (see ``PermutationVariant``).
     """
     m = projection.unit_count
     if m > MAX_UNITS_WITHOUT_LIMIT and limit is None:
         raise ValueError(f"projection has {m} units ({math.factorial(m)} permutations); "
                          "pass an explicit limit")
-    unit_roots = sorted(projection.span_map, key=lambda r: projection.span_map[r])
-    unit_tokens = [list(range(projection.span_map[r][0], projection.span_map[r][1] + 1))
-                   for r in unit_roots]
-    slots = sorted(idx for toks in unit_tokens for idx in toks)
+    spans = sorted(projection.span_map.values())
+    unit_tokens = [list(range(lo, hi + 1)) for lo, hi in spans]
+    forms = tree.forms()
+    unit_forms = [forms[lo - 1:hi] for lo, hi in spans]
+    # The units' tokens fill the same slots in every variant: maximal runs
+    # of adjacent spans, as 0-based [start, stop). Frozen tokens between
+    # runs never move.
+    runs: list[list[int]] = []
+    for lo, hi in spans:
+        if runs and runs[-1][1] == lo - 1:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo - 1, hi])
 
     identity = tuple(range(m))
     total = math.factorial(m)
@@ -226,16 +277,24 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
     else:
         perms = [tuple(p) for p in itertools.permutations(range(m))]
 
+    roles = _clause_roles(tree, mapping)
+    base = list(range(1, len(forms) + 1))
     variants = []
     for perm in perms:
-        tokens, positions = _relinearize(tree, slots, unit_tokens, perm)
-        variant = tree.with_tokens(tokens)
-        order = classify_order(variant, mapping)
-        perm_str = ",".join(map(str, perm))
-        variant.comments = list(tree.comments) + [
-            f"# scramble_order={order.value} perm={perm_str}"]
-        variants.append(PermutationVariant(tree=variant, order=order,
-                                           perm=perm, positions=positions))
+        refill = [i for u in perm for i in unit_tokens[u]]
+        refill_forms = [w for u in perm for w in unit_forms[u]]
+        positions = base[:]
+        words = forms[:]
+        at = 0
+        for start, stop in runs:
+            end = at + stop - start
+            positions[start:stop] = refill[at:end]
+            words[start:stop] = refill_forms[at:end]
+            at = end
+        positions = tuple(positions)
+        variants.append(PermutationVariant(
+            order=_order_label(roles, positions.index), perm=perm, positions=positions,
+            source=tree, forms=tuple(words)))
     return PermutationBatch(source=tree, projection=projection, variants=variants)
 
 
@@ -262,6 +321,7 @@ def balance_orders(batches: list[PermutationBatch], budget: int,
     dry. Identity permutations are dropped by default (the source trees
     are kept in the training data anyway); variants from non-transitive
     clauses fill any budget left after the six classes are exhausted.
+    Only the chosen variants build their trees.
     """
     pools: dict[OrderLabel, list[PermutationVariant]] = {l: [] for l in TRANSITIVE_ORDERS}
     leftovers: list[PermutationVariant] = []

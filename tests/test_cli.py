@@ -1,9 +1,10 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from helpers import toy_treebank, transitive_tree
+from helpers import chain_tree, toy_treebank, transitive_tree
 from scrambleparse.cli import run
 from scrambleparse.conllu import Treebank, dump_treebank, load_treebank
 from scrambleparse.ngram import NGramModel
@@ -53,6 +54,14 @@ def test_gen_synthetic_and_stats(tmp_path, capsys):
     assert "S.No.\tOrder\tPercentage" in text
     assert "S O V\t100.00" in text
     assert "seed=" in text
+
+
+def test_stats_on_deep_chain(tmp_path, capsys):
+    path = tmp_path / "deep.conllu"
+    dump_treebank(Treebank([transitive_tree("SOV"), chain_tree(1500)]), path)
+    capsys.readouterr()
+    assert run(["stats", "--in", str(path)]) == 0
+    assert "sentences\t2" in capsys.readouterr().out
 
 
 def test_provenance_comment_written(tmp_path):
@@ -116,20 +125,52 @@ def test_permute_respects_budget_and_preserves_arcs(synth_files, capsys):
     assert "augmented order distribution" in text
 
 
-def test_permute_with_jobs_matches_serial(synth_files):
+def test_permute_and_eval_have_no_jobs(synth_files, capsys):
     tmp_path, tb_path, lm_path = synth_files
-    out1 = tmp_path / "aug1.conllu"
-    out2 = tmp_path / "aug2.conllu"
+    capsys.readouterr()
     assert run(["permute", "--in", str(tb_path), "--lm", str(lm_path),
-                "--out", str(out1), "--budget", "40", "--seed", "5"]) == 0
-    assert run(["permute", "--in", str(tb_path), "--lm", str(lm_path),
-                "--out", str(out2), "--budget", "40", "--seed", "5",
-                "--jobs", "2"]) == 0
-    def body(path):
-        return [line for line in path.read_text().splitlines()
-                if not line.startswith("# generated_by")]
+                "--out", str(tmp_path / "aug.conllu"), "--jobs", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert run(["eval", "--gold", str(tb_path), "--pred", str(tb_path), "--jobs", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
-    assert body(out1) == body(out2)
+
+def _eval_pair():
+    """Gold: SOV, OSV (with indirect object) and an intransitive clause;
+    pred: one wrong head, one wrong label, one wrong tag."""
+    gold = [transitive_tree("SOV"), transitive_tree("OSV", with_io=True)] + toy_treebank().trees[:1]
+    pred = [t.with_tokens(list(t.tokens)) for t in gold]
+    pred[0].tokens[0] = replace(pred[0].tokens[0], head=3)
+    pred[1].tokens[2] = replace(pred[1].tokens[2], deprel="obl")
+    pred[2].tokens[0] = replace(pred[2].tokens[0], upos="V")
+    return Treebank(gold), Treebank(pred)
+
+
+EVAL_STDOUT = (
+    '[scrambleparse] command=eval seed=42\n'
+    'LAS\t83.33\n'
+    'UAS\t91.67\n'
+    'POS\t92.86\n'
+    'class\tLAS\tUAS\ttokens\n'
+    'SOV\t75.00\t75.00\t4\n'
+    'OSV\t83.33\t100.00\t6\n'
+    'NONTRANSITIVE\t100.00\t100.00\t2\n'
+    '{"las": 83.33, "uas": 91.67, "n_tokens": 12, "pos": 92.86, "by_order": '
+    '{"SOV": {"las": 75.0, "uas": 75.0, "n_tokens": 4}, '
+    '"OSV": {"las": 83.33, "uas": 100.0, "n_tokens": 6}, '
+    '"NONTRANSITIVE": {"las": 100.0, "uas": 100.0, "n_tokens": 2}}}\n'
+)
+
+
+def test_eval_output_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SCRAMBLE_SEED", raising=False)
+    gold, pred = _eval_pair()
+    dump_treebank(gold, tmp_path / "gold.conllu")
+    dump_treebank(pred, tmp_path / "pred.conllu")
+    capsys.readouterr()
+    assert run(["eval", "--gold", str(tmp_path / "gold.conllu"),
+                "--pred", str(tmp_path / "pred.conllu")]) == 0
+    assert capsys.readouterr().out == EVAL_STDOUT
 
 
 def test_train_parse_eval_cycle(tmp_path, capsys):

@@ -123,6 +123,37 @@ def test_validate_cycle_names_tokens():
     assert any("cycle involving 1,2" in v for v in violations)
 
 
+def ref_cycle_violations(tree):
+    """The quadratic walk validate_tree used before: every token to the root."""
+    out, flagged = [], set()
+    for start in range(1, len(tree.tokens) + 1):
+        seen, node = [], start
+        while node != 0:
+            if node in seen:
+                cycle = seen[seen.index(node):]
+                if not flagged & set(cycle):
+                    flagged.update(cycle)
+                    out.append("cycle involving " + ",".join(map(str, sorted(cycle))))
+                break
+            seen.append(node)
+            node = tree.tokens[node - 1].head
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.integers(0, n), min_size=n, max_size=n)))
+def test_validate_cycles_match_reference(heads):
+    heads = [h if h != i else 0 for i, h in enumerate(heads, start=1)]  # no self-loops
+    tree = DepTree([Token(i, f"w{i}", head=h, deprel="x") for i, h in enumerate(heads, start=1)])
+    got = [v for v in validate_tree(tree) if v.startswith("cycle")]
+    assert got == ref_cycle_violations(tree)
+
+
+def test_validate_deep_chain_is_clean():
+    assert validate_tree(chain_tree(3000)) == []
+
+
 def test_toy_treebank_round_trips():
     tb = toy_treebank()
     assert parse_conllu(write_conllu(tb)).trees == tb.trees

@@ -172,6 +172,28 @@ class TestCharMemo:
             parse_tree(model, tree)
         assert len(calls) == sum(len(tree) for tree in tb)
 
+    def test_tagger_memo_tags_bit_identical_once_per_truncated_form(self, monkeypatch):
+        tb = _memo_treebank()
+        model = train_tagger(tb, None, self.CFG)
+        for tree in tb:
+            plain, _ = model.encoder.encode(tree.forms(), None)
+            memoized, _ = model.encoder.encode(tree.forms(), None, memo={})
+            assert np.array_equal(plain, memoized)
+        calls = []
+        forward = model.encoder.char_rnn.forward
+
+        def counting(C):
+            calls.append(C.shape[0])
+            return forward(C)
+
+        monkeypatch.setattr(model.encoder.char_rnn, "forward", counting)
+        memo = {}
+        with_memo = [tag(model, tree.forms(), memo=memo) for tree in tb]
+        assert len(calls) == len(memo) == 4
+        calls.clear()
+        assert [tag(model, tree.forms()) for tree in tb] == with_memo
+        assert len(calls) == sum(len(tree) for tree in tb)
+
     def test_memo_rejected_while_training(self):
         model, tb = self._model()
         with pytest.raises(ValueError, match="memo"):

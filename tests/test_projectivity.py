@@ -20,6 +20,10 @@ def test_chain_is_projective():
     assert is_projective(chain_tree(4))
 
 
+def test_deep_chain_is_projective_without_recursion_error():
+    assert is_projective(chain_tree(1500))
+
+
 def test_crossing_arcs_not_projective():
     assert not is_projective(crossing_tree())
 

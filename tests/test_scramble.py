@@ -267,6 +267,20 @@ def test_balance_drops_identity_variants_by_default():
     assert len(out_inclusive) == 2
 
 
+def test_trees_built_only_for_kept_variants():
+    tree = figure_like_tree()
+    p = extract_projections(tree, UD_MAPPING)[0]
+    batch = permute_projection(tree, p, mapping=UD_MAPPING)
+    for i, v in enumerate(batch.variants):
+        v.perplexity = float(i)
+    assert not any("tree" in vars(v) for v in batch.variants)
+    out = balance_orders([batch], budget=3)
+    built = [v for v in batch.variants if "tree" in vars(v)]
+    assert len(built) == len(out) == 3
+    assert {id(v.tree) for v in built} == {id(t) for t in out}
+    assert all(v.forms == tuple(v.tree.forms()) for v in built)
+
+
 def test_mapping_rejects_overlapping_roles():
     with pytest.raises(ValueError):
         DeprelMapping(subject_labels=frozenset({"x"}), object_labels=frozenset({"x"}))

@@ -1,0 +1,217 @@
+"""Permutation, order labelling and LM filtering against the eager versions.
+
+``permute_projection`` labels each variant from the new positions of its
+subject, object and verb and leaves the tree unbuilt until it is read;
+``filter_by_perplexity`` scores the form sequences of a batch through one
+n-gram memo. The functions below are the versions they replaced: a full
+tree per variant, ``classify_order`` on that tree and one uncached
+``perplexity`` per variant. The arithmetic is meant to be the same, so
+perplexities are compared with ``==``, not a tolerance.
+"""
+
+import itertools
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from scrambleparse.conllu import DepTree, Token
+from scrambleparse.ngram import BOS, EOS, filter_by_perplexity, perplexity, train_lm
+from scrambleparse.projectivity import base_label, is_projective
+from scrambleparse.scramble import (OrderLabel, PermutationBatch, PermutationVariant,
+                                    UD_MAPPING, balance_orders, extract_projections,
+                                    permute_projection)
+
+VOCAB = ["ram", "ne", "kitab", "di", "gopal", "ko", "ghar", "gaya", "."]
+OOV = ["zzq", "xvv"]  # never in the LM corpus
+LABELS = ("nsubj", "obj", "iobj", "case", "obl", "punct")
+UPOS = ("VERB", "NOUN", "ADP", "AUX", "X")
+
+
+def _lm_corpus():
+    rng = np.random.default_rng(5)
+    return [[VOCAB[int(i)] for i in rng.integers(len(VOCAB), size=int(rng.integers(1, 9)))]
+            for _ in range(60)]
+
+
+MODELS = {order: train_lm(_lm_corpus(), order=order) for order in (1, 2, 3)}
+
+
+# --- reference versions --------------------------------------------------
+
+def ref_verbal_heads(tree, mapping):
+    children = tree.children_map()
+    role_labels = mapping.subject_labels | mapping.object_labels
+    heads = []
+    for tok in tree.tokens:
+        if tok.upos in ("VERB", "AUX"):
+            heads.append(tok.index)
+        elif any(base_label(tree.deprel_of(c)) in role_labels for c in children[tok.index]):
+            heads.append(tok.index)
+    return heads
+
+
+def ref_classify_order(tree, mapping):
+    heads = ref_verbal_heads(tree, mapping)
+    if not heads:
+        return OrderLabel.NONTRANSITIVE
+
+    def depth(i):
+        d = 0
+        node = i
+        while node != 0:
+            node = tree.head_of(node)
+            d += 1
+        return d
+
+    main = min(heads, key=lambda i: (depth(i), i))
+    children = tree.children_map()[main]
+    subjects = [c for c in children if base_label(tree.deprel_of(c)) in mapping.subject_labels]
+    objects = [c for c in children if base_label(tree.deprel_of(c)) in mapping.object_labels]
+    if len(subjects) != 1 or len(objects) != 1:
+        return OrderLabel.NONTRANSITIVE
+    order = sorted([(subjects[0], "S"), (objects[0], "O"), (main, "V")])
+    return OrderLabel("".join(letter for _, letter in order))
+
+
+def ref_relinearize(tree, slots, unit_tokens, perm):
+    n = len(tree.tokens)
+    new_positions = list(range(1, n + 1))
+    refill = [idx for u in perm for idx in unit_tokens[u]]
+    for slot, old in zip(slots, refill):
+        new_positions[slot - 1] = old
+    new_index = {old: new for new, old in enumerate(new_positions, start=1)}
+    new_index[0] = 0
+    tokens = []
+    for new_pos, old in enumerate(new_positions, start=1):
+        src = tree.token(old)
+        tokens.append(replace(src, index=new_pos, head=new_index[src.head]))
+    return tokens, tuple(new_positions)
+
+
+def ref_permute(tree, projection, limit, mapping, seed):
+    """(tree, order, perm, positions) of every variant, trees built eagerly."""
+    m = projection.unit_count
+    unit_roots = sorted(projection.span_map, key=lambda r: projection.span_map[r])
+    unit_tokens = [list(range(projection.span_map[r][0], projection.span_map[r][1] + 1))
+                   for r in unit_roots]
+    slots = sorted(idx for toks in unit_tokens for idx in toks)
+    identity = tuple(range(m))
+    if limit is not None and math.factorial(m) > limit:
+        rng = np.random.default_rng(seed)
+        chosen = {identity}
+        while len(chosen) < limit:
+            chosen.add(tuple(int(x) for x in rng.permutation(m)))
+        perms = sorted(chosen)
+    else:
+        perms = [tuple(p) for p in itertools.permutations(range(m))]
+    out = []
+    for perm in perms:
+        tokens, positions = ref_relinearize(tree, slots, unit_tokens, perm)
+        variant = tree.with_tokens(tokens)
+        order = ref_classify_order(variant, mapping)
+        variant.comments = list(tree.comments) + [
+            f"# scramble_order={order.value} perm={','.join(map(str, perm))}"]
+        out.append((variant, order, perm, positions))
+    return out
+
+
+def ref_perplexity(model, sentence):
+    history = [BOS] * (model.order - 1) + list(sentence)
+    total = 0.0
+    for i, word in enumerate(list(sentence) + [EOS]):
+        total += math.log(model.prob(word, history[i:i + model.order - 1]))
+    return math.exp(-total / (len(sentence) + 1))
+
+
+def ref_filter(variants, model, k):
+    scored = sorted(((ref_perplexity(model, v[0].forms()), v[2], v) for v in variants),
+                    key=lambda item: (item[0], item[1]))
+    return [(ppl, v) for ppl, _, v in scored[:k]]
+
+
+# --- random trees --------------------------------------------------------
+
+@st.composite
+def projective_trees(draw, max_tokens=9):
+    """Projective trees with one or two roots over in-vocabulary and OOV forms."""
+    n = draw(st.integers(1, max_tokens))
+    heads = {}
+
+    def build(lo, hi):
+        if lo == hi:
+            return lo
+        split = draw(st.integers(lo, hi - 1))
+        left, right = build(lo, split), build(split + 1, hi)
+        if draw(st.booleans()):
+            heads[right] = left
+            return left
+        heads[left] = right
+        return right
+
+    cut = draw(st.integers(1, n))
+    for lo, hi in ((1, cut), (cut + 1, n)):
+        if lo <= hi:
+            heads[build(lo, hi)] = 0
+    tokens = [Token(i, draw(st.sampled_from(VOCAB + OOV)), upos=draw(st.sampled_from(UPOS)),
+                    head=heads[i],
+                    deprel="root" if heads[i] == 0 else draw(st.sampled_from(LABELS)))
+              for i in range(1, n + 1)]
+    return DepTree(tokens, sentence_id="r1", comments=["# text = random"])
+
+
+def two_verbs_same_depth():
+    """A non-verbal root over two transitive verbs, both at depth 2."""
+    rows = [("ram", "NOUN", 3, "nsubj"), ("kitab", "NOUN", 3, "obj"), ("di", "VERB", 4, "obl"),
+            ("ko", "X", 0, "root"), ("gopal", "NOUN", 7, "nsubj"), ("zzq", "NOUN", 7, "obj"),
+            ("gaya", "VERB", 4, "obl"), (".", "PUNCT", 4, "punct")]
+    return DepTree([Token(i, f, upos=u, head=h, deprel=d)
+                    for i, (f, u, h, d) in enumerate(rows, start=1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree=projective_trees(),
+       limit=st.one_of(st.none(), st.integers(1, 30)),
+       keep=st.one_of(st.none(), st.integers(1, 8)),
+       lm_order=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2 ** 16))
+@example(tree=two_verbs_same_depth(), limit=None, keep=None, lm_order=3, seed=0)
+@example(tree=two_verbs_same_depth(), limit=4, keep=2, lm_order=2, seed=7)
+def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
+    assert is_projective(tree)
+    model = MODELS[lm_order]
+    for projection in extract_projections(tree, UD_MAPPING):
+        if projection.unit_count > 5 and limit is None:
+            limit = 24  # bound the enumeration; the sampled path is checked too
+        batch = permute_projection(tree, projection, limit=limit, mapping=UD_MAPPING, seed=seed)
+        expected = ref_permute(tree, projection, limit, UD_MAPPING, seed)
+
+        assert [v.perm for v in batch.variants] == [e[2] for e in expected]
+        assert [v.positions for v in batch.variants] == [e[3] for e in expected]
+        assert [v.order for v in batch.variants] == [e[1] for e in expected]
+        memo = {}
+        for v, (ref_tree, _, _, _) in zip(batch.variants, expected):
+            assert perplexity(model, v.forms, memo) == ref_perplexity(model, ref_tree.forms())
+
+        survivors = filter_by_perplexity(batch, model, k=keep).variants
+        k = keep if keep is not None else projection.unit_count
+        ref_survivors = ref_filter(expected, model, k)
+        assert [v.perm for v in survivors] == [v[2] for _, v in ref_survivors]
+        assert [v.perplexity for v in survivors] == [ppl for ppl, _ in ref_survivors]
+
+        for v, (ref_tree, _, _, _) in zip(batch.variants, expected):
+            assert v.tree.tokens == ref_tree.tokens
+            assert v.tree.comments == ref_tree.comments
+            assert v.tree.sentence_id == ref_tree.sentence_id
+
+        eager = [PermutationVariant(tree=v[0], order=v[1], perm=v[2], positions=v[3],
+                                    perplexity=ppl) for ppl, v in ref_survivors]
+        for include_identity in (False, True):
+            got = balance_orders([PermutationBatch(tree, projection, survivors)], budget=4,
+                                 include_identity=include_identity)
+            want = balance_orders([PermutationBatch(tree, projection, eager)], budget=4,
+                                  include_identity=include_identity)
+            assert [(t.tokens, t.comments) for t in got] == [(t.tokens, t.comments) for t in want]
+
