@@ -60,8 +60,12 @@ class Configuration:
     n: int
     stack: tuple[int, ...]
     buffer_start: int
-    arcs: tuple[tuple[int, int, str], ...] = ()
-    heads: dict = field(default_factory=dict, compare=False)
+    heads: dict = field(default_factory=dict, hash=False)  # dependent -> (head, label)
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int, str], ...]:
+        """(head, dependent, label) triples in the order the arcs were made."""
+        return tuple((h, d, label) for d, (h, label) in self.heads.items())
 
     @property
     def buffer(self) -> range:
@@ -111,7 +115,7 @@ def apply(c: Configuration, t: Transition) -> Configuration:
     if t.kind == SHIFT:
         if b is None:
             raise ValueError("shift: buffer is empty")
-        return Configuration(c.n, c.stack + (b,), c.buffer_start + 1, c.arcs, c.heads)
+        return Configuration(c.n, c.stack + (b,), c.buffer_start + 1, c.heads)
     if t.kind == LEFT_ARC:
         if b is None:
             raise ValueError("left_arc: buffer is empty")
@@ -121,8 +125,7 @@ def apply(c: Configuration, t: Transition) -> Configuration:
             raise ValueError("left_arc: stack top already has a head")
         heads = dict(c.heads)
         heads[s] = (b, t.label)
-        return Configuration(c.n, c.stack[:-1], c.buffer_start,
-                             c.arcs + ((b, s, t.label),), heads)
+        return Configuration(c.n, c.stack[:-1], c.buffer_start, heads)
     if t.kind == RIGHT_ARC:
         if b is None:
             raise ValueError("right_arc: buffer is empty")
@@ -130,14 +133,13 @@ def apply(c: Configuration, t: Transition) -> Configuration:
             raise ValueError("right_arc: stack is empty")
         heads = dict(c.heads)
         heads[b] = (s, t.label)
-        return Configuration(c.n, c.stack + (b,), c.buffer_start + 1,
-                             c.arcs + ((s, b, t.label),), heads)
+        return Configuration(c.n, c.stack + (b,), c.buffer_start + 1, heads)
     if t.kind == REDUCE:
         if s in (None, 0):
             raise ValueError("reduce: stack top is ROOT or missing")
         if s not in c.heads:
             raise ValueError("reduce: stack top has no head yet")
-        return Configuration(c.n, c.stack[:-1], c.buffer_start, c.arcs, c.heads)
+        return Configuration(c.n, c.stack[:-1], c.buffer_start, c.heads)
     raise ValueError(f"unknown transition kind '{t.kind}'")
 
 
@@ -178,20 +180,19 @@ def run_sequence(n: int, seq: list[Transition]) -> Configuration:
     return c
 
 
-def tree_from_config(c: Configuration, tokens: list[Token]) -> DepTree:
+def tree_from_config(c: Configuration, tokens: list[Token],
+                     upos: list[str] | None = None) -> DepTree:
     """Build a tree from a terminal configuration's arc set.
 
     Tokens without a head are attached to ROOT with the fallback label so
-    the output is always a well-formed tree.
+    the output is always a well-formed tree. ``upos``, when given,
+    replaces the tokens' tags.
     """
     from dataclasses import replace
 
+    tags = [tok.upos for tok in tokens] if upos is None else upos
     out = []
-    for tok in tokens:
-        attachment = c.heads.get(tok.index)
-        if attachment is None:
-            head, label = 0, FALLBACK_LABEL
-        else:
-            head, label = attachment
-        out.append(replace(tok, head=head, deprel=label))
+    for tok, tag in zip(tokens, tags):
+        head, label = c.heads.get(tok.index, (0, FALLBACK_LABEL))
+        out.append(replace(tok, head=head, deprel=label, upos=tag))
     return DepTree(tokens=out)

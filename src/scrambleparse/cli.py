@@ -17,8 +17,10 @@ import traceback
 
 from . import conllu, metrics, ngram, projectivity, scramble, synthetic
 from .conllu import Treebank, dump_treebank, load_treebank
-from .parser import (ParserModel, TaggerModel, TrainConfig, parse_tree,
-                     train_parser, train_tagger, tag as tag_sentence)
+# parse_tree is not called here but stays importable from this module:
+# perfbench/tracing.py patches every binding of it.
+from .parser import (ParserModel, TaggerModel, TrainConfig, parse_batch, parse_tree,  # noqa: F401
+                     tag_batch, train_parser, train_tagger)
 from .scramble import MAPPING_PRESETS, OrderLabel, TRANSITIVE_ORDERS
 
 DEFAULT_SEED = 42
@@ -60,6 +62,12 @@ def _union_treebank(paths) -> Treebank:
     return Treebank(trees, source_name="+".join(str(p) for p in paths))
 
 
+def _note_short_treebank(requested: int, tb: Treebank, flag: str) -> None:
+    if requested > len(tb):
+        print(f"[scrambleparse] note: {flag} {requested} exceeds the treebank's "
+              f"{len(tb)} trees; using all of them")
+
+
 def cmd_stats(args, argv):
     tb = load_treebank(args.input)
     mapping = MAPPING_PRESETS[args.labels]
@@ -97,6 +105,7 @@ def cmd_deproj(args, argv):
 
 def cmd_select(args, argv):
     tb = load_treebank(args.input)
+    _note_short_treebank(args.n, tb, "--n")
     subset = scramble.select_representative(tb, n=args.n, seed=args.seed)
     dump_treebank(_stamp(subset, argv), args.output)
     print(f"selected {len(subset)} of {len(tb)} sentences -> {args.output}")
@@ -120,6 +129,7 @@ def cmd_permute(args, argv):
         print("input contains non-projective trees; projectivizing first")
         tb = Treebank([projectivity.projectivize(t)[0] for t in tb],
                       source_name=tb.source_name)
+    _note_short_treebank(args.select, tb, "--select")
     subset = scramble.select_representative(tb, n=args.select, seed=args.seed)
     batches = []
     for tree in subset:
@@ -168,26 +178,22 @@ def cmd_train_tagger(args, argv):
 def cmd_parse(args, argv):
     model = ParserModel.load(args.model)
     tb = load_treebank(args.input)
-    tagger = TaggerModel.load(args.tagger) if args.tagger else None
-    memo: dict = {}
-    tag_memo: dict = {}  # the tagger's own char vectors
-    trees = []
-    for tree in tb:
-        tags = tag_sentence(tagger, tree.forms(), memo=tag_memo) if tagger else None
-        trees.append(parse_tree(model, tree, tags=tags, memo=memo))
-    pred = Treebank(trees)
-    dump_treebank(_stamp(pred, argv), args.output)
-    mode = "predicted" if tagger else "input"
-    print(f"parsed {len(tb)} sentences ({mode} tags) -> {args.output}")
+    tags = None
+    if args.tagger:
+        tags = tag_batch(TaggerModel.load(args.tagger), [tree.forms() for tree in tb])
+    trees, fallbacks = parse_batch(model, tb.trees, tags)
+    dump_treebank(_stamp(Treebank(trees), argv), args.output)
+    mode = "predicted" if args.tagger else "input"
+    print(f"parsed {len(tb)} sentences ({mode} tags), {fallbacks} headless tokens "
+          f"attached to ROOT -> {args.output}")
     return 0
 
 
 def cmd_tag(args, argv):
     model = TaggerModel.load(args.model)
     tb = load_treebank(args.input)
-    memo: dict = {}
-    tagged = Treebank([conllu.retag(tree, tag_sentence(model, tree.forms(), memo=memo))
-                       for tree in tb])
+    tags = tag_batch(model, [tree.forms() for tree in tb])
+    tagged = Treebank([conllu.retag(tree, t) for tree, t in zip(tb, tags)])
     dump_treebank(_stamp(tagged, argv), args.output)
     print(f"tagged {len(tb)} sentences -> {args.output}")
     return 0

@@ -98,7 +98,7 @@ def score_by_order(gold: Treebank, pred: Treebank, mapping: DeprelMapping,
 
 def learning_curve(train: Treebank, dev: Treebank, sizes: list[int], cfg) -> LearningCurve:
     """Train on growing prefixes of the treebank, score each model on dev."""
-    from .parser import parse_tree, train_parser
+    from .parser import parse_batch, train_parser
 
     if sorted(sizes) != list(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be strictly increasing")
@@ -108,8 +108,7 @@ def learning_curve(train: Treebank, dev: Treebank, sizes: list[int], cfg) -> Lea
     for size in sizes:
         subset = Treebank(train.trees[:size], source_name=f"{train.source_name}[:{size}]")
         model = train_parser(subset, None, cfg)
-        memo: dict = {}
-        pred = Treebank([parse_tree(model, tree, memo=memo) for tree in dev])
+        pred = Treebank(parse_batch(model, dev.trees)[0])
         points.append((size, score(dev, pred)))
     return LearningCurve(points=points)
 

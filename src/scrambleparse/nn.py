@@ -5,7 +5,8 @@ dense layers, LSTM cells run in either direction, bidirectional
 stacks, a one-hidden-layer rectifier classifier, softmax
 cross-entropy, inverted dropout, and momentum SGD with L2. The
 forward passes return explicit caches so layers can be reused
-re-entrantly (the character encoder runs once per word).
+re-entrantly (the character encoder runs once per word). The LSTM
+layers also run a length-masked padded batch for inference.
 """
 
 from __future__ import annotations
@@ -25,10 +26,21 @@ class Param:
     def __init__(self, value, name: str):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)  # calloc'd: no page is touched until used
 
     def zero_grad(self):
         self.grad[...] = 0.0
+
+
+class NoDraw:
+    """Generator stand-in whose ``uniform`` returns zeros without drawing.
+
+    For building a model whose every parameter is then overwritten from a
+    checkpoint, so loading pays for no random initialisation.
+    """
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.zeros(size)
 
 
 def glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -112,8 +124,14 @@ class LSTMCell:
         b[hidden:2 * hidden] = 1.0  # forget-gate bias
         self.b = Param(b, f"{name}.b")
 
-    def run(self, X, reverse: bool = False):
-        """Hidden states for every position; X is (T, in_dim)."""
+    def run(self, X, reverse: bool = False, lengths=None):
+        """Hidden states for every position; X is (T, in_dim).
+
+        X may also be a padded batch (T, B, in_dim) with ``lengths`` giving
+        each sequence's true length; see ``_run_padded``.
+        """
+        if X.ndim == 3:
+            return self._run_padded(X, lengths, reverse), None
         T = X.shape[0]
         H = self.hidden
         Wh = self.Wh.value
@@ -146,6 +164,32 @@ class LSTMCell:
             np.multiply(gate[2 * H:3 * H], tanh_cs[t], out=hs[t + new])
         cache = (X, gates, c_prevs, h_prevs, tanh_cs, reverse)
         return Hs, cache
+
+    def _run_padded(self, X, lengths, reverse: bool):
+        """Inference over a padded batch: (T, B, H) hidden states, no cache.
+
+        The state is zeroed at every step past a sequence's length, so a
+        reverse pass starts each sequence from a zero state at its own last
+        position and padded positions come out zero.
+        """
+        T, B, D = X.shape
+        H = self.hidden
+        Wh = self.Wh.value
+        keep = (np.arange(T)[:, None] < np.asarray(lengths)[None, :])[:, :, None].astype(X.dtype)
+        G_in = (X.reshape(T * B, D) @ self.Wx.value + self.b.value).reshape(T, B, 4 * H)
+        Hs = np.empty((T, B, H))
+        h = np.zeros((B, H))
+        c = np.zeros((B, H))
+        for t in (range(T - 1, -1, -1) if reverse else range(T)):
+            z = G_in[t]
+            z += h @ Wh
+            sigmoid(z[:, :3 * H], out=z[:, :3 * H])
+            np.tanh(z[:, 3 * H:], out=z[:, 3 * H:])
+            c = z[:, H:2 * H] * c
+            c += z[:, :H] * z[:, 3 * H:]
+            c *= keep[t]
+            h = np.multiply(z[:, 2 * H:3 * H], np.tanh(c), out=Hs[t])
+        return Hs
 
     def backward(self, dHs, cache):
         X, gates, c_prevs, h_prevs, tanh_cs, reverse = cache
@@ -195,10 +239,11 @@ class BiLSTM:
         self.fwd = LSTMCell(in_dim, hidden, rng, f"{name}.fwd")
         self.bwd = LSTMCell(in_dim, hidden, rng, f"{name}.bwd")
 
-    def forward(self, X):
-        Hf, cf = self.fwd.run(X, reverse=False)
-        Hb, cb = self.bwd.run(X, reverse=True)
-        return np.concatenate([Hf, Hb], axis=1), (cf, cb)
+    def forward(self, X, lengths=None):
+        """X is (T, in_dim), or a padded (T, B, in_dim) batch with ``lengths``."""
+        Hf, cf = self.fwd.run(X, reverse=False, lengths=lengths)
+        Hb, cb = self.bwd.run(X, reverse=True, lengths=lengths)
+        return np.concatenate([Hf, Hb], axis=-1), (cf, cb)
 
     def backward(self, dY, cache):
         cf, cb = cache
@@ -210,9 +255,17 @@ class BiLSTM:
     def params(self):
         return self.fwd.params() + self.bwd.params()
 
-    def final_states(self, Hs):
-        """Concatenated last forward / last backward hidden state."""
-        return np.concatenate([Hs[-1, :self.hidden], Hs[0, self.hidden:]])
+    def final_states(self, Hs, lengths=None):
+        """Concatenated last forward / last backward hidden state.
+
+        For a padded (T, B, 2H) batch, one row per sequence, taking the
+        forward state at each sequence's own last position.
+        """
+        H = self.hidden
+        if lengths is None:
+            return np.concatenate([Hs[-1, :H], Hs[0, H:]])
+        last = Hs[np.asarray(lengths) - 1, np.arange(Hs.shape[1]), :H]
+        return np.concatenate([last, Hs[0, :, H:]], axis=1)
 
 
 class BiLSTMStack:
@@ -223,10 +276,10 @@ class BiLSTMStack:
             self.layers.append(BiLSTM(d, hidden, rng, f"{name}.{k}"))
             d = 2 * hidden
 
-    def forward(self, X):
+    def forward(self, X, lengths=None):
         caches = []
         for layer in self.layers:
-            X, cache = layer.forward(X)
+            X, cache = layer.forward(X, lengths)
             caches.append(cache)
         return X, caches
 

@@ -6,7 +6,8 @@ layers. The parser scores labeled transitions from 11 positional
 features of the configuration with a one-hidden-layer rectifier
 classifier; the tagger classifies each token from its own context
 vector. Training uses the static oracle, summed cross-entropy per
-sentence, and momentum SGD with L2.
+sentence, and momentum SGD with L2. Inference runs on length-sorted
+chunks of sentences at once (``parse_batch``, ``tag_batch``).
 """
 
 from __future__ import annotations
@@ -184,19 +185,10 @@ class SentenceEncoder:
         return loaded
 
     def encode(self, words: list[str], tags: list[str] | None,
-               training: bool = False, rng=None, word_dropout: float | None = None,
-               memo: dict | None = None):
-        """Context vectors for ROOT plus every token: shape (n+1, out_dim).
-
-        ``memo`` maps a truncated form to its char-BiLSTM vector and is
-        filled as words are met, so a caller parsing many sentences with
-        the same parameters runs the char-BiLSTM once per form. It is for
-        inference only: the cache returned with it is None.
-        """
+               training: bool = False, rng=None, word_dropout: float | None = None):
+        """Context vectors for ROOT plus every token: shape (n+1, out_dim)."""
         if not words:
             raise ValueError("cannot encode an empty sentence")
-        if memo is not None and training:
-            raise ValueError("a char-vector memo cannot be used while training")
         if self.use_tags:
             if tags is None or len(tags) != len(words):
                 raise ValueError("tag sequence must align with the sentence")
@@ -216,16 +208,12 @@ class SentenceEncoder:
                 word_vec = self.word_emb.value[wid]
             else:
                 chars = words[pos - 1][:cfg.max_word_chars]
-                if memo is not None and chars in memo:
-                    char_vec = memo[chars]
-                elif chars:
+                if chars:
                     char_ids = [self.vocabs.chars.id(c) for c in chars]
                     C = self.char_emb.value[char_ids]
                     Hs, cache = self.char_rnn.forward(C)
                     char_vec = self.char_rnn.final_states(Hs)
                     char_caches.append((char_ids, Hs.shape[0], cache))
-                    if memo is not None:
-                        memo[chars] = char_vec
                 else:
                     char_vec = np.zeros(2 * cfg.char_hidden)
                     char_caches.append(None)
@@ -237,11 +225,55 @@ class SentenceEncoder:
             rows.append(np.concatenate(parts))
         X = np.asarray(rows)
         ctx, stack_caches = self.stack.forward(X)
-        if memo is not None:
-            return ctx, None
         cache = (word_ids, drop, char_caches, stack_caches,
                  None if not self.use_tags else ([1] + [self.vocabs.tags.id(t) for t in tags]))
         return ctx, cache
+
+    def encode_batch(self, sentences: list[list[str]], tags: list[list[str]] | None = None):
+        """Inference-only context vectors of many sentences at once.
+
+        Returns ``(rows, lengths)``: what ``encode`` returns for each
+        sentence (ROOT first), stacked one sentence after another, and
+        ``lengths[b] = len(sentences[b]) + 1``. The char-BiLSTM runs once
+        over the distinct truncated forms and the stack once over the
+        padded (1 + longest, B) batch.
+        """
+        if any(not words for words in sentences):
+            raise ValueError("cannot encode an empty sentence")
+        if self.use_tags and (tags is None or len(tags) != len(sentences)
+                              or any(len(t) != len(w) for t, w in zip(tags, sentences))):
+            raise ValueError("tag sequence must align with the sentence")
+        cfg = self.cfg
+        lengths = np.array([len(words) + 1 for words in sentences])
+        T, B = int(lengths.max()), len(sentences)
+        forms = list(dict.fromkeys(w[:cfg.max_word_chars] for words in sentences for w in words))
+        # One row per distinct form, plus a zero row for ROOT, padding and "".
+        char_vecs = np.zeros((len(forms) + 1, 2 * cfg.char_hidden))
+        spelled = [i for i, f in enumerate(forms) if f]
+        if spelled:
+            char_lens = np.array([len(forms[i]) for i in spelled])
+            char_ids = np.zeros((int(char_lens.max()), len(spelled)), dtype=np.intp)
+            for col, i in enumerate(spelled):
+                char_ids[:char_lens[col], col] = [self.vocabs.chars.id(ch) for ch in forms[i]]
+            Hs, _ = self.char_rnn.forward(self.char_emb.value[char_ids], char_lens)
+            char_vecs[spelled] = self.char_rnn.final_states(Hs, char_lens)
+        form_row = {f: i for i, f in enumerate(forms)}
+        word_ids = np.full((T, B), self.vocabs.words.id(PAD))
+        word_ids[0] = 1  # <root>
+        char_rows = np.full((T, B), len(forms))
+        for b, words in enumerate(sentences):
+            word_ids[1:len(words) + 1, b] = [self.vocabs.words.id(w) for w in words]
+            char_rows[1:len(words) + 1, b] = [form_row[w[:cfg.max_word_chars]] for w in words]
+        parts = [self.word_emb.value[word_ids], char_vecs[char_rows]]
+        if self.use_tags:
+            tag_ids = np.full((T, B), self.vocabs.tags.id(PAD))
+            tag_ids[0] = 1  # <root>
+            for b, seq in enumerate(tags):
+                tag_ids[1:len(seq) + 1, b] = [self.vocabs.tags.id(t) for t in seq]
+            parts.append(self.tag_emb.value[tag_ids])
+        ctx, _ = self.stack.forward(np.concatenate(parts, axis=2), lengths)
+        present = np.arange(T)[None, :] < lengths[:, None]  # (B, T)
+        return ctx.transpose(1, 0, 2)[present], lengths
 
     def backward(self, dctx, cache):
         word_ids, drop, char_caches, stack_caches, tag_ids = cache
@@ -275,51 +307,23 @@ FEATURE_SELECTORS = ("s0", "s1", "s2", "b0",
                      "lc(b0)")
 
 
-@dataclass(frozen=True)
-class FeatureTemplate:
-    selectors: tuple[str, ...] = FEATURE_SELECTORS
-
-    def __post_init__(self):
-        if len(self.selectors) != 11:
-            raise ValueError("feature template must have exactly 11 selectors")
-
-
 def feature_indices(c: arceager.Configuration) -> list[int | None]:
     """Token index picked by each selector, None where the node is absent."""
-    children: dict[int, list[int]] = {}
+    leftmost: dict[int, int] = {}
+    rightmost: dict[int, int] = {}
     for d, (h, _) in c.heads.items():
-        children.setdefault(h, []).append(d)
-
-    def leftmost(i):
-        kids = children.get(i)
-        return min(kids) if kids else None
-
-    def rightmost(i):
-        kids = children.get(i)
-        return max(kids) if kids else None
-
-    s = list(c.stack)
-    s0 = s[-1] if len(s) >= 1 else None
-    s1 = s[-2] if len(s) >= 2 else None
-    s2 = s[-3] if len(s) >= 3 else None
+        if d < leftmost.get(h, d + 1):
+            leftmost[h] = d
+        if d > rightmost.get(h, -1):
+            rightmost[h] = d
+    stack = c.stack
+    s0 = stack[-1] if len(stack) >= 1 else None
+    s1 = stack[-2] if len(stack) >= 2 else None
+    s2 = stack[-3] if len(stack) >= 3 else None
     b0 = c.buffer_front
-    out = [s0, s1, s2, b0]
-    for node in (s0, s1, s2):
-        out.append(leftmost(node) if node is not None else None)
-        out.append(rightmost(node) if node is not None else None)
-    out.append(leftmost(b0) if b0 is not None else None)
-    return out
-
-
-def featurize(c: arceager.Configuration, ctx: np.ndarray,
-              template: FeatureTemplate = FeatureTemplate()) -> np.ndarray:
-    """Concatenate the 11 context vectors; absent nodes contribute zeros."""
-    dim = ctx.shape[1]
-    row = np.zeros(len(template.selectors) * dim)
-    for slot, idx in enumerate(feature_indices(c)):
-        if idx is not None:
-            row[slot * dim:(slot + 1) * dim] = ctx[idx]
-    return row
+    return [s0, s1, s2, b0,
+            leftmost.get(s0), rightmost.get(s0), leftmost.get(s1), rightmost.get(s1),
+            leftmost.get(s2), rightmost.get(s2), leftmost.get(b0)]
 
 
 def _gather_features(ctx, idx_rows):
@@ -374,6 +378,19 @@ class ParserModel:
         self._kind_cols = {}
         for i, t in enumerate(self.transitions):
             self._kind_cols.setdefault(t.kind, []).append(i)
+        self._masks: dict[frozenset, np.ndarray] = {}  # one per set of legal kinds
+
+    def legal_mask(self, c: arceager.Configuration) -> np.ndarray:
+        """0 on the classes legal in ``c``, -inf on the others (read-only)."""
+        legal = frozenset(arceager.legal_transitions(c))
+        mask = self._masks.get(legal)
+        if mask is None:
+            mask = np.full(len(self.transitions), -np.inf)
+            for kind in legal:
+                mask[self._kind_cols[kind]] = 0.0
+            mask.flags.writeable = False
+            self._masks[legal] = mask
+        return mask
 
     def save(self, path, extra_meta: dict | None = None) -> None:
         meta = {
@@ -396,7 +413,7 @@ class ParserModel:
             raise ValueError(f"{path} is not a parser checkpoint")
         cfg = TrainConfig(**meta["cfg"])
         model = _init_parser(cfg, _vocabs_from_items(meta["vocab_items"]),
-                             pseudo_projective=meta["pseudo_projective"])
+                             pseudo_projective=meta["pseudo_projective"], rng=nn.NoDraw())
         nn.restore_params(model.params(), payload["arrays"])
         return model
 
@@ -408,8 +425,9 @@ def _vocabs_from_items(items: dict) -> VocabSet:
                     labels=Vocab.from_itos(items["labels"]))
 
 
-def _init_parser(cfg: TrainConfig, vocabs: VocabSet, pseudo_projective: bool) -> ParserModel:
-    rng = np.random.default_rng(cfg.seed)
+def _init_parser(cfg: TrainConfig, vocabs: VocabSet, pseudo_projective: bool,
+                 rng=None) -> ParserModel:
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     encoder = SentenceEncoder(cfg, vocabs, rng, use_tags=True)
     transitions = build_transitions(vocabs.labels)
     mlp = nn.MLP(11 * encoder.out_dim, cfg.mlp_hidden, len(transitions), rng,
@@ -488,8 +506,7 @@ def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Par
         if dev is not None and len(dev) > 0:
             from .metrics import score
 
-            memo: dict = {}  # fresh per pass: the parameters changed since the last
-            pred = Treebank([parse_tree(model, tree, memo=memo) for tree in dev])
+            pred = Treebank(parse_batch(model, dev.trees)[0])
             las = score(dev, pred).las
             msg += f", dev LAS {las:.2f}"
             if las > best_las:
@@ -502,46 +519,108 @@ def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Par
     return model
 
 
-def parse(model: ParserModel, words: list[str], tags: list[str],
-          memo: dict | None = None) -> DepTree:
-    """Greedy decode; always returns a valid tree.
+# Padded positions (sentences x (1 + longest sentence)) per inference
+# chunk, which bounds the memory of one chunk whatever the input size.
+CHUNK_TOKENS = 1024
 
-    ``memo`` is the char-vector memo of ``SentenceEncoder.encode``; share
-    one across the sentences of a treebank parsed with this model.
+
+def _chunks(lengths: list[int]):
+    """Indices by sentence length, cut into runs of at most CHUNK_TOKENS
+    padded positions (a longer sentence gets a run of its own)."""
+    chunk: list[int] = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if chunk and (len(chunk) + 1) * (lengths[i] + 1) > CHUNK_TOKENS:
+            yield chunk
+            chunk = []
+        chunk.append(i)
+    if chunk:
+        yield chunk
+
+
+def _slot_table(W1: np.ndarray, rows: np.ndarray):
+    """The classifier's first layer split by feature slot (Chen & Manning 2014).
+
+    Returns ``(table, offsets, absent)``: row ``offsets[k] + r`` of the
+    table is ``rows[r]`` times the k-th slot's block of ``W1``, and row
+    ``offsets[k] + absent`` is zero, for a feature whose node is absent.
+    Summing one row per slot gives the concatenated features times ``W1``.
     """
+    N, D = rows.shape
+    K = len(FEATURE_SELECTORS)
+    blocks = W1.reshape(K, D, -1)
+    table = np.zeros((K, N + 1, blocks.shape[2]))
+    for k in range(K):
+        np.matmul(rows, blocks[k], out=table[k, :N])
+    return table.reshape(K * (N + 1), -1), np.arange(K) * (N + 1), N
+
+
+def _decode(model: ParserModel, rows: np.ndarray, lengths) -> list[arceager.Configuration]:
+    """Greedy decode of a chunk, all sentences in lockstep.
+
+    ``rows`` and ``lengths`` are what ``SentenceEncoder.encode_batch``
+    returns. The first layer is applied to every row once
+    (``_slot_table``); each step then sums 11 table rows per unfinished
+    sentence and runs the second layer once on all of them. Returns the
+    terminal configurations in sentence order.
+    """
+    lin1, lin2 = model.mlp.lin1, model.mlp.lin2
+    table, offsets, absent = _slot_table(lin1.W.value, rows)
+    starts = (np.cumsum(lengths) - lengths).tolist()  # row of each sentence's ROOT
+    configs = [arceager.initial_config(int(n) - 1) for n in lengths]
+    active = list(range(len(configs)))
+    while active:
+        feats = np.array([[absent if i is None else starts[b] + i
+                           for i in feature_indices(configs[b])] for b in active])
+        hidden = table[feats + offsets].sum(axis=1)
+        hidden += lin1.b.value
+        np.maximum(hidden, 0.0, out=hidden)
+        logits, _ = lin2.forward(hidden)
+        logits += np.array([model.legal_mask(configs[b]) for b in active])
+        for b, best in zip(active, logits.argmax(axis=1)):
+            configs[b] = arceager.apply(configs[b], model.transitions[best])
+        active = [b for b in active if not arceager.is_terminal(configs[b])]
+    return configs
+
+
+def parse_batch(model: ParserModel, trees: list[DepTree],
+                tags: list[list[str]] | None = None) -> tuple[list[DepTree], int]:
+    """Greedy decode of many sentences, in length-sorted chunks.
+
+    Returns the predicted trees, which keep each input's surface columns
+    and take ``tags`` (default: the input's own) as upos, and the number
+    of tokens decoding left headless. Those are attached to ROOT with the
+    fallback label, so every output is a valid tree.
+    """
+    trees = list(trees)
+    tags = [t.upos_tags() for t in trees] if tags is None else list(tags)
+    if len(tags) != len(trees):
+        raise ValueError(f"{len(tags)} tag sequences for {len(trees)} sentences")
+    out: list[DepTree] = [None] * len(trees)
+    fallbacks = 0
+    for chunk in _chunks([len(t) for t in trees]):
+        rows, lengths = model.encoder.encode_batch([trees[i].forms() for i in chunk],
+                                                   [tags[i] for i in chunk])
+        for i, c in zip(chunk, _decode(model, rows, lengths)):
+            fallbacks += c.n - len(c.heads)
+            tokens = arceager.tree_from_config(c, trees[i].tokens, upos=tags[i]).tokens
+            pred = trees[i].with_tokens(tokens)
+            out[i] = deprojectivize(pred) if model.pseudo_projective else pred
+    return out, fallbacks
+
+
+def parse(model: ParserModel, words: list[str], tags: list[str]) -> DepTree:
+    """Greedy decode of one sentence; always returns a valid tree."""
     if not words:
         raise ValueError("cannot parse an empty sentence")
-    ctx, _ = model.encoder.encode(words, tags, training=False, memo=memo)
-    c = arceager.initial_config(len(words))
-    max_steps = 3 * len(words)
-    for _ in range(max_steps):
-        if arceager.is_terminal(c):
-            break
-        F = featurize(c, ctx)
-        logits, _ = model.mlp.forward(F[None, :], training=False)
-        scores = logits[0]
-        legal = arceager.legal_transitions(c)
-        mask = np.full(len(scores), -np.inf)
-        for kind in legal:
-            mask[model._kind_cols[kind]] = 0.0
-        best = int(np.argmax(scores + mask))
-        c = arceager.apply(c, model.transitions[best])
-    tokens = [Token(index=i + 1, form=w, upos=t)
-              for i, (w, t) in enumerate(zip(words, tags))]
-    tree = arceager.tree_from_config(c, tokens)
-    if model.pseudo_projective:
-        tree = deprojectivize(tree)
-    return tree
+    if len(tags) != len(words):
+        raise ValueError("tag sequence must align with the sentence")
+    tokens = [Token(index=i + 1, form=w, upos=t) for i, (w, t) in enumerate(zip(words, tags))]
+    return parse_batch(model, [DepTree(tokens=tokens)])[0][0]
 
 
-def parse_tree(model: ParserModel, tree: DepTree, tags: list[str] | None = None,
-               memo: dict | None = None) -> DepTree:
+def parse_tree(model: ParserModel, tree: DepTree, tags: list[str] | None = None) -> DepTree:
     """Re-parse a sentence, keeping its surface columns."""
-    tags = tags if tags is not None else tree.upos_tags()
-    pred = parse(model, tree.forms(), tags, memo=memo)
-    tokens = [replace(t, head=p.head, deprel=p.deprel, upos=tag)
-              for t, p, tag in zip(tree.tokens, pred.tokens, tags)]
-    return tree.with_tokens(tokens)
+    return parse_batch(model, [tree], None if tags is None else [tags])[0][0]
 
 
 @dataclass
@@ -573,13 +652,13 @@ class TaggerModel:
         if meta.get("kind") != "tagger":
             raise ValueError(f"{path} is not a tagger checkpoint")
         cfg = TrainConfig(**meta["cfg"])
-        model = _init_tagger(cfg, _vocabs_from_items(meta["vocab_items"]))
+        model = _init_tagger(cfg, _vocabs_from_items(meta["vocab_items"]), rng=nn.NoDraw())
         nn.restore_params(model.params(), payload["arrays"])
         return model
 
 
-def _init_tagger(cfg: TrainConfig, vocabs: VocabSet) -> TaggerModel:
-    rng = np.random.default_rng(cfg.seed)
+def _init_tagger(cfg: TrainConfig, vocabs: VocabSet, rng=None) -> TaggerModel:
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     encoder = SentenceEncoder(cfg, vocabs, rng, use_tags=False)
     mlp = nn.MLP(encoder.out_dim, cfg.mlp_hidden, len(vocabs.tags), rng,
                  "tag_classifier", dropout=cfg.mlp_dropout)
@@ -620,10 +699,9 @@ def train_tagger(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Tag
             n_tok += len(words)
         msg = f"tagger epoch {epoch + 1}/{cfg.epochs}: loss/token {total / n_tok:.4f}"
         if dev is not None and len(dev) > 0:
-            memo: dict = {}  # fresh per pass: the parameters changed since the last
-            correct = sum(sum(p == g.upos
-                              for p, g in zip(tag(model, t.forms(), memo=memo), t.tokens))
-                          for t in dev)
+            predicted = tag_batch(model, [t.forms() for t in dev])
+            correct = sum(sum(p == g.upos for p, g in zip(tags, t.tokens))
+                          for tags, t in zip(predicted, dev))
             n_dev = sum(len(t) for t in dev)
             acc = 100.0 * correct / n_dev
             msg += f", dev acc {acc:.2f}"
@@ -637,15 +715,26 @@ def train_tagger(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Tag
     return model
 
 
-def tag(model: TaggerModel, words: list[str], memo: dict | None = None) -> list[str]:
-    """Per-token argmax tags; output length always matches the input.
+def tag_batch(model: TaggerModel, sentences: list[list[str]]) -> list[list[str]]:
+    """Per-token argmax tags of many sentences, in length-sorted chunks."""
+    sentences = [list(words) for words in sentences]
+    out: list[list[str]] = [None] * len(sentences)
+    itos = model.vocabs.tags.itos
+    for chunk in _chunks([len(words) for words in sentences]):
+        rows, lengths = model.encoder.encode_batch([sentences[i] for i in chunk])
+        tokens = np.ones(len(rows), dtype=bool)
+        tokens[np.cumsum(lengths) - lengths] = False  # drop the ROOT rows
+        logits, _ = model.mlp.forward(rows[tokens])
+        ids = logits.argmax(axis=1)
+        start = 0
+        for i, n in zip(chunk, lengths - 1):
+            out[i] = [itos[j] for j in ids[start:start + n]]
+            start += n
+    return out
 
-    ``memo`` is the char-vector memo of ``SentenceEncoder.encode``; share
-    one across the sentences of a treebank tagged with this model.
-    """
+
+def tag(model: TaggerModel, words: list[str]) -> list[str]:
+    """Per-token argmax tags; output length always matches the input."""
     if not words:
         raise ValueError("cannot tag an empty sentence")
-    ctx, _ = model.encoder.encode(words, None, training=False, memo=memo)
-    logits, _ = model.mlp.forward(ctx[1:], training=False)
-    ids = logits.argmax(axis=1)
-    return [model.vocabs.tags.itos[i] for i in ids]
+    return tag_batch(model, [words])[0]

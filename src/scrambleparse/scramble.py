@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -226,10 +225,9 @@ def order_distribution(tb: Treebank, mapping: DeprelMapping) -> dict[OrderLabel,
 
 
 def select_representative(tb: Treebank, n: int = 4000, seed: int = 42) -> Treebank:
-    """Seeded uniform sample of n trees, kept in corpus order."""
+    """Seeded uniform sample of n trees, kept in corpus order (all of them
+    when the treebank has no more than n)."""
     if n >= len(tb):
-        if n > len(tb):
-            warnings.warn(f"requested {n} trees but treebank has {len(tb)}; returning all")
         return Treebank(list(tb.trees), source_name=tb.source_name)
     rng = np.random.default_rng(seed)
     picked = sorted(rng.choice(len(tb), size=n, replace=False))

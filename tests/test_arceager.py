@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_projective_tree
 from scrambleparse.arceager import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT,
-                                    Transition, apply, format_sequence,
+                                    Configuration, Transition, apply, format_sequence,
                                     initial_config, is_terminal,
                                     legal_transitions, parse_sequence,
                                     run_sequence, static_oracle,
@@ -24,6 +24,16 @@ def test_initial_config():
     assert list(c.stack) == [0]
     assert list(c.buffer) == [1, 2, 3]
     assert c.arcs == ()
+
+
+def test_arcs_derived_from_heads_and_compared_by_equality():
+    c = apply(apply(initial_config(3), Transition(SHIFT)), Transition(LEFT_ARC, "x"))
+    c = apply(c, Transition(RIGHT_ARC, "root"))
+    assert c.arcs == ((2, 1, "x"), (0, 2, "root"))
+    same = Configuration(c.n, c.stack, c.buffer_start, {2: (0, "root"), 1: (2, "x")})
+    relabelled = Configuration(c.n, c.stack, c.buffer_start, {1: (2, "y"), 2: (0, "root")})
+    assert c == same and hash(c) == hash(same)
+    assert c != relabelled
 
 
 def test_initial_config_single_token():

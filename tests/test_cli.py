@@ -103,6 +103,25 @@ def test_select_subcommand(synth_files):
     assert len(load_treebank(out)) == 10
 
 
+def test_short_treebank_noted_on_stdout_not_warned(synth_files, capfd):
+    tmp_path, tb_path, lm_path = synth_files
+    capfd.readouterr()
+    # Default --select 4000 on an 80-tree treebank.
+    assert run(["permute", "--in", str(tb_path), "--lm", str(lm_path),
+                "--out", str(tmp_path / "aug.conllu"), "--budget", "20"]) == 0
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    note = "[scrambleparse] note: --select 4000 exceeds the treebank's 80 trees; using all of them"
+    assert note in captured.out.splitlines()
+    assert captured.out.splitlines()[-2].startswith("permuted 80 sentences")
+    assert run(["select", "--in", str(tb_path), "--n", "81",
+                "--out", str(tmp_path / "all.conllu")]) == 0
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    assert "[scrambleparse] note: --n 81 exceeds the treebank's 80 trees; using all of them" \
+        in captured.out.splitlines()
+
+
 def test_train_lm_creates_loadable_model(synth_files):
     _, _, lm_path = synth_files
     model = NGramModel.load(lm_path)
@@ -224,6 +243,35 @@ def test_parse_matches_per_sentence_parsing_and_has_no_jobs(tmp_path, capsys):
     assert run(["parse", "--model", str(model_path), "--in", str(test_path),
                 "--out", str(pred_path), "--jobs", "2"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_parse_reports_fallback_attachments(tmp_path, capsys):
+    from scrambleparse.arceager import LEFT_ARC, SHIFT
+    from scrambleparse.parser import TrainConfig, _init_parser, build_vocabs
+
+    tb = toy_treebank()
+    cfg = TrainConfig(word_dim=6, tag_dim=4, char_dim=4, char_hidden=3, enc_hidden=5,
+                      mlp_hidden=8, seed=1)
+    model = _init_parser(cfg, build_vocabs(tb), pseudo_projective=False)
+    # A classifier that prefers a left arc, then a shift: each stack top
+    # takes the buffer front as its head, and the last token is left
+    # headless, so exactly one fallback attachment per sentence.
+    model.mlp.lin2.W.value[...] = 0.0
+    model.mlp.lin2.b.value[...] = -1.0
+    model.mlp.lin2.b.value[model._kind_cols[LEFT_ARC][0]] = 2.0
+    model.mlp.lin2.b.value[model._kind_cols[SHIFT][0]] = 1.0
+    model.save(tmp_path / "parser.spnn")
+    dump_treebank(tb, tmp_path / "in.conllu")
+    capsys.readouterr()
+    assert run(["parse", "--model", str(tmp_path / "parser.spnn"),
+                "--in", str(tmp_path / "in.conllu"), "--out", str(tmp_path / "out.conllu")]) == 0
+    out = capsys.readouterr().out
+    assert f"parsed {len(tb)} sentences (input tags), {len(tb)} headless tokens attached " \
+        f"to ROOT -> {tmp_path / 'out.conllu'}" in out.splitlines()
+    pred = load_treebank(tmp_path / "out.conllu")
+    assert [[t.head for t in tree.tokens] for tree in pred] == \
+        [list(range(2, len(tree) + 1)) + [0] for tree in tb]
+    assert all(tree.tokens[-1].deprel == "dep" for tree in pred)
 
 
 def test_train_union_of_two_files(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrambleparse import nn
 
@@ -203,6 +205,35 @@ class TestLSTM:
         H2, _ = cell.run(X2, reverse=True)
         assert np.allclose(H1[1:], H2[1:])
         assert not np.allclose(H1[0], H2[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       dims=st.tuples(st.integers(1, 6), st.integers(1, 8)),
+       reverse=st.booleans(), seed=st.integers(0, 2**16))
+def test_padded_batch_run_matches_per_sequence_run(lengths, dims, reverse, seed):
+    in_dim, hidden = dims
+    rng = np.random.default_rng(seed)
+    cell = nn.LSTMCell(in_dim, hidden, rng, "c")
+    X = rng.normal(size=(max(lengths) + int(rng.integers(0, 3)), len(lengths), in_dim))
+    Hs, cache = cell.run(X, reverse=reverse, lengths=lengths)
+    assert cache is None and Hs.shape == X.shape[:2] + (hidden,)
+    for b, n in enumerate(lengths):
+        ref, _ = cell.run(X[:n, b], reverse=reverse)
+        assert np.allclose(Hs[:n, b], ref, rtol=1e-12, atol=1e-12)
+        assert not Hs[n:, b].any()
+
+
+def test_padded_bilstm_final_states_match_per_sequence():
+    rng = rng_()
+    bi = nn.BiLSTM(3, 4, rng, "b")
+    lengths = [1, 5, 3]
+    X = rng.normal(size=(5, 3, 3))
+    Hs, _ = bi.forward(X, lengths)
+    finals = bi.final_states(Hs, lengths)
+    for b, n in enumerate(lengths):
+        ref = bi.final_states(bi.forward(X[:n, b])[0])
+        assert np.allclose(finals[b], ref, rtol=1e-12, atol=1e-12)
 
 
 class TestOptimizer:

@@ -1,16 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_projective_tree, toy_treebank
 from scrambleparse import arceager
 from scrambleparse import nn
+from scrambleparse import parser
 from scrambleparse.conllu import DepTree, Token, Treebank, validate_tree
 from scrambleparse.metrics import score
-from scrambleparse.parser import (FEATURE_SELECTORS, FeatureTemplate,
-                                  ParserModel, TaggerModel, TrainConfig,
-                                  build_vocabs, feature_indices, featurize,
-                                  oracle_rollout, parse, parse_tree,
-                                  sentence_loss, tag, train_parser,
+from scrambleparse.parser import (FEATURE_SELECTORS, ParserModel, TaggerModel,
+                                  TrainConfig, build_vocabs, feature_indices,
+                                  oracle_rollout, parse, parse_batch, parse_tree,
+                                  sentence_loss, tag, tag_batch, train_parser,
                                   train_tagger, _init_parser)
 from scrambleparse.projectivity import projectivize
 from scrambleparse.synthetic import default_grammar, gen_synthetic, uniform_orders
@@ -74,11 +78,37 @@ class TestEncoder:
         assert not cache[1].any()
 
 
+def reference_features(c, ctx):
+    """The concatenated 11 context vectors of a configuration, absent
+    nodes as zeros: the classifier input the decoder used before it split
+    the first layer by feature slot."""
+    dim = ctx.shape[1]
+    row = np.zeros(len(FEATURE_SELECTORS) * dim)
+    for slot, idx in enumerate(feature_indices(c)):
+        if idx is not None:
+            row[slot * dim:(slot + 1) * dim] = ctx[idx]
+    return row
+
+
+def reference_parse(model, words, tags):
+    """The per-sentence greedy decode ``parse_batch`` replaced: one
+    encoder pass per sentence, one classifier row per transition."""
+    ctx, _ = model.encoder.encode(words, tags)
+    c = arceager.initial_config(len(words))
+    while not arceager.is_terminal(c):
+        logits, _ = model.mlp.forward(reference_features(c, ctx)[None, :])
+        c = arceager.apply(c, model.transitions[int(np.argmax(logits[0] + model.legal_mask(c)))])
+    tokens = [Token(index=i + 1, form=w, upos=t) for i, (w, t) in enumerate(zip(words, tags))]
+    return arceager.tree_from_config(c, tokens)
+
+
 class TestFeaturize:
     def test_template_must_have_eleven(self):
         assert len(FEATURE_SELECTORS) == 11
-        with pytest.raises(ValueError):
-            FeatureTemplate(selectors=("s0", "b0"))
+        _, tb = tiny_model()
+        for tree in tb:
+            idx_rows, _ = oracle_rollout(tree)
+            assert {len(row) for row in idx_rows} == {11}
 
     def test_initial_config_slots(self):
         c = arceager.initial_config(4)
@@ -94,29 +124,26 @@ class TestFeaturize:
         assert idxs[3] is None and idxs[10] is None
 
     def test_width_constant_and_null_is_zero(self):
+        # The split first layer: summing one row of the slot table per
+        # feature (the zero row for absent ones) gives the concatenated
+        # features times W1, along a whole decode.
         model, tb = tiny_model()
         tree = tb[1]
         ctx, _ = model.encoder.encode(tree.forms(), tree.upos_tags())
-        dim = ctx.shape[1]
+        table, offsets, absent = parser._slot_table(model.mlp.lin1.W.value, ctx)
+        assert not table[offsets + absent].any()
         c = arceager.initial_config(len(tree))
-        widths = set()
         while not arceager.is_terminal(c):
-            row = featurize(c, ctx)
-            widths.add(row.shape[0])
-            idxs = feature_indices(c)
-            for slot, idx in enumerate(idxs):
-                piece = row[slot * dim:(slot + 1) * dim]
-                if idx is None:
-                    assert np.allclose(piece, 0.0)
-                else:
-                    assert np.allclose(piece, ctx[idx])
+            rows = [absent if i is None else i for i in feature_indices(c)]
+            split = table[np.array(rows) + offsets].sum(axis=0)
+            assert np.allclose(split, reference_features(c, ctx) @ model.mlp.lin1.W.value,
+                               rtol=1e-12, atol=1e-12)
             kind = sorted(arceager.legal_transitions(c))[0]
             label = "x" if kind in (arceager.LEFT_ARC, arceager.RIGHT_ARC) else None
             c = arceager.apply(c, arceager.Transition(kind, label))
-        assert widths == {11 * dim}
 
 
-def _memo_treebank() -> Treebank:
+def _chunk_treebank() -> Treebank:
     """Repeated forms, and long forms that share their first five characters."""
     sents = [[("ramesh", "N", "s"), ("ne", "P", "case"), ("kitabein", "N", "o"), ("di", "V", "root")],
              [("kitabghar", "N", "o"), ("ramesh", "N", "s"), ("ne", "P", "case"), ("di", "V", "root")],
@@ -130,75 +157,113 @@ def _memo_treebank() -> Treebank:
     return Treebank(trees)
 
 
-class TestCharMemo:
+_KNOWN = ["ramesh", "ne", "kitabein", "kitabghar", "kitab", "di"]
+_word = st.one_of(st.sampled_from(_KNOWN),
+                  st.text(alphabet="abkmnrst\u00e9\u0915\u03c9", min_size=1, max_size=9))
+_sentence = st.lists(st.tuples(_word, st.sampled_from(["N", "P", "V", "ADJ"])),
+                     min_size=1, max_size=9)
+_batch = st.lists(_sentence, min_size=1, max_size=7)
+
+
+def _trees(sentences):
+    return [DepTree([Token(i, w, upos=t, lemma=w.upper(), misc=f"m{i}")
+                     for i, (w, t) in enumerate(sent, start=1)], sentence_id=f"s{k}",
+                    comments=[f"# text = {k}"])
+            for k, sent in enumerate(sentences)]
+
+
+class TestBatchedInference:
+    """``parse_batch`` and ``tag_batch`` against one-sentence calls and the
+    per-sentence reference decode; form strategies mix known words, OOV
+    words and characters the vocabulary has never seen."""
+
     CFG = TINY.merged(max_word_chars=5)
 
-    def _model(self):
-        tb = _memo_treebank()
-        return train_parser(tb, None, self.CFG), tb
+    @pytest.fixture(scope="class")
+    def models(self):
+        tb = _chunk_treebank()
+        return train_parser(tb, None, self.CFG), train_tagger(tb, None, self.CFG)
 
-    def test_memo_parses_bit_identical(self):
-        model, tb = self._model()
-        memo = {}
-        for tree in tb:
-            words, tags = tree.forms(), tree.upos_tags()
-            plain, _ = model.encoder.encode(words, tags)
-            memoized, cache = model.encoder.encode(words, tags, memo=memo)
-            assert np.array_equal(plain, memoized)
-            assert cache is None
-        memo = {}
-        with_memo = [parse_tree(model, tree, memo=memo) for tree in tb]
-        without = [parse_tree(model, tree) for tree in tb]
-        assert [t.tokens for t in with_memo] == [t.tokens for t in without]
-        assert set(memo) == {"rames", "ne", "kitab", "di"}
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sentences=_batch, chunk_tokens=st.sampled_from([1, 12, 30, 1024]))
+    def test_parse_batch_equals_single_sentence_parse(self, models, sentences, chunk_tokens):
+        model, _ = models
+        trees = _trees(sentences)
+        with mock.patch.object(parser, "CHUNK_TOKENS", chunk_tokens):
+            batch, fallbacks = parse_batch(model, trees)
+        assert len(batch) == len(trees)
+        headless = 0
+        for tree, pred in zip(trees, batch):
+            assert validate_tree(pred) == []
+            assert [(t.index, t.form, t.upos, t.lemma, t.misc) for t in pred.tokens] == \
+                [(t.index, t.form, t.upos, t.lemma, t.misc) for t in tree.tokens]
+            assert (pred.sentence_id, pred.comments) == (tree.sentence_id, tree.comments)
+            assert pred.tokens == parse_tree(model, tree).tokens
+            single = parse(model, tree.forms(), tree.upos_tags())
+            assert [(t.head, t.deprel) for t in single.tokens] == \
+                [(t.head, t.deprel) for t in pred.tokens]
+            ref = reference_parse(model, tree.forms(), tree.upos_tags())
+            assert ref.tokens == single.tokens
+            headless += parse_batch(model, [tree])[1]
+        assert fallbacks == headless
 
-    def test_char_bilstm_runs_once_per_truncated_form(self, monkeypatch):
-        model, tb = self._model()
-        calls = []
-        forward = model.encoder.char_rnn.forward
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sentences=_batch, chunk_tokens=st.sampled_from([1, 12, 30, 1024]))
+    def test_char_bilstm_runs_once_per_truncated_form_per_chunk(self, models, sentences,
+                                                                chunk_tokens):
+        model, _ = models
+        trees = _trees(sentences)
+        encoder = model.encoder
+        batches = []
 
-        def counting(C):
-            calls.append(C.shape[0])
-            return forward(C)
+        def counting(C, lengths=None):
+            batches.append(C.shape[1])
+            return type(encoder.char_rnn).forward(encoder.char_rnn, C, lengths)
 
-        monkeypatch.setattr(model.encoder.char_rnn, "forward", counting)
-        memo = {}
-        for tree in tb:
-            parse_tree(model, tree, memo=memo)
-        distinct = {t.form[:self.CFG.max_word_chars] for tree in tb for t in tree.tokens}
-        assert len(calls) == len(distinct) == 4
-        calls.clear()
-        for tree in tb:
-            parse_tree(model, tree)
-        assert len(calls) == sum(len(tree) for tree in tb)
+        with mock.patch.object(parser, "CHUNK_TOKENS", chunk_tokens), \
+                mock.patch.object(encoder.char_rnn, "forward", counting):
+            parse_batch(model, trees)
+            chunks = list(parser._chunks([len(t) for t in trees]))
+        k = self.CFG.max_word_chars
+        assert batches == [len({t.form[:k] for i in chunk for t in trees[i].tokens})
+                           for chunk in chunks]
 
-    def test_tagger_memo_tags_bit_identical_once_per_truncated_form(self, monkeypatch):
-        tb = _memo_treebank()
-        model = train_tagger(tb, None, self.CFG)
-        for tree in tb:
-            plain, _ = model.encoder.encode(tree.forms(), None)
-            memoized, _ = model.encoder.encode(tree.forms(), None, memo={})
-            assert np.array_equal(plain, memoized)
-        calls = []
-        forward = model.encoder.char_rnn.forward
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sentences=_batch, chunk_tokens=st.sampled_from([1, 12, 30, 1024]))
+    def test_tag_batch_equals_tag(self, models, sentences, chunk_tokens):
+        _, tagger = models
+        words = [[w for w, _ in sent] for sent in sentences]
+        with mock.patch.object(parser, "CHUNK_TOKENS", chunk_tokens):
+            batch = tag_batch(tagger, words)
+        assert batch == [tag(tagger, ws) for ws in words]
+        for ws, tags in zip(words, batch):
+            ctx, _ = tagger.encoder.encode(ws, None)
+            logits, _ = tagger.mlp.forward(ctx[1:])
+            assert tags == [tagger.vocabs.tags.itos[i] for i in logits.argmax(axis=1)]
 
-        def counting(C):
-            calls.append(C.shape[0])
-            return forward(C)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sentences=_batch)
+    def test_encode_batch_matches_encode(self, models, sentences):
+        model, _ = models
+        words = [[w for w, _ in sent] for sent in sentences]
+        tags = [[t for _, t in sent] for sent in sentences]
+        rows, lengths = model.encoder.encode_batch(words, tags)
+        assert list(lengths) == [len(ws) + 1 for ws in words]
+        ref = np.concatenate([model.encoder.encode(ws, ts)[0] for ws, ts in zip(words, tags)])
+        assert np.allclose(rows, ref, rtol=1e-12, atol=1e-12)
 
-        monkeypatch.setattr(model.encoder.char_rnn, "forward", counting)
-        memo = {}
-        with_memo = [tag(model, tree.forms(), memo=memo) for tree in tb]
-        assert len(calls) == len(memo) == 4
-        calls.clear()
-        assert [tag(model, tree.forms()) for tree in tb] == with_memo
-        assert len(calls) == sum(len(tree) for tree in tb)
-
-    def test_memo_rejected_while_training(self):
-        model, tb = self._model()
-        with pytest.raises(ValueError, match="memo"):
-            model.encoder.encode(tb[0].forms(), tb[0].upos_tags(), training=True,
-                                 rng=np.random.default_rng(0), memo={})
+    def test_empty_inputs(self, models):
+        model, tagger = models
+        assert parse_batch(model, []) == ([], 0)
+        assert tag_batch(tagger, []) == []
+        with pytest.raises(ValueError, match="empty"):
+            parse_batch(model, [DepTree([])])
+        with pytest.raises(ValueError, match="empty"):
+            tag_batch(tagger, [["a"], []])
 
 
 class TestTrainingAndParse:
@@ -299,6 +364,23 @@ class TestTrainingAndParse:
 
         for t in out.tokens:
             assert HEAD_SEP not in t.deprel and PATH_MARK not in t.deprel
+
+    def test_load_draws_no_random_initialisation(self, tmp_path, monkeypatch):
+        tb = toy_treebank()
+        model = train_parser(tb, None, TINY)
+        model.save(tmp_path / "parser.spnn")
+        tagger = train_tagger(tb, None, TINY.merged(epochs=1))
+        tagger.save(tmp_path / "tagger.spnn")
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load drew a random initialisation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for cls, path, saved in ((ParserModel, "parser.spnn", model),
+                                 (TaggerModel, "tagger.spnn", tagger)):
+            back = cls.load(tmp_path / path)
+            for p, q in zip(saved.params(), back.params()):
+                assert p.name == q.name and p.value.tobytes() == q.value.tobytes()
 
     def test_checkpoint_round_trip_preserves_parses(self, tmp_path):
         tb = toy_treebank()
