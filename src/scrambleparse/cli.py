@@ -9,6 +9,7 @@ on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -23,12 +24,7 @@ from .parser import (ParserModel, TaggerModel, TrainConfig, parse_batch, parse_t
                      tag_batch, train_parser, train_tagger)
 from .scramble import MAPPING_PRESETS, OrderLabel, TRANSITIVE_ORDERS
 
-DEFAULT_SEED = 42
-
-
-def _default_seed() -> int:
-    env = os.environ.get("SCRAMBLE_SEED")
-    return int(env) if env else DEFAULT_SEED
+DEFAULT_SEED = 42  # when neither --seed nor SCRAMBLE_SEED is set
 
 
 def _provenance_comment(argv) -> str:
@@ -42,10 +38,8 @@ def _stamp(tb: Treebank, argv) -> Treebank:
 
 
 def _load_config(args) -> TrainConfig:
-    cfg = TrainConfig.from_file(args.config) if getattr(args, "config", None) else TrainConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.merged(seed=args.seed)
-    return cfg
+    cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
+    return cfg.merged(seed=args.seed)
 
 
 def _echo(args, cfg: TrainConfig | None = None) -> None:
@@ -149,29 +143,20 @@ def cmd_permute(args, argv):
 
 
 def cmd_train(args, argv):
+    """``train`` (the parser) and ``train-tagger``."""
+    is_parser = args.command == "train"
     cfg = _load_config(args)
-    if args.pseudo_projective:
+    if is_parser and args.pseudo_projective:
         cfg = cfg.merged(pseudo_projective=True)
     _echo(args, cfg)
     train = _union_treebank(args.train)
-    if cfg.pseudo_projective:
+    if is_parser and cfg.pseudo_projective:
         train = Treebank([projectivity.projectivize(t)[0] for t in train],
                          source_name=train.source_name)
     dev = load_treebank(args.dev) if args.dev else None
-    model = train_parser(train, dev, cfg)
+    model = (train_parser if is_parser else train_tagger)(train, dev, cfg)
     model.save(args.output, extra_meta={"command": " ".join(argv)})
-    print(f"trained parser on {len(train)} sentences -> {args.output}")
-    return 0
-
-
-def cmd_train_tagger(args, argv):
-    cfg = _load_config(args)
-    _echo(args, cfg)
-    train = _union_treebank(args.train)
-    dev = load_treebank(args.dev) if args.dev else None
-    model = train_tagger(train, dev, cfg)
-    model.save(args.output, extra_meta={"command": " ".join(argv)})
-    print(f"trained tagger on {len(train)} sentences -> {args.output}")
+    print(f"trained {model.kind} on {len(train)} sentences -> {args.output}")
     return 0
 
 
@@ -247,7 +232,9 @@ def cmd_gen_synthetic(args, argv):
     return 0
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """Built once per process; ``run`` resolves the ``--seed`` default."""
     p = argparse.ArgumentParser(prog="scrambleparse",
                                 description="word-order augmentation and arc-eager parsing")
     sub = p.add_subparsers(dest="command", required=True)
@@ -255,7 +242,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.set_defaults(handler=fn)
-        sp.add_argument("--seed", type=int, default=_default_seed())
+        sp.add_argument("--seed", type=int, default=None)
         return sp
 
     sp = add("stats", cmd_stats, help="order distribution and projectivity stats")
@@ -291,8 +278,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="survivors per projection (default: unit count)")
     sp.add_argument("--max-variants", type=int, default=120)
 
-    for name, fn in (("train", cmd_train), ("train-tagger", cmd_train_tagger)):
-        sp = add(name, fn, help=f"{name.replace('-', ' ')} on CoNLL-U data")
+    for name in ("train", "train-tagger"):
+        sp = add(name, cmd_train, help=f"{name.replace('-', ' ')} on CoNLL-U data")
         sp.add_argument("--train", action="append", required=True,
                         help="training treebank (repeat for union training)")
         sp.add_argument("--dev", default=None)
@@ -346,14 +333,15 @@ def _failing_module(exc) -> str:
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command not in ("train", "train-tagger", "curve"):
-        _echo(args)
     try:
+        if args.seed is None:
+            args.seed = int(os.environ.get("SCRAMBLE_SEED") or DEFAULT_SEED)
+        if args.command not in ("train", "train-tagger", "curve"):
+            _echo(args)
         return args.handler(args, argv)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error [{_failing_module(exc)}]: {exc}", file=sys.stderr)

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
-from . import arceager, nn
+from . import arceager, metrics, nn
 from .arceager import LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT, Transition
 from .conllu import DepTree, Token, Treebank
 from .projectivity import deprojectivize, is_projective
@@ -184,18 +185,16 @@ class SentenceEncoder:
                     loaded += 1
         return loaded
 
-    def encode(self, words: list[str], tags: list[str] | None,
-               training: bool = False, rng=None, word_dropout: float | None = None):
+    def encode(self, words: list[str], tags: list[str] | None, training: bool = False, rng=None):
         """Context vectors for ROOT plus every token: shape (n+1, out_dim)."""
         if not words:
             raise ValueError("cannot encode an empty sentence")
         if self.use_tags:
             if tags is None or len(tags) != len(words):
                 raise ValueError("tag sequence must align with the sentence")
-        p_drop = self.cfg.word_dropout if word_dropout is None else word_dropout
         drop = np.zeros(len(words), dtype=bool)
-        if training and p_drop > 0.0:
-            drop = rng.random(len(words)) < p_drop
+        if training and self.cfg.word_dropout > 0.0:
+            drop = rng.random(len(words)) < self.cfg.word_dropout
 
         cfg = self.cfg
         word_ids = [1] + [self.vocabs.words.id(w) for w in words]  # slot 1 = <root>
@@ -358,16 +357,48 @@ def oracle_rollout(tree: DepTree):
 
 
 @dataclass
-class ParserModel:
+class _Model:
+    """A sentence encoder and a classifier; the checkpoint meta records ``kind``."""
     cfg: TrainConfig
     vocabs: VocabSet
     encoder: SentenceEncoder = field(repr=False)
     mlp: nn.MLP = field(repr=False)
-    transitions: list[Transition] = field(repr=False)
-    pseudo_projective: bool = False
+
+    kind: ClassVar[str]
 
     def params(self):
         return self.encoder.params() + self.mlp.params()
+
+    def save(self, path, extra_meta: dict | None = None) -> None:
+        meta = {
+            "kind": self.kind,
+            "cfg": self.cfg.__dict__,
+            "vocab_items": {f.name: getattr(self.vocabs, f.name).itos for f in fields(VocabSet)},
+        }
+        if self.kind == "parser":  # a copy of cfg's flag; load reads the cfg
+            meta["pseudo_projective"] = self.cfg.pseudo_projective
+        meta.update(extra_meta or {})
+        nn.save_checkpoint(path, self.params(), meta)
+
+    @classmethod
+    def load(cls, path):
+        payload = nn.load_checkpoint(path)
+        meta = payload["meta"]
+        if meta.get("kind") != cls.kind:
+            raise ValueError(f"{path} is not a {cls.kind} checkpoint")
+        cfg = TrainConfig(**meta["cfg"])
+        vocabs = VocabSet(**{name: Vocab.from_itos(itos)
+                             for name, itos in meta["vocab_items"].items()})
+        model = _init_model(cls.kind, cfg, vocabs, rng=nn.NoDraw())
+        nn.restore_params(model.params(), payload["arrays"])
+        return model
+
+
+@dataclass
+class ParserModel(_Model):
+    transitions: list[Transition] = field(repr=False)
+
+    kind: ClassVar[str] = "parser"
 
     def transition_id(self, t: Transition) -> int:
         return self._tmap[t.mnemonic()]
@@ -392,60 +423,81 @@ class ParserModel:
             self._masks[legal] = mask
         return mask
 
-    def save(self, path, extra_meta: dict | None = None) -> None:
-        meta = {
-            "kind": "parser",
-            "cfg": self.cfg.__dict__,
-            "vocab_items": {"words": self.vocabs.words.itos,
-                            "tags": self.vocabs.tags.itos,
-                            "chars": self.vocabs.chars.itos,
-                            "labels": self.vocabs.labels.itos},
-            "pseudo_projective": self.pseudo_projective,
-        }
-        meta.update(extra_meta or {})
-        nn.save_checkpoint(path, self.params(), meta)
 
-    @classmethod
-    def load(cls, path) -> "ParserModel":
-        payload = nn.load_checkpoint(path)
-        meta = payload["meta"]
-        if meta.get("kind") != "parser":
-            raise ValueError(f"{path} is not a parser checkpoint")
-        cfg = TrainConfig(**meta["cfg"])
-        model = _init_parser(cfg, _vocabs_from_items(meta["vocab_items"]),
-                             pseudo_projective=meta["pseudo_projective"], rng=nn.NoDraw())
-        nn.restore_params(model.params(), payload["arrays"])
-        return model
+@dataclass
+class TaggerModel(_Model):
+    kind: ClassVar[str] = "tagger"
 
 
-def _vocabs_from_items(items: dict) -> VocabSet:
-    return VocabSet(words=Vocab.from_itos(items["words"]),
-                    tags=Vocab.from_itos(items["tags"]),
-                    chars=Vocab.from_itos(items["chars"]),
-                    labels=Vocab.from_itos(items["labels"]))
-
-
-def _init_parser(cfg: TrainConfig, vocabs: VocabSet, pseudo_projective: bool,
-                 rng=None) -> ParserModel:
+def _init_model(kind: str, cfg: TrainConfig, vocabs: VocabSet,
+                rng=None) -> ParserModel | TaggerModel:
+    """A new parser or tagger; ``rng`` (default: seeded with ``cfg.seed``) draws the weights."""
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    encoder = SentenceEncoder(cfg, vocabs, rng, use_tags=True)
+    encoder = SentenceEncoder(cfg, vocabs, rng, use_tags=kind == "parser")
+    if kind == "tagger":
+        mlp = nn.MLP(encoder.out_dim, cfg.mlp_hidden, len(vocabs.tags), rng,
+                     "tag_classifier", dropout=cfg.mlp_dropout)
+        return TaggerModel(cfg=cfg, vocabs=vocabs, encoder=encoder, mlp=mlp)
     transitions = build_transitions(vocabs.labels)
     mlp = nn.MLP(11 * encoder.out_dim, cfg.mlp_hidden, len(transitions), rng,
                  "classifier", dropout=cfg.mlp_dropout)
-    return ParserModel(cfg=cfg, vocabs=vocabs, encoder=encoder, mlp=mlp,
-                       transitions=transitions, pseudo_projective=pseudo_projective)
+    return ParserModel(cfg=cfg, vocabs=vocabs, encoder=encoder, mlp=mlp, transitions=transitions)
+
+
+# Per model kind: the epoch log's prefix, loss unit and dev metric.
+_EPOCH_LOG = {"parser": ("epoch", "transition", "dev LAS"),
+              "tagger": ("tagger epoch", "token", "dev acc")}
+
+
+def _fit(model: ParserModel | TaggerModel, examples: list[tuple], loss_fn, dev_score=None):
+    """Per-example momentum SGD (Kiperwasser & Goldberg 2016), a fresh
+    permutation and learning rate ``lr / (1 + epoch * lr_decay)`` per epoch.
+
+    ``loss_fn(example, rng)`` returns the loss summed over the example's
+    gold ids (its last item) and a closure that backpropagates the mean.
+    The parameters of the best ``dev_score()`` epoch, if given, are kept.
+    """
+    cfg = model.cfg
+    prefix, unit, dev_name = _EPOCH_LOG[model.kind]
+    rng = np.random.default_rng(cfg.seed)
+    opt = nn.MomentumSGD(model.params(), lr=cfg.lr, momentum=cfg.momentum, l2=cfg.l2,
+                         clip_norm=cfg.clip_norm)
+    best_score = -1.0
+    best_values = None
+    for epoch in range(cfg.epochs):
+        opt.lr = cfg.lr / (1.0 + epoch * cfg.lr_decay)
+        total = 0.0
+        n_gold = 0
+        for i in rng.permutation(len(examples)):
+            loss, backprop = loss_fn(examples[i], rng)
+            backprop()
+            opt.step()
+            opt.zero_grad()
+            total += loss
+            n_gold += len(examples[i][-1])
+        msg = f"{prefix} {epoch + 1}/{cfg.epochs}: loss/{unit} {total / n_gold:.4f}"
+        if dev_score is not None:
+            score = dev_score()
+            msg += f", {dev_name} {score:.2f}"
+            if score > best_score:
+                best_score = score
+                best_values = [p.value.copy() for p in model.params()]
+        log.info(msg)
+    if best_values is not None:
+        for p, v in zip(model.params(), best_values):
+            p.value[...] = v
+    return model
 
 
 def sentence_loss(model: ParserModel, words, tags, idx_rows, gold_ids,
-                  training=False, rng=None, word_dropout=None):
+                  training=False, rng=None):
     """Mean transition cross-entropy; returns loss and a backprop closure.
 
     Normalizing by the number of transitions keeps update magnitudes
     comparable across sentence lengths, which momentum SGD needs to stay
     stable with per-sentence updates.
     """
-    ctx, enc_cache = model.encoder.encode(words, tags, training=training, rng=rng,
-                                          word_dropout=word_dropout)
+    ctx, enc_cache = model.encoder.encode(words, tags, training=training, rng=rng)
     F = _gather_features(ctx, idx_rows)
     logits, mlp_cache = model.mlp.forward(F, training=training, rng=rng)
     loss, dlogits = nn.nll_loss(logits, gold_ids)
@@ -460,7 +512,7 @@ def sentence_loss(model: ParserModel, words, tags, idx_rows, gold_ids,
 
 
 def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> ParserModel:
-    """Static-oracle training with per-sentence momentum SGD updates.
+    """Static-oracle training of the parser (``_fit``).
 
     When a dev treebank is given, the parameters from the best dev-LAS
     epoch are restored at the end.
@@ -472,7 +524,7 @@ def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Par
             raise ValueError(f"training sentence {tree.label()} is non-projective; "
                              "projectivize first (the flag is recorded in the model)")
     vocabs = build_vocabs(train)
-    model = _init_parser(cfg, vocabs, pseudo_projective=cfg.pseudo_projective)
+    model = _init_model("parser", cfg, vocabs)
     if cfg.embeddings_path:
         loaded = model.encoder.load_pretrained_words(cfg.embeddings_path)
         log.info("loaded %d pre-trained word vectors", loaded)
@@ -483,40 +535,15 @@ def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Par
         gold_ids = [model.transition_id(t) for t in seq]
         examples.append((tree.forms(), tree.upos_tags(), idx_rows, gold_ids))
 
-    rng = np.random.default_rng(cfg.seed)
-    opt = nn.MomentumSGD(model.params(), lr=cfg.lr, momentum=cfg.momentum, l2=cfg.l2,
-                         clip_norm=cfg.clip_norm)
-    best_las = -1.0
-    best_values = None
-    for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr / (1.0 + epoch * cfg.lr_decay)
-        order = rng.permutation(len(examples))
-        total = 0.0
-        n_steps = 0
-        for i in order:
-            words, tags, idx_rows, gold_ids = examples[i]
-            loss, backprop = sentence_loss(model, words, tags, idx_rows, gold_ids,
-                                           training=True, rng=rng)
-            backprop()
-            opt.step()
-            opt.zero_grad()
-            total += loss * len(gold_ids)
-            n_steps += len(gold_ids)
-        msg = f"epoch {epoch + 1}/{cfg.epochs}: loss/transition {total / n_steps:.4f}"
-        if dev is not None and len(dev) > 0:
-            from .metrics import score
+    def loss_fn(example, rng):
+        # The module global, so a wrapper installed on it sees every call.
+        loss, backprop = sentence_loss(model, *example, training=True, rng=rng)
+        return loss * len(example[-1]), backprop
 
-            pred = Treebank(parse_batch(model, dev.trees)[0])
-            las = score(dev, pred).las
-            msg += f", dev LAS {las:.2f}"
-            if las > best_las:
-                best_las = las
-                best_values = [p.value.copy() for p in model.params()]
-        log.info(msg)
-    if best_values is not None:
-        for p, v in zip(model.params(), best_values):
-            p.value[...] = v
-    return model
+    def dev_las():
+        return metrics.score(dev, Treebank(parse_batch(model, dev.trees)[0])).las
+
+    return _fit(model, examples, loss_fn, dev_las if dev else None)
 
 
 # Padded positions (sentences x (1 + longest sentence)) per inference
@@ -604,7 +631,7 @@ def parse_batch(model: ParserModel, trees: list[DepTree],
             fallbacks += c.n - len(c.heads)
             tokens = arceager.tree_from_config(c, trees[i].tokens, upos=tags[i]).tokens
             pred = trees[i].with_tokens(tokens)
-            out[i] = deprojectivize(pred) if model.pseudo_projective else pred
+            out[i] = deprojectivize(pred) if model.cfg.pseudo_projective else pred
     return out, fallbacks
 
 
@@ -623,96 +650,35 @@ def parse_tree(model: ParserModel, tree: DepTree, tags: list[str] | None = None)
     return parse_batch(model, [tree], None if tags is None else [tags])[0][0]
 
 
-@dataclass
-class TaggerModel:
-    cfg: TrainConfig
-    vocabs: VocabSet
-    encoder: SentenceEncoder = field(repr=False)
-    mlp: nn.MLP = field(repr=False)
-
-    def params(self):
-        return self.encoder.params() + self.mlp.params()
-
-    def save(self, path, extra_meta: dict | None = None) -> None:
-        meta = {
-            "kind": "tagger",
-            "cfg": self.cfg.__dict__,
-            "vocab_items": {"words": self.vocabs.words.itos,
-                            "tags": self.vocabs.tags.itos,
-                            "chars": self.vocabs.chars.itos,
-                            "labels": self.vocabs.labels.itos},
-        }
-        meta.update(extra_meta or {})
-        nn.save_checkpoint(path, self.params(), meta)
-
-    @classmethod
-    def load(cls, path) -> "TaggerModel":
-        payload = nn.load_checkpoint(path)
-        meta = payload["meta"]
-        if meta.get("kind") != "tagger":
-            raise ValueError(f"{path} is not a tagger checkpoint")
-        cfg = TrainConfig(**meta["cfg"])
-        model = _init_tagger(cfg, _vocabs_from_items(meta["vocab_items"]), rng=nn.NoDraw())
-        nn.restore_params(model.params(), payload["arrays"])
-        return model
-
-
-def _init_tagger(cfg: TrainConfig, vocabs: VocabSet, rng=None) -> TaggerModel:
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    encoder = SentenceEncoder(cfg, vocabs, rng, use_tags=False)
-    mlp = nn.MLP(encoder.out_dim, cfg.mlp_hidden, len(vocabs.tags), rng,
-                 "tag_classifier", dropout=cfg.mlp_dropout)
-    return TaggerModel(cfg=cfg, vocabs=vocabs, encoder=encoder, mlp=mlp)
-
-
 def train_tagger(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> TaggerModel:
-    """Per-token softmax over the tag inventory from word+char context only."""
+    """Per-token softmax over the tag inventory from word+char context only
+    (``_fit``); with a dev treebank, the best dev-accuracy epoch is kept."""
     if len(train) == 0:
         raise ValueError("training treebank is empty")
     vocabs = build_vocabs(train)
     if len(vocabs.tags) <= 3:  # only the reserved entries
         raise ValueError("training data carries no POS tags")
-    model = _init_tagger(cfg, vocabs)
+    model = _init_model("tagger", cfg, vocabs)
     examples = [(tree.forms(), [vocabs.tags.id(t) for t in tree.upos_tags()])
                 for tree in train]
-    rng = np.random.default_rng(cfg.seed)
-    opt = nn.MomentumSGD(model.params(), lr=cfg.lr, momentum=cfg.momentum, l2=cfg.l2,
-                         clip_norm=cfg.clip_norm)
-    best_acc = -1.0
-    best_values = None
-    for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr / (1.0 + epoch * cfg.lr_decay)
-        order = rng.permutation(len(examples))
-        total = 0.0
-        n_tok = 0
-        for i in order:
-            words, gold_ids = examples[i]
-            ctx, enc_cache = model.encoder.encode(words, None, training=True, rng=rng)
-            logits, mlp_cache = model.mlp.forward(ctx[1:], training=True, rng=rng)
-            loss, dlogits = nn.nll_loss(logits, gold_ids)
+
+    def loss_fn(example, rng):
+        words, gold_ids = example
+        ctx, enc_cache = model.encoder.encode(words, None, training=True, rng=rng)
+        logits, mlp_cache = model.mlp.forward(ctx[1:], training=True, rng=rng)
+        loss, dlogits = nn.nll_loss(logits, gold_ids)
+
+        def backprop():
             dctx = np.zeros_like(ctx)
             dctx[1:] = model.mlp.backward(dlogits / len(words), mlp_cache)
             model.encoder.backward(dctx, enc_cache)
-            opt.step()
-            opt.zero_grad()
-            total += loss
-            n_tok += len(words)
-        msg = f"tagger epoch {epoch + 1}/{cfg.epochs}: loss/token {total / n_tok:.4f}"
-        if dev is not None and len(dev) > 0:
-            predicted = tag_batch(model, [t.forms() for t in dev])
-            correct = sum(sum(p == g.upos for p, g in zip(tags, t.tokens))
-                          for tags, t in zip(predicted, dev))
-            n_dev = sum(len(t) for t in dev)
-            acc = 100.0 * correct / n_dev
-            msg += f", dev acc {acc:.2f}"
-            if acc > best_acc:
-                best_acc = acc
-                best_values = [p.value.copy() for p in model.params()]
-        log.info(msg)
-    if best_values is not None:
-        for p, v in zip(model.params(), best_values):
-            p.value[...] = v
-    return model
+
+        return loss, backprop
+
+    def dev_acc():
+        return metrics.pos_accuracy(dev, tag_batch(model, [t.forms() for t in dev]))
+
+    return _fit(model, examples, loss_fn, dev_acc if dev else None)
 
 
 def tag_batch(model: TaggerModel, sentences: list[list[str]]) -> list[list[str]]:

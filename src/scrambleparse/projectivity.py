@@ -27,10 +27,10 @@ class LiftRecord:
     encoded_label: str
 
 
-def base_label(label: str, head_sep: str = HEAD_SEP, path_mark: str = PATH_MARK) -> str:
+def base_label(label: str) -> str:
     """Strip pseudo-projective encoding and path markers from a label."""
-    label = label.split(head_sep, 1)[0]
-    return label.rstrip(path_mark)
+    label = label.split(HEAD_SEP, 1)[0]
+    return label.rstrip(PATH_MARK)
 
 
 def _descendant_sets(heads: dict[int, int], n: int) -> dict[int, set[int]]:
@@ -81,8 +81,7 @@ def nonprojective_arc_ratio(tb: Treebank) -> float:
     return bad / total
 
 
-def projectivize(tree: DepTree, head_sep: str = HEAD_SEP,
-                 path_mark: str = PATH_MARK) -> tuple[DepTree, list[LiftRecord]]:
+def projectivize(tree: DepTree) -> tuple[DepTree, list[LiftRecord]]:
     """Lift non-projective arcs until the tree is projective.
 
     Returns the transformed tree and one record per lifted dependent.
@@ -112,7 +111,7 @@ def projectivize(tree: DepTree, head_sep: str = HEAD_SEP,
     for d in sorted(first_lift):
         origin = first_lift[d]
         target_label = orig_labels[origin]
-        labels[d] = f"{orig_labels[d]}{head_sep}{target_label}"
+        labels[d] = f"{orig_labels[d]}{HEAD_SEP}{target_label}"
         # Mark the chain from the original head up to the final head.
         chain = []
         node = origin
@@ -127,14 +126,13 @@ def projectivize(tree: DepTree, head_sep: str = HEAD_SEP,
     tokens = []
     for t in tree.tokens:
         lbl = labels[t.index]
-        if t.index in marked and head_sep not in lbl:
-            lbl = lbl + path_mark
+        if t.index in marked and HEAD_SEP not in lbl:
+            lbl = lbl + PATH_MARK
         tokens.append(replace(t, head=heads[t.index], deprel=lbl))
     return tree.with_tokens(tokens), records
 
 
-def deprojectivize(tree: DepTree, head_sep: str = HEAD_SEP,
-                   path_mark: str = PATH_MARK) -> DepTree:
+def deprojectivize(tree: DepTree) -> DepTree:
     """Undo pseudo-projective lifting by breadth-first label search.
 
     For an arc labelled ``base∥target`` the dependent is reattached to the
@@ -145,12 +143,9 @@ def deprojectivize(tree: DepTree, head_sep: str = HEAD_SEP,
     heads = {t.index: t.head for t in tree.tokens}
     labels = {t.index: t.deprel for t in tree.tokens}
 
-    def decoded(label: str) -> str:
-        return base_label(label, head_sep, path_mark)
-
     def child_order(node: int) -> list[int]:
         kids = [d for d, h in heads.items() if h == node]
-        return sorted(kids, key=lambda k: (not labels[k].endswith(path_mark), k))
+        return sorted(kids, key=lambda k: (not labels[k].endswith(PATH_MARK), k))
 
     def depth(i: int) -> int:
         d = 0
@@ -162,12 +157,12 @@ def deprojectivize(tree: DepTree, head_sep: str = HEAD_SEP,
 
     # Outermost first (closest to root) so nested reattachments see the
     # already-recovered structure above them.
-    encoded = sorted((i for i in heads if head_sep in labels[i]),
+    encoded = sorted((i for i in heads if HEAD_SEP in labels[i]),
                      key=lambda i: (depth(i), i))
     for d in encoded:
-        base, _, target = labels[d].partition(head_sep)
-        base = base.rstrip(path_mark)
-        target = target.rstrip(path_mark)
+        base, _, target = labels[d].partition(HEAD_SEP)
+        base = base.rstrip(PATH_MARK)
+        target = target.rstrip(PATH_MARK)
         start = heads[d]
         # Reattaching inside d's own subtree would create a cycle.
         forbidden = {d}
@@ -181,7 +176,7 @@ def deprojectivize(tree: DepTree, head_sep: str = HEAD_SEP,
         found = None
         while queue:
             node = queue.popleft()
-            if decoded(labels[node]) == target:
+            if base_label(labels[node]) == target:
                 found = node
                 break
             queue.extend(k for k in child_order(node) if k not in forbidden)
@@ -192,7 +187,6 @@ def deprojectivize(tree: DepTree, head_sep: str = HEAD_SEP,
             heads[d] = found
         labels[d] = base
 
-    tokens = [replace(t, head=heads[t.index],
-                      deprel=base_label(labels[t.index], head_sep, path_mark))
+    tokens = [replace(t, head=heads[t.index], deprel=base_label(labels[t.index]))
               for t in tree.tokens]
     return tree.with_tokens(tokens)

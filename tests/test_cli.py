@@ -76,6 +76,9 @@ def test_seed_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SCRAMBLE_SEED", "777")
     run(["gen-synthetic", "--n", "3", "--out", str(out)])
     assert "seed=777" in capsys.readouterr().out
+    monkeypatch.setenv("SCRAMBLE_SEED", "seven")
+    assert run(["gen-synthetic", "--n", "3", "--out", str(out)]) == 1
+    assert "error [scrambleparse.cli]" in capsys.readouterr().err
 
 
 def test_projectivize_and_deproj_round_trip(tmp_path):
@@ -247,12 +250,12 @@ def test_parse_matches_per_sentence_parsing_and_has_no_jobs(tmp_path, capsys):
 
 def test_parse_reports_fallback_attachments(tmp_path, capsys):
     from scrambleparse.arceager import LEFT_ARC, SHIFT
-    from scrambleparse.parser import TrainConfig, _init_parser, build_vocabs
+    from scrambleparse.parser import TrainConfig, _init_model, build_vocabs
 
     tb = toy_treebank()
     cfg = TrainConfig(word_dim=6, tag_dim=4, char_dim=4, char_hidden=3, enc_hidden=5,
                       mlp_hidden=8, seed=1)
-    model = _init_parser(cfg, build_vocabs(tb), pseudo_projective=False)
+    model = _init_model("parser", cfg, build_vocabs(tb))
     # A classifier that prefers a left arc, then a shift: each stack top
     # takes the buffer front as its head, and the last token is left
     # headless, so exactly one fallback attachment per sentence.

@@ -15,7 +15,7 @@ from scrambleparse.parser import (FEATURE_SELECTORS, ParserModel, TaggerModel,
                                   TrainConfig, build_vocabs, feature_indices,
                                   oracle_rollout, parse, parse_batch, parse_tree,
                                   sentence_loss, tag, tag_batch, train_parser,
-                                  train_tagger, _init_parser)
+                                  train_tagger, _init_model)
 from scrambleparse.projectivity import projectivize
 from scrambleparse.synthetic import default_grammar, gen_synthetic, uniform_orders
 
@@ -26,7 +26,7 @@ TINY = TrainConfig(word_dim=6, tag_dim=4, char_dim=4, char_hidden=3, enc_hidden=
 
 def tiny_model():
     tb = toy_treebank()
-    return _init_parser(TINY, build_vocabs(tb), pseudo_projective=False), tb
+    return _init_model("parser", TINY, build_vocabs(tb)), tb
 
 
 class TestEncoder:
@@ -59,13 +59,13 @@ class TestEncoder:
 
     def test_word_dropout_rate_monte_carlo(self):
         model, tb = tiny_model()
+        model.encoder.cfg = TINY.merged(word_dropout=0.1)
         rng = np.random.default_rng(0)
         words = tb[1].forms() * 4  # 12 tokens per call
         tags = tb[1].upos_tags() * 4
         dropped = total = 0
         while total < 10_000:
-            _, cache = model.encoder.encode(words, tags, training=True, rng=rng,
-                                            word_dropout=0.1)
+            _, cache = model.encoder.encode(words, tags, training=True, rng=rng)
             drop = cache[1]
             dropped += int(drop.sum())
             total += len(drop)
@@ -357,7 +357,7 @@ class TestTrainingAndParse:
         cfg = TINY.merged(pseudo_projective=True, epochs=25, lr=0.1,
                           word_dim=12, enc_hidden=16, mlp_hidden=24)
         model = train_parser(tb, None, cfg)
-        assert model.pseudo_projective
+        assert model.cfg.pseudo_projective
         out = parse(model, bad.forms(), bad.upos_tags())
         assert validate_tree(out) == []
         from scrambleparse.projectivity import HEAD_SEP, PATH_MARK
@@ -397,11 +397,12 @@ class TestTrainingAndParse:
 
     def test_tagger_checkpoint_kind_guard(self, tmp_path):
         tb = toy_treebank()
-        model = train_parser(tb, None, TINY)
-        path = tmp_path / "parser.spnn"
-        model.save(path)
-        with pytest.raises(ValueError, match="not a tagger"):
-            TaggerModel.load(path)
+        for train, wrong_cls, kind in ((train_parser, TaggerModel, "tagger"),
+                                       (train_tagger, ParserModel, "parser")):
+            path = tmp_path / "model.spnn"
+            train(tb, None, TINY).save(path)
+            with pytest.raises(ValueError, match=f"not a {kind}"):
+                wrong_cls.load(path)
 
 
 class TestTagger:

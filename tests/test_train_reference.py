@@ -1,0 +1,224 @@
+"""Parser and tagger training against their separate reference loops.
+
+``train_parser`` and ``train_tagger`` share one epoch loop (``_fit``) and
+the two models share one ``save``. The functions below are the two loops
+and the two ``save`` methods they replaced, kept as they were apart from
+building the model through ``_init_model`` and reading the pseudo-projective
+flag from ``cfg``. Training draws from the same
+generator in the same order with the same arithmetic, so the parameters,
+the checkpoint bytes and the epoch log lines must all be identical.
+"""
+
+import logging
+
+import numpy as np
+import pytest
+
+from scrambleparse import nn
+from scrambleparse.conllu import Treebank
+from scrambleparse.parser import (ParserModel, TaggerModel, TrainConfig, _init_model,
+                                  build_vocabs, oracle_rollout, parse_batch, sentence_loss,
+                                  tag_batch, train_parser, train_tagger)
+from scrambleparse.projectivity import is_projective, projectivize
+from scrambleparse.synthetic import default_grammar, gen_synthetic, uniform_orders
+
+from helpers import random_nonprojective_tree
+
+log = logging.getLogger("scrambleparse.parser")
+
+
+def ref_train_parser(train, dev, cfg):
+    if len(train) == 0:
+        raise ValueError("training treebank is empty")
+    for tree in train:
+        if not is_projective(tree):
+            raise ValueError(f"training sentence {tree.label()} is non-projective; "
+                             "projectivize first (the flag is recorded in the model)")
+    vocabs = build_vocabs(train)
+    model = _init_model("parser", cfg, vocabs)
+    if cfg.embeddings_path:
+        loaded = model.encoder.load_pretrained_words(cfg.embeddings_path)
+        log.info("loaded %d pre-trained word vectors", loaded)
+
+    examples = []
+    for tree in train:
+        idx_rows, seq = oracle_rollout(tree)
+        gold_ids = [model.transition_id(t) for t in seq]
+        examples.append((tree.forms(), tree.upos_tags(), idx_rows, gold_ids))
+
+    rng = np.random.default_rng(cfg.seed)
+    opt = nn.MomentumSGD(model.params(), lr=cfg.lr, momentum=cfg.momentum, l2=cfg.l2,
+                         clip_norm=cfg.clip_norm)
+    best_las = -1.0
+    best_values = None
+    for epoch in range(cfg.epochs):
+        opt.lr = cfg.lr / (1.0 + epoch * cfg.lr_decay)
+        order = rng.permutation(len(examples))
+        total = 0.0
+        n_steps = 0
+        for i in order:
+            words, tags, idx_rows, gold_ids = examples[i]
+            loss, backprop = sentence_loss(model, words, tags, idx_rows, gold_ids,
+                                           training=True, rng=rng)
+            backprop()
+            opt.step()
+            opt.zero_grad()
+            total += loss * len(gold_ids)
+            n_steps += len(gold_ids)
+        msg = f"epoch {epoch + 1}/{cfg.epochs}: loss/transition {total / n_steps:.4f}"
+        if dev is not None and len(dev) > 0:
+            from scrambleparse.metrics import score
+
+            pred = Treebank(parse_batch(model, dev.trees)[0])
+            las = score(dev, pred).las
+            msg += f", dev LAS {las:.2f}"
+            if las > best_las:
+                best_las = las
+                best_values = [p.value.copy() for p in model.params()]
+        log.info(msg)
+    if best_values is not None:
+        for p, v in zip(model.params(), best_values):
+            p.value[...] = v
+    return model
+
+
+def ref_train_tagger(train, dev, cfg):
+    if len(train) == 0:
+        raise ValueError("training treebank is empty")
+    vocabs = build_vocabs(train)
+    if len(vocabs.tags) <= 3:  # only the reserved entries
+        raise ValueError("training data carries no POS tags")
+    model = _init_model("tagger", cfg, vocabs)
+    examples = [(tree.forms(), [vocabs.tags.id(t) for t in tree.upos_tags()])
+                for tree in train]
+    rng = np.random.default_rng(cfg.seed)
+    opt = nn.MomentumSGD(model.params(), lr=cfg.lr, momentum=cfg.momentum, l2=cfg.l2,
+                         clip_norm=cfg.clip_norm)
+    best_acc = -1.0
+    best_values = None
+    for epoch in range(cfg.epochs):
+        opt.lr = cfg.lr / (1.0 + epoch * cfg.lr_decay)
+        order = rng.permutation(len(examples))
+        total = 0.0
+        n_tok = 0
+        for i in order:
+            words, gold_ids = examples[i]
+            ctx, enc_cache = model.encoder.encode(words, None, training=True, rng=rng)
+            logits, mlp_cache = model.mlp.forward(ctx[1:], training=True, rng=rng)
+            loss, dlogits = nn.nll_loss(logits, gold_ids)
+            dctx = np.zeros_like(ctx)
+            dctx[1:] = model.mlp.backward(dlogits / len(words), mlp_cache)
+            model.encoder.backward(dctx, enc_cache)
+            opt.step()
+            opt.zero_grad()
+            total += loss
+            n_tok += len(words)
+        msg = f"tagger epoch {epoch + 1}/{cfg.epochs}: loss/token {total / n_tok:.4f}"
+        if dev is not None and len(dev) > 0:
+            predicted = tag_batch(model, [t.forms() for t in dev])
+            correct = sum(sum(p == g.upos for p, g in zip(tags, t.tokens))
+                          for tags, t in zip(predicted, dev))
+            n_dev = sum(len(t) for t in dev)
+            acc = 100.0 * correct / n_dev
+            msg += f", dev acc {acc:.2f}"
+            if acc > best_acc:
+                best_acc = acc
+                best_values = [p.value.copy() for p in model.params()]
+        log.info(msg)
+    if best_values is not None:
+        for p, v in zip(model.params(), best_values):
+            p.value[...] = v
+    return model
+
+
+def ref_save_parser(self, path, extra_meta=None):
+    meta = {
+        "kind": "parser",
+        "cfg": self.cfg.__dict__,
+        "vocab_items": {"words": self.vocabs.words.itos,
+                        "tags": self.vocabs.tags.itos,
+                        "chars": self.vocabs.chars.itos,
+                        "labels": self.vocabs.labels.itos},
+        "pseudo_projective": self.cfg.pseudo_projective,
+    }
+    meta.update(extra_meta or {})
+    nn.save_checkpoint(path, self.params(), meta)
+
+
+def ref_save_tagger(self, path, extra_meta=None):
+    meta = {
+        "kind": "tagger",
+        "cfg": self.cfg.__dict__,
+        "vocab_items": {"words": self.vocabs.words.itos,
+                        "tags": self.vocabs.tags.itos,
+                        "chars": self.vocabs.chars.itos,
+                        "labels": self.vocabs.labels.itos},
+    }
+    meta.update(extra_meta or {})
+    nn.save_checkpoint(path, self.params(), meta)
+
+
+# A learning rate high enough that dev scores move between epochs, so the
+# best-epoch restore picks an epoch other than the last in some cases.
+BASE = TrainConfig(word_dim=6, tag_dim=4, char_dim=4, char_hidden=3, enc_hidden=5,
+                   mlp_hidden=8, mlp_dropout=0.0, word_dropout=0.0, epochs=3,
+                   seed=3, lr=0.3)
+
+CASES = {
+    "plain": (dict(), False),
+    "dev": (dict(), True),
+    "lr_decay": (dict(lr_decay=0.5), True),
+    "dropout": (dict(word_dropout=0.25, mlp_dropout=0.3), True),
+}
+
+
+def _data(pseudo_projective=False):
+    g = default_grammar(order_weights=uniform_orders())
+    train = gen_synthetic(g, n=14, seed=5)
+    dev = gen_synthetic(g, n=6, seed=6)
+    if pseudo_projective:
+        rng = np.random.default_rng(0)
+        lifted = [projectivize(random_nonprojective_tree(rng, n_lifts=k))[0] for k in (1, 2)]
+        train = Treebank(train.trees + lifted)
+    return train, dev
+
+
+def _run(train_fn, save_fn, train, dev, cfg, path, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="scrambleparse.parser"):
+        model = train_fn(train, dev, cfg)
+    save_fn(model, path, extra_meta={"command": "train --test"})
+    return model, [r.getMessage() for r in caplog.records], path.read_bytes()
+
+
+def _assert_same(ref, new):
+    (ref_model, ref_log, ref_bytes), (model, lines, data) = ref, new
+    assert lines == ref_log
+    for p, q in zip(ref_model.params(), model.params(), strict=True):
+        assert p.name == q.name and p.value.tobytes() == q.value.tobytes()
+    assert data == ref_bytes
+
+
+@pytest.mark.parametrize("case", [*CASES, "pseudo_projective"])
+def test_train_parser_matches_reference(case, tmp_path, caplog):
+    overrides, with_dev = CASES.get(case, (dict(pseudo_projective=True), True))
+    cfg = BASE.merged(**overrides)
+    train, dev = _data(cfg.pseudo_projective)
+    dev = dev if with_dev else None
+    ref = _run(ref_train_parser, ref_save_parser, train, dev, cfg, tmp_path / "ref.spnn", caplog)
+    new = _run(train_parser, ParserModel.save, train, dev, cfg, tmp_path / "new.spnn", caplog)
+    _assert_same(ref, new)
+    assert len(new[1]) == cfg.epochs
+    assert ParserModel.load(tmp_path / "new.spnn").cfg.pseudo_projective is cfg.pseudo_projective
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_train_tagger_matches_reference(case, tmp_path, caplog):
+    overrides, with_dev = CASES[case]
+    cfg = BASE.merged(**overrides)
+    train, dev = _data()
+    dev = dev if with_dev else None
+    ref = _run(ref_train_tagger, ref_save_tagger, train, dev, cfg, tmp_path / "ref.spnn", caplog)
+    new = _run(train_tagger, TaggerModel.save, train, dev, cfg, tmp_path / "new.spnn", caplog)
+    _assert_same(ref, new)
+    assert len(new[1]) == cfg.epochs
