@@ -19,7 +19,6 @@ RIGHT_ARC = "right_arc"
 REDUCE = "reduce"
 
 _MNEMONICS = {SHIFT: "SH", LEFT_ARC: "LA", RIGHT_ARC: "RA", REDUCE: "RE"}
-_FROM_MNEMONIC = {v: k for k, v in _MNEMONICS.items()}
 
 FALLBACK_LABEL = "dep"  # attachment for tokens left headless by greedy decoding
 
@@ -39,21 +38,6 @@ class Transition:
         m = _MNEMONICS[self.kind]
         return f"{m}:{self.label}" if self.label else m
 
-    @classmethod
-    def from_mnemonic(cls, text: str) -> "Transition":
-        head, _, label = text.partition(":")
-        if head not in _FROM_MNEMONIC:
-            raise ValueError(f"unknown transition mnemonic '{text}'")
-        return cls(_FROM_MNEMONIC[head], label or None)
-
-
-def format_sequence(seq: list[Transition]) -> str:
-    return " ".join(t.mnemonic() for t in seq)
-
-
-def parse_sequence(text: str) -> list[Transition]:
-    return [Transition.from_mnemonic(m) for m in text.split()]
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -61,11 +45,6 @@ class Configuration:
     stack: tuple[int, ...]
     buffer_start: int
     heads: dict = field(default_factory=dict, hash=False)  # dependent -> (head, label)
-
-    @property
-    def arcs(self) -> tuple[tuple[int, int, str], ...]:
-        """(head, dependent, label) triples in the order the arcs were made."""
-        return tuple((h, d, label) for d, (h, label) in self.heads.items())
 
     @property
     def buffer(self) -> range:
@@ -171,13 +150,6 @@ def static_oracle(tree: DepTree) -> list[Transition]:
         seq.append(t)
         c = apply(c, t)
     return seq
-
-
-def run_sequence(n: int, seq: list[Transition]) -> Configuration:
-    c = initial_config(n)
-    for t in seq:
-        c = apply(c, t)
-    return c
 
 
 def tree_from_config(c: Configuration, tokens: list[Token],

@@ -35,6 +35,8 @@ class NGramModel:
     context_totals: dict = field(repr=False)  # context tuple -> total event count
     distinct: dict = field(repr=False)        # context tuple -> distinct continuation types
     vocab: frozenset
+    # n-gram (context words, then the word) -> log probability, filled by ``logprob``
+    _logprobs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def event_vocab_size(self) -> int:
@@ -64,15 +66,12 @@ class NGramModel:
             context = context[-(self.order - 1):]
         return self._interp(word, context)
 
-    def logprob(self, sentence: list[str], memo: dict | None = None) -> float:
+    def logprob(self, sentence: list[str]) -> float:
         """Natural-log probability of a sentence including the </s> event.
 
-        ``memo`` maps an n-gram (context words, then the word) to its log
-        probability; sentences scored with one memo and this model compute
-        each distinct n-gram once.
+        Each distinct n-gram's log probability is computed once per model.
         """
-        if memo is None:
-            memo = {}
+        memo = self._logprobs
         k = self.order - 1
         events = [BOS] * k + list(sentence) + [EOS]
         total = 0.0
@@ -131,15 +130,12 @@ def train_lm(corpus: list[list[str]], order: int = 3) -> NGramModel:
                       vocab=vocab)
 
 
-def perplexity(model: NGramModel, sentence: list[str], memo: dict | None = None) -> float:
-    """exp of the average negative log-probability per event (tokens + </s>).
-
-    ``memo`` is the n-gram memo of ``NGramModel.logprob``.
-    """
+def perplexity(model: NGramModel, sentence: list[str]) -> float:
+    """exp of the average negative log-probability per event (tokens + </s>)."""
     if not sentence:
         raise ValueError("cannot score an empty sentence")
     n_events = len(sentence) + 1
-    return math.exp(-model.logprob(sentence, memo) / n_events)
+    return math.exp(-model.logprob(sentence) / n_events)
 
 
 def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
@@ -148,17 +144,15 @@ def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
     k defaults to the number of permuted units of the batch's projection.
     Ties break on the lexicographic order of the permutation, so the
     result is deterministic. Returns a new batch; scores are recorded on
-    the surviving variants. The variants of a batch share most of their
-    n-grams, so they are scored through one memo.
+    the surviving variants.
     """
     from .scramble import PermutationBatch
 
     if k is None:
         k = batch.projection.unit_count
-    memo: dict = {}
     scored = []
     for v in batch.variants:
-        ppl = perplexity(model, v.forms, memo)
+        ppl = perplexity(model, v.forms)
         scored.append((ppl, v.perm, v))
     scored.sort(key=lambda item: (item[0], item[1]))
     survivors = []

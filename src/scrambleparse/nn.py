@@ -5,8 +5,8 @@ dense layers, LSTM cells run in either direction, bidirectional
 stacks, a one-hidden-layer rectifier classifier, softmax
 cross-entropy, inverted dropout, and momentum SGD with L2. The
 forward passes return explicit caches so layers can be reused
-re-entrantly (the character encoder runs once per word). The LSTM
-layers also run a length-masked padded batch for inference.
+re-entrantly. The LSTM layers run one sequence or a length-masked
+padded batch of them, for training and inference alike.
 """
 
 from __future__ import annotations
@@ -124,25 +124,33 @@ class LSTMCell:
         b[hidden:2 * hidden] = 1.0  # forget-gate bias
         self.b = Param(b, f"{name}.b")
 
-    def run(self, X, reverse: bool = False, lengths=None):
-        """Hidden states for every position; X is (T, in_dim).
+    def run(self, X, reverse: bool = False, lengths=None, cache: bool = True):
+        """Hidden states for every position, and the cache for ``backward``.
 
-        X may also be a padded batch (T, B, in_dim) with ``lengths`` giving
-        each sequence's true length; see ``_run_padded``.
+        X is (T, in_dim), or a padded batch (T, B, in_dim) with ``lengths``
+        giving each sequence's true length. Past that length a sequence's
+        input and forget gates are 0 (their pre-activations are -inf), so
+        its state there is zero: a reverse pass starts each sequence from a
+        zero state at its own last position, and padded positions come out
+        zero. The cached zero gates have zero derivative, which stops
+        ``backward`` there. With ``cache=False`` no per-step state outlives
+        the call.
         """
-        if X.ndim == 3:
-            return self._run_padded(X, lengths, reverse), None
         T = X.shape[0]
         H = self.hidden
         Wh = self.Wh.value
-        G_in = X @ self.Wx.value + self.b.value
-        gates = np.empty((T, 4 * H))
-        tanh_cs = np.empty((T, H))
+        batch = X.shape[1:-1]  # () for one sequence, (B,) for a batch
+        # Each step's input projection, turned into its gates in place.
+        gates = (X.reshape(-1, X.shape[-1]) @ self.Wx.value + self.b.value
+                 ).reshape(X.shape[:-1] + (4 * H,))
+        if lengths is not None:
+            gates[np.arange(T)[:, None] >= np.asarray(lengths), :2 * H] = -np.inf
+        tanh_cs = np.empty((T,) + batch + (H,))
         # Row k of hs/cs is the state after step k-1 (forward) or step k
         # (reverse), with a zero initial state at the end the pass starts
         # from, so each step's previous state is just the neighbouring row.
-        hs = np.empty((T + 1, H))
-        cs = np.empty((T + 1, H))
+        hs = np.empty((T + 1,) + batch + (H,))
+        cs = np.empty_like(hs)
         if reverse:
             order, prev, new = range(T - 1, -1, -1), 1, 0
             Hs, h_prevs, c_prevs = hs[:T], hs[1:], cs[1:]
@@ -152,44 +160,15 @@ class LSTMCell:
             Hs, h_prevs, c_prevs = hs[1:], hs[:T], cs[:T]
             hs[0] = cs[0] = 0.0
         for t in order:
-            h, c = hs[t + prev], cs[t + prev]
-            z = G_in[t]
-            z += h @ Wh
             gate = gates[t]
-            sigmoid(z[:3 * H], out=gate[:3 * H])
-            np.tanh(z[3 * H:], out=gate[3 * H:])
-            c_new = np.multiply(gate[H:2 * H], c, out=cs[t + new])
-            c_new += gate[:H] * gate[3 * H:]
+            gate += hs[t + prev] @ Wh
+            sigmoid(gate[..., :3 * H], out=gate[..., :3 * H])
+            np.tanh(gate[..., 3 * H:], out=gate[..., 3 * H:])
+            c_new = np.multiply(gate[..., H:2 * H], cs[t + prev], out=cs[t + new])
+            c_new += gate[..., :H] * gate[..., 3 * H:]
             np.tanh(c_new, out=tanh_cs[t])
-            np.multiply(gate[2 * H:3 * H], tanh_cs[t], out=hs[t + new])
-        cache = (X, gates, c_prevs, h_prevs, tanh_cs, reverse)
-        return Hs, cache
-
-    def _run_padded(self, X, lengths, reverse: bool):
-        """Inference over a padded batch: (T, B, H) hidden states, no cache.
-
-        The state is zeroed at every step past a sequence's length, so a
-        reverse pass starts each sequence from a zero state at its own last
-        position and padded positions come out zero.
-        """
-        T, B, D = X.shape
-        H = self.hidden
-        Wh = self.Wh.value
-        keep = (np.arange(T)[:, None] < np.asarray(lengths)[None, :])[:, :, None].astype(X.dtype)
-        G_in = (X.reshape(T * B, D) @ self.Wx.value + self.b.value).reshape(T, B, 4 * H)
-        Hs = np.empty((T, B, H))
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        for t in (range(T - 1, -1, -1) if reverse else range(T)):
-            z = G_in[t]
-            z += h @ Wh
-            sigmoid(z[:, :3 * H], out=z[:, :3 * H])
-            np.tanh(z[:, 3 * H:], out=z[:, 3 * H:])
-            c = z[:, H:2 * H] * c
-            c += z[:, :H] * z[:, 3 * H:]
-            c *= keep[t]
-            h = np.multiply(z[:, 2 * H:3 * H], np.tanh(c), out=Hs[t])
-        return Hs
+            np.multiply(gate[..., 2 * H:3 * H], tanh_cs[t], out=hs[t + new])
+        return Hs, (X, gates, c_prevs, h_prevs, tanh_cs, reverse) if cache else None
 
     def backward(self, dHs, cache):
         X, gates, c_prevs, h_prevs, tanh_cs, reverse = cache
@@ -197,35 +176,37 @@ class LSTMCell:
         H = self.hidden
         order = range(T) if reverse else range(T - 1, -1, -1)
         WhT = self.Wh.value.T
-        sig = gates[:, :3 * H]
+        sig = gates[..., :3 * H]
         one_minus_sig = 1.0 - sig
-        g = gates[:, 3 * H:]
+        g = gates[..., 3 * H:]
         one_minus_g2 = 1.0 - g * g
         one_minus_tc2 = 1.0 - tanh_cs * tanh_cs
-        dZ = np.empty((T, 4 * H))
-        dh_carry = np.zeros(H)
-        dc_carry = np.zeros(H)
+        dZ = np.empty(gates.shape)
+        dh_carry = np.zeros(tanh_cs.shape[1:])
+        dc_carry = np.zeros(tanh_cs.shape[1:])
         for t in order:
             gate = gates[t]
             dz = dZ[t]
             dh = dh_carry
             dh += dHs[t]
-            np.multiply(dh, tanh_cs[t], out=dz[2 * H:3 * H])      # do
-            dc = dh * gate[2 * H:3 * H]
+            np.multiply(dh, tanh_cs[t], out=dz[..., 2 * H:3 * H])      # do
+            dc = dh * gate[..., 2 * H:3 * H]
             dc *= one_minus_tc2[t]
             dc += dc_carry
-            np.multiply(dc, gate[3 * H:], out=dz[:H])             # di
-            np.multiply(dc, c_prevs[t], out=dz[H:2 * H])          # df
-            np.multiply(dc, gate[:H], out=dz[3 * H:])             # dg
-            dc_carry = np.multiply(dc, gate[H:2 * H], out=dc)
-            dz[:3 * H] *= sig[t]
-            dz[:3 * H] *= one_minus_sig[t]
-            dz[3 * H:] *= one_minus_g2[t]
+            np.multiply(dc, gate[..., 3 * H:], out=dz[..., :H])        # di
+            np.multiply(dc, c_prevs[t], out=dz[..., H:2 * H])          # df
+            np.multiply(dc, gate[..., :H], out=dz[..., 3 * H:])        # dg
+            dc_carry = np.multiply(dc, gate[..., H:2 * H], out=dc)
+            dz[..., :3 * H] *= sig[t]
+            dz[..., :3 * H] *= one_minus_sig[t]
+            dz[..., 3 * H:] *= one_minus_g2[t]
             dh_carry = dz @ WhT
+        X = X.reshape(-1, X.shape[-1])
+        dZ = dZ.reshape(-1, 4 * H)
         self.Wx.grad += X.T @ dZ
-        self.Wh.grad += h_prevs.T @ dZ
+        self.Wh.grad += h_prevs.reshape(-1, H).T @ dZ
         self.b.grad += dZ.sum(axis=0)
-        return dZ @ self.Wx.value.T
+        return (dZ @ self.Wx.value.T).reshape(dHs.shape[:-1] + (X.shape[-1],))
 
     def params(self):
         return [self.Wx, self.Wh, self.b]
@@ -239,31 +220,26 @@ class BiLSTM:
         self.fwd = LSTMCell(in_dim, hidden, rng, f"{name}.fwd")
         self.bwd = LSTMCell(in_dim, hidden, rng, f"{name}.bwd")
 
-    def forward(self, X, lengths=None):
+    def forward(self, X, lengths=None, cache: bool = True):
         """X is (T, in_dim), or a padded (T, B, in_dim) batch with ``lengths``."""
-        Hf, cf = self.fwd.run(X, reverse=False, lengths=lengths)
-        Hb, cb = self.bwd.run(X, reverse=True, lengths=lengths)
+        Hf, cf = self.fwd.run(X, reverse=False, lengths=lengths, cache=cache)
+        Hb, cb = self.bwd.run(X, reverse=True, lengths=lengths, cache=cache)
         return np.concatenate([Hf, Hb], axis=-1), (cf, cb)
 
     def backward(self, dY, cache):
         cf, cb = cache
         H = self.hidden
-        dX = self.fwd.backward(dY[:, :H], cf)
-        dX += self.bwd.backward(dY[:, H:], cb)
+        dX = self.fwd.backward(dY[..., :H], cf)
+        dX += self.bwd.backward(dY[..., H:], cb)
         return dX
 
     def params(self):
         return self.fwd.params() + self.bwd.params()
 
-    def final_states(self, Hs, lengths=None):
-        """Concatenated last forward / last backward hidden state.
-
-        For a padded (T, B, 2H) batch, one row per sequence, taking the
-        forward state at each sequence's own last position.
-        """
+    def final_states(self, Hs, lengths):
+        """One row per sequence of a padded (T, B, 2H) batch: its forward
+        state at its own last position, then its backward state at the first."""
         H = self.hidden
-        if lengths is None:
-            return np.concatenate([Hs[-1, :H], Hs[0, H:]])
         last = Hs[np.asarray(lengths) - 1, np.arange(Hs.shape[1]), :H]
         return np.concatenate([last, Hs[0, :, H:]], axis=1)
 
@@ -276,11 +252,11 @@ class BiLSTMStack:
             self.layers.append(BiLSTM(d, hidden, rng, f"{name}.{k}"))
             d = 2 * hidden
 
-    def forward(self, X, lengths=None):
+    def forward(self, X, lengths=None, cache: bool = True):
         caches = []
         for layer in self.layers:
-            X, cache = layer.forward(X, lengths)
-            caches.append(cache)
+            X, layer_cache = layer.forward(X, lengths, cache=cache)
+            caches.append(layer_cache)
         return X, caches
 
     def backward(self, dY, caches):
@@ -318,11 +294,6 @@ class MLP:
         dA = dAd * mask
         dZ1 = dA * (Z1 > 0.0)
         return self.lin1.backward(dZ1, c1)
-
-    def predict_proba(self, x):
-        logits, _ = self.forward(np.atleast_2d(x), training=False)
-        p = softmax(logits)
-        return p if np.ndim(x) > 1 else p[0]
 
     def params(self):
         return self.lin1.params() + self.lin2.params()
@@ -375,42 +346,6 @@ class MomentumSGD:
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
-
-
-def check_gradients(loss_fn, params, step: float = 1e-5, max_coords: int | None = None,
-                    rng=None, floor: float = 1e-4) -> float:
-    """Largest relative error between stored gradients and central differences.
-
-    ``loss_fn`` must recompute the scalar loss from current parameter
-    values without touching gradients; the caller fills the gradients
-    beforehand. For tensors bigger than ``max_coords`` a random subset of
-    coordinates is probed. The ``floor`` in the error denominator turns
-    the comparison into an absolute one for near-zero coordinates, where
-    central differences cannot resolve below eps*|loss|/(2*step) anyway.
-    """
-    worst = 0.0
-    for p in params:
-        flat_v = p.value.reshape(-1)
-        flat_g = p.grad.reshape(-1)
-        n = flat_v.size
-        if max_coords is not None and n > max_coords:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            coords = rng.choice(n, size=max_coords, replace=False)
-        else:
-            coords = range(n)
-        for idx in coords:
-            orig = flat_v[idx]
-            flat_v[idx] = orig + step
-            up = loss_fn()
-            flat_v[idx] = orig - step
-            down = loss_fn()
-            flat_v[idx] = orig
-            numeric = (up - down) / (2.0 * step)
-            analytic = flat_g[idx]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
-            worst = max(worst, err)
-    return worst
 
 
 def save_checkpoint(path, params, meta: dict) -> None:

@@ -7,7 +7,10 @@ features of the configuration with a one-hidden-layer rectifier
 classifier; the tagger classifies each token from its own context
 vector. Training uses the static oracle, summed cross-entropy per
 sentence, and momentum SGD with L2. Inference runs on length-sorted
-chunks of sentences at once (``parse_batch``, ``tag_batch``).
+chunks of sentences at once (``parse_batch``, ``tag_batch``). Both use
+one encoder pass: the character BiLSTM runs once over the distinct
+truncated forms, the stack over a length-masked padded batch (one
+sentence when training).
 """
 
 from __future__ import annotations
@@ -186,46 +189,9 @@ class SentenceEncoder:
         return loaded
 
     def encode(self, words: list[str], tags: list[str] | None, training: bool = False, rng=None):
-        """Context vectors for ROOT plus every token: shape (n+1, out_dim)."""
-        if not words:
-            raise ValueError("cannot encode an empty sentence")
-        if self.use_tags:
-            if tags is None or len(tags) != len(words):
-                raise ValueError("tag sequence must align with the sentence")
-        drop = np.zeros(len(words), dtype=bool)
-        if training and self.cfg.word_dropout > 0.0:
-            drop = rng.random(len(words)) < self.cfg.word_dropout
-
-        cfg = self.cfg
-        word_ids = [1] + [self.vocabs.words.id(w) for w in words]  # slot 1 = <root>
-        rows = []
-        char_caches = []
-        for pos, wid in enumerate(word_ids):
-            if pos == 0:
-                char_vec = np.zeros(2 * cfg.char_hidden)
-                char_caches.append(None)
-                word_vec = self.word_emb.value[wid]
-            else:
-                chars = words[pos - 1][:cfg.max_word_chars]
-                if chars:
-                    char_ids = [self.vocabs.chars.id(c) for c in chars]
-                    C = self.char_emb.value[char_ids]
-                    Hs, cache = self.char_rnn.forward(C)
-                    char_vec = self.char_rnn.final_states(Hs)
-                    char_caches.append((char_ids, Hs.shape[0], cache))
-                else:
-                    char_vec = np.zeros(2 * cfg.char_hidden)
-                    char_caches.append(None)
-                word_vec = np.zeros(cfg.word_dim) if drop[pos - 1] else self.word_emb.value[wid]
-            parts = [word_vec, char_vec]
-            if self.use_tags:
-                tag_id = 1 if pos == 0 else self.vocabs.tags.id(tags[pos - 1])
-                parts.append(self.tag_emb.value[tag_id])
-            rows.append(np.concatenate(parts))
-        X = np.asarray(rows)
-        ctx, stack_caches = self.stack.forward(X)
-        cache = (word_ids, drop, char_caches, stack_caches,
-                 None if not self.use_tags else ([1] + [self.vocabs.tags.id(t) for t in tags]))
+        """Context vectors for ROOT plus every token, shape (n+1, out_dim),
+        and the cache for ``backward``."""
+        ctx, _, cache = self._encode([words], None if tags is None else [tags], training, rng)
         return ctx, cache
 
     def encode_batch(self, sentences: list[list[str]], tags: list[list[str]] | None = None):
@@ -233,9 +199,16 @@ class SentenceEncoder:
 
         Returns ``(rows, lengths)``: what ``encode`` returns for each
         sentence (ROOT first), stacked one sentence after another, and
-        ``lengths[b] = len(sentences[b]) + 1``. The char-BiLSTM runs once
-        over the distinct truncated forms and the stack once over the
-        padded (1 + longest, B) batch.
+        ``lengths[b] = len(sentences[b]) + 1``.
+        """
+        rows, lengths, _ = self._encode(sentences, tags, cache=False)
+        return rows, lengths
+
+    def _encode(self, sentences, tags, training=False, rng=None, cache=True):
+        """``encode_batch``'s rows and lengths, and with ``cache`` what
+        ``backward`` needs. The char-BiLSTM runs once over the distinct
+        truncated forms and the stack once over the padded (1 + longest, B)
+        batch. Word dropout draws one number per token, sentence by sentence.
         """
         if any(not words for words in sentences):
             raise ValueError("cannot encode an empty sentence")
@@ -243,19 +216,27 @@ class SentenceEncoder:
                               or any(len(t) != len(w) for t, w in zip(tags, sentences))):
             raise ValueError("tag sequence must align with the sentence")
         cfg = self.cfg
+        drop = np.zeros(sum(map(len, sentences)), dtype=bool)
+        if training and cfg.word_dropout > 0.0:
+            drop = np.concatenate([rng.random(len(words)) < cfg.word_dropout
+                                   for words in sentences])
         lengths = np.array([len(words) + 1 for words in sentences])
         T, B = int(lengths.max()), len(sentences)
+        present = np.arange(T)[:, None] < lengths  # (T, B)
         forms = list(dict.fromkeys(w[:cfg.max_word_chars] for words in sentences for w in words))
         # One row per distinct form, plus a zero row for ROOT, padding and "".
         char_vecs = np.zeros((len(forms) + 1, 2 * cfg.char_hidden))
         spelled = [i for i, f in enumerate(forms) if f]
+        char_batch = None
         if spelled:
             char_lens = np.array([len(forms[i]) for i in spelled])
             char_ids = np.zeros((int(char_lens.max()), len(spelled)), dtype=np.intp)
             for col, i in enumerate(spelled):
                 char_ids[:char_lens[col], col] = [self.vocabs.chars.id(ch) for ch in forms[i]]
-            Hs, _ = self.char_rnn.forward(self.char_emb.value[char_ids], char_lens)
+            Hs, rnn_cache = self.char_rnn.forward(self.char_emb.value[char_ids], char_lens,
+                                                  cache=cache)
             char_vecs[spelled] = self.char_rnn.final_states(Hs, char_lens)
+            char_batch = (char_ids, char_lens, spelled, rnn_cache)
         form_row = {f: i for i, f in enumerate(forms)}
         word_ids = np.full((T, B), self.vocabs.words.id(PAD))
         word_ids[0] = 1  # <root>
@@ -263,39 +244,50 @@ class SentenceEncoder:
         for b, words in enumerate(sentences):
             word_ids[1:len(words) + 1, b] = [self.vocabs.words.id(w) for w in words]
             char_rows[1:len(words) + 1, b] = [form_row[w[:cfg.max_word_chars]] for w in words]
-        parts = [self.word_emb.value[word_ids], char_vecs[char_rows]]
+        # The positions whose word embedding is used: not padding, not dropped.
+        word_kept = present.copy()
+        word_kept[1:].T[present[1:].T] = ~drop
+        word_vecs = self.word_emb.value[word_ids]
+        word_vecs[~word_kept] = 0.0
+        parts = [word_vecs, char_vecs[char_rows]]
+        tag_ids = None
         if self.use_tags:
             tag_ids = np.full((T, B), self.vocabs.tags.id(PAD))
             tag_ids[0] = 1  # <root>
             for b, seq in enumerate(tags):
                 tag_ids[1:len(seq) + 1, b] = [self.vocabs.tags.id(t) for t in seq]
             parts.append(self.tag_emb.value[tag_ids])
-        ctx, _ = self.stack.forward(np.concatenate(parts, axis=2), lengths)
-        present = np.arange(T)[None, :] < lengths[:, None]  # (B, T)
-        return ctx.transpose(1, 0, 2)[present], lengths
+        ctx, stack_caches = self.stack.forward(np.concatenate(parts, axis=2), lengths,
+                                                cache=cache)
+        rows = ctx.transpose(1, 0, 2)[present.T]
+        if not cache:
+            return rows, lengths, None
+        return rows, lengths, (word_ids, drop, word_kept, tag_ids, char_rows, char_batch,
+                               stack_caches, present)
 
     def backward(self, dctx, cache):
-        word_ids, drop, char_caches, stack_caches, tag_ids = cache
+        """Accumulate the parameter gradients of ``encode`` given d(context vectors)."""
+        word_ids, drop, word_kept, tag_ids, char_rows, char_batch, stack_caches, present = cache
         cfg = self.cfg
-        dX = self.stack.backward(dctx, stack_caches)
         wd = cfg.word_dim
         cd = 2 * cfg.char_hidden
-        for pos, wid in enumerate(word_ids):
-            dword = dX[pos, :wd]
-            dchar = dX[pos, wd:wd + cd]
-            if pos == 0 or not drop[pos - 1]:
-                self.word_emb.grad[wid] += dword
-            if char_caches[pos] is not None:
-                char_ids, T, rnn_cache = char_caches[pos]
-                dHs = np.zeros((T, cd))
-                h = cfg.char_hidden
-                dHs[-1, :h] = dchar[:h]
-                dHs[0, h:] += dchar[h:]
-                dC = self.char_rnn.backward(dHs, rnn_cache)
-                for row, cid in enumerate(char_ids):
-                    self.char_emb.grad[cid] += dC[row]
-            if self.use_tags:
-                self.tag_emb.grad[tag_ids[pos]] += dX[pos, wd + cd:]
+        dY = np.zeros(present.shape + (dctx.shape[1],))
+        dY.transpose(1, 0, 2)[present.T] = dctx
+        dX = self.stack.backward(dY, stack_caches)
+        np.add.at(self.word_emb.grad, word_ids[word_kept], dX[word_kept, :wd])
+        if self.use_tags:
+            np.add.at(self.tag_emb.grad, tag_ids[present], dX[present, wd + cd:])
+        if char_batch is not None:
+            char_ids, char_lens, spelled, rnn_cache = char_batch
+            dforms = np.zeros((char_rows.max() + 1, cd))  # as char_vecs: forms, then zero row
+            np.add.at(dforms, char_rows[present], dX[present, wd:wd + cd])
+            h = cfg.char_hidden
+            dHs = np.zeros(char_ids.shape + (cd,))
+            dHs[char_lens - 1, np.arange(len(spelled)), :h] = dforms[spelled, :h]
+            dHs[0, :, h:] = dforms[spelled, h:]
+            dC = self.char_rnn.backward(dHs, rnn_cache)
+            spelt = np.arange(len(char_ids))[:, None] < char_lens
+            np.add.at(self.char_emb.grad, char_ids[spelt], dC[spelt])
 
 
 # The 11 positional feature selectors: stack top three, buffer front,
@@ -326,34 +318,29 @@ def feature_indices(c: arceager.Configuration) -> list[int | None]:
 
 
 def _gather_features(ctx, idx_rows):
-    dim = ctx.shape[1]
-    F = np.zeros((len(idx_rows), 11 * dim))
-    for r, idxs in enumerate(idx_rows):
-        for slot, idx in enumerate(idxs):
-            if idx is not None:
-                F[r, slot * dim:(slot + 1) * dim] = ctx[idx]
-    return F
+    """Each step's 11 context vectors side by side; index -1 picks the
+    zero row of an absent node."""
+    padded = np.concatenate([ctx, np.zeros((1, ctx.shape[1]))])
+    return padded[idx_rows].reshape(len(idx_rows), -1)
 
 
 def _scatter_features(dF, idx_rows, ctx_shape):
-    dim = ctx_shape[1]
-    dctx = np.zeros(ctx_shape)
-    for r, idxs in enumerate(idx_rows):
-        for slot, idx in enumerate(idxs):
-            if idx is not None:
-                dctx[idx] += dF[r, slot * dim:(slot + 1) * dim]
-    return dctx
+    """The gradient of ``_gather_features`` with respect to ``ctx``."""
+    dctx = np.zeros((ctx_shape[0] + 1, ctx_shape[1]))
+    np.add.at(dctx, idx_rows, dF.reshape(idx_rows.shape + (-1,)))
+    return dctx[:-1]
 
 
 def oracle_rollout(tree: DepTree):
-    """Static-oracle path: per step the 11 feature indices and the gold move."""
+    """Static-oracle path: a (steps, 11) array of feature indices, -1 where
+    the node is absent, and the gold moves."""
     seq = arceager.static_oracle(tree)
     c = arceager.initial_config(len(tree.tokens))
     idx_rows = []
     for t in seq:
-        idx_rows.append(feature_indices(c))
+        idx_rows.append([-1 if i is None else i for i in feature_indices(c)])
         c = arceager.apply(c, t)
-    return idx_rows, seq
+    return np.array(idx_rows, dtype=np.intp), seq
 
 
 @dataclass

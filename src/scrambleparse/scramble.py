@@ -296,20 +296,6 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
     return PermutationBatch(source=tree, projection=projection, variants=variants)
 
 
-def pool_skew(labels: list[OrderLabel]) -> float:
-    """Max minus min class percentage over the six transitive orders."""
-    counts = {label: 0 for label in TRANSITIVE_ORDERS}
-    total = 0
-    for lbl in labels:
-        if lbl is not OrderLabel.NONTRANSITIVE:
-            counts[lbl] += 1
-            total += 1
-    if total == 0:
-        return 0.0
-    pcts = [100.0 * c / total for c in counts.values()]
-    return max(pcts) - min(pcts)
-
-
 def balance_orders(batches: list[PermutationBatch], budget: int,
                    include_identity: bool = False) -> Treebank:
     """Round-robin over the six order classes, lowest perplexity first.

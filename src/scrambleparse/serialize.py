@@ -16,4 +16,8 @@ def load_blob(path, magic: bytes) -> dict:
         header = f.read(len(magic))
         if header != magic:
             raise ValueError(f"{path}: bad magic {header!r}, expected {magic!r}")
-        return pickle.load(f)
+        try:
+            return pickle.load(f)
+        except Exception as exc:  # a damaged pickle can raise any of several types
+            raise ValueError(f"{path}: corrupt or truncated file "
+                             f"({type(exc).__name__}: {exc})") from exc

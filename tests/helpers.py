@@ -1,11 +1,16 @@
-"""Shared builders for the test suite: random trees and tiny treebanks."""
+"""Shared builders and checks for the test suite: random trees, tiny
+treebanks, transition mnemonics and a finite-difference gradient check."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from scrambleparse import nn
+from scrambleparse.arceager import (_MNEMONICS, Configuration, Transition, apply,
+                                    initial_config)
 from scrambleparse.conllu import DepTree, Token, Treebank
 from scrambleparse.projectivity import is_projective
+from scrambleparse.scramble import TRANSITIVE_ORDERS, OrderLabel
 
 
 def chain_tree(n: int, label: str = "dep") -> DepTree:
@@ -120,3 +125,91 @@ def transitive_tree(order: str = "SOV", with_io: bool = False) -> DepTree:
                 head = head_pos[ci]
             tokens.append(Token(index=pos, form=form, upos=upos, head=head, deprel=deprel))
     return DepTree(tokens)
+
+
+_FROM_MNEMONIC = {v: k for k, v in _MNEMONICS.items()}
+
+
+def transition_from_mnemonic(text: str) -> Transition:
+    """Inverse of ``Transition.mnemonic``: "SH", "LA:nsubj", ..."""
+    head, _, label = text.partition(":")
+    if head not in _FROM_MNEMONIC:
+        raise ValueError(f"unknown transition mnemonic '{text}'")
+    return Transition(_FROM_MNEMONIC[head], label or None)
+
+
+def format_sequence(seq: list[Transition]) -> str:
+    return " ".join(t.mnemonic() for t in seq)
+
+
+def parse_sequence(text: str) -> list[Transition]:
+    return [transition_from_mnemonic(m) for m in text.split()]
+
+
+def run_sequence(n: int, seq: list[Transition]) -> Configuration:
+    c = initial_config(n)
+    for t in seq:
+        c = apply(c, t)
+    return c
+
+
+def config_arcs(c: Configuration) -> tuple[tuple[int, int, str], ...]:
+    """(head, dependent, label) triples in the order the arcs were made."""
+    return tuple((h, d, label) for d, (h, label) in c.heads.items())
+
+
+def pool_skew(labels: list[OrderLabel]) -> float:
+    """Max minus min class percentage over the six transitive orders."""
+    counts = {label: 0 for label in TRANSITIVE_ORDERS}
+    total = 0
+    for lbl in labels:
+        if lbl is not OrderLabel.NONTRANSITIVE:
+            counts[lbl] += 1
+            total += 1
+    if total == 0:
+        return 0.0
+    pcts = [100.0 * c / total for c in counts.values()]
+    return max(pcts) - min(pcts)
+
+
+def predict_proba(mlp: nn.MLP, x):
+    """Class probabilities of one input vector or a matrix of them."""
+    logits, _ = mlp.forward(np.atleast_2d(x), training=False)
+    p = nn.softmax(logits)
+    return p if np.ndim(x) > 1 else p[0]
+
+
+def check_gradients(loss_fn, params, step: float = 1e-5, max_coords: int | None = None,
+                    rng=None, floor: float = 1e-4) -> float:
+    """Largest relative error between stored gradients and central differences.
+
+    ``loss_fn`` must recompute the scalar loss from current parameter
+    values without touching gradients; the caller fills the gradients
+    beforehand. For tensors bigger than ``max_coords`` a random subset of
+    coordinates is probed. The ``floor`` in the error denominator turns
+    the comparison into an absolute one for near-zero coordinates, where
+    central differences cannot resolve below eps*|loss|/(2*step) anyway.
+    """
+    worst = 0.0
+    for p in params:
+        flat_v = p.value.reshape(-1)
+        flat_g = p.grad.reshape(-1)
+        n = flat_v.size
+        if max_coords is not None and n > max_coords:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            coords = rng.choice(n, size=max_coords, replace=False)
+        else:
+            coords = range(n)
+        for idx in coords:
+            orig = flat_v[idx]
+            flat_v[idx] = orig + step
+            up = loss_fn()
+            flat_v[idx] = orig - step
+            down = loss_fn()
+            flat_v[idx] = orig
+            numeric = (up - down) / (2.0 * step)
+            analytic = flat_g[idx]
+            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+            worst = max(worst, err)
+    return worst

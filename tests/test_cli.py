@@ -125,6 +125,35 @@ def test_short_treebank_noted_on_stdout_not_warned(synth_files, capfd):
         in captured.out.splitlines()
 
 
+@pytest.mark.parametrize("cut", [5, 2000])
+def test_truncated_model_files_exit_1(synth_files, capsys, cut):
+    """A checkpoint or LM cut short ends the command with one error line,
+    not a traceback: at 5 bytes the pickle is empty, at 2,000 it stops
+    mid-stream."""
+    from scrambleparse.parser import TrainConfig, _init_model, build_vocabs
+
+    tmp_path, tb_path, lm_path = synth_files
+    cfg = TrainConfig(word_dim=6, tag_dim=4, char_dim=4, char_hidden=3, enc_hidden=5,
+                      mlp_hidden=8, seed=1)
+    model_path = tmp_path / "parser.spnn"
+    _init_model("parser", cfg, build_vocabs(load_treebank(tb_path))).save(model_path)
+    commands = {model_path: ["parse", "--in", str(tb_path), "--out", str(tmp_path / "p.conllu"),
+                             "--model"],
+                lm_path: ["permute", "--in", str(tb_path), "--out", str(tmp_path / "a.conllu"),
+                          "--lm"]}
+    for path, argv in commands.items():
+        data = path.read_bytes()
+        assert len(data) > cut
+        cut_path = tmp_path / f"cut-{path.name}"
+        cut_path.write_bytes(data[:cut])
+        capsys.readouterr()
+        assert run(argv + [str(cut_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error [scrambleparse.serialize]: ")
+        assert str(cut_path) in err[0] and "truncated" in err[0]
+
+
 def test_train_lm_creates_loadable_model(synth_files):
     _, _, lm_path = synth_files
     model = NGramModel.load(lm_path)

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import check_gradients, predict_proba
 from scrambleparse import nn
 
 
@@ -72,14 +75,14 @@ class TestMLP:
         mlp = nn.MLP(5, 8, 4, rng_(), "m")
         for p in mlp.params():
             p.value[...] = 0.0
-        probs = mlp.predict_proba(np.ones(5))
+        probs = predict_proba(mlp, np.ones(5))
         assert np.allclose(probs, 0.25)
 
     def test_probabilities_normalized_on_random_inputs(self):
         rng = rng_()
         mlp = nn.MLP(6, 10, 5, rng, "m")
         X = rng.normal(size=(30, 6))
-        probs = mlp.predict_proba(X)
+        probs = predict_proba(mlp, X)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert (probs > 0).all()
 
@@ -98,7 +101,7 @@ class TestMLP:
         logits, cache = mlp.forward(X, training=False)
         _, dlogits = nn.nll_loss(logits, gold)
         mlp.backward(dlogits, cache)
-        assert nn.check_gradients(loss_fn, mlp.params()) < 1e-4
+        assert check_gradients(loss_fn, mlp.params()) < 1e-4
 
     def test_input_gradient_via_linear(self):
         rng = rng_()
@@ -167,7 +170,7 @@ class TestLSTM:
             p.zero_grad()
         Hs, cache = cell.run(X)
         cell.backward(proj, cache)
-        assert nn.check_gradients(loss_fn, cell.params()) < 1e-4
+        assert check_gradients(loss_fn, cell.params()) < 1e-4
 
     def test_gradient_check_bilstm_stack_and_inputs(self):
         rng = rng_()
@@ -182,7 +185,7 @@ class TestLSTM:
             p.zero_grad()
         Y, caches = stack.forward(X)
         dX = stack.backward(proj, caches)
-        assert nn.check_gradients(loss_fn, stack.params()) < 1e-4
+        assert check_gradients(loss_fn, stack.params()) < 1e-4
         # input gradient against finite differences
         eps = 1e-6
         num = np.zeros_like(X)
@@ -216,12 +219,48 @@ def test_padded_batch_run_matches_per_sequence_run(lengths, dims, reverse, seed)
     rng = np.random.default_rng(seed)
     cell = nn.LSTMCell(in_dim, hidden, rng, "c")
     X = rng.normal(size=(max(lengths) + int(rng.integers(0, 3)), len(lengths), in_dim))
-    Hs, cache = cell.run(X, reverse=reverse, lengths=lengths)
+    Hs, cache = cell.run(X, reverse=reverse, lengths=lengths, cache=False)
     assert cache is None and Hs.shape == X.shape[:2] + (hidden,)
     for b, n in enumerate(lengths):
         ref, _ = cell.run(X[:n, b], reverse=reverse)
         assert np.allclose(Hs[:n, b], ref, rtol=1e-12, atol=1e-12)
         assert not Hs[n:, b].any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=2, max_size=6),
+       dims=st.tuples(st.integers(1, 6), st.integers(1, 8)),
+       reverse=st.booleans(), seed=st.integers(0, 2**16))
+def test_padded_backward_matches_per_sequence_backward(lengths, dims, reverse, seed):
+    in_dim, hidden = dims
+    rng = np.random.default_rng(seed)
+    cell = nn.LSTMCell(in_dim, hidden, rng, "c")
+    T = max(lengths) + int(rng.integers(0, 3))
+    X = rng.normal(size=(T, len(lengths), in_dim))
+    dHs = rng.normal(size=(T, len(lengths), hidden))
+    pad = np.arange(T)[:, None] >= np.asarray(lengths)  # (T, B)
+
+    def backward(X, dHs, lengths=None):
+        c = copy.deepcopy(cell)
+        _, cache = c.run(X, reverse=reverse, lengths=lengths)
+        return c.backward(dHs, cache), [p.grad for p in c.params()]
+
+    dX, grads = backward(X, dHs, lengths)
+    summed = [np.zeros_like(g) for g in grads]
+    for b, n in enumerate(lengths):
+        ref_dX, ref_grads = backward(X[:n, b], dHs[:n, b])
+        assert np.allclose(dX[:n, b], ref_dX, rtol=1e-12, atol=1e-12)
+        for total, g in zip(summed, ref_grads):
+            total += g
+    for g, total in zip(grads, summed):
+        assert np.allclose(g, total, rtol=1e-10, atol=1e-12)
+    assert not dX[pad].any()
+    # Whatever the padded positions hold, they add nothing.
+    X[pad] = 100.0 * rng.normal(size=X[pad].shape)
+    dHs[pad] = 100.0 * rng.normal(size=dHs[pad].shape)
+    dX2, grads2 = backward(X, dHs, lengths)
+    assert np.array_equal(dX2, dX)
+    assert all(np.array_equal(a, b) for a, b in zip(grads2, grads))
 
 
 def test_padded_bilstm_final_states_match_per_sequence():
@@ -232,7 +271,8 @@ def test_padded_bilstm_final_states_match_per_sequence():
     Hs, _ = bi.forward(X, lengths)
     finals = bi.final_states(Hs, lengths)
     for b, n in enumerate(lengths):
-        ref = bi.final_states(bi.forward(X[:n, b])[0])
+        Y, _ = bi.forward(X[:n, b])
+        ref = np.concatenate([Y[-1, :4], Y[0, 4:]])  # last forward, first backward state
         assert np.allclose(finals[b], ref, rtol=1e-12, atol=1e-12)
 
 

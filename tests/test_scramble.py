@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_projective_tree, transitive_tree
+from helpers import pool_skew, random_projective_tree, transitive_tree
 from scrambleparse.conllu import DepTree, Token, Treebank, validate_tree
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import (OrderLabel, PermutationBatch,
@@ -12,7 +12,7 @@ from scrambleparse.scramble import (OrderLabel, PermutationBatch,
                                     UD_MAPPING, DeprelMapping, balance_orders,
                                     classify_order, extract_projections,
                                     order_distribution, permute_projection,
-                                    pool_skew, select_representative)
+                                    select_representative)
 
 
 def figure_like_tree() -> DepTree:

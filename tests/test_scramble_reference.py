@@ -2,8 +2,8 @@
 
 ``permute_projection`` labels each variant from the new positions of its
 subject, object and verb and leaves the tree unbuilt until it is read;
-``filter_by_perplexity`` scores the form sequences of a batch through one
-n-gram memo. The functions below are the versions they replaced: a full
+``filter_by_perplexity`` scores the form sequences of a batch through the
+model's n-gram memo. The functions below are the versions they replaced: a full
 tree per variant, ``classify_order`` on that tree and one uncached
 ``perplexity`` per variant. The arithmetic is meant to be the same, so
 perplexities are compared with ``==``, not a tolerance.
@@ -191,9 +191,8 @@ def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
         assert [v.perm for v in batch.variants] == [e[2] for e in expected]
         assert [v.positions for v in batch.variants] == [e[3] for e in expected]
         assert [v.order for v in batch.variants] == [e[1] for e in expected]
-        memo = {}
         for v, (ref_tree, _, _, _) in zip(batch.variants, expected):
-            assert perplexity(model, v.forms, memo) == ref_perplexity(model, ref_tree.forms())
+            assert perplexity(model, v.forms) == ref_perplexity(model, ref_tree.forms())
 
         survivors = filter_by_perplexity(batch, model, k=keep).variants
         k = keep if keep is not None else projection.unit_count
