@@ -58,9 +58,6 @@ class Configuration:
     def buffer_front(self) -> int | None:
         return self.buffer_start if self.buffer_start <= self.n else None
 
-    def head_of(self, index: int):
-        return self.heads.get(index)
-
 
 def initial_config(n: int) -> Configuration:
     if n < 1:
@@ -129,9 +126,7 @@ def static_oracle(tree: DepTree) -> list[Transition]:
                          "projectivize before deriving oracle sequences")
     gold_head = {t.index: t.head for t in tree.tokens}
     gold_label = {t.index: t.deprel for t in tree.tokens}
-    dependents: dict[int, list[int]] = {i: [] for i in range(len(tree.tokens) + 1)}
-    for t in tree.tokens:
-        dependents[t.head].append(t.index)
+    dependents = tree.shape().children
 
     c = initial_config(len(tree.tokens))
     seq: list[Transition] = []

@@ -4,6 +4,10 @@ Trees are plain value objects: a sentence is a list of 1-indexed tokens,
 each pointing at a head (0 is the artificial root). Multiword-token
 ranges ("1-2") and empty nodes ("1.1") are skipped on input; enhanced
 dependencies are not modelled (column 9 is written as "_").
+
+``tree_shape`` (``DepTree.shape``) is the one place a tree's dominance
+structure is derived: children, preorder positions, subtree sizes and
+spans, and depths, from one iterative walk from ROOT.
 """
 
 from __future__ import annotations
@@ -68,30 +72,8 @@ class DepTree:
     def arcs(self) -> set[tuple[int, int, str]]:
         return {(t.head, t.index, t.deprel) for t in self.tokens}
 
-    def children_map(self) -> dict[int, list[int]]:
-        """Head index -> dependents in surface order. Key 0 is the root."""
-        out: dict[int, list[int]] = {i: [] for i in range(len(self.tokens) + 1)}
-        for t in self.tokens:
-            out[t.head].append(t.index)
-        return out
-
-    def descendants(self, index: int) -> set[int]:
-        """All tokens in the subtree rooted at ``index``, excluding it."""
-        children = self.children_map()
-        out: set[int] = set()
-        stack = list(children[index])
-        while stack:
-            node = stack.pop()
-            if node in out:
-                continue
-            out.add(node)
-            stack.extend(children[node])
-        return out
-
-    def subtree_span(self, index: int) -> tuple[int, int]:
-        """Inclusive (lo, hi) interval covered by ``index`` and its subtree."""
-        nodes = self.descendants(index) | {index}
-        return min(nodes), max(nodes)
+    def shape(self) -> "TreeShape":
+        return tree_shape([0] + [t.head for t in self.tokens])
 
     def with_tokens(self, tokens: list[Token]) -> "DepTree":
         return DepTree(tokens=tokens, sentence_id=self.sentence_id,
@@ -103,6 +85,53 @@ class DepTree:
             return self.sentence_id
         head = " ".join(t.form for t in self.tokens[:5])
         return f'"{head}..."' if len(self.tokens) > 5 else f'"{head}"'
+
+
+@dataclass(frozen=True)
+class TreeShape:
+    """Dominance structure of a tree. Every list is indexed by token, with
+    0 as ROOT; a subtree counts its own head."""
+    children: list[list[int]]  # dependents in surface order
+    pre: list[int]             # preorder position; ROOT is 0
+    size: list[int]            # tokens in the subtree
+    depth: list[int]           # arcs from ROOT
+    lo: list[int]              # inclusive span of the subtree
+    hi: list[int]
+
+
+def tree_shape(heads) -> TreeShape:
+    """One walk from ROOT over a head column. ``heads[i]`` is token i's
+    head; ``heads[0]`` is not read. Raises ``ValueError`` on a head out
+    of range or on tokens that ROOT does not reach (a cycle)."""
+    n = len(heads) - 1
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        h = heads[d]
+        if not 0 <= h <= n:
+            raise ValueError(f"head {h} of token {d} is out of range")
+        children[h].append(d)
+    pre, depth, order, stack = [0] * (n + 1), [0] * (n + 1), [], [0]
+    while stack:
+        node = stack.pop()
+        pre[node] = len(order)
+        order.append(node)
+        kids = children[node]
+        if kids:
+            below = depth[node] + 1
+            for c in kids:
+                depth[c] = below
+            stack.extend(reversed(kids))
+    if len(order) != n + 1:
+        raise ValueError("head column has a cycle")
+    size, lo, hi = [1] * (n + 1), list(range(n + 1)), list(range(n + 1))
+    for node in reversed(order[1:]):  # every token after its whole subtree
+        h = heads[node]
+        size[h] += size[node]
+        if lo[node] < lo[h]:
+            lo[h] = lo[node]
+        if hi[node] > hi[h]:
+            hi[h] = hi[node]
+    return TreeShape(children, pre, size, depth, lo, hi)
 
 
 @dataclass

@@ -31,12 +31,18 @@ MAGIC = b"NGLM1"
 @dataclass
 class NGramModel:
     order: int
-    counts: dict = field(repr=False)          # context tuple -> Counter of next tokens
-    context_totals: dict = field(repr=False)  # context tuple -> total event count
-    distinct: dict = field(repr=False)        # context tuple -> distinct continuation types
+    counts: dict = field(repr=False)  # context tuple -> Counter of next tokens
     vocab: frozenset
+    # Derived from ``counts``, per context tuple: the total event count and the
+    # number of distinct continuation types
+    context_totals: dict = field(init=False, repr=False, compare=False)
+    distinct: dict = field(init=False, repr=False, compare=False)
     # n-gram (context words, then the word) -> log probability, filled by ``logprob``
     _logprobs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.context_totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
+        self.distinct = {ctx: len(c) for ctx, c in self.counts.items()}
 
     @property
     def event_vocab_size(self) -> int:
@@ -94,11 +100,8 @@ class NGramModel:
     @classmethod
     def load(cls, path) -> "NGramModel":
         payload = load_blob(path, MAGIC)
-        counts = {ctx: Counter(c) for ctx, c in payload["counts"].items()}
         return cls(order=payload["order"],
-                   counts=counts,
-                   context_totals={ctx: sum(c.values()) for ctx, c in counts.items()},
-                   distinct={ctx: len(c) for ctx, c in counts.items()},
+                   counts={ctx: Counter(c) for ctx, c in payload["counts"].items()},
                    vocab=frozenset(payload["vocab"]))
 
 
@@ -122,12 +125,7 @@ def train_lm(corpus: list[list[str]], order: int = 3) -> NGramModel:
                 if word in hapax:
                     counts[ctx][UNK] += 1
     vocab = frozenset(freq) | {BOS, EOS, UNK}
-    counts = dict(counts)
-    return NGramModel(order=order,
-                      counts=counts,
-                      context_totals={ctx: sum(c.values()) for ctx, c in counts.items()},
-                      distinct={ctx: len(c) for ctx, c in counts.items()},
-                      vocab=vocab)
+    return NGramModel(order=order, counts=dict(counts), vocab=vocab)
 
 
 def perplexity(model: NGramModel, sentence: list[str]) -> float:

@@ -105,7 +105,7 @@ class TrainConfig:
     def from_file(cls, path) -> "TrainConfig":
         """Plain key=value file; '#' starts a comment."""
         values = {}
-        casts = {f.name: f.type for f in fields(cls)}
+        names = {f.name for f in fields(cls)}
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -113,27 +113,30 @@ class TrainConfig:
                     continue
                 key, sep, value = line.partition("=")
                 key = key.strip()
-                if not sep or key not in casts:
+                if not sep or key not in names:
                     raise ValueError(f"{path}:{line_no}: bad config line '{line}'")
-                values[key] = _cast_config_value(key, value.strip())
+                try:
+                    values[key] = _cast_config_value(key, value.strip())
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
         return cls(**values)
 
     def merged(self, **overrides) -> "TrainConfig":
         return replace(self, **overrides)
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _cast_config_value(key: str, value: str):
-    defaults = TrainConfig()
-    current = getattr(defaults, key)
     if key == "embeddings_path":
         return value or None
-    if isinstance(current, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    return value
+    kind = type(getattr(TrainConfig(), key))
+    try:
+        return _BOOLS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        expected = "one of 1/0/true/false/yes/no" if kind is bool else kind.__name__
+        raise ValueError(f"{key} must be {expected}, got '{value}'") from None
 
 
 def build_transitions(label_vocab: Vocab) -> list[Transition]:

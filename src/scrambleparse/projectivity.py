@@ -5,6 +5,11 @@ projective. The lifted dependent's label is rewritten to
 ``<original>∥<label-of-original-head>`` and every arc on the lifting
 chain gets a ``†`` suffix, so that a breadth-first search from the
 lifted head can undo the transformation after parsing.
+
+Every test reads the tree's ``conllu.tree_shape``: a token descends from
+a head when its preorder position falls inside the head's subtree, and a
+head whose subtree is contiguous cannot have a crossing arc, so a
+projective tree is checked in linear time.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .conllu import DepTree, Treebank
+from .conllu import DepTree, Treebank, tree_shape
 
 HEAD_SEP = "∥"   # ∥ joins original label and original-head label
 PATH_MARK = "†"  # † suffix on arcs along the lifting chain
@@ -33,39 +38,30 @@ def base_label(label: str) -> str:
     return label.rstrip(PATH_MARK)
 
 
-def _descendant_sets(heads: dict[int, int], n: int) -> dict[int, set[int]]:
-    children: dict[int, list[int]] = {i: [] for i in range(n + 1)}
-    for d, h in heads.items():
-        children[h].append(d)
-    order = [0]  # breadth-first; walked backwards, every child comes before its head
-    for node in order:
-        order.extend(children[node])
-    out: dict[int, set[int]] = {}
-    for node in reversed(order):
-        acc: set[int] = set()
-        for c in children[node]:
-            acc.add(c)
-            acc |= out[c]
-        out[node] = acc
-    return out
-
-
-def _nonprojective_arcs(heads: dict[int, int], n: int) -> list[tuple[int, int]]:
-    desc = _descendant_sets(heads, n)
+def _nonprojective_arcs(heads: list[int]) -> list[tuple[int, int]]:
+    """(head, dependent) arcs with a token between them that the head does
+    not dominate. A head whose subtree is contiguous has none."""
+    shape = tree_shape(heads)
+    pre, size, lo, hi = shape.pre, shape.size, shape.lo, shape.hi
     bad = []
-    for d, h in heads.items():
-        if h == 0:
-            continue  # arcs from the artificial root cannot cross anything
-        lo, hi = (h, d) if h < d else (d, h)
-        if any(k not in desc[h] for k in range(lo + 1, hi)):
+    for d in range(1, len(heads)):
+        h = heads[d]
+        if h == 0 or hi[h] - lo[h] + 1 == size[h]:
+            continue  # arcs from ROOT or over a contiguous subtree cross nothing
+        first, end = pre[h], pre[h] + size[h]
+        a, b = (h, d) if h < d else (d, h)
+        if any(not first < pre[k] < end for k in range(a + 1, b)):
             bad.append((h, d))
     return bad
 
 
+def _head_column(tree: DepTree) -> list[int]:
+    return [0] + [t.head for t in tree.tokens]
+
+
 def is_projective(tree: DepTree) -> bool:
     """True iff every token between a head and its dependent descends from the head."""
-    heads = {t.index: t.head for t in tree.tokens}
-    return not _nonprojective_arcs(heads, len(tree.tokens))
+    return not _nonprojective_arcs(_head_column(tree))
 
 
 def nonprojective_arc_ratio(tb: Treebank) -> float:
@@ -73,9 +69,8 @@ def nonprojective_arc_ratio(tb: Treebank) -> float:
     total = 0
     bad = 0
     for tree in tb:
-        heads = {t.index: t.head for t in tree.tokens}
         total += len(tree.tokens)
-        bad += len(_nonprojective_arcs(heads, len(tree.tokens)))
+        bad += len(_nonprojective_arcs(_head_column(tree)))
     if total == 0:
         raise ValueError("cannot compute non-projective ratio of an empty treebank")
     return bad / total
@@ -87,14 +82,12 @@ def projectivize(tree: DepTree) -> tuple[DepTree, list[LiftRecord]]:
     Returns the transformed tree and one record per lifted dependent.
     Projective input comes back unchanged with an empty record list.
     """
-    n = len(tree.tokens)
-    heads = {t.index: t.head for t in tree.tokens}
-    orig_heads = dict(heads)
+    heads = _head_column(tree)
     orig_labels = {t.index: t.deprel for t in tree.tokens}
     first_lift: dict[int, int] = {}
 
     while True:
-        bad = _nonprojective_arcs(heads, n)
+        bad = _nonprojective_arcs(heads)
         if not bad:
             break
         # Shortest arc first keeps the number of lifts minimal.
@@ -140,46 +133,35 @@ def deprojectivize(tree: DepTree) -> DepTree:
     ``target``; path-marked arcs are explored first, ties leftmost-first.
     If no target is found the encoding is stripped and the attachment kept.
     """
-    heads = {t.index: t.head for t in tree.tokens}
+    heads = _head_column(tree)
     labels = {t.index: t.deprel for t in tree.tokens}
-
-    def child_order(node: int) -> list[int]:
-        kids = [d for d, h in heads.items() if h == node]
-        return sorted(kids, key=lambda k: (not labels[k].endswith(PATH_MARK), k))
-
-    def depth(i: int) -> int:
-        d = 0
-        node = i
-        while node != 0:
-            node = heads[node]
-            d += 1
-        return d
-
     # Outermost first (closest to root) so nested reattachments see the
     # already-recovered structure above them.
-    encoded = sorted((i for i in heads if HEAD_SEP in labels[i]),
-                     key=lambda i: (depth(i), i))
+    depth = tree_shape(heads).depth
+    encoded = sorted((i for i in labels if HEAD_SEP in labels[i]), key=lambda i: (depth[i], i))
     for d in encoded:
         base, _, target = labels[d].partition(HEAD_SEP)
         base = base.rstrip(PATH_MARK)
         target = target.rstrip(PATH_MARK)
-        start = heads[d]
+        # Heads change with every reattachment, so each label gets its own shape.
+        shape = tree_shape(heads)
+        children, pre = shape.children, shape.pre
         # Reattaching inside d's own subtree would create a cycle.
-        forbidden = {d}
-        stack = [d]
-        while stack:
-            node = stack.pop()
-            kids = [k for k, h in heads.items() if h == node and k not in forbidden]
-            forbidden.update(kids)
-            stack.extend(kids)
-        queue = deque(k for k in child_order(start) if k not in forbidden)
+        first, end = pre[d], pre[d] + shape.size[d]
+
+        def child_order(node: int) -> list[int]:
+            """Children outside d's subtree, path-marked first, then leftmost."""
+            return sorted((k for k in children[node] if not first <= pre[k] < end),
+                          key=lambda k: not labels[k].endswith(PATH_MARK))
+
+        queue = deque(child_order(heads[d]))
         found = None
         while queue:
             node = queue.popleft()
             if base_label(labels[node]) == target:
                 found = node
                 break
-            queue.extend(k for k in child_order(node) if k not in forbidden)
+            queue.extend(child_order(node))
         if found is None:
             warnings.warn(f"no attachment target labelled '{target}' found for token {d}; "
                           "keeping lifted attachment")

@@ -41,7 +41,6 @@ class DeprelMapping:
     """Bridges a label inventory to subject/object roles for order labelling."""
     subject_labels: frozenset[str]
     object_labels: frozenset[str]
-    permutable_labels: frozenset[str] | None = None  # None means all labels
     frozen_labels: frozenset[str] = frozenset({"punct"})
 
     def __post_init__(self):
@@ -120,7 +119,7 @@ class PermutationBatch:
 
 
 def _verbal_heads(tree: DepTree, mapping: DeprelMapping,
-                  children: dict[int, list[int]]) -> list[int]:
+                  children: list[list[int]]) -> list[int]:
     role_labels = mapping.subject_labels | mapping.object_labels
     heads = []
     for tok in tree.tokens:
@@ -133,23 +132,18 @@ def _verbal_heads(tree: DepTree, mapping: DeprelMapping,
 
 def extract_projections(tree: DepTree, mapping: DeprelMapping) -> list[VerbalProjection]:
     """One projection per verbal head; constituents are the head's direct
-    dependents' full subtrees, minus frozen (and non-permutable) labels."""
+    dependents' full subtrees, minus frozen labels."""
     if not is_projective(tree):
         raise ValueError(f"sentence {tree.label()} is non-projective; projectivize first")
-    children = tree.children_map()
+    shape = tree.shape()
+    children = shape.children
     projections = []
     for v in _verbal_heads(tree, mapping, children):
-        roots = []
-        for c in children[v]:
-            lbl = base_label(tree.deprel_of(c))
-            if lbl in mapping.frozen_labels:
-                continue
-            if mapping.permutable_labels is not None and lbl not in mapping.permutable_labels:
-                continue
-            roots.append(c)
+        roots = [c for c in children[v]
+                 if base_label(tree.deprel_of(c)) not in mapping.frozen_labels]
         span_map = {v: (v, v)}
         for r in roots:
-            span_map[r] = tree.subtree_span(r)
+            span_map[r] = (shape.lo[r], shape.hi[r])
         spans = sorted(span_map.values())
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             if lo <= hi:
@@ -164,24 +158,15 @@ def _clause_roles(tree: DepTree, mapping: DeprelMapping) -> list[tuple[int, list
     """The shallowest verbal heads of ``tree``, each with its subject and
     object children. Relinearizing the tree changes none of these; it only
     changes which of the heads comes first."""
-    children = tree.children_map()
+    shape = tree.shape()
+    children, depth = shape.children, shape.depth
     heads = _verbal_heads(tree, mapping, children)
     if not heads:
         return []
-
-    def depth(i: int) -> int:
-        d = 0
-        node = i
-        while node != 0:
-            node = tree.head_of(node)
-            d += 1
-        return d
-
-    depths = {h: depth(h) for h in heads}
-    top = min(depths.values())
+    top = min(depth[h] for h in heads)
     roles = []
     for h in heads:
-        if depths[h] == top:
+        if depth[h] == top:
             subjects = [c for c in children[h]
                         if base_label(tree.deprel_of(c)) in mapping.subject_labels]
             objects = [c for c in children[h]

@@ -252,6 +252,36 @@ def test_train_parse_eval_cycle(tmp_path, capsys):
     assert "LAS\t" in text
 
 
+@pytest.mark.parametrize("bad_line, fault", [
+    ("pseudo_projective = ture", "pseudo_projective must be one of 1/0/true/false/yes/no"),
+    ("epochs = 3.5", "epochs must be int, got '3.5'"),
+    ("lr = fast", "lr must be float, got 'fast'"),
+    ("no_such_key = 1", "bad config line 'no_such_key = 1'"),
+])
+def test_malformed_config_value_names_file_and_line(tmp_path, capsys, bad_line, fault):
+    train_path = tmp_path / "train.conllu"
+    cfg = tmp_path / "train.cfg"
+    run(["gen-synthetic", "--n", "3", "--out", str(train_path)])
+    cfg.write_text(f"# tiny\nword_dim = 8\n{bad_line}\n")
+    capsys.readouterr()
+    assert run(["train", "--train", str(train_path), "--out", str(tmp_path / "m.spnn"),
+                "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error [scrambleparse.parser]: {cfg}:3: {fault}")
+    assert not (tmp_path / "m.spnn").exists()
+
+
+def test_config_bools_accept_any_case(tmp_path):
+    from scrambleparse.parser import TrainConfig
+
+    cfg = tmp_path / "train.cfg"
+    for text, expected in [("TRUE", True), ("Yes", True), ("1", True),
+                           ("False", False), ("NO", False), ("0", False)]:
+        cfg.write_text(f"pseudo_projective = {text}\n")
+        assert TrainConfig.from_file(cfg).pseudo_projective is expected
+
+
 def test_parse_matches_per_sentence_parsing_and_has_no_jobs(tmp_path, capsys):
     from scrambleparse.parser import ParserModel, parse_tree
 

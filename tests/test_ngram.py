@@ -50,9 +50,8 @@ def test_uniform_model_perplexity_equals_vocab_size():
     # the Witten-Bell unigram exactly uniform.
     words = ["a", "b", "c", "d", EOS, UNK]
     counts = {(): {w: 3 for w in words}}
-    model = NGramModel(order=1, counts=counts,
-                       context_totals={(): 18}, distinct={(): 6},
-                       vocab=frozenset(words) | {BOS})
+    model = NGramModel(order=1, counts=counts, vocab=frozenset(words) | {BOS})
+    assert (model.context_totals, model.distinct) == ({(): 18}, {(): 6})
     v = model.event_vocab_size
     assert v == 6
     for w in words:
@@ -155,8 +154,6 @@ def test_filter_deterministic_under_ties():
     # Uniform model scores every permutation identically: tie-break on perm.
     words = sorted({t.form for t in batch.source.tokens}) + [EOS, UNK]
     model = NGramModel(order=1, counts={(): {w: 2 for w in words}},
-                       context_totals={(): 2 * len(words)},
-                       distinct={(): len(words)},
                        vocab=frozenset(words) | {BOS})
     f1 = filter_by_perplexity(batch, model, k=5)
     f2 = filter_by_perplexity(batch, model, k=5)

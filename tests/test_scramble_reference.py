@@ -41,8 +41,15 @@ MODELS = {order: train_lm(_lm_corpus(), order=order) for order in (1, 2, 3)}
 
 # --- reference versions --------------------------------------------------
 
+def ref_children(tree):
+    children = {i: [] for i in range(len(tree.tokens) + 1)}
+    for t in tree.tokens:
+        children[t.head].append(t.index)
+    return children
+
+
 def ref_verbal_heads(tree, mapping):
-    children = tree.children_map()
+    children = ref_children(tree)
     role_labels = mapping.subject_labels | mapping.object_labels
     heads = []
     for tok in tree.tokens:
@@ -67,7 +74,7 @@ def ref_classify_order(tree, mapping):
         return d
 
     main = min(heads, key=lambda i: (depth(i), i))
-    children = tree.children_map()[main]
+    children = ref_children(tree)[main]
     subjects = [c for c in children if base_label(tree.deprel_of(c)) in mapping.subject_labels]
     objects = [c for c in children if base_label(tree.deprel_of(c)) in mapping.object_labels]
     if len(subjects) != 1 or len(objects) != 1:
