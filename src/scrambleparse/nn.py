@@ -7,6 +7,11 @@ cross-entropy, inverted dropout, and momentum SGD with L2. The
 forward passes return explicit caches so layers can be reused
 re-entrantly. The LSTM layers run one sequence or a length-masked
 padded batch of them, for training and inference alike.
+
+Once an optimizer exists, parameters live in its flat buffers: each
+``p.value`` is a view, and rebinding it detaches the parameter. The clip
+norm is one dot product over the gradient buffer; summed parameter by
+parameter before, it can change only steps where clipping engages.
 """
 
 from __future__ import annotations
@@ -299,28 +304,41 @@ class MLP:
         return self.lin1.params() + self.lin2.params()
 
 
+# Elements per optimizer update block: its four arrays stay in L2 for six passes.
+STEP_BLOCK = 32_768
+
+
 class MomentumSGD:
     """v <- mu*v - lr*(grad + l2*theta); theta <- theta + v.
 
     Gradients are rescaled to ``clip_norm`` (global L2 norm) before the
     update when they exceed it; recurrent nets need this to survive the
-    occasional exploding backpropagated gradient.
+    occasional exploding backpropagated gradient. ``values``, ``grads``
+    and ``velocity`` are flat buffers in parameter order.
     """
 
     def __init__(self, params, lr: float = 0.01, momentum: float = 0.9, l2: float = 1e-6,
                  clip_norm: float | None = 5.0):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("a parameter is passed to the optimizer twice")
         self.lr = lr
         self.momentum = momentum
         self.l2 = l2
         self.clip_norm = clip_norm
-        self.velocity = [np.zeros_like(p.value) for p in self.params]
-        self._scratch = [np.empty_like(p.value) for p in self.params]
+        n = sum(p.value.size for p in self.params)
+        self.values, self.grads, self.velocity = np.empty(n), np.empty(n), np.zeros(n)
+        at = 0
+        for p in self.params:
+            value, grad = (b[at:at + p.value.size].reshape(p.value.shape)
+                           for b in (self.values, self.grads))
+            value[...], grad[...] = p.value, p.grad
+            p.value, p.grad, at = value, grad, at + p.value.size
+        self._scratch = np.empty(min(n, STEP_BLOCK))
 
     def step(self):
-        sq = 0.0
-        for p, buf in zip(self.params, self._scratch):
-            sq += float(np.multiply(p.grad, p.grad, out=buf).sum())
+        g = self.grads
+        sq = float(np.dot(g, g))
         if not np.isfinite(sq):
             # NaN or inf in some gradient, or finite ones whose squares
             # overflow; only the former is an error.
@@ -329,23 +347,29 @@ class MomentumSGD:
                     raise FloatingPointError(f"non-finite gradient in {p.name}")
         scale = 1.0
         if self.clip_norm is not None and sq > self.clip_norm ** 2:
-            scale = self.clip_norm / np.sqrt(sq)
-        for p, v, buf in zip(self.params, self.velocity, self._scratch):
+            if np.isinf(sq):  # squares overflowed: norm = m * sqrt(sum((g/m)^2)), m = max |g|
+                m = np.abs(g).max()
+                scale = self.clip_norm / m / np.sqrt(np.dot(g / m, g / m))
+            else:
+                scale = self.clip_norm / np.sqrt(sq)
+        for lo in range(0, g.size, STEP_BLOCK):
+            block = slice(lo, lo + STEP_BLOCK)
+            theta, v, grad = self.values[block], self.velocity[block], g[block]
+            buf = self._scratch[:theta.size]
             # buf = lr * (scale * grad + l2 * value), same rounding as written
             if scale == 1.0:
-                np.multiply(p.value, self.l2, out=buf)
-                buf += p.grad
+                np.multiply(theta, self.l2, out=buf)
+                buf += grad
             else:
-                np.multiply(p.grad, scale, out=buf)
-                buf += self.l2 * p.value
+                np.multiply(grad, scale, out=buf)
+                buf += self.l2 * theta
             buf *= self.lr
             v *= self.momentum
             v -= buf
-            p.value += v
+            theta += v
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grads.fill(0.0)
 
 
 def save_checkpoint(path, params, meta: dict) -> None:

@@ -471,11 +471,10 @@ def _fit(model: ParserModel | TaggerModel, examples: list[tuple], loss_fn, dev_s
             msg += f", {dev_name} {score:.2f}"
             if score > best_score:
                 best_score = score
-                best_values = [p.value.copy() for p in model.params()]
+                best_values = opt.values.copy()
         log.info(msg)
     if best_values is not None:
-        for p, v in zip(model.params(), best_values):
-            p.value[...] = v
+        opt.values[...] = best_values
     return model
 
 

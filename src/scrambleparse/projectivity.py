@@ -18,7 +18,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .conllu import DepTree, Treebank, tree_shape
+from .conllu import DepTree, TreeShape, Treebank, tree_shape
 
 HEAD_SEP = "∥"   # ∥ joins original label and original-head label
 PATH_MARK = "†"  # † suffix on arcs along the lifting chain
@@ -38,10 +38,11 @@ def base_label(label: str) -> str:
     return label.rstrip(PATH_MARK)
 
 
-def _nonprojective_arcs(heads: list[int]) -> list[tuple[int, int]]:
+def _nonprojective_arcs(heads: list[int], shape: TreeShape | None = None) -> list[tuple[int, int]]:
     """(head, dependent) arcs with a token between them that the head does
-    not dominate. A head whose subtree is contiguous has none."""
-    shape = tree_shape(heads)
+    not dominate. A head whose subtree is contiguous has none. ``shape``
+    is the head column's ``tree_shape``, built here when not given."""
+    shape = shape or tree_shape(heads)
     pre, size, lo, hi = shape.pre, shape.size, shape.lo, shape.hi
     bad = []
     for d in range(1, len(heads)):
@@ -59,9 +60,10 @@ def _head_column(tree: DepTree) -> list[int]:
     return [0] + [t.head for t in tree.tokens]
 
 
-def is_projective(tree: DepTree) -> bool:
-    """True iff every token between a head and its dependent descends from the head."""
-    return not _nonprojective_arcs(_head_column(tree))
+def is_projective(tree: DepTree, shape: TreeShape | None = None) -> bool:
+    """True iff every token between a head and its dependent descends from
+    the head. ``shape`` is the tree's shape, when the caller has built it."""
+    return not _nonprojective_arcs(_head_column(tree), shape)
 
 
 def nonprojective_arc_ratio(tb: Treebank) -> float:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .conllu import DepTree, Treebank
+from .conllu import DepTree, TreeShape, Treebank
 from .projectivity import base_label, is_projective
 
 MAX_UNITS_WITHOUT_LIMIT = 8  # 8! = 40320 variants; beyond that require an explicit cap
@@ -62,6 +62,8 @@ class VerbalProjection:
     verb_index: int
     constituent_roots: tuple[int, ...]
     span_map: dict  # unit root (verb included) -> inclusive (lo, hi) span
+    # The source tree's shape, so permuting does not walk the tree again.
+    shape: TreeShape | None = field(default=None, compare=False, repr=False)
 
     @property
     def unit_count(self) -> int:
@@ -133,9 +135,9 @@ def _verbal_heads(tree: DepTree, mapping: DeprelMapping,
 def extract_projections(tree: DepTree, mapping: DeprelMapping) -> list[VerbalProjection]:
     """One projection per verbal head; constituents are the head's direct
     dependents' full subtrees, minus frozen labels."""
-    if not is_projective(tree):
-        raise ValueError(f"sentence {tree.label()} is non-projective; projectivize first")
     shape = tree.shape()
+    if not is_projective(tree, shape):
+        raise ValueError(f"sentence {tree.label()} is non-projective; projectivize first")
     children = shape.children
     projections = []
     for v in _verbal_heads(tree, mapping, children):
@@ -150,15 +152,16 @@ def extract_projections(tree: DepTree, mapping: DeprelMapping) -> list[VerbalPro
                 raise ValueError(f"overlapping constituent spans in {tree.label()}")
         projections.append(VerbalProjection(verb_index=v,
                                             constituent_roots=tuple(roots),
-                                            span_map=span_map))
+                                            span_map=span_map, shape=shape))
     return projections
 
 
-def _clause_roles(tree: DepTree, mapping: DeprelMapping) -> list[tuple[int, list[int], list[int]]]:
-    """The shallowest verbal heads of ``tree``, each with its subject and
-    object children. Relinearizing the tree changes none of these; it only
-    changes which of the heads comes first."""
-    shape = tree.shape()
+def _clause_roles(tree: DepTree, mapping: DeprelMapping,
+                  shape: TreeShape | None = None) -> list[tuple[int, list[int], list[int]]]:
+    """The shallowest verbal heads of ``tree`` (of shape ``shape``), each
+    with its subject and object children. Relinearizing the tree changes
+    none of these; it only changes which of the heads comes first."""
+    shape = shape or tree.shape()
     children, depth = shape.children, shape.depth
     heads = _verbal_heads(tree, mapping, children)
     if not heads:
@@ -260,7 +263,7 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
     else:
         perms = [tuple(p) for p in itertools.permutations(range(m))]
 
-    roles = _clause_roles(tree, mapping)
+    roles = _clause_roles(tree, mapping, projection.shape)
     base = list(range(1, len(forms) + 1))
     variants = []
     for perm in perms:

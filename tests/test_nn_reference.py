@@ -3,7 +3,8 @@
 ``LSTMCell.run``, ``LSTMCell.backward`` and ``MomentumSGD.step`` write
 through preallocated buffers and fused slices; the loops below are the
 straightforward versions they replaced. The arithmetic is meant to be
-the same, so every comparison is ``np.array_equal``, not a tolerance.
+the same, so every comparison is ``np.array_equal``, not a tolerance
+(``ref_step`` sums the clip norm in the optimizer's order).
 """
 
 import copy
@@ -88,14 +89,25 @@ def ref_backward(cell, dHs, cache):
 
 
 def ref_step(params, velocity, lr, momentum, l2, clip_norm):
-    sq = 0.0
+    """Momentum SGD with L2 and global-norm clipping, parameter by parameter.
+
+    The squared norm is one ``np.dot`` over the gradients concatenated in
+    parameter order, the summation ``MomentumSGD.step`` does over its flat
+    gradient buffer. When the squares overflow, the norm is
+    ``m * sqrt(sum((g / m) ** 2))`` with m the largest |g|.
+    """
     for p in params:
         if not np.all(np.isfinite(p.grad)):
             raise FloatingPointError(f"non-finite gradient in {p.name}")
-        sq += float((p.grad * p.grad).sum())
+    g = np.concatenate([p.grad.ravel() for p in params])
+    sq = float(np.dot(g, g))
     scale = 1.0
     if clip_norm is not None and sq > clip_norm ** 2:
-        scale = clip_norm / np.sqrt(sq)
+        if np.isinf(sq):
+            m = np.abs(g).max()
+            scale = clip_norm / m / np.sqrt(np.dot(g / m, g / m))
+        else:
+            scale = clip_norm / np.sqrt(sq)
     for p, v in zip(params, velocity):
         v *= momentum
         v -= lr * (scale * p.grad + l2 * p.value)
@@ -154,6 +166,15 @@ def _params(rng, shapes, grad_scale):
     return params
 
 
+def _velocity_views(opt):
+    """Each parameter's slice of the optimizer's flat velocity buffer."""
+    views, at = [], 0
+    for p in opt.params:
+        views.append(opt.velocity[at:at + p.value.size].reshape(p.value.shape))
+        at += p.value.size
+    return views
+
+
 def _assert_step_matches(params, clip_norm, lr=0.05, momentum=0.9, l2=1e-3, steps=3, rng=None):
     ref = copy.deepcopy(params)
     opt = nn.MomentumSGD(params, lr=lr, momentum=momentum, l2=l2, clip_norm=clip_norm)
@@ -162,7 +183,7 @@ def _assert_step_matches(params, clip_norm, lr=0.05, momentum=0.9, l2=1e-3, step
         grads = [p.grad.copy() for p in params]
         opt.step()
         ref_step(ref, ref_velocity, lr, momentum, l2, clip_norm)
-        for p, q, v, w, g in zip(params, ref, opt.velocity, ref_velocity, grads):
+        for p, q, v, w, g in zip(params, ref, _velocity_views(opt), ref_velocity, grads):
             assert np.array_equal(p.value, q.value), p.name
             assert np.array_equal(v, w), p.name
             assert np.array_equal(p.grad, g), "step must not touch the gradient"
@@ -175,8 +196,10 @@ def _assert_step_matches(params, clip_norm, lr=0.05, momentum=0.9, l2=1e-3, step
 @given(shapes=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=4),
        clip=st.sampled_from([None, 0.5, 5.0, 1e6]), grad_scale=st.sampled_from([1e-3, 1.0, 30.0]),
        momentum=st.sampled_from([0.0, 0.9]), l2=st.sampled_from([0.0, 1e-6, 0.1]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_sgd_step_matches_reference(shapes, clip, grad_scale, momentum, l2, seed):
+       wide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sgd_step_matches_reference(shapes, clip, grad_scale, momentum, l2, wide, seed):
+    if wide:  # a parameter that straddles the first STEP_BLOCK boundary
+        shapes = shapes[:1] + [(181, 200)] + shapes[1:]
     rng = np.random.default_rng(seed)
     params = _params(rng, shapes, grad_scale)
     _assert_step_matches(params, clip, momentum=momentum, l2=l2, rng=rng)
@@ -200,4 +223,42 @@ def test_overflowing_squares_update_like_reference(clip):
     rng = np.random.default_rng(2)
     params = _params(rng, [(3, 2), (4,)], 1.0)
     params[1].grad[...] = 1e200  # finite, but its square is inf
-    _assert_step_matches(params, clip, steps=1)
+    before = np.concatenate([p.value.ravel() for p in params])
+    lr, l2 = 0.05, 1e-3
+    _assert_step_matches(params, clip, lr=lr, l2=l2, steps=1)
+    if clip is not None:
+        # The gradient is rescaled to norm clip, not dropped.
+        step = np.concatenate([p.value.ravel() for p in params]) - before
+        assert np.isclose(np.linalg.norm(step + lr * l2 * before), lr * clip, rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_optimizer_owns_parameter_storage(shapes, seed):
+    rng = np.random.default_rng(seed)
+    params = _params(rng, shapes, 1.0)
+    values = [p.value.copy() for p in params]
+    grads = [p.grad.copy() for p in params]
+    opt = nn.MomentumSGD(params, lr=0.1, momentum=0.9, l2=0.0, clip_norm=None)
+    for p, v, g in zip(params, values, grads):
+        assert p.value.shape == v.shape and p.value.tobytes() == v.tobytes(), p.name
+        assert p.grad.shape == g.shape and p.grad.tobytes() == g.tobytes(), p.name
+        assert np.shares_memory(p.value, opt.values), p.name
+        assert np.shares_memory(p.grad, opt.grads), p.name
+
+    opt.zero_grad()
+    assert all(not p.grad.any() for p in params)
+    added = [rng.normal(size=p.value.shape) for p in params]
+    for p, a in zip(params, added):
+        p.grad += a
+    G = np.concatenate([a.ravel() for a in added])
+    before = opt.values.copy()
+    opt.step()  # from zero velocity: theta - lr * g
+    assert np.array_equal(opt.values, before - 0.1 * G)
+    assert np.array_equal(opt.grads, G), "step must not touch the gradient"
+    opt.zero_grad()
+    assert all(not p.grad.any() for p in params)
+
+    with pytest.raises(ValueError, match="twice"):
+        nn.MomentumSGD(params + params[:1])

@@ -1,10 +1,12 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from helpers import pool_skew, random_projective_tree, transitive_tree
+from scrambleparse import conllu, projectivity
 from scrambleparse.conllu import DepTree, Token, Treebank, validate_tree
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import (OrderLabel, PermutationBatch,
@@ -302,3 +304,20 @@ def test_permutation_count_matches_factorial_on_random_trees():
                 assert len(batch.variants) == math.factorial(p.unit_count)
                 checked += 1
     assert checked > 10
+
+
+def test_permute_path_builds_each_tree_shape_once():
+    calls = []
+    real = conllu.tree_shape
+
+    def counting(heads):
+        calls.append(len(heads))
+        return real(heads)
+
+    tree = transitive_tree("SOV", with_io=True)
+    with mock.patch.object(conllu, "tree_shape", counting), \
+            mock.patch.object(projectivity, "tree_shape", counting):
+        (projection,) = extract_projections(tree, UD_MAPPING)
+        batch = permute_projection(tree, projection)
+    assert len(calls) == 1
+    assert batch.variants

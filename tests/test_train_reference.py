@@ -10,11 +10,15 @@ the checkpoint bytes and the epoch log lines must all be identical.
 """
 
 import logging
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scrambleparse import nn
+from scrambleparse import nn, parser
 from scrambleparse.conllu import Treebank
 from scrambleparse.parser import (ParserModel, TaggerModel, TrainConfig, _init_model,
                                   build_vocabs, oracle_rollout, parse_batch, sentence_loss,
@@ -222,3 +226,28 @@ def test_train_tagger_matches_reference(case, tmp_path, caplog):
     new = _run(train_tagger, TaggerModel.save, train, dev, cfg, tmp_path / "new.spnn", caplog)
     _assert_same(ref, new)
     assert len(new[1]) == cfg.epochs
+
+
+@settings(max_examples=8, deadline=None)
+@given(scores=st.lists(st.sampled_from([10.0, 20.0, 30.0]), min_size=3, max_size=3))
+def test_train_parser_restores_best_epoch_values(scores):
+    """With a dev set, training ends on the values the best-scoring epoch
+    was scored with (the first of equal best scores), read through the
+    parameter views of the optimizer's buffer."""
+    train, dev = _data()
+    snapshots = []
+    real_parse_batch = parser.parse_batch
+
+    def parse_batch(model, trees):
+        snapshots.append([p.value.copy() for p in model.params()])
+        return real_parse_batch(model, trees)
+
+    dev_scores = iter(scores)
+    with mock.patch.object(parser, "parse_batch", parse_batch), \
+            mock.patch.object(parser.metrics, "score",
+                              lambda gold, pred: SimpleNamespace(las=next(dev_scores))):
+        model = train_parser(train, dev, BASE)
+    assert len(snapshots) == BASE.epochs
+    best = snapshots[scores.index(max(scores))]
+    for p, v in zip(model.params(), best, strict=True):
+        assert p.value.tobytes() == v.tobytes(), p.name
