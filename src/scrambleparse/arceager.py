@@ -155,11 +155,11 @@ def tree_from_config(c: Configuration, tokens: list[Token],
     the output is always a well-formed tree. ``upos``, when given,
     replaces the tokens' tags.
     """
-    from dataclasses import replace
-
     tags = [tok.upos for tok in tokens] if upos is None else upos
     out = []
     for tok, tag in zip(tokens, tags):
         head, label = c.heads.get(tok.index, (0, FALLBACK_LABEL))
-        out.append(replace(tok, head=head, deprel=label, upos=tag))
+        out.append(Token(index=tok.index, form=tok.form, lemma=tok.lemma, upos=tag,
+                         xpos=tok.xpos, feats=tok.feats, head=head, deprel=label,
+                         misc=tok.misc))
     return DepTree(tokens=out)

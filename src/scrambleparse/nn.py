@@ -8,49 +8,84 @@ forward passes return explicit caches so layers can be reused
 re-entrantly. The LSTM layers run one sequence or a length-masked
 padded batch of them, for training and inference alike.
 
-Once an optimizer exists, parameters live in its flat buffers: each
-``p.value`` is a view, and rebinding it detaches the parameter. The clip
-norm is one dot product over the gradient buffer; summed parameter by
-parameter before, it can change only steps where clipping engages.
+Layers draw their initial parameters from a generator, or take them
+from a checkpoint's arrays (``param``), which are views of the one buffer
+the file was read into. Once an optimizer exists, parameters live in its
+flat buffers: each ``p.value`` is a view, and rebinding it detaches the
+parameter. The clip norm is one dot product over the gradient buffer;
+summed parameter by parameter before, it can change only steps where
+clipping engages.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .serialize import load_blob, save_blob
+from .serialize import load_arrays, save_arrays
 
-CHECKPOINT_MAGIC = b"SPNN1"
+CHECKPOINT_MAGIC = b"SPNN2"
 
 
 class Param:
-    """A named trainable array with an accumulated gradient."""
+    """A named trainable array with an accumulated gradient.
 
-    __slots__ = ("name", "value", "grad")
+    The gradient is allocated, as zeros, the first time it is read, so a
+    model that only runs inference has none.
+    """
+
+    __slots__ = ("name", "value", "_grad")
 
     def __init__(self, value, name: str):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros(self.value.shape)  # calloc'd: no page is touched until used
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros(self.value.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, grad):
+        self._grad = grad
 
     def zero_grad(self):
         self.grad[...] = 0.0
 
 
-class NoDraw:
-    """Generator stand-in whose ``uniform`` returns zeros without drawing.
+def param(rng, name: str, shape: tuple, init) -> Param:
+    """A new parameter of ``shape``, its value ``init(rng, shape)``.
 
-    For building a model whose every parameter is then overwritten from a
-    checkpoint, so loading pays for no random initialisation.
+    ``rng`` is the generator the value is drawn from, or a checkpoint's
+    arrays by name (``load_checkpoint``). Then the array called ``name`` is
+    taken out of them and becomes the value as it is, so what is left once
+    a model is built is what the model does not have.
     """
+    if not isinstance(rng, dict):
+        return Param(init(rng, shape), name)
+    value = rng.pop(name, None)
+    if value is None:
+        raise ValueError(f"no parameter {name}")
+    if value.shape != shape:
+        raise ValueError(f"parameter {name} has shape {value.shape}, the model's is {shape}")
+    return Param(value, name)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return np.zeros(size)
 
-
-def glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def glorot(rng, shape) -> np.ndarray:
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def zeros(rng, shape) -> np.ndarray:
+    return np.zeros(shape)
+
+
+def lstm_bias(rng, shape) -> np.ndarray:
+    """Zeros, but 1 on the forget gate (the second quarter)."""
+    b = np.zeros(shape)
+    b[shape[0] // 4:shape[0] // 2] = 1.0
+    return b
 
 
 def sigmoid(x, out=None):
@@ -100,8 +135,8 @@ def dropout_mask(rng, shape, p: float, training: bool = True) -> np.ndarray:
 
 class Linear:
     def __init__(self, in_dim: int, out_dim: int, rng, name: str):
-        self.W = Param(glorot(rng, in_dim, out_dim, (in_dim, out_dim)), f"{name}.W")
-        self.b = Param(np.zeros(out_dim), f"{name}.b")
+        self.W = param(rng, f"{name}.W", (in_dim, out_dim), glorot)
+        self.b = param(rng, f"{name}.b", (out_dim,), zeros)
 
     def forward(self, X):
         Y = X @ self.W.value + self.b.value
@@ -123,11 +158,9 @@ class LSTMCell:
     def __init__(self, in_dim: int, hidden: int, rng, name: str):
         self.in_dim = in_dim
         self.hidden = hidden
-        self.Wx = Param(glorot(rng, in_dim, 4 * hidden, (in_dim, 4 * hidden)), f"{name}.Wx")
-        self.Wh = Param(glorot(rng, hidden, 4 * hidden, (hidden, 4 * hidden)), f"{name}.Wh")
-        b = np.zeros(4 * hidden)
-        b[hidden:2 * hidden] = 1.0  # forget-gate bias
-        self.b = Param(b, f"{name}.b")
+        self.Wx = param(rng, f"{name}.Wx", (in_dim, 4 * hidden), glorot)
+        self.Wh = param(rng, f"{name}.Wh", (hidden, 4 * hidden), glorot)
+        self.b = param(rng, f"{name}.b", (4 * hidden,), lstm_bias)
 
     def run(self, X, reverse: bool = False, lengths=None, cache: bool = True):
         """Hidden states for every position, and the cache for ``backward``.
@@ -139,7 +172,8 @@ class LSTMCell:
         zero state at its own last position, and padded positions come out
         zero. The cached zero gates have zero derivative, which stops
         ``backward`` there. With ``cache=False`` no per-step state outlives
-        the call.
+        the call, and the cell states and their tanh, which only
+        ``backward`` reads, take two rows and one instead of one per step.
         """
         T = X.shape[0]
         H = self.hidden
@@ -150,30 +184,35 @@ class LSTMCell:
                  ).reshape(X.shape[:-1] + (4 * H,))
         if lengths is not None:
             gates[np.arange(T)[:, None] >= np.asarray(lengths), :2 * H] = -np.inf
-        tanh_cs = np.empty((T,) + batch + (H,))
         # Row k of hs/cs is the state after step k-1 (forward) or step k
         # (reverse), with a zero initial state at the end the pass starts
         # from, so each step's previous state is just the neighbouring row.
+        # Without a cache, cs keeps rows k mod 2 and tanh_cs one row.
+        c_rows, tc_rows = (T + 1, T) if cache else (2, 1)
         hs = np.empty((T + 1,) + batch + (H,))
-        cs = np.empty_like(hs)
+        cs = np.empty((c_rows,) + batch + (H,))
+        tanh_cs = np.empty((tc_rows,) + batch + (H,))
         if reverse:
             order, prev, new = range(T - 1, -1, -1), 1, 0
-            Hs, h_prevs, c_prevs = hs[:T], hs[1:], cs[1:]
-            hs[T] = cs[T] = 0.0
+            hs[T] = cs[T % c_rows] = 0.0
         else:
             order, prev, new = range(T), 0, 1
-            Hs, h_prevs, c_prevs = hs[1:], hs[:T], cs[:T]
             hs[0] = cs[0] = 0.0
         for t in order:
             gate = gates[t]
             gate += hs[t + prev] @ Wh
             sigmoid(gate[..., :3 * H], out=gate[..., :3 * H])
             np.tanh(gate[..., 3 * H:], out=gate[..., 3 * H:])
-            c_new = np.multiply(gate[..., H:2 * H], cs[t + prev], out=cs[t + new])
+            c_new = np.multiply(gate[..., H:2 * H], cs[(t + prev) % c_rows],
+                                out=cs[(t + new) % c_rows])
             c_new += gate[..., :H] * gate[..., 3 * H:]
-            np.tanh(c_new, out=tanh_cs[t])
-            np.multiply(gate[..., 2 * H:3 * H], tanh_cs[t], out=hs[t + new])
-        return Hs, (X, gates, c_prevs, h_prevs, tanh_cs, reverse) if cache else None
+            tanh_c = np.tanh(c_new, out=tanh_cs[t % tc_rows])
+            np.multiply(gate[..., 2 * H:3 * H], tanh_c, out=hs[t + new])
+        Hs = hs[:T] if reverse else hs[1:]
+        if not cache:
+            return Hs, None
+        h_prevs, c_prevs = (hs[1:], cs[1:]) if reverse else (hs[:T], cs[:T])
+        return Hs, (X, gates, c_prevs, h_prevs, tanh_cs, reverse)
 
     def backward(self, dHs, cache):
         X, gates, c_prevs, h_prevs, tanh_cs, reverse = cache
@@ -373,23 +412,14 @@ class MomentumSGD:
 
 
 def save_checkpoint(path, params, meta: dict) -> None:
-    """Versioned binary checkpoint; arrays round-trip bit-exactly."""
-    save_blob(path, CHECKPOINT_MAGIC, {
-        "arrays": {p.name: p.value for p in params},
-        "meta": meta,
-    })
+    """Versioned binary checkpoint (``serialize``); arrays round-trip
+    bit-exactly, and ``meta`` must be JSON."""
+    save_arrays(path, CHECKPOINT_MAGIC, meta, [(p.name, p.value) for p in params])
 
 
-def load_checkpoint(path) -> dict:
-    return load_blob(path, CHECKPOINT_MAGIC)
-
-
-def restore_params(params, arrays: dict) -> None:
-    for p in params:
-        if p.name not in arrays:
-            raise ValueError(f"checkpoint is missing parameter '{p.name}'")
-        stored = np.asarray(arrays[p.name])
-        if stored.shape != p.value.shape:
-            raise ValueError(f"shape mismatch for '{p.name}': "
-                             f"{stored.shape} vs {p.value.shape}")
-        p.value[...] = stored
+def load_checkpoint(path, build=None):
+    """``{"meta": ..., "arrays": {name: array}}``, the arrays views of one
+    buffer holding the file; with ``build``, ``build(meta, arrays)``,
+    which builds its parameters with ``param(arrays, ...)`` and must use
+    every array (``serialize.load_arrays``)."""
+    return load_arrays(path, CHECKPOINT_MAGIC, build)

@@ -139,6 +139,22 @@ def _cast_config_value(key: str, value: str):
         raise ValueError(f"{key} must be {expected}, got '{value}'") from None
 
 
+def _config_from_meta(values) -> TrainConfig:
+    """A checkpoint's saved config, each value of its field's type."""
+    if not isinstance(values, dict):
+        raise ValueError("cfg is not a mapping")
+    defaults = TrainConfig()
+    for key, value in values.items():
+        if key not in defaults.__dict__:
+            raise ValueError(f"cfg has unknown field {key!r}")
+        kind = type(defaults.__dict__[key])
+        ok = (value is None or isinstance(value, str) if key == "embeddings_path"
+              else type(value) is kind or kind is float and type(value) is int)
+        if not ok:
+            raise ValueError(f"cfg field {key} must be {kind.__name__}, got {repr(value)[:40]}")
+    return TrainConfig(**values)
+
+
 def build_transitions(label_vocab: Vocab) -> list[Transition]:
     """Output classes: shift, reduce, then one left/right arc per label."""
     out = [Transition(SHIFT), Transition(REDUCE)]
@@ -149,22 +165,27 @@ def build_transitions(label_vocab: Vocab) -> list[Transition]:
     return out
 
 
+def _embedding(rng, shape):
+    return rng.uniform(-0.25, 0.25, shape)
+
+
 class SentenceEncoder:
-    """Word + char (+ tag) representations through stacked BiLSTM layers."""
+    """Word + char (+ tag) representations through stacked BiLSTM layers.
+
+    ``rng`` draws the initial parameters, or is a checkpoint's arrays
+    (``nn.param``).
+    """
 
     def __init__(self, cfg: TrainConfig, vocabs: VocabSet, rng, use_tags: bool = True):
         self.cfg = cfg
         self.vocabs = vocabs
         self.use_tags = use_tags
-        self.word_emb = nn.Param(rng.uniform(-0.25, 0.25, (len(vocabs.words), cfg.word_dim)),
-                                 "word_emb")
-        self.char_emb = nn.Param(rng.uniform(-0.25, 0.25, (len(vocabs.chars), cfg.char_dim)),
-                                 "char_emb")
+        self.word_emb = nn.param(rng, "word_emb", (len(vocabs.words), cfg.word_dim), _embedding)
+        self.char_emb = nn.param(rng, "char_emb", (len(vocabs.chars), cfg.char_dim), _embedding)
         self.tag_emb = None
         in_dim = cfg.word_dim + 2 * cfg.char_hidden
         if use_tags:
-            self.tag_emb = nn.Param(rng.uniform(-0.25, 0.25, (len(vocabs.tags), cfg.tag_dim)),
-                                    "tag_emb")
+            self.tag_emb = nn.param(rng, "tag_emb", (len(vocabs.tags), cfg.tag_dim), _embedding)
             in_dim += cfg.tag_dim
         self.char_rnn = nn.BiLSTM(cfg.char_dim, cfg.char_hidden, rng, "char_rnn")
         self.stack = nn.BiLSTMStack(in_dim, cfg.enc_hidden, cfg.enc_layers, rng, "enc")
@@ -372,16 +393,22 @@ class _Model:
 
     @classmethod
     def load(cls, path):
-        payload = nn.load_checkpoint(path)
-        meta = payload["meta"]
+        """The saved model, its parameters views of the one buffer the file
+        is read into; a file that does not hold one raises ``ValueError``."""
+        return nn.load_checkpoint(path, build=cls._from_checkpoint)
+
+    @classmethod
+    def _from_checkpoint(cls, meta: dict, arrays: dict):
         if meta.get("kind") != cls.kind:
-            raise ValueError(f"{path} is not a {cls.kind} checkpoint")
-        cfg = TrainConfig(**meta["cfg"])
-        vocabs = VocabSet(**{name: Vocab.from_itos(itos)
-                             for name, itos in meta["vocab_items"].items()})
-        model = _init_model(cls.kind, cfg, vocabs, rng=nn.NoDraw())
-        nn.restore_params(model.params(), payload["arrays"])
-        return model
+            raise ValueError(f"not a {cls.kind} checkpoint")
+        items = meta.get("vocab_items")
+        names = [f.name for f in fields(VocabSet)]
+        if (not isinstance(items, dict) or sorted(items) != sorted(names)
+                or not all(isinstance(itos, list) and all(isinstance(s, str) for s in itos)
+                           for itos in items.values())):
+            raise ValueError(f"vocab_items is not one list of strings each for {names}")
+        vocabs = VocabSet(**{name: Vocab.from_itos(items[name]) for name in names})
+        return _init_model(cls.kind, _config_from_meta(meta.get("cfg")), vocabs, rng=arrays)
 
 
 @dataclass
@@ -421,7 +448,8 @@ class TaggerModel(_Model):
 
 def _init_model(kind: str, cfg: TrainConfig, vocabs: VocabSet,
                 rng=None) -> ParserModel | TaggerModel:
-    """A new parser or tagger; ``rng`` (default: seeded with ``cfg.seed``) draws the weights."""
+    """A new parser or tagger; ``rng`` (default: seeded with ``cfg.seed``)
+    draws the weights, or is a checkpoint's arrays (``nn.param``)."""
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     encoder = SentenceEncoder(cfg, vocabs, rng, use_tags=kind == "parser")
     if kind == "tagger":

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import chain_tree, toy_treebank, transitive_tree
 from scrambleparse.cli import run
-from scrambleparse.conllu import Treebank, dump_treebank, load_treebank
+from scrambleparse.conllu import Treebank, dump_treebank, load_treebank, validate_tree
 from scrambleparse.ngram import NGramModel
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import UD_MAPPING, order_distribution
@@ -152,6 +157,97 @@ def test_truncated_model_files_exit_1(synth_files, capsys, cut):
         assert len(err) == 1
         assert err[0].startswith("error [scrambleparse.serialize]: ")
         assert str(cut_path) in err[0] and "truncated" in err[0]
+
+
+@pytest.fixture(scope="module")
+def spnn_case(tmp_path_factory):
+    """A small saved parser, its bytes, and five sentences to parse with it."""
+    from scrambleparse.parser import TrainConfig, _init_model, build_vocabs
+
+    tmp_path = tmp_path_factory.mktemp("spnn")
+    tb_path = tmp_path / "train.conllu"
+    assert run(["gen-synthetic", "--n", "40", "--out", str(tb_path), "--orders", "uniform",
+                "--seed", "3"]) == 0
+    tb = load_treebank(tb_path)
+    test_path = tmp_path / "test.conllu"
+    dump_treebank(Treebank(tb.trees[:5]), test_path)
+    cfg = TrainConfig(word_dim=6, tag_dim=4, char_dim=4, char_hidden=3, enc_hidden=5,
+                      mlp_hidden=8, seed=1)
+    model_path = tmp_path / "parser.spnn"
+    _init_model("parser", cfg, build_vocabs(tb)).save(model_path)
+    return tmp_path, model_path.read_bytes(), test_path
+
+
+def _parse_with_model_bytes(case, data: bytes):
+    """Run ``parse --model`` on ``data``; returns the exit status, the
+    stderr lines and the model file's path."""
+    tmp_path, _, test_path = case
+    model_path = tmp_path / "mutated.spnn"
+    model_path.write_bytes(data)
+    out_path = tmp_path / "pred.conllu"
+    if out_path.exists():
+        out_path.unlink()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = run(["parse", "--in", str(test_path), "--out", str(out_path),
+                      "--model", str(model_path)])
+    lines = err.getvalue().splitlines()
+    if status == 0:
+        gold, pred = load_treebank(test_path).trees, load_treebank(out_path).trees
+        assert [t.forms() for t in pred] == [t.forms() for t in gold]
+        assert all(validate_tree(t) == [] for t in pred)
+    return status, lines, model_path
+
+
+def _assert_rejected(status, lines, model_path):
+    assert status == 1
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error [scrambleparse.serialize]: ")
+    assert str(model_path) in lines[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(fraction=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_checkpoint_is_rejected(spnn_case, fraction):
+    data = spnn_case[1]
+    _assert_rejected(*_parse_with_model_bytes(spnn_case, data[:int(fraction * len(data))]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(position=st.floats(0.0, 1.0, exclude_max=True))
+def test_bit_flip_in_checkpoint_parses_or_is_rejected(spnn_case, position):
+    """One flipped bit anywhere, header or data, either still parses into
+    valid trees or ends with one error line naming the file."""
+    data = bytearray(spnn_case[1])
+    bit = int(position * 8 * len(data))
+    data[bit // 8] ^= 1 << bit % 8
+    status, lines, model_path = _parse_with_model_bytes(spnn_case, bytes(data))
+    if status != 0:
+        _assert_rejected(status, lines, model_path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.binary(max_size=200), prefix=st.sampled_from([b"", b"SPNN2", b"SPNN1"]))
+def test_random_bytes_as_checkpoint_are_rejected(spnn_case, data, prefix):
+    _assert_rejected(*_parse_with_model_bytes(spnn_case, prefix + data))
+
+
+def test_version_1_checkpoint_is_rejected_without_unpickling(spnn_case):
+    """An SPNN1 file is a pickle, and unpickling one can run code: this one
+    would create a directory. It is refused on its magic alone."""
+    marker = spnn_case[0] / "unpickled"
+
+    class CreatesFile:
+        def __reduce__(self):
+            return (os.mkdir, (str(marker),))
+
+    status, lines, model_path = _parse_with_model_bytes(
+        spnn_case, b"SPNN1" + pickle.dumps({"meta": {}, "arrays": {}, "x": CreatesFile()}))
+    _assert_rejected(status, lines, model_path)
+    assert "SPNN1" in lines[0] and "never loaded" in lines[0]
+    assert not marker.exists()
+    pickle.loads(pickle.dumps(CreatesFile()))  # the payload does act when unpickled
+    assert marker.exists()
 
 
 def test_train_lm_creates_loadable_model(synth_files):

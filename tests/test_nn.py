@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -227,6 +228,26 @@ def test_padded_batch_run_matches_per_sequence_run(lengths, dims, reverse, seed)
         assert not Hs[n:, b].any()
 
 
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       dims=st.tuples(st.integers(1, 6), st.integers(1, 8)),
+       reverse=st.booleans(), padded=st.booleans(), seed=st.integers(0, 2**16))
+def test_run_without_cache_is_bit_identical(lengths, dims, reverse, padded, seed):
+    """The two-row cell-state buffer of ``cache=False`` gives the hidden
+    states of the cached run, bit for bit, on one sequence or a batch."""
+    in_dim, hidden = dims
+    rng = np.random.default_rng(seed)
+    cell = nn.LSTMCell(in_dim, hidden, rng, "c")
+    if padded:
+        X, lens = rng.normal(size=(max(lengths), len(lengths), in_dim)), lengths
+    else:
+        X, lens = rng.normal(size=(lengths[0], in_dim)), None
+    cached, cache = cell.run(X, reverse=reverse, lengths=lens)
+    bare, none = cell.run(X, reverse=reverse, lengths=lens, cache=False)
+    assert none is None and cache is not None
+    assert np.array_equal(bare, cached)
+
+
 @settings(max_examples=80, deadline=None)
 @given(lengths=st.lists(st.integers(1, 9), min_size=2, max_size=6),
        dims=st.tuples(st.integers(1, 6), st.integers(1, 8)),
@@ -339,19 +360,86 @@ class TestCheckpoint:
         nn.save_checkpoint(path, params, meta={"note": "test"})
         payload = nn.load_checkpoint(path)
         assert payload["meta"]["note"] == "test"
-        stack2 = nn.BiLSTMStack(3, 4, 2, np.random.default_rng(99), "s")
-        mlp2 = nn.MLP(8, 5, 3, np.random.default_rng(99), "m")
-        nn.restore_params(stack2.params() + mlp2.params(), payload["arrays"])
+        arrays = payload["arrays"]
+        stack2 = nn.BiLSTMStack(3, 4, 2, arrays, "s")
+        mlp2 = nn.MLP(8, 5, 3, arrays, "m")
+        assert arrays == {}  # every array was taken
         for a, b in zip(params, stack2.params() + mlp2.params()):
-            assert a.value.tobytes() == b.value.tobytes()
+            assert a.name == b.name and a.value.tobytes() == b.value.tobytes()
 
     def test_missing_parameter_rejected(self, tmp_path):
         p = nn.Param(np.zeros(3), "only")
         path = tmp_path / "m.spnn"
         nn.save_checkpoint(path, [p], meta={})
-        other = nn.Param(np.zeros(3), "different")
         with pytest.raises(ValueError, match="different"):
-            nn.restore_params([other], nn.load_checkpoint(path)["arrays"])
+            nn.param(nn.load_checkpoint(path)["arrays"], "different", (3,), nn.zeros)
+
+    def test_shape_mismatch_and_unused_arrays_rejected(self, tmp_path):
+        path = tmp_path / "m.spnn"
+        nn.save_checkpoint(path, [nn.Param(np.zeros((2, 3)), "a"), nn.Param(np.ones(2), "b")], {})
+        with pytest.raises(ValueError, match=r"a has shape \(2, 3\), the model's is \(3, 2\)"):
+            nn.param(nn.load_checkpoint(path)["arrays"], "a", (3, 2), nn.zeros)
+
+        def only_a(meta, arrays):
+            return nn.param(arrays, "a", (2, 3), nn.zeros)
+
+        with pytest.raises(ValueError, match=f"{path}: holds arrays the model does not have: b"):
+            nn.load_checkpoint(path, build=only_a)
+
+    def test_file_is_deterministic_aligned_and_loads_as_views(self, tmp_path):
+        rng = rng_()
+        params = nn.MLP(7, 5, 3, rng, "m").params()
+        paths = [tmp_path / "a.spnn", tmp_path / "b.spnn"]
+        for path in paths:
+            nn.save_checkpoint(path, params, meta={"vocab": ["é", "b"], "n": 1.5})
+        data = paths[0].read_bytes()
+        assert data == paths[1].read_bytes()
+        assert data[:5] == b"SPNN2"
+        data_start = 13 + int.from_bytes(data[5:13], "little")
+        assert data_start % 8 == 0
+        assert data[data_start:] == b"".join(p.value.astype("<f8").tobytes() for p in params)
+        arrays = nn.load_checkpoint(paths[0])["arrays"]
+        assert list(arrays) == [p.name for p in params]
+        base = next(iter(arrays.values())).base
+        assert all(a.base is base and a.flags.aligned for a in arrays.values())
+
+    @pytest.mark.parametrize("entries, n_values, problem", [
+        ([{"name": "a", "shape": [2], "offset": 1}], 3, "bad array entry"),  # a gap
+        ([{"name": "a", "shape": [2], "offset": 0}, {"name": "a", "shape": [1], "offset": 2}],
+         3, "bad array entry"),  # a name twice
+        ([{"name": "a", "shape": [-2], "offset": 0}], 0, "bad array entry"),
+        ([{"name": "a", "shape": [2], "offset": 0.0}], 2, "bad array entry"),
+        (["a"], 0, "bad array entry"),
+        ({"a": [2]}, 2, "no meta object and arrays list"),
+        ([{"name": "a", "shape": [2], "offset": 0}], 3, "8 bytes after the last array"),
+        ([{"name": "a", "shape": [2, 2], "offset": 0}], 3, "truncated file"),
+    ])
+    def test_inconsistent_header_rejected(self, tmp_path, entries, n_values, problem):
+        header = json.dumps({"meta": {}, "arrays": entries}).encode()
+        header += b" " * (-(13 + len(header)) % 8)
+        path = tmp_path / "m.spnn"
+        path.write_bytes(b"SPNN2" + len(header).to_bytes(8, "little") + header
+                         + np.arange(n_values, dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match=problem) as err:
+            nn.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_misaligned_data_rejected(self, tmp_path):
+        header = json.dumps({"meta": {}, "arrays": []}).encode()
+        header += b" " * (1 - (13 + len(header)) % 8)  # one byte past a multiple of 8
+        path = tmp_path / "m.spnn"
+        path.write_bytes(b"SPNN2" + len(header).to_bytes(8, "little") + header)
+        with pytest.raises(ValueError, match="not at a multiple of 8"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        value = np.zeros(4)
+        value[2] = bad
+        path = tmp_path / "m.spnn"
+        nn.save_checkpoint(path, [nn.Param(np.ones(2), "ok"), nn.Param(value, "w")], {})
+        with pytest.raises(ValueError, match="array w holds a non-finite value"):
+            nn.load_checkpoint(path)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_gradients, random_projective_tree, toy_treebank
-from scrambleparse import arceager
+from scrambleparse import arceager, nn
 from scrambleparse import parser
 from scrambleparse.conllu import DepTree, Token, Treebank, validate_tree
 from scrambleparse.metrics import score
@@ -380,6 +380,36 @@ class TestTrainingAndParse:
             back = cls.load(tmp_path / path)
             for p, q in zip(saved.params(), back.params()):
                 assert p.name == q.name and p.value.tobytes() == q.value.tobytes()
+
+    def test_load_binds_views_of_one_buffer_and_allocates_no_gradient(self, tmp_path):
+        model = train_parser(toy_treebank(), None, TINY)
+        model.save(tmp_path / "parser.spnn")
+        back = ParserModel.load(tmp_path / "parser.spnn")
+        buffer = back.params()[0].value.base
+        assert buffer is not None
+        assert all(p.value.base is buffer and p._grad is None for p in back.params())
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda m: m["cfg"].update(no_such_field=1), "cfg has unknown field 'no_such_field'"),
+        (lambda m: m["cfg"].update(word_dim="6"), "cfg field word_dim must be int"),
+        (lambda m: m["cfg"].update(pseudo_projective=0), "cfg field pseudo_projective must be bool"),
+        (lambda m: m.update(cfg=[1, 2]), "cfg is not a mapping"),
+        (lambda m: m["vocab_items"].pop("chars"), "vocab_items is not"),
+        (lambda m: m["vocab_items"]["labels"].append(7), "vocab_items is not"),
+        (lambda m: m["cfg"].update(word_dim=7), r"word_emb has shape \(\d+, 6\), the model's is"),
+        (lambda m: m["cfg"].update(enc_layers=1), "holds arrays the model does not have: enc.1"),
+        (lambda m: m["cfg"].update(enc_layers=3), "no parameter enc.2"),
+    ])
+    def test_load_rejects_meta_that_does_not_describe_the_arrays(self, tmp_path, edit, problem):
+        model = parser._init_model("parser", TINY, parser.build_vocabs(toy_treebank()))
+        path = tmp_path / "parser.spnn"
+        model.save(path)
+        meta = nn.load_checkpoint(path)["meta"]
+        edit(meta)
+        nn.save_checkpoint(path, model.params(), meta)
+        with pytest.raises(ValueError, match=problem) as err:
+            ParserModel.load(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_checkpoint_round_trip_preserves_parses(self, tmp_path):
         tb = toy_treebank()
