@@ -1,9 +1,9 @@
 """Arc-eager transition system: configurations, legal moves, and the
 static oracle that turns a projective gold tree into a training sequence.
 
-A configuration is a value; ``apply`` returns a new configuration. The
-buffer is always the contiguous suffix of the sentence, so it is stored
-as a single front index.
+A configuration is one sentence's state, which ``apply`` updates in
+place in O(1). The buffer is always the contiguous suffix of the
+sentence, so it is stored as a single front index.
 """
 
 from __future__ import annotations
@@ -39,30 +39,23 @@ class Transition:
         return f"{m}:{self.label}" if self.label else m
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Configuration:
+    """One sentence's parser state, which ``apply`` updates in place. ROOT
+    (0) is at the bottom of the stack and is never popped; the buffer is
+    the tokens ``buffer_start`` to ``n``."""
     n: int
-    stack: tuple[int, ...]
-    buffer_start: int
-    heads: dict = field(default_factory=dict, hash=False)  # dependent -> (head, label)
-
-    @property
-    def buffer(self) -> range:
-        return range(self.buffer_start, self.n + 1)
-
-    @property
-    def stack_top(self) -> int | None:
-        return self.stack[-1] if self.stack else None
-
-    @property
-    def buffer_front(self) -> int | None:
-        return self.buffer_start if self.buffer_start <= self.n else None
+    stack: list[int] = field(default_factory=lambda: [0])
+    buffer_start: int = 1
+    heads: dict = field(default_factory=dict)  # dependent -> (head, label), in arc order
+    lc: dict = field(default_factory=dict)  # head -> leftmost dependent so far
+    rc: dict = field(default_factory=dict)  # head -> rightmost dependent so far
 
 
 def initial_config(n: int) -> Configuration:
     if n < 1:
         raise ValueError("sentence must contain at least one token")
-    return Configuration(n=n, stack=(0,), buffer_start=1)
+    return Configuration(n)
 
 
 def is_terminal(c: Configuration) -> bool:
@@ -70,53 +63,54 @@ def is_terminal(c: Configuration) -> bool:
     return c.buffer_start > c.n
 
 
-def legal_transitions(c: Configuration) -> set[str]:
-    legal = set()
-    s = c.stack_top
-    if c.buffer_front is not None:
-        legal.add(SHIFT)
-        if s is not None:
-            legal.add(RIGHT_ARC)
-        if s not in (None, 0) and s not in c.heads:
-            legal.add(LEFT_ARC)
-    if s not in (None, 0) and s in c.heads:
-        legal.add(REDUCE)
-    return legal
+# Every set ``legal_transitions`` can return.
+_SH_RA = frozenset({SHIFT, RIGHT_ARC})
+_SH_RA_LA, _SH_RA_RE = _SH_RA | {LEFT_ARC}, _SH_RA | {REDUCE}
+_RE, _NONE = frozenset({REDUCE}), frozenset()
+LEGAL_SETS = (_SH_RA, _SH_RA_LA, _SH_RA_RE, _RE, _NONE)
+
+
+def legal_transitions(c: Configuration) -> frozenset[str]:
+    """The kinds ``apply`` accepts in ``c``: one of ``LEGAL_SETS``."""
+    s = c.stack[-1]
+    if c.buffer_start > c.n:
+        return _RE if s in c.heads else _NONE
+    return _SH_RA if s == 0 else _SH_RA_RE if s in c.heads else _SH_RA_LA
 
 
 def apply(c: Configuration, t: Transition) -> Configuration:
-    """Apply a transition, returning the successor configuration."""
-    s = c.stack_top
-    b = c.buffer_front
-    if t.kind == SHIFT:
-        if b is None:
-            raise ValueError("shift: buffer is empty")
-        return Configuration(c.n, c.stack + (b,), c.buffer_start + 1, c.heads)
-    if t.kind == LEFT_ARC:
-        if b is None:
-            raise ValueError("left_arc: buffer is empty")
-        if s in (None, 0):
-            raise ValueError("left_arc: stack top is ROOT or missing")
-        if s in c.heads:
-            raise ValueError("left_arc: stack top already has a head")
-        heads = dict(c.heads)
-        heads[s] = (b, t.label)
-        return Configuration(c.n, c.stack[:-1], c.buffer_start, heads)
-    if t.kind == RIGHT_ARC:
-        if b is None:
-            raise ValueError("right_arc: buffer is empty")
-        if s is None:
-            raise ValueError("right_arc: stack is empty")
-        heads = dict(c.heads)
-        heads[b] = (s, t.label)
-        return Configuration(c.n, c.stack + (b,), c.buffer_start + 1, heads)
+    """Apply a transition to ``c`` in place and return ``c``."""
+    s, b = c.stack[-1], c.buffer_start
     if t.kind == REDUCE:
-        if s in (None, 0):
-            raise ValueError("reduce: stack top is ROOT or missing")
+        if s == 0:
+            raise ValueError("reduce: stack top is ROOT")
         if s not in c.heads:
             raise ValueError("reduce: stack top has no head yet")
-        return Configuration(c.n, c.stack[:-1], c.buffer_start, c.heads)
-    raise ValueError(f"unknown transition kind '{t.kind}'")
+        c.stack.pop()
+        return c
+    if t.kind not in (SHIFT, LEFT_ARC, RIGHT_ARC):
+        raise ValueError(f"unknown transition kind '{t.kind}'")
+    if b > c.n:
+        raise ValueError(f"{t.kind}: buffer is empty")
+    if t.kind == SHIFT:
+        c.stack.append(b)
+        c.buffer_start += 1
+    elif t.kind == LEFT_ARC:
+        if s == 0:
+            raise ValueError("left_arc: stack top is ROOT")
+        if s in c.heads:
+            raise ValueError("left_arc: stack top already has a head")
+        c.heads[s] = (b, t.label)
+        c.lc[b] = s  # b's dependents so far are all left ones, each left of the last
+        c.rc.setdefault(b, s)
+        c.stack.pop()
+    else:
+        c.heads[b] = (s, t.label)
+        c.rc[s] = b  # b is right of every dependent s has so far
+        c.lc.setdefault(s, b)
+        c.stack.append(b)
+        c.buffer_start += 1
+    return c
 
 
 def static_oracle(tree: DepTree) -> list[Transition]:
@@ -131,14 +125,14 @@ def static_oracle(tree: DepTree) -> list[Transition]:
     c = initial_config(len(tree.tokens))
     seq: list[Transition] = []
     while not is_terminal(c):
-        s = c.stack_top
-        b = c.buffer_front
-        if s is not None and s != 0 and gold_head[s] == b and s not in c.heads:
+        s = c.stack[-1]
+        b = c.buffer_start
+        if s != 0 and gold_head[s] == b and s not in c.heads:
             t = Transition(LEFT_ARC, gold_label[s])
-        elif s is not None and gold_head[b] == s:
+        elif gold_head[b] == s:
             t = Transition(RIGHT_ARC, gold_label[b])
-        elif (s not in (None, 0) and s in c.heads
-              and not any(d >= c.buffer_start for d in dependents[s])):
+        # Dependents are in sentence order, so the last one is the rightmost.
+        elif s in c.heads and not (dependents[s] and dependents[s][-1] >= b):
             t = Transition(REDUCE)
         else:
             t = Transition(SHIFT)

@@ -232,6 +232,17 @@ def cmd_gen_synthetic(args, argv):
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got '{text}'")
+    return value
+
+
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     """Built once per process; ``run`` resolves the ``--seed`` default."""
@@ -260,23 +271,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = add("select", cmd_select, help="representative subset selection")
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--out", dest="output", required=True)
-    sp.add_argument("--n", type=int, default=4000)
+    sp.add_argument("--n", type=_count, default=4000)
 
     sp = add("train-lm", cmd_train_lm, help="train the n-gram language model")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", dest="output", required=True)
-    sp.add_argument("--order", type=int, default=3)
+    sp.add_argument("--order", type=_count, default=3)
 
     sp = add("permute", cmd_permute, help="generate the augmented treebank")
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--out", dest="output", required=True)
     sp.add_argument("--lm", required=True)
     sp.add_argument("--labels", choices=sorted(MAPPING_PRESETS), default="ud")
-    sp.add_argument("--budget", type=int, default=9000)
-    sp.add_argument("--select", type=int, default=4000)
-    sp.add_argument("--keep", type=int, default=None,
+    sp.add_argument("--budget", type=_count, default=9000)
+    sp.add_argument("--select", type=_count, default=4000)
+    sp.add_argument("--keep", type=_count, default=None,
                     help="survivors per projection (default: unit count)")
-    sp.add_argument("--max-variants", type=int, default=120)
+    sp.add_argument("--max-variants", type=_count, default=120)
 
     for name in ("train", "train-tagger"):
         sp = add(name, cmd_train, help=f"{name.replace('-', ' ')} on CoNLL-U data")
@@ -313,7 +324,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", default=None)
 
     sp = add("gen-synthetic", cmd_gen_synthetic, help="synthetic-grammar treebank")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_count, required=True)
     sp.add_argument("--out", dest="output", required=True)
     sp.add_argument("--orders", default="sov=1.0",
                     help='"uniform" or comma list like sov=0.8,osv=0.2')

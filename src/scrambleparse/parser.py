@@ -16,6 +16,7 @@ sentence when training).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
@@ -79,6 +80,15 @@ def build_vocabs(tb: Treebank) -> VocabSet:
                     labels=Vocab(labels))
 
 
+_SIZES = ("word_dim", "tag_dim", "char_dim", "char_hidden", "enc_hidden", "enc_layers",
+          "mlp_hidden", "epochs", "max_word_chars")
+_NON_NEGATIVE = ("lr", "lr_decay", "momentum", "l2", "clip_norm", "seed")
+# The accepted values [low, high) of TrainConfig's numeric fields.
+_CONFIG_RANGES = {**dict.fromkeys(_SIZES, (1, math.inf)),
+                  **dict.fromkeys(_NON_NEGATIVE, (0, math.inf)),
+                  "mlp_dropout": (0, 1), "word_dropout": (0, 1)}
+
+
 @dataclass
 class TrainConfig:
     word_dim: int = 64
@@ -100,6 +110,15 @@ class TrainConfig:
     max_word_chars: int = 32
     embeddings_path: str | None = None
     pseudo_projective: bool = False
+
+    def __post_init__(self):
+        """Reject a value that would train a useless or broken model, however
+        the config was made: a file, ``merged`` or a checkpoint's meta."""
+        for name, (low, high) in _CONFIG_RANGES.items():
+            value = getattr(self, name)
+            if not low <= value < high:  # also false for NaN
+                bound = f"in [{low}, {high})" if high < math.inf else f"finite and at least {low}"
+                raise ValueError(f"{name} must be {bound}, got {value}")
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
@@ -324,21 +343,13 @@ FEATURE_SELECTORS = ("s0", "s1", "s2", "b0",
 
 def feature_indices(c: arceager.Configuration) -> list[int | None]:
     """Token index picked by each selector, None where the node is absent."""
-    leftmost: dict[int, int] = {}
-    rightmost: dict[int, int] = {}
-    for d, (h, _) in c.heads.items():
-        if d < leftmost.get(h, d + 1):
-            leftmost[h] = d
-        if d > rightmost.get(h, -1):
-            rightmost[h] = d
-    stack = c.stack
-    s0 = stack[-1] if len(stack) >= 1 else None
+    stack, lc, rc = c.stack, c.lc, c.rc
+    s0 = stack[-1]  # ROOT is never popped
     s1 = stack[-2] if len(stack) >= 2 else None
     s2 = stack[-3] if len(stack) >= 3 else None
-    b0 = c.buffer_front
+    b0 = c.buffer_start if c.buffer_start <= c.n else None
     return [s0, s1, s2, b0,
-            leftmost.get(s0), rightmost.get(s0), leftmost.get(s1), rightmost.get(s1),
-            leftmost.get(s2), rightmost.get(s2), leftmost.get(b0)]
+            lc.get(s0), rc.get(s0), lc.get(s1), rc.get(s1), lc.get(s2), rc.get(s2), lc.get(b0)]
 
 
 def _gather_features(ctx, idx_rows):
@@ -422,23 +433,15 @@ class ParserModel(_Model):
 
     def __post_init__(self):
         self._tmap = {t.mnemonic(): i for i, t in enumerate(self.transitions)}
-        # Per kind, the class columns it occupies (for legality masking).
-        self._kind_cols = {}
-        for i, t in enumerate(self.transitions):
-            self._kind_cols.setdefault(t.kind, []).append(i)
-        self._masks: dict[frozenset, np.ndarray] = {}  # one per set of legal kinds
+        # One read-only mask per set of legal kinds: 0 on its classes, -inf elsewhere.
+        masks = np.array([[0.0 if t.kind in legal else -np.inf for t in self.transitions]
+                          for legal in arceager.LEGAL_SETS])
+        masks.flags.writeable = False
+        self._masks = dict(zip(arceager.LEGAL_SETS, masks))
 
     def legal_mask(self, c: arceager.Configuration) -> np.ndarray:
         """0 on the classes legal in ``c``, -inf on the others (read-only)."""
-        legal = frozenset(arceager.legal_transitions(c))
-        mask = self._masks.get(legal)
-        if mask is None:
-            mask = np.full(len(self.transitions), -np.inf)
-            for kind in legal:
-                mask[self._kind_cols[kind]] = 0.0
-            mask.flags.writeable = False
-            self._masks[legal] = mask
-        return mask
+        return self._masks[arceager.legal_transitions(c)]
 
 
 @dataclass

@@ -8,6 +8,7 @@ recoverable under scrambling, mirroring morphologically-rich languages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +91,14 @@ def parse_order_spec(spec: str) -> dict:
             label = OrderLabel(name.strip().upper())
         except ValueError:
             raise ValueError(f"unknown order class '{name.strip()}'") from None
-        weights[label] = float(value)
+        try:
+            weight = float(value)
+        except ValueError:  # no number, as in "sov" or "sov=high"
+            weight = math.nan
+        if not 0.0 <= weight < math.inf:
+            raise ValueError(f"bad order weight '{part.strip()}' "
+                             "(expected name=weight with a finite weight >= 0)")
+        weights[label] = weight
     return weights
 
 

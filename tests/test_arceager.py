@@ -4,7 +4,7 @@ import pytest
 from helpers import (config_arcs, format_sequence, parse_sequence, random_projective_tree,
                      run_sequence)
 from scrambleparse.arceager import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT,
-                                    Configuration, Transition, apply,
+                                    Transition, apply,
                                     initial_config, is_terminal,
                                     legal_transitions, static_oracle,
                                     tree_from_config)
@@ -21,23 +21,32 @@ def three_token_tree() -> DepTree:
 
 def test_initial_config():
     c = initial_config(3)
-    assert list(c.stack) == [0]
-    assert list(c.buffer) == [1, 2, 3]
+    assert c.stack == [0]
+    assert (c.buffer_start, c.n) == (1, 3)  # the buffer is tokens 1..3
     assert config_arcs(c) == ()
 
 
-def test_arcs_derived_from_heads_and_compared_by_equality():
+def test_arcs_derived_from_heads_in_arc_order():
     c = apply(apply(initial_config(3), Transition(SHIFT)), Transition(LEFT_ARC, "x"))
     c = apply(c, Transition(RIGHT_ARC, "root"))
     assert config_arcs(c) == ((2, 1, "x"), (0, 2, "root"))
-    same = Configuration(c.n, c.stack, c.buffer_start, {2: (0, "root"), 1: (2, "x")})
-    relabelled = Configuration(c.n, c.stack, c.buffer_start, {1: (2, "y"), 2: (0, "root")})
-    assert c == same and hash(c) == hash(same)
-    assert c != relabelled
+
+
+def test_apply_updates_in_place_and_rejects_without_change():
+    c = initial_config(3)
+    assert apply(c, Transition(SHIFT)) is c
+    assert apply(c, Transition(LEFT_ARC, "x")) is c
+    assert (c.stack, c.buffer_start, c.heads, c.lc, c.rc) == ([0], 2, {1: (2, "x")},
+                                                              {2: 1}, {2: 1})
+    for t in (Transition(REDUCE), Transition(LEFT_ARC, "y")):
+        with pytest.raises(ValueError, match="ROOT"):
+            apply(c, t)
+    assert (c.stack, c.buffer_start, c.heads) == ([0], 2, {1: (2, "x")})
 
 
 def test_initial_config_single_token():
-    assert list(initial_config(1).buffer) == [1]
+    c = initial_config(1)
+    assert (c.stack, c.buffer_start, c.n) == ([0], 1, 1)
 
 
 def test_initial_config_rejects_empty():
@@ -64,8 +73,8 @@ def test_left_arc_blocked_on_root_only_stack():
 
 def test_shift_moves_buffer_front():
     c = apply(initial_config(2), Transition(SHIFT))
-    assert list(c.stack) == [0, 1]
-    assert list(c.buffer) == [2]
+    assert c.stack == [0, 1]
+    assert (c.buffer_start, c.n) == (2, 2)
 
 
 def test_gold_sequence_reconstructs_arcs():

@@ -368,6 +368,54 @@ def test_malformed_config_value_names_file_and_line(tmp_path, capsys, bad_line, 
     assert not (tmp_path / "m.spnn").exists()
 
 
+@pytest.mark.parametrize("bad_line, fault", [
+    ("epochs = -1", "epochs must be finite and at least 1, got -1"),
+    ("word_dim = 0", "word_dim must be finite and at least 1, got 0"),
+    ("enc_layers = 0", "enc_layers must be finite and at least 1, got 0"),
+    ("max_word_chars = 0", "max_word_chars must be finite and at least 1, got 0"),
+    ("mlp_dropout = 1.0", "mlp_dropout must be in [0, 1), got 1.0"),
+    ("word_dropout = -0.1", "word_dropout must be in [0, 1), got -0.1"),
+    ("lr = nan", "lr must be finite and at least 0, got nan"),
+    ("momentum = -0.9", "momentum must be finite and at least 0, got -0.9"),
+    ("l2 = -1e-6", "l2 must be finite and at least 0, got -1e-06"),
+    ("clip_norm = inf", "clip_norm must be finite and at least 0, got inf"),
+])
+def test_config_value_out_of_range_is_rejected_before_training(tmp_path, capsys, bad_line,
+                                                               fault):
+    train_path = tmp_path / "train.conllu"
+    cfg = tmp_path / "train.cfg"
+    run(["gen-synthetic", "--n", "3", "--out", str(train_path)])
+    cfg.write_text(f"word_dim = 8\nepochs = 1\n{bad_line}\n")
+    capsys.readouterr()
+    assert run(["train", "--train", str(train_path), "--out", str(tmp_path / "m.spnn"),
+                "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error [scrambleparse.parser]: {fault}"]
+    assert "config" not in captured.out  # rejected before the config is echoed
+    assert not (tmp_path / "m.spnn").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-synthetic", "--n", "-1"],
+    ["gen-synthetic", "--n", "0"],
+    ["select", "--in", "{tb}", "--n", "0"],
+    ["train-lm", "--corpus", "{corpus}", "--order", "0"],
+    ["permute", "--in", "{tb}", "--lm", "{lm}", "--budget", "0"],
+    ["permute", "--in", "{tb}", "--lm", "{lm}", "--select", "-3"],
+    ["permute", "--in", "{tb}", "--lm", "{lm}", "--keep", "0"],
+    ["permute", "--in", "{tb}", "--lm", "{lm}", "--max-variants", "1.5"],
+])
+def test_counts_below_one_are_usage_errors(synth_files, capsys, argv):
+    tmp_path, tb_path, lm_path = synth_files
+    out = tmp_path / "out"
+    argv = [a.format(tb=tb_path, lm=lm_path, corpus=tmp_path / "corpus.txt") for a in argv]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: expected an integer >= 1, got '{argv[-1]}'" in err
+    assert not out.exists()
+
+
 def test_config_bools_accept_any_case(tmp_path):
     from scrambleparse.parser import TrainConfig
 
@@ -416,8 +464,9 @@ def test_parse_reports_fallback_attachments(tmp_path, capsys):
     # headless, so exactly one fallback attachment per sentence.
     model.mlp.lin2.W.value[...] = 0.0
     model.mlp.lin2.b.value[...] = -1.0
-    model.mlp.lin2.b.value[model._kind_cols[LEFT_ARC][0]] = 2.0
-    model.mlp.lin2.b.value[model._kind_cols[SHIFT][0]] = 1.0
+    kinds = [t.kind for t in model.transitions]
+    model.mlp.lin2.b.value[kinds.index(LEFT_ARC)] = 2.0
+    model.mlp.lin2.b.value[kinds.index(SHIFT)] = 1.0
     model.save(tmp_path / "parser.spnn")
     dump_treebank(tb, tmp_path / "in.conllu")
     capsys.readouterr()

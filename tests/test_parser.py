@@ -399,6 +399,7 @@ class TestTrainingAndParse:
         (lambda m: m["cfg"].update(word_dim=7), r"word_emb has shape \(\d+, 6\), the model's is"),
         (lambda m: m["cfg"].update(enc_layers=1), "holds arrays the model does not have: enc.1"),
         (lambda m: m["cfg"].update(enc_layers=3), "no parameter enc.2"),
+        (lambda m: m["cfg"].update(enc_layers=0), "enc_layers must be finite and at least 1"),
     ])
     def test_load_rejects_meta_that_does_not_describe_the_arrays(self, tmp_path, edit, problem):
         model = parser._init_model("parser", TINY, parser.build_vocabs(toy_treebank()))
@@ -513,3 +514,11 @@ class TestConfigFile:
         path.write_text("nonsense = 1\n")
         with pytest.raises(ValueError, match="bad.cfg:1"):
             TrainConfig.from_file(path)
+
+
+def test_train_config_is_checked_however_it_is_made():
+    with pytest.raises(ValueError, match="epochs must be finite and at least 1, got 0"):
+        TINY.merged(epochs=0)
+    with pytest.raises(ValueError, match=r"word_dropout must be in \[0, 1\), got 1.0"):
+        TrainConfig(word_dropout=1.0)
+    assert TINY.merged(lr=0.0, momentum=0.0, l2=0.0, mlp_dropout=0.0).lr == 0.0

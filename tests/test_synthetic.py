@@ -62,6 +62,18 @@ def test_parse_order_spec():
     assert w[OrderLabel.SOV] == 0.75 and w[OrderLabel.OSV] == 0.25
     with pytest.raises(ValueError, match="unknown order"):
         parse_order_spec("xyz=1.0")
+    assert parse_order_spec(" SOV = 1 ") == {OrderLabel.SOV: 1.0}
+
+
+@pytest.mark.parametrize("spec, part", [
+    ("sov", "sov"), ("sov=", "sov="), ("sov=high", "sov=high"),
+    ("sov=1.5,osv=-0.5", "osv=-0.5"), ("sov=nan", "sov=nan"), ("sov=0.5,osv=inf", "osv=inf"),
+])
+def test_parse_order_spec_names_the_bad_weight(spec, part):
+    with pytest.raises(ValueError) as err:
+        parse_order_spec(spec)
+    assert str(err.value) == (f"bad order weight '{part}' "
+                              "(expected name=weight with a finite weight >= 0)")
 
 
 def test_text_corpus_matches_forms():

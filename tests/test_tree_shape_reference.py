@@ -215,8 +215,8 @@ def ref_static_oracle(tree):
     c = initial_config(len(tree.tokens))
     seq = []
     while not is_terminal(c):
-        s = c.stack_top
-        b = c.buffer_front
+        s = c.stack[-1]
+        b = c.buffer_start
         if s is not None and s != 0 and gold_head[s] == b and s not in c.heads:
             t = Transition(LEFT_ARC, gold_label[s])
         elif s is not None and gold_head[b] == s:
