@@ -3,7 +3,8 @@
 Every run echoes the resolved configuration and seed; generated files
 carry the producing command line as a provenance comment. Exit status is
 0 on success, 1 on pipeline errors (printed with the failing module), 2
-on usage errors.
+on usage errors. Any other exception raised in a package module also
+exits 1, its type named in the error line.
 """
 
 from __future__ import annotations
@@ -333,13 +334,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _failing_module(exc) -> str:
+def _failing_module(exc) -> tuple[str, bool]:
+    """The innermost package module on ``exc``'s traceback, and whether
+    ``exc`` was raised there rather than in code the package called."""
     package_dir = os.path.dirname(__file__)
-    module = "scrambleparse"
+    module, raised_here = "scrambleparse", False
     for frame in traceback.extract_tb(exc.__traceback__):
-        if os.path.dirname(frame.filename) == package_dir:
+        raised_here = os.path.dirname(frame.filename) == package_dir
+        if raised_here:
             module = "scrambleparse." + os.path.splitext(os.path.basename(frame.filename))[0]
-    return module
+    return module, raised_here
 
 
 def run(argv=None) -> int:
@@ -354,8 +358,14 @@ def run(argv=None) -> int:
         if args.command not in ("train", "train-tagger", "curve"):
             _echo(args)
         return args.handler(args, argv)
-    except (ValueError, OSError, FloatingPointError) as exc:
-        print(f"error [{_failing_module(exc)}]: {exc}", file=sys.stderr)
+    except Exception as exc:
+        module, raised_here = _failing_module(exc)
+        message = str(exc)
+        if not isinstance(exc, (ValueError, OSError, FloatingPointError)):
+            if not raised_here:
+                raise  # a fault outside the package keeps its traceback
+            message = f"{type(exc).__name__}: {exc}"
+        print(f"error [{module}]: {message}", file=sys.stderr)
         return 1
 
 

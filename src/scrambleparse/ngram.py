@@ -18,20 +18,21 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .serialize import load_blob, save_blob
+from .serialize import load_arrays, save_arrays
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
-MAGIC = b"NGLM1"
+MAGIC = b"NGLM2"  # order, sorted vocabulary, meta and counts in the header; no arrays
 
 
 @dataclass
 class NGramModel:
     order: int
-    counts: dict = field(repr=False)  # context tuple -> Counter of next tokens
+    counts: dict = field(repr=False)  # context tuple -> {next token: count >= 1}
     vocab: frozenset
     # Derived from ``counts``, per context tuple: the total event count and the
     # number of distinct continuation types
@@ -90,19 +91,36 @@ class NGramModel:
         return total
 
     def save(self, path, meta: dict | None = None) -> None:
-        save_blob(path, MAGIC, {
-            "order": self.order,
-            "counts": {ctx: dict(c) for ctx, c in self.counts.items()},
-            "vocab": sorted(self.vocab),
-            "meta": meta or {},
-        })
+        save_arrays(path, MAGIC, {"order": self.order, "vocab": sorted(self.vocab),
+                                  "meta": meta or {}, "counts": list(self.counts.items())}, [])
 
     @classmethod
     def load(cls, path) -> "NGramModel":
-        payload = load_blob(path, MAGIC)
-        return cls(order=payload["order"],
-                   counts={ctx: Counter(c) for ctx, c in payload["counts"].items()},
-                   vocab=frozenset(payload["vocab"]))
+        """The saved model; a file that does not hold one raises ``ValueError``."""
+        return load_arrays(path, MAGIC, build=cls._from_header)
+
+    @classmethod
+    def _from_header(cls, header: dict, arrays: dict) -> "NGramModel":
+        order, vocab, entries = header.get("order"), header.get("vocab"), header.get("counts")
+        if type(order) is not int or not 1 <= order <= 5:
+            raise ValueError(f"order is not an integer in [1, 5]: {str(order)[:20]}")
+        if type(vocab) is not list or set(map(type, vocab)) != {str} or {BOS, EOS, UNK} - {*vocab}:
+            raise ValueError(f"vocab is not a list of strings holding {BOS}, {EOS} and {UNK}")
+        if (type(entries) is not list or set(map(type, entries)) != {list}
+                or set(map(len, entries)) != {2}):
+            raise ValueError("counts is not a list of [context, {word: count}] pairs")
+        ctxs, nexts = zip(*entries)  # checked in bulk: this is most of a load's time
+        if set(map(type, ctxs)) != {list} or set(map(type, nexts)) != {dict} or not all(nexts):
+            raise ValueError("a context is not a list, or its counts not a non-empty object")
+        if not set(map(type, chain.from_iterable(ctxs))) <= {str} or max(map(len, ctxs)) >= order:
+            raise ValueError(f"a context is not a list of at most {order - 1} strings")
+        counts = dict(zip(map(tuple, ctxs), nexts))
+        if len(counts) < len(ctxs) or () not in counts:
+            raise ValueError("a context is repeated, or the empty context is missing")
+        values = list(chain.from_iterable(map(dict.values, nexts)))
+        if set(map(type, values)) != {int} or min(values) < 1 or max(values) > 2**53:  # no bools
+            raise ValueError("a count is not an integer in [1, 2**53]")
+        return cls(order=order, counts=counts, vocab=frozenset(vocab))
 
 
 def train_lm(corpus: list[list[str]], order: int = 3) -> NGramModel:
@@ -125,7 +143,7 @@ def train_lm(corpus: list[list[str]], order: int = 3) -> NGramModel:
                 if word in hapax:
                     counts[ctx][UNK] += 1
     vocab = frozenset(freq) | {BOS, EOS, UNK}
-    return NGramModel(order=order, counts=dict(counts), vocab=vocab)
+    return NGramModel(order=order, counts={ctx: dict(c) for ctx, c in counts.items()}, vocab=vocab)
 
 
 def perplexity(model: NGramModel, sentence: list[str]) -> float:

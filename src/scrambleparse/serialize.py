@@ -1,7 +1,6 @@
-"""Versioned binary persistence.
+"""Versioned binary persistence: one file format for every model.
 
-Arrays (``save_arrays``/``load_arrays``) are stored without pickle. A file
-holds the magic; the byte length of a JSON header, as an 8-byte
+A file holds the magic; the byte length of a JSON header, as an 8-byte
 little-endian integer; the header, padded with spaces so that the data
 starts on an 8-byte boundary; then every array's float64 little-endian
 bytes, one after another. The header is ``{"meta": {...}, "arrays":
@@ -9,8 +8,8 @@ bytes, one after another. The header is ``{"meta": {...}, "arrays":
 counted in values from the start of the data. Loading reads the file into
 one buffer, and the arrays it returns are views of that buffer.
 
-``save_blob``/``load_blob`` store a pickle behind the magic; unpickling
-can run code, so load only files you trust with them.
+Checkpoints are ``SPNN2`` files and n-gram LMs ``NGLM2`` files (no arrays).
+Version 1 files can run code when read, so they are refused on their magic.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import pickle
 
 import numpy as np
 
@@ -36,7 +34,8 @@ def save_arrays(path, magic: bytes, meta: dict, arrays) -> None:
     for name, a in arrays:
         entries.append({"name": name, "shape": list(a.shape), "offset": at})
         at += a.size
-    header = json.dumps({"meta": meta, "arrays": entries}, separators=(",", ":")).encode()
+    header = json.dumps({"meta": meta, "arrays": entries}, separators=(",", ":"),
+                        check_circular=False).encode()  # a header never refers to itself
     header += b" " * (-(len(magic) + _LENGTH_BYTES + len(header)) % _ALIGN)
     with open(path, "wb") as f:
         f.write(magic)
@@ -65,8 +64,8 @@ def load_arrays(path, magic: bytes, build=None):
     if found != magic:
         if found[:-1] == magic[:-1] and found[-1:].isdigit():
             raise ValueError(f"{path}: format {found.decode()} is not read, only "
-                             f"{magic.decode()}; version 1 files are pickles and are "
-                             "never loaded, so save the model again")
+                             f"{magic.decode()}; version 1 files can run code when read "
+                             "and are never loaded, so save the model again")
         raise ValueError(f"{path}: bad magic {found!r}, expected {magic!r}")
     start = len(magic) + _LENGTH_BYTES
     if len(buf) < start:
@@ -119,21 +118,3 @@ def load_arrays(path, magic: bytes, build=None):
         raise ValueError(f"{path}: holds arrays the model does not have: "
                          f"{', '.join(list(arrays)[:5])}")
     return built
-
-
-def save_blob(path, magic: bytes, payload: dict) -> None:
-    with open(path, "wb") as f:
-        f.write(magic)
-        pickle.dump(payload, f, protocol=4)
-
-
-def load_blob(path, magic: bytes) -> dict:
-    with open(path, "rb") as f:
-        header = f.read(len(magic))
-        if header != magic:
-            raise ValueError(f"{path}: bad magic {header!r}, expected {magic!r}")
-        try:
-            return pickle.load(f)
-        except Exception as exc:  # a damaged pickle can raise any of several types
-            raise ValueError(f"{path}: corrupt or truncated file "
-                             f"({type(exc).__name__}: {exc})") from exc

@@ -98,6 +98,8 @@ def parse_order_spec(spec: str) -> dict:
         if not 0.0 <= weight < math.inf:
             raise ValueError(f"bad order weight '{part.strip()}' "
                              "(expected name=weight with a finite weight >= 0)")
+        if label in weights:
+            raise ValueError(f"order class '{name.strip()}' given twice")
         weights[label] = weight
     return weights
 

@@ -133,8 +133,8 @@ def test_short_treebank_noted_on_stdout_not_warned(synth_files, capfd):
 @pytest.mark.parametrize("cut", [5, 2000])
 def test_truncated_model_files_exit_1(synth_files, capsys, cut):
     """A checkpoint or LM cut short ends the command with one error line,
-    not a traceback: at 5 bytes the pickle is empty, at 2,000 it stops
-    mid-stream."""
+    not a traceback: at 5 bytes only the magic is left, at 2,000 the file
+    stops part-way."""
     from scrambleparse.parser import TrainConfig, _init_model, build_vocabs
 
     tmp_path, tb_path, lm_path = synth_files
@@ -248,6 +248,115 @@ def test_version_1_checkpoint_is_rejected_without_unpickling(spnn_case):
     assert not marker.exists()
     pickle.loads(pickle.dumps(CreatesFile()))  # the payload does act when unpickled
     assert marker.exists()
+
+
+@pytest.fixture(scope="module")
+def nglm_case(tmp_path_factory):
+    """A saved order-3 LM, its bytes, and five sentences to permute with it."""
+    tmp_path = tmp_path_factory.mktemp("nglm")
+    tb_path, text_path, lm_path = (tmp_path / "train.conllu", tmp_path / "corpus.txt",
+                                   tmp_path / "lm.nglm")
+    assert run(["gen-synthetic", "--n", "40", "--out", str(tb_path), "--orders", "uniform",
+                "--text-out", str(text_path), "--seed", "3"]) == 0
+    assert run(["train-lm", "--corpus", str(text_path), "--out", str(lm_path)]) == 0
+    test_path = tmp_path / "test.conllu"
+    dump_treebank(Treebank(load_treebank(tb_path).trees[:5]), test_path)
+    return tmp_path, lm_path.read_bytes(), test_path
+
+
+def _permute_with_lm_bytes(case, data: bytes):
+    """Run ``permute --lm`` on ``data``; returns the exit status, the
+    stderr lines and the LM file's path. A failed run writes no output."""
+    tmp_path, _, test_path = case
+    lm_path = tmp_path / "mutated.nglm"
+    lm_path.write_bytes(data)
+    out_path = tmp_path / "aug.conllu"
+    if out_path.exists():
+        out_path.unlink()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = run(["permute", "--in", str(test_path), "--out", str(out_path), "--select", "5",
+                      "--budget", "5", "--lm", str(lm_path)])
+    if status == 0:
+        assert all(validate_tree(t) == [] for t in load_treebank(out_path))
+    else:
+        assert not out_path.exists()
+    return status, err.getvalue().splitlines(), lm_path
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.binary(max_size=200), prefix=st.sampled_from([b"", b"NGLM2", b"NGLM1"]))
+def test_random_bytes_as_lm_are_rejected(nglm_case, data, prefix):
+    _assert_rejected(*_permute_with_lm_bytes(nglm_case, prefix + data))
+
+
+@pytest.mark.parametrize("cut", [0, 3, 5, 9, 13, 14, -2, -1])
+def test_truncated_lm_is_rejected(nglm_case, cut):
+    """Cut to nothing, inside the magic, right after it, inside the header
+    length, right after it, after the header's first byte, and one or two
+    bytes short of the end."""
+    data = nglm_case[1]
+    _assert_rejected(*_permute_with_lm_bytes(nglm_case, data[:cut]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(fraction=st.floats(0.0, 1.0, exclude_max=True))
+def test_any_truncation_of_lm_is_rejected(nglm_case, fraction):
+    data = nglm_case[1]
+    _assert_rejected(*_permute_with_lm_bytes(nglm_case, data[:int(fraction * len(data))]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(position=st.floats(0.0, 1.0, exclude_max=True))
+def test_bit_flip_in_lm_permutes_or_is_rejected(nglm_case, position):
+    """One flipped bit anywhere, in a count, a word or the JSON syntax,
+    either still permutes into valid trees or ends with one error line
+    naming the file."""
+    data = bytearray(nglm_case[1])
+    bit = int(position * 8 * len(data))
+    data[bit // 8] ^= 1 << bit % 8
+    status, lines, lm_path = _permute_with_lm_bytes(nglm_case, bytes(data))
+    if status != 0:
+        _assert_rejected(status, lines, lm_path)
+
+
+def test_version_1_lm_is_rejected_without_unpickling(nglm_case):
+    """An NGLM1 file is a pickle, and unpickling one can run code: this one
+    would create a directory. It is refused on its magic alone."""
+    marker = nglm_case[0] / "unpickled"
+
+    class CreatesFile:
+        def __reduce__(self):
+            return (os.mkdir, (str(marker),))
+
+    status, lines, lm_path = _permute_with_lm_bytes(
+        nglm_case, b"NGLM1" + pickle.dumps({"order": 3, "counts": {}, "x": CreatesFile()}))
+    _assert_rejected(status, lines, lm_path)
+    assert "NGLM1" in lines[0] and "never loaded" in lines[0]
+    assert not marker.exists()
+    pickle.loads(pickle.dumps(CreatesFile()))  # the payload does act when unpickled
+    assert marker.exists()
+
+
+def test_other_exceptions_from_the_package_exit_1(synth_files, monkeypatch, capsys):
+    """A fault with no mapped type, raised in a package module, ends the
+    command with one error line naming the module and the type; one raised
+    outside the package keeps its traceback."""
+    from scrambleparse import cli, scramble
+
+    _, tb_path, _ = synth_files
+    monkeypatch.setattr(cli, "MAPPING_PRESETS", {})  # stats reads MAPPING_PRESETS["ud"]
+    capsys.readouterr()
+    assert run(["stats", "--in", str(tb_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error [scrambleparse.cli]: KeyError: 'ud'"]
+    monkeypatch.undo()
+
+    def outside(*args):
+        raise KeyError("raised outside the package")
+
+    monkeypatch.setattr(scramble, "order_distribution", outside)
+    with pytest.raises(KeyError, match="raised outside the package"):
+        run(["stats", "--in", str(tb_path)])
 
 
 def test_train_lm_creates_loadable_model(synth_files):

@@ -5,9 +5,10 @@ import pytest
 
 from helpers import transitive_tree
 from scrambleparse.conllu import DepTree, Token
-from scrambleparse.ngram import (BOS, EOS, UNK, NGramModel, filter_by_perplexity,
+from scrambleparse.ngram import (BOS, EOS, MAGIC, UNK, NGramModel, filter_by_perplexity,
                                  perplexity, train_lm)
 from scrambleparse.scramble import UD_MAPPING, extract_projections, permute_projection
+from scrambleparse.serialize import save_arrays
 
 
 def scoreable(model):
@@ -161,15 +162,73 @@ def test_filter_deterministic_under_ties():
     assert [v.perm for v in f1.variants] == sorted(v.perm for v in f1.variants)
 
 
-def test_model_save_load_round_trip(tmp_path):
-    model = train_lm([["a", "b", "c"], ["a", "c"]], order=3)
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_model_save_load_round_trip(tmp_path, order):
+    model = train_lm([["a", "b", "c"], ["a", "c"]], order=order)
     path = tmp_path / "model.nglm"
     model.save(path)
     back = NGramModel.load(path)
     assert back.order == model.order
     assert back.vocab == model.vocab
+    assert back.counts == model.counts
     for w in scoreable(model):
         assert back.prob(w, ("a",)) == model.prob(w, ("a",))
+    assert path.read_bytes().startswith(b"NGLM2")
+    back.save(tmp_path / "again.nglm")
+    assert (tmp_path / "again.nglm").read_bytes() == path.read_bytes()
+
+
+def _valid_header():
+    return {"order": 2, "vocab": [BOS, EOS, UNK, "a", "b"], "meta": {},
+            "counts": [[[], {"a": 2, "b": 1, UNK: 1, EOS: 2}], [[BOS], {"a": 2}],
+                       [["a"], {"b": 1, UNK: 1, EOS: 1}], [["b"], {EOS: 1}]]}
+
+
+def _with(**changes):
+    return {**_valid_header(), **changes}
+
+
+def _counts_with(entry_index, entry):
+    counts = _valid_header()["counts"]
+    counts[entry_index] = entry
+    return _with(counts=counts)
+
+
+@pytest.mark.parametrize("header, fault", [
+    (_with(order=0), "order"), (_with(order=6), "order"), (_with(order=2.0), "order"),
+    (_with(order=True), "order"), ({k: v for k, v in _valid_header().items() if k != "order"},
+                                   "order"),
+    (_with(vocab=["</s>", "<unk>", "a", "b"]), "vocab"),
+    (_with(vocab=["<s>", "<unk>", "a", "b"]), "vocab"),
+    (_with(vocab=["<s>", "</s>", "a", "b"]), "vocab"),
+    (_with(vocab=["<s>", "</s>", "<unk>", 7]), "vocab"),
+    (_with(counts={}), "counts"), (_with(counts=[[[], {"a": 1}, 3]]), "counts"),
+    (_counts_with(1, [["a", "b"], {"a": 1}]), "at most 1 strings"),
+    (_counts_with(1, [[7], {"a": 1}]), "at most 1 strings"),
+    (_counts_with(1, [["a"], {"b": 1}]), "repeated"),
+    (_counts_with(1, [[BOS], {}]), "context"),
+    (_counts_with(1, ["<s>", {"a": 1}]), "context"),
+    (_counts_with(1, [[BOS], {"a": 0}]), "count"), (_counts_with(1, [[BOS], {"a": -1}]), "count"),
+    (_counts_with(1, [[BOS], {"a": 1.5}]), "count"), (_counts_with(1, [[BOS], {"a": "2"}]), "count"),
+    (_counts_with(1, [[BOS], {"a": True}]), "count"),
+    (_counts_with(1, [[BOS], {"a": 2**53 + 1}]), "count"),
+    (_with(counts=_valid_header()["counts"][1:]), "empty context"),
+])
+def test_load_rejects_a_bad_header(tmp_path, header, fault):
+    path = tmp_path / "bad.nglm"
+    save_arrays(path, MAGIC, _valid_header(), [])
+    assert NGramModel.load(path).counts[(BOS,)] == {"a": 2}  # the valid header loads
+    save_arrays(path, MAGIC, header, [])
+    with pytest.raises(ValueError) as err:
+        NGramModel.load(path)
+    assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)
+
+
+def test_load_rejects_arrays(tmp_path):
+    path = tmp_path / "arrays.nglm"
+    save_arrays(path, MAGIC, _valid_header(), [("x", np.zeros(2))])
+    with pytest.raises(ValueError, match="holds arrays the model does not have: x"):
+        NGramModel.load(path)
 
 
 def test_load_rejects_wrong_magic(tmp_path):

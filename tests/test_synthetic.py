@@ -65,15 +65,20 @@ def test_parse_order_spec():
     assert parse_order_spec(" SOV = 1 ") == {OrderLabel.SOV: 1.0}
 
 
-@pytest.mark.parametrize("spec, part", [
-    ("sov", "sov"), ("sov=", "sov="), ("sov=high", "sov=high"),
-    ("sov=1.5,osv=-0.5", "osv=-0.5"), ("sov=nan", "sov=nan"), ("sov=0.5,osv=inf", "osv=inf"),
+def _bad_weight(part):
+    return f"bad order weight '{part}' (expected name=weight with a finite weight >= 0)"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("sov", _bad_weight("sov")), ("sov=", _bad_weight("sov=")),
+    ("sov=high", _bad_weight("sov=high")), ("sov=1.5,osv=-0.5", _bad_weight("osv=-0.5")),
+    ("sov=nan", _bad_weight("sov=nan")), ("sov=0.5,osv=inf", _bad_weight("osv=inf")),
+    ("sov=0.5,sov=0.5", "order class 'sov' given twice"),
 ])
-def test_parse_order_spec_names_the_bad_weight(spec, part):
+def test_parse_order_spec_names_the_bad_weight(spec, message):
     with pytest.raises(ValueError) as err:
         parse_order_spec(spec)
-    assert str(err.value) == (f"bad order weight '{part}' "
-                              "(expected name=weight with a finite weight >= 0)")
+    assert str(err.value) == message
 
 
 def test_text_corpus_matches_forms():
