@@ -79,27 +79,20 @@ def legal_transitions(c: Configuration) -> frozenset[str]:
 
 
 def apply(c: Configuration, t: Transition) -> Configuration:
-    """Apply a transition to ``c`` in place and return ``c``."""
+    """Apply a transition to ``c`` in place and return ``c``. A kind
+    outside ``legal_transitions(c)`` raises ``ValueError`` and leaves
+    ``c`` as it was."""
     s, b = c.stack[-1], c.buffer_start
+    if t.kind not in legal_transitions(c):
+        top = "ROOT" if s == 0 else f"{s} ({'with a' if s in c.heads else 'no'} head)"
+        front = "empty" if b > c.n else f"front {b}"
+        raise ValueError(f"{t.kind} is not legal: stack top {top}, buffer {front}")
     if t.kind == REDUCE:
-        if s == 0:
-            raise ValueError("reduce: stack top is ROOT")
-        if s not in c.heads:
-            raise ValueError("reduce: stack top has no head yet")
         c.stack.pop()
-        return c
-    if t.kind not in (SHIFT, LEFT_ARC, RIGHT_ARC):
-        raise ValueError(f"unknown transition kind '{t.kind}'")
-    if b > c.n:
-        raise ValueError(f"{t.kind}: buffer is empty")
-    if t.kind == SHIFT:
+    elif t.kind == SHIFT:
         c.stack.append(b)
         c.buffer_start += 1
     elif t.kind == LEFT_ARC:
-        if s == 0:
-            raise ValueError("left_arc: stack top is ROOT")
-        if s in c.heads:
-            raise ValueError("left_arc: stack top already has a head")
         c.heads[s] = (b, t.label)
         c.lc[b] = s  # b's dependents so far are all left ones, each left of the last
         c.rc.setdefault(b, s)
@@ -114,13 +107,16 @@ def apply(c: Configuration, t: Transition) -> Configuration:
 
 
 def static_oracle(tree: DepTree) -> list[Transition]:
-    """Gold transition sequence whose replay reconstructs the tree's arcs."""
-    if not is_projective(tree):
-        raise ValueError(f"sentence {tree.label()} is non-projective; "
-                         "projectivize before deriving oracle sequences")
+    """Gold transition sequence whose replay reconstructs the tree's arcs.
+    A non-projective tree raises ``ValueError``: this is the projectivity
+    check of every training tree."""
+    shape = tree.shape()
+    if not is_projective(tree, shape):
+        raise ValueError(f"sentence {tree.label()} is non-projective; projectivize it "
+                         "first, or train with pseudo_projective set")
     gold_head = {t.index: t.head for t in tree.tokens}
     gold_label = {t.index: t.deprel for t in tree.tokens}
-    dependents = tree.shape().children
+    dependents = shape.children
 
     c = initial_config(len(tree.tokens))
     seq: list[Transition] = []

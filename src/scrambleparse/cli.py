@@ -151,9 +151,6 @@ def cmd_train(args, argv):
         cfg = cfg.merged(pseudo_projective=True)
     _echo(args, cfg)
     train = _union_treebank(args.train)
-    if is_parser and cfg.pseudo_projective:
-        train = Treebank([projectivity.projectivize(t)[0] for t in train],
-                         source_name=train.source_name)
     dev = load_treebank(args.dev) if args.dev else None
     model = (train_parser if is_parser else train_tagger)(train, dev, cfg)
     model.save(args.output, extra_meta={"command": " ".join(argv)})

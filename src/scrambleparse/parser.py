@@ -25,7 +25,7 @@ import numpy as np
 from . import arceager, metrics, nn
 from .arceager import LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT, Transition
 from .conllu import DepTree, Token, Treebank
-from .projectivity import deprojectivize, is_projective
+from .projectivity import deprojectivize, projectivize
 
 log = logging.getLogger(__name__)
 
@@ -112,8 +112,13 @@ class TrainConfig:
     pseudo_projective: bool = False
 
     def __post_init__(self):
-        """Reject a value that would train a useless or broken model, however
-        the config was made: a file, ``merged`` or a checkpoint's meta."""
+        """Reject a value of another type than its field's, or one that would
+        train a useless or broken model, however the config was made: in
+        code, from a file, by ``merged`` or from a checkpoint's meta."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _FIELD_TYPES[f.type][0](value):
+                raise ValueError(f"{f.name} must be {f.type.replace(' | ', ' or ')}, got {value!r}")
         for name, (low, high) in _CONFIG_RANGES.items():
             value = getattr(self, name)
             if not low <= value < high:  # also false for NaN
@@ -124,7 +129,6 @@ class TrainConfig:
     def from_file(cls, path) -> "TrainConfig":
         """Plain key=value file; '#' starts a comment."""
         values = {}
-        names = {f.name for f in fields(cls)}
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -132,7 +136,7 @@ class TrainConfig:
                     continue
                 key, sep, value = line.partition("=")
                 key = key.strip()
-                if not sep or key not in names:
+                if not sep or key not in cls.__dataclass_fields__:
                     raise ValueError(f"{path}:{line_no}: bad config line '{line}'")
                 try:
                     values[key] = _cast_config_value(key, value.strip())
@@ -146,31 +150,33 @@ class TrainConfig:
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
+# Per annotation of a TrainConfig field: whether a value has that type (an
+# int field takes no bool, a float field also takes an int), and how a
+# config file's text becomes one.
+_FIELD_TYPES = {
+    "int": (lambda v: type(v) is int, int),
+    "float": (lambda v: type(v) in (int, float), float),
+    "bool": (lambda v: type(v) is bool, lambda text: _BOOLS[text.lower()]),
+    "str | None": (lambda v: v is None or isinstance(v, str), lambda text: text or None),
+}
+
 
 def _cast_config_value(key: str, value: str):
-    if key == "embeddings_path":
-        return value or None
-    kind = type(getattr(TrainConfig(), key))
+    kind = TrainConfig.__dataclass_fields__[key].type
     try:
-        return _BOOLS[value.lower()] if kind is bool else kind(value)
+        return _FIELD_TYPES[kind][1](value)
     except (KeyError, ValueError):
-        expected = "one of 1/0/true/false/yes/no" if kind is bool else kind.__name__
+        expected = "one of 1/0/true/false/yes/no" if kind == "bool" else kind
         raise ValueError(f"{key} must be {expected}, got '{value}'") from None
 
 
 def _config_from_meta(values) -> TrainConfig:
-    """A checkpoint's saved config, each value of its field's type."""
+    """A checkpoint's saved config; ``TrainConfig`` checks each value."""
     if not isinstance(values, dict):
         raise ValueError("cfg is not a mapping")
-    defaults = TrainConfig()
-    for key, value in values.items():
-        if key not in defaults.__dict__:
+    for key in values:
+        if key not in TrainConfig.__dataclass_fields__:
             raise ValueError(f"cfg has unknown field {key!r}")
-        kind = type(defaults.__dict__[key])
-        ok = (value is None or isinstance(value, str) if key == "embeddings_path"
-              else type(value) is kind or kind is float and type(value) is int)
-        if not ok:
-            raise ValueError(f"cfg field {key} must be {kind.__name__}, got {repr(value)[:40]}")
     return TrainConfig(**values)
 
 
@@ -216,20 +222,29 @@ class SentenceEncoder:
             out.append(self.tag_emb)
         return out + self.char_rnn.params() + self.stack.params()
 
-    def load_pretrained_words(self, path) -> int:
-        """Initialize word rows from a "word v1 ... vD" text file."""
-        loaded = 0
+    def load_pretrained_words(self, path) -> None:
+        """Set vocabulary words' rows from a "word v1 ... vD" text file. Lines
+        of another width, such as a word2vec header, are skipped; a row
+        holding a value that is not a finite number raises ``ValueError``."""
+        loaded = skipped = 0
         dim = self.cfg.word_dim
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 parts = line.split()
                 if len(parts) != dim + 1:
-                    continue
-                word = parts[0]
-                if word in self.vocabs.words:
-                    self.word_emb.value[self.vocabs.words.id(word)] = [float(x) for x in parts[1:]]
+                    skipped += 1
+                elif parts[0] in self.vocabs.words:
+                    try:
+                        row = [float(x) for x in parts[1:]]
+                    except ValueError:
+                        row = [math.nan]
+                    if not all(map(math.isfinite, row)):
+                        raise ValueError(f"{path}:{line_no}: the vector of '{parts[0]}' holds "
+                                         "a value that is not a finite number")
+                    self.word_emb.value[self.vocabs.words.id(parts[0])] = row
                     loaded += 1
-        return loaded
+        log.info("loaded %d pre-trained word vectors, skipped %d lines of another width",
+                 loaded, skipped)
 
     def encode(self, words: list[str], tags: list[str] | None, training: bool = False, rng=None):
         """Context vectors for ROOT plus every token, shape (n+1, out_dim),
@@ -532,22 +547,19 @@ def sentence_loss(model: ParserModel, words, tags, idx_rows, gold_ids,
 
 
 def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> ParserModel:
-    """Static-oracle training of the parser (``_fit``).
-
-    When a dev treebank is given, the parameters from the best dev-LAS
-    epoch are restored at the end.
-    """
+    """Static-oracle training of the parser (``_fit``). With
+    ``cfg.pseudo_projective`` the training trees are projectivized here and
+    the model's parses deprojectivized; otherwise a non-projective tree
+    raises ``ValueError`` (``arceager.static_oracle``). With a dev treebank,
+    the parameters of the best dev-LAS epoch are restored at the end."""
     if len(train) == 0:
         raise ValueError("training treebank is empty")
-    for tree in train:
-        if not is_projective(tree):
-            raise ValueError(f"training sentence {tree.label()} is non-projective; "
-                             "projectivize first (the flag is recorded in the model)")
+    if cfg.pseudo_projective:
+        train = Treebank([projectivize(tree)[0] for tree in train])
     vocabs = build_vocabs(train)
     model = _init_model("parser", cfg, vocabs)
     if cfg.embeddings_path:
-        loaded = model.encoder.load_pretrained_words(cfg.embeddings_path)
-        log.info("loaded %d pre-trained word vectors", loaded)
+        model.encoder.load_pretrained_words(cfg.embeddings_path)
 
     examples = []
     for tree in train:
@@ -657,8 +669,6 @@ def parse_batch(model: ParserModel, trees: list[DepTree],
 
 def parse(model: ParserModel, words: list[str], tags: list[str]) -> DepTree:
     """Greedy decode of one sentence; always returns a valid tree."""
-    if not words:
-        raise ValueError("cannot parse an empty sentence")
     if len(tags) != len(words):
         raise ValueError("tag sequence must align with the sentence")
     tokens = [Token(index=i + 1, form=w, upos=t) for i, (w, t) in enumerate(zip(words, tags))]
@@ -721,6 +731,4 @@ def tag_batch(model: TaggerModel, sentences: list[list[str]]) -> list[list[str]]
 
 def tag(model: TaggerModel, words: list[str]) -> list[str]:
     """Per-token argmax tags; output length always matches the input."""
-    if not words:
-        raise ValueError("cannot tag an empty sentence")
     return tag_batch(model, [words])[0]

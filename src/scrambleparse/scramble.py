@@ -146,10 +146,6 @@ def extract_projections(tree: DepTree, mapping: DeprelMapping) -> list[VerbalPro
         span_map = {v: (v, v)}
         for r in roots:
             span_map[r] = (shape.lo[r], shape.hi[r])
-        spans = sorted(span_map.values())
-        for (_, hi), (lo, _) in zip(spans, spans[1:]):
-            if lo <= hi:
-                raise ValueError(f"overlapping constituent spans in {tree.label()}")
         projections.append(VerbalProjection(verb_index=v,
                                             constituent_roots=tuple(roots),
                                             span_map=span_map, shape=shape))

@@ -63,9 +63,10 @@ def load_arrays(path, magic: bytes, build=None):
     found = buf[:len(magic)].tobytes()
     if found != magic:
         if found[:-1] == magic[:-1] and found[-1:].isdigit():
+            advice = ("; version 1 files can run code when read and are never loaded, "
+                      "so save the model again") if found[-1:] == b"1" else ""
             raise ValueError(f"{path}: format {found.decode()} is not read, only "
-                             f"{magic.decode()}; version 1 files can run code when read "
-                             "and are never loaded, so save the model again")
+                             f"{magic.decode()}{advice}")
         raise ValueError(f"{path}: bad magic {found!r}, expected {magic!r}")
     start = len(magic) + _LENGTH_BYTES
     if len(buf) < start:

@@ -97,6 +97,22 @@ def test_illegal_left_arc_reports_precondition():
         apply(c, Transition(LEFT_ARC, "x"))
 
 
+@pytest.mark.parametrize("moves, t, message", [
+    ("", Transition(REDUCE), "reduce is not legal: stack top ROOT, buffer front 1"),
+    ("SH", Transition(REDUCE), r"reduce is not legal: stack top 1 \(no head\), buffer front 2"),
+    ("SH RA:x", Transition(LEFT_ARC, "x"),
+     r"left_arc is not legal: stack top 2 \(with a head\), buffer empty"),
+    ("SH", Transition("swap"), "swap is not legal: stack top 1"),
+])
+def test_apply_names_the_kind_and_the_state(moves, t, message):
+    """``apply`` rejects what ``legal_transitions`` leaves out, an unknown
+    kind included, and says why."""
+    c = run_sequence(2, parse_sequence(moves))
+    assert t.kind not in legal_transitions(c)
+    with pytest.raises(ValueError, match=message):
+        apply(c, t)
+
+
 def test_transition_label_contract():
     with pytest.raises(ValueError):
         Transition(LEFT_ARC)

@@ -1,15 +1,17 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_tree, toy_treebank, transitive_tree
+from helpers import chain_tree, random_nonprojective_tree, toy_treebank, transitive_tree
 from scrambleparse.cli import run
 from scrambleparse.conllu import Treebank, dump_treebank, load_treebank, validate_tree
 from scrambleparse.ngram import NGramModel
@@ -227,7 +229,7 @@ def test_bit_flip_in_checkpoint_parses_or_is_rejected(spnn_case, position):
 
 
 @settings(max_examples=30, deadline=None)
-@given(data=st.binary(max_size=200), prefix=st.sampled_from([b"", b"SPNN2", b"SPNN1"]))
+@given(data=st.binary(max_size=200), prefix=st.sampled_from([b"", b"SPNN2", b"SPNN1", b"SPNN3"]))
 def test_random_bytes_as_checkpoint_are_rejected(spnn_case, data, prefix):
     _assert_rejected(*_parse_with_model_bytes(spnn_case, prefix + data))
 
@@ -285,7 +287,7 @@ def _permute_with_lm_bytes(case, data: bytes):
 
 
 @settings(max_examples=30, deadline=None)
-@given(data=st.binary(max_size=200), prefix=st.sampled_from([b"", b"NGLM2", b"NGLM1"]))
+@given(data=st.binary(max_size=200), prefix=st.sampled_from([b"", b"NGLM2", b"NGLM1", b"NGLM3"]))
 def test_random_bytes_as_lm_are_rejected(nglm_case, data, prefix):
     _assert_rejected(*_permute_with_lm_bytes(nglm_case, prefix + data))
 
@@ -336,6 +338,20 @@ def test_version_1_lm_is_rejected_without_unpickling(nglm_case):
     assert not marker.exists()
     pickle.loads(pickle.dumps(CreatesFile()))  # the payload does act when unpickled
     assert marker.exists()
+
+
+@pytest.mark.parametrize("version", [b"1", b"3"])
+@pytest.mark.parametrize("case", ["checkpoint", "lm"])
+def test_other_format_versions_are_named(spnn_case, nglm_case, case, version):
+    """A file of another version of the format is refused on its magic; only
+    a version 1 file gets the advice about version 1 files."""
+    magic = b"SPNN" if case == "checkpoint" else b"NGLM"
+    run_with = _parse_with_model_bytes if case == "checkpoint" else _permute_with_lm_bytes
+    status, lines, path = run_with(spnn_case if case == "checkpoint" else nglm_case,
+                                   magic + version + b"\x00" * 64)
+    _assert_rejected(status, lines, path)
+    assert f"format {(magic + version).decode()} is not read, only {magic.decode()}2" in lines[0]
+    assert ("never loaded" in lines[0]) == (version == b"1")
 
 
 def test_other_exceptions_from_the_package_exit_1(synth_files, monkeypatch, capsys):
@@ -523,6 +539,55 @@ def test_counts_below_one_are_usage_errors(synth_files, capsys, argv):
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: expected an integer >= 1, got '{argv[-1]}'" in err
     assert not out.exists()
+
+
+@pytest.fixture()
+def embeddings_case(tmp_path):
+    """A small treebank, a config that reads ``vectors.txt`` as word
+    embeddings, and a word of the treebank's vocabulary."""
+    train_path, cfg = tmp_path / "train.conllu", tmp_path / "train.cfg"
+    run(["gen-synthetic", "--n", "3", "--out", str(train_path)])
+    cfg.write_text(f"word_dim = 4\nepochs = 1\nembeddings_path = {tmp_path / 'vectors.txt'}\n")
+    return tmp_path, train_path, cfg, load_treebank(train_path)[0].tokens[0].form
+
+
+@pytest.mark.parametrize("bad", ["nan", "1e400", "-inf", "x"])
+def test_embeddings_value_that_is_not_a_finite_number_is_rejected(embeddings_case, capsys, bad):
+    tmp_path, train_path, cfg, word = embeddings_case
+    (tmp_path / "vectors.txt").write_text(f"2 4\n{word} 0.1 {bad} 0.3 0.4\n")
+    capsys.readouterr()
+    assert run(["train", "--train", str(train_path), "--out", str(tmp_path / "m.spnn"),
+                "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error [scrambleparse.parser]: {tmp_path / 'vectors.txt'}:2: the vector of "
+                   f"'{word}' holds a value that is not a finite number"]
+    assert not (tmp_path / "m.spnn").exists()
+
+
+def test_embeddings_file_trains(embeddings_case, caplog):
+    tmp_path, train_path, cfg, word = embeddings_case
+    (tmp_path / "vectors.txt").write_text(f"2 4\n{word} 0.1 0.2 0.3 0.4\nzzz 1 2 3 4\n")
+    with caplog.at_level(logging.INFO, logger="scrambleparse.parser"):
+        assert run(["train", "--train", str(train_path), "--out", str(tmp_path / "m.spnn"),
+                    "--config", str(cfg)]) == 0
+    assert "loaded 1 pre-trained word vectors, skipped 1 lines of another width" in caplog.text
+
+
+# A one-epoch model's parses can lack the label that undoes a lift.
+@pytest.mark.filterwarnings("ignore:no attachment target")
+def test_curve_trains_pseudo_projective_on_non_projective_trees(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    train_path, dev_path, cfg = (tmp_path / "train.conllu", tmp_path / "dev.conllu",
+                                 tmp_path / "train.cfg")
+    dump_treebank(Treebank([random_nonprojective_tree(rng, n_lifts=k) for k in (1, 2, 1, 2)]),
+                  train_path)
+    dump_treebank(Treebank([random_nonprojective_tree(rng, n_lifts=2)]), dev_path)
+    cfg.write_text("word_dim = 6\ntag_dim = 4\nchar_dim = 4\nchar_hidden = 3\nenc_hidden = 6\n"
+                   "mlp_hidden = 8\nepochs = 1\npseudo_projective = true\n")
+    capsys.readouterr()
+    assert run(["curve", "--train", str(train_path), "--dev", str(dev_path),
+                "--sizes", "2,4", "--config", str(cfg)]) == 0
+    assert len([l for l in capsys.readouterr().out.splitlines() if l[:1].isdigit()]) == 2
 
 
 def test_config_bools_accept_any_case(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_gradients, random_projective_tree, toy_treebank
+from helpers import (check_gradients, random_nonprojective_tree, random_projective_tree,
+                     toy_treebank)
 from scrambleparse import arceager, nn
 from scrambleparse import parser
 from scrambleparse.conllu import DepTree, Token, Treebank, validate_tree
@@ -15,7 +17,7 @@ from scrambleparse.parser import (FEATURE_SELECTORS, ParserModel, TaggerModel,
                                   oracle_rollout, parse, parse_batch, parse_tree,
                                   sentence_loss, tag, tag_batch, train_parser,
                                   train_tagger, _init_model)
-from scrambleparse.projectivity import projectivize
+from scrambleparse.projectivity import HEAD_SEP, PATH_MARK, deprojectivize, projectivize
 from scrambleparse.synthetic import default_grammar, gen_synthetic, uniform_orders
 
 TINY = TrainConfig(word_dim=6, tag_dim=4, char_dim=4, char_hidden=3, enc_hidden=5,
@@ -55,6 +57,19 @@ class TestEncoder:
         assert model.encoder.encode(["anan"], ["N"])[1][0].ravel().tolist() == [1, 0]
         assert np.allclose(a, b)
         assert not np.allclose(a, c)
+
+    def test_pretrained_words_set_only_vocabulary_rows(self, tmp_path, caplog):
+        """Rows of vocabulary words are set; other words, and lines of
+        another width (a word2vec header, a short row), are left alone."""
+        model, _ = tiny_model()
+        expected = model.encoder.word_emb.value.copy()
+        expected[model.vocabs.words.id("ana")] = [1, 2, 3, 4, 5, 6]
+        path = tmp_path / "vectors.txt"
+        path.write_text("3 6\nana 1 2 3 4 5 6\nzzz 9 9 9 9 9 9\nbo 1 2 3\nbo nan\n")
+        with caplog.at_level("INFO", logger="scrambleparse.parser"):
+            model.encoder.load_pretrained_words(path)
+        assert np.array_equal(model.encoder.word_emb.value, expected)
+        assert "loaded 1 pre-trained word vectors, skipped 3 lines of another width" in caplog.text
 
     def test_word_dropout_rate_monte_carlo(self):
         model, tb = tiny_model()
@@ -364,6 +379,25 @@ class TestTrainingAndParse:
         for t in out.tokens:
             assert HEAD_SEP not in t.deprel and PATH_MARK not in t.deprel
 
+    def test_pseudo_projective_training_projectivizes_its_trees(self):
+        """With the flag, ``train_parser`` takes non-projective trees as they
+        are: it trains as on their projectivized copies, and the model's
+        parses are those of the same weights without the flag,
+        deprojectivized."""
+        rng = np.random.default_rng(4)
+        raw = Treebank([random_nonprojective_tree(rng, n_lifts=k) for k in (1, 2, 1)])
+        cfg = TINY.merged(pseudo_projective=True)
+        model = train_parser(raw, None, cfg)
+        lifted = train_parser(Treebank([projectivize(t)[0] for t in raw]), None, cfg)
+        for p, q in zip(model.params(), lifted.params(), strict=True):
+            assert p.value.tobytes() == q.value.tobytes()
+        plain = dataclasses.replace(model, cfg=TINY)
+        trees, _ = parse_batch(model, raw.trees)
+        assert [t.tokens for t in trees] == [
+            deprojectivize(t).tokens for t in parse_batch(plain, raw.trees)[0]]
+        assert all(HEAD_SEP not in t.deprel and PATH_MARK not in t.deprel
+                   for tree in trees for t in tree.tokens)
+
     def test_load_draws_no_random_initialisation(self, tmp_path, monkeypatch):
         tb = toy_treebank()
         model = train_parser(tb, None, TINY)
@@ -391,8 +425,8 @@ class TestTrainingAndParse:
 
     @pytest.mark.parametrize("edit, problem", [
         (lambda m: m["cfg"].update(no_such_field=1), "cfg has unknown field 'no_such_field'"),
-        (lambda m: m["cfg"].update(word_dim="6"), "cfg field word_dim must be int"),
-        (lambda m: m["cfg"].update(pseudo_projective=0), "cfg field pseudo_projective must be bool"),
+        (lambda m: m["cfg"].update(word_dim="6"), "word_dim must be int, got '6'"),
+        (lambda m: m["cfg"].update(pseudo_projective=0), "pseudo_projective must be bool, got 0"),
         (lambda m: m.update(cfg=[1, 2]), "cfg is not a mapping"),
         (lambda m: m["vocab_items"].pop("chars"), "vocab_items is not"),
         (lambda m: m["vocab_items"]["labels"].append(7), "vocab_items is not"),
@@ -516,9 +550,20 @@ class TestConfigFile:
             TrainConfig.from_file(path)
 
 
-def test_train_config_is_checked_however_it_is_made():
-    with pytest.raises(ValueError, match="epochs must be finite and at least 1, got 0"):
-        TINY.merged(epochs=0)
-    with pytest.raises(ValueError, match=r"word_dropout must be in \[0, 1\), got 1.0"):
-        TrainConfig(word_dropout=1.0)
-    assert TINY.merged(lr=0.0, momentum=0.0, l2=0.0, mlp_dropout=0.0).lr == 0.0
+@pytest.mark.parametrize("make, message", [
+    (lambda: TINY.merged(epochs=0), "epochs must be finite and at least 1, got 0"),
+    (lambda: TrainConfig(word_dropout=1.0), r"word_dropout must be in \[0, 1\), got 1.0"),
+    (lambda: TrainConfig(epochs=2.5), "epochs must be int, got 2.5"),
+    (lambda: TrainConfig(epochs=True), "epochs must be int, got True"),
+    (lambda: TrainConfig(word_dim="8"), "word_dim must be int, got '8'"),
+    (lambda: TINY.merged(pseudo_projective=1), "pseudo_projective must be bool, got 1"),
+    (lambda: TrainConfig(embeddings_path=3), "embeddings_path must be str or None, got 3"),
+])
+def test_train_config_is_checked_however_it_is_made(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_train_config_takes_an_int_for_a_float_field():
+    cfg = TINY.merged(lr=0, momentum=0.0, l2=0.0, mlp_dropout=0, embeddings_path="v.txt")
+    assert cfg.lr == 0 and cfg.embeddings_path == "v.txt"

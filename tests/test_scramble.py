@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import pool_skew, random_projective_tree, transitive_tree
 from scrambleparse import conllu, projectivity
@@ -63,6 +65,25 @@ def test_extract_nested_clause():
     spans = sorted(projs[2].span_map.values())
     for (_, hi), (lo, _) in zip(spans, spans[1:]):
         assert lo > hi
+
+
+ROLES = DeprelMapping(subject_labels=frozenset({"a"}), object_labels=frozenset({"b"}),
+                      frozen_labels=frozenset({"c"}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16))
+def test_projection_spans_are_disjoint(seed, n):
+    """In a projective tree the subtrees of a head's dependents are disjoint
+    intervals that do not hold the head, so no two units of a projection
+    overlap."""
+    tree = random_projective_tree(np.random.default_rng(seed), n, tags=("VERB", "N", "X"))
+    for p in extract_projections(tree, ROLES):
+        assert set(p.span_map) == {p.verb_index, *p.constituent_roots}
+        spans = sorted(p.span_map.values())
+        assert all(lo <= hi for lo, hi in spans)
+        for (_, hi), (lo, _) in zip(spans, spans[1:]):
+            assert lo > hi
 
 
 def test_extract_requires_projective():
