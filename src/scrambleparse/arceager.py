@@ -29,6 +29,8 @@ class Transition:
     label: str | None = None
 
     def __post_init__(self):
+        if self.kind not in _MNEMONICS:
+            raise ValueError(f"unknown transition kind {self.kind!r}")
         if self.kind in (LEFT_ARC, RIGHT_ARC) and not self.label:
             raise ValueError(f"{self.kind} requires a label")
         if self.kind in (SHIFT, REDUCE) and self.label is not None:

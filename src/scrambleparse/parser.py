@@ -5,12 +5,13 @@ Tokens are encoded as word embedding + character BiLSTM final states
 layers. The parser scores labeled transitions from 11 positional
 features of the configuration with a one-hidden-layer rectifier
 classifier; the tagger classifies each token from its own context
-vector. Training uses the static oracle, summed cross-entropy per
-sentence, and momentum SGD with L2. Inference runs on length-sorted
-chunks of sentences at once (``parse_batch``, ``tag_batch``). Both use
-one encoder pass: the character BiLSTM runs once over the distinct
-truncated forms, the stack over a length-masked padded batch (one
-sentence when training).
+vector. Both train through one loss (``sentence_loss``) on rows of
+context vectors, the parser's from the static oracle, with the mean
+cross-entropy per sentence and momentum SGD with L2. Inference runs on
+length-sorted chunks of sentences at once (``parse_batch``,
+``tag_batch``). Both use one encoder pass: the character BiLSTM runs
+once over the distinct truncated forms, the stack over a length-masked
+padded batch (one sentence when training).
 """
 
 from __future__ import annotations
@@ -82,11 +83,15 @@ def build_vocabs(tb: Treebank) -> VocabSet:
 
 _SIZES = ("word_dim", "tag_dim", "char_dim", "char_hidden", "enc_hidden", "enc_layers",
           "mlp_hidden", "epochs", "max_word_chars")
-_NON_NEGATIVE = ("lr", "lr_decay", "momentum", "l2", "clip_norm", "seed")
-# The accepted values [low, high) of TrainConfig's numeric fields.
-_CONFIG_RANGES = {**dict.fromkeys(_SIZES, (1, math.inf)),
-                  **dict.fromkeys(_NON_NEGATIVE, (0, math.inf)),
-                  "mlp_dropout": (0, 1), "word_dropout": (0, 1)}
+# Per numeric TrainConfig field: whether a value is in range (false for
+# NaN), and the range in words.
+_CONFIG_RANGES = {
+    **dict.fromkeys(_SIZES, (lambda v: 1 <= v < math.inf, "finite and at least 1")),
+    **dict.fromkeys(("lr", "clip_norm"), (lambda v: 0 < v < math.inf, "finite and above 0")),
+    **dict.fromkeys(("lr_decay", "momentum", "l2", "seed"),
+                    (lambda v: 0 <= v < math.inf, "finite and at least 0")),
+    **dict.fromkeys(("mlp_dropout", "word_dropout"), (lambda v: 0 <= v < 1, "in [0, 1)")),
+}
 
 
 @dataclass
@@ -116,14 +121,7 @@ class TrainConfig:
         train a useless or broken model, however the config was made: in
         code, from a file, by ``merged`` or from a checkpoint's meta."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not _FIELD_TYPES[f.type][0](value):
-                raise ValueError(f"{f.name} must be {f.type.replace(' | ', ' or ')}, got {value!r}")
-        for name, (low, high) in _CONFIG_RANGES.items():
-            value = getattr(self, name)
-            if not low <= value < high:  # also false for NaN
-                bound = f"in [{low}, {high})" if high < math.inf else f"finite and at least {low}"
-                raise ValueError(f"{name} must be {bound}, got {value}")
+            _check_config_value(f.name, getattr(self, f.name))
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
@@ -140,6 +138,7 @@ class TrainConfig:
                     raise ValueError(f"{path}:{line_no}: bad config line '{line}'")
                 try:
                     values[key] = _cast_config_value(key, value.strip())
+                    _check_config_value(key, values[key])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: {exc}") from None
         return cls(**values)
@@ -168,6 +167,16 @@ def _cast_config_value(key: str, value: str):
     except (KeyError, ValueError):
         expected = "one of 1/0/true/false/yes/no" if kind == "bool" else kind
         raise ValueError(f"{key} must be {expected}, got '{value}'") from None
+
+
+def _check_config_value(key: str, value) -> None:
+    """Raise ``ValueError`` for a value of another type than field ``key``'s
+    or outside its range."""
+    kind = TrainConfig.__dataclass_fields__[key].type
+    if not _FIELD_TYPES[kind][0](value):
+        raise ValueError(f"{key} must be {kind.replace(' | ', ' or ')}, got {value!r}")
+    if key in _CONFIG_RANGES and not _CONFIG_RANGES[key][0](value):
+        raise ValueError(f"{key} must be {_CONFIG_RANGES[key][1]}, got {value}")
 
 
 def _config_from_meta(values) -> TrainConfig:
@@ -368,8 +377,8 @@ def feature_indices(c: arceager.Configuration) -> list[int | None]:
 
 
 def _gather_features(ctx, idx_rows):
-    """Each step's 11 context vectors side by side; index -1 picks the
-    zero row of an absent node."""
+    """Each row's context vectors side by side (a parser step's 11, a
+    tagger token's one); index -1 picks the zero row of an absent node."""
     padded = np.concatenate([ctx, np.zeros((1, ctx.shape[1]))])
     return padded[idx_rows].reshape(len(idx_rows), -1)
 
@@ -485,16 +494,18 @@ _EPOCH_LOG = {"parser": ("epoch", "transition", "dev LAS"),
               "tagger": ("tagger epoch", "token", "dev acc")}
 
 
-def _fit(model: ParserModel | TaggerModel, examples: list[tuple], loss_fn, dev_score=None):
+def _fit(model: ParserModel | TaggerModel, examples: list[tuple], dev_score=None):
     """Per-example momentum SGD (Kiperwasser & Goldberg 2016), a fresh
     permutation and learning rate ``lr / (1 + epoch * lr_decay)`` per epoch.
 
-    ``loss_fn(example, rng)`` returns the loss summed over the example's
-    gold ids (its last item) and a closure that backpropagates the mean.
-    The parameters of the best ``dev_score()`` epoch, if given, are kept.
+    Each example is ``sentence_loss``'s ``(words, tags, idx_rows, gold_ids)``.
+    The rows of ``cfg.embeddings_path``, if set, are loaded first. The
+    parameters of the best ``dev_score()`` epoch, if given, are kept.
     """
     cfg = model.cfg
     prefix, unit, dev_name = _EPOCH_LOG[model.kind]
+    if cfg.embeddings_path:
+        model.encoder.load_pretrained_words(cfg.embeddings_path)
     rng = np.random.default_rng(cfg.seed)
     opt = nn.MomentumSGD(model.params(), lr=cfg.lr, momentum=cfg.momentum, l2=cfg.l2,
                          clip_norm=cfg.clip_norm)
@@ -505,11 +516,12 @@ def _fit(model: ParserModel | TaggerModel, examples: list[tuple], loss_fn, dev_s
         total = 0.0
         n_gold = 0
         for i in rng.permutation(len(examples)):
-            loss, backprop = loss_fn(examples[i], rng)
+            # The module global, so a wrapper installed on it sees every call.
+            loss, backprop = sentence_loss(model, *examples[i], training=True, rng=rng)
             backprop()
             opt.step()
             opt.zero_grad()
-            total += loss
+            total += loss * len(examples[i][-1])
             n_gold += len(examples[i][-1])
         msg = f"{prefix} {epoch + 1}/{cfg.epochs}: loss/{unit} {total / n_gold:.4f}"
         if dev_score is not None:
@@ -524,26 +536,28 @@ def _fit(model: ParserModel | TaggerModel, examples: list[tuple], loss_fn, dev_s
     return model
 
 
-def sentence_loss(model: ParserModel, words, tags, idx_rows, gold_ids,
+def sentence_loss(model: ParserModel | TaggerModel, words, tags, idx_rows, gold_ids,
                   training=False, rng=None):
-    """Mean transition cross-entropy; returns loss and a backprop closure.
+    """Mean cross-entropy of the gold ids; returns it and a backprop closure.
 
-    Normalizing by the number of transitions keeps update magnitudes
-    comparable across sentence lengths, which momentum SGD needs to stay
-    stable with per-sentence updates.
+    Row r of ``idx_rows`` picks the context vectors (-1: a zero row) that
+    classify ``gold_ids[r]``: a parser step's 11 feature nodes, or for the
+    tagger the one token. The gradient is divided by the number of gold
+    ids, which keeps update magnitudes comparable across sentence lengths,
+    as momentum SGD with per-sentence updates needs to stay stable.
     """
     ctx, enc_cache = model.encoder.encode(words, tags, training=training, rng=rng)
     F = _gather_features(ctx, idx_rows)
     logits, mlp_cache = model.mlp.forward(F, training=training, rng=rng)
     loss, dlogits = nn.nll_loss(logits, gold_ids)
-    scale = 1.0 / len(gold_ids)
+    n = len(gold_ids)
 
     def backprop():
-        dF = model.mlp.backward(dlogits * scale, mlp_cache)
+        dF = model.mlp.backward(dlogits / n, mlp_cache)
         dctx = _scatter_features(dF, idx_rows, ctx.shape)
         model.encoder.backward(dctx, enc_cache)
 
-    return loss * scale, backprop
+    return loss / n, backprop
 
 
 def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> ParserModel:
@@ -556,26 +570,17 @@ def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Par
         raise ValueError("training treebank is empty")
     if cfg.pseudo_projective:
         train = Treebank([projectivize(tree)[0] for tree in train])
-    vocabs = build_vocabs(train)
-    model = _init_model("parser", cfg, vocabs)
-    if cfg.embeddings_path:
-        model.encoder.load_pretrained_words(cfg.embeddings_path)
-
+    model = _init_model("parser", cfg, build_vocabs(train))
     examples = []
     for tree in train:
         idx_rows, seq = oracle_rollout(tree)
         gold_ids = [model.transition_id(t) for t in seq]
         examples.append((tree.forms(), tree.upos_tags(), idx_rows, gold_ids))
 
-    def loss_fn(example, rng):
-        # The module global, so a wrapper installed on it sees every call.
-        loss, backprop = sentence_loss(model, *example, training=True, rng=rng)
-        return loss * len(example[-1]), backprop
-
     def dev_las():
         return metrics.score(dev, Treebank(parse_batch(model, dev.trees)[0])).las
 
-    return _fit(model, examples, loss_fn, dev_las if dev else None)
+    return _fit(model, examples, dev_las if dev else None)
 
 
 # Padded positions (sentences x (1 + longest sentence)) per inference
@@ -689,26 +694,14 @@ def train_tagger(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Tag
     if len(vocabs.tags) <= 3:  # only the reserved entries
         raise ValueError("training data carries no POS tags")
     model = _init_model("tagger", cfg, vocabs)
-    examples = [(tree.forms(), [vocabs.tags.id(t) for t in tree.upos_tags()])
-                for tree in train]
-
-    def loss_fn(example, rng):
-        words, gold_ids = example
-        ctx, enc_cache = model.encoder.encode(words, None, training=True, rng=rng)
-        logits, mlp_cache = model.mlp.forward(ctx[1:], training=True, rng=rng)
-        loss, dlogits = nn.nll_loss(logits, gold_ids)
-
-        def backprop():
-            dctx = np.zeros_like(ctx)
-            dctx[1:] = model.mlp.backward(dlogits / len(words), mlp_cache)
-            model.encoder.backward(dctx, enc_cache)
-
-        return loss, backprop
+    # One classifier row per token: its own context vector.
+    examples = [(tree.forms(), None, np.arange(1, len(tree) + 1)[:, None],
+                 [vocabs.tags.id(t) for t in tree.upos_tags()]) for tree in train]
 
     def dev_acc():
         return metrics.pos_accuracy(dev, tag_batch(model, [t.forms() for t in dev]))
 
-    return _fit(model, examples, loss_fn, dev_acc if dev else None)
+    return _fit(model, examples, dev_acc if dev else None)
 
 
 def tag_batch(model: TaggerModel, sentences: list[list[str]]) -> list[list[str]]:

@@ -58,22 +58,17 @@ class SyntheticGrammar:
         self.order_weights = weights
 
 
-def default_grammar(order_weights=None, seed: int = 7, n_nouns: int = 150,
-                    n_verbs: int = 60, p_iobj: float = 0.3,
-                    p_adjunct: float = 0.3) -> SyntheticGrammar:
+def default_grammar(order_weights=None) -> SyntheticGrammar:
     """Reasonably diverse vocabulary; order distribution defaults to all-SOV."""
+    seed, n_nouns = 7, 150
     return SyntheticGrammar(
         subjects=_pseudo_words(n_nouns, 2, seed),
         objects=_pseudo_words(n_nouns, 2, seed + 1),
-        indirect_objects=_pseudo_words(max(20, n_nouns // 3), 2, seed + 2),
+        indirect_objects=_pseudo_words(n_nouns // 3, 2, seed + 2),
         adjuncts=_pseudo_words(24, 3, seed + 3),
-        verbs=_pseudo_words(n_verbs, 2, seed + 4, suffix="na"),
+        verbs=_pseudo_words(60, 2, seed + 4, suffix="na"),
         order_weights=order_weights or {OrderLabel.SOV: 1.0},
-        p_iobj=p_iobj,
-        p_adjunct=p_adjunct,
     )
-
-
 
 
 def uniform_orders() -> dict:

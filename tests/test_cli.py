@@ -500,10 +500,12 @@ def test_malformed_config_value_names_file_and_line(tmp_path, capsys, bad_line, 
     ("max_word_chars = 0", "max_word_chars must be finite and at least 1, got 0"),
     ("mlp_dropout = 1.0", "mlp_dropout must be in [0, 1), got 1.0"),
     ("word_dropout = -0.1", "word_dropout must be in [0, 1), got -0.1"),
-    ("lr = nan", "lr must be finite and at least 0, got nan"),
+    ("lr = nan", "lr must be finite and above 0, got nan"),
+    ("lr = 0", "lr must be finite and above 0, got 0.0"),
     ("momentum = -0.9", "momentum must be finite and at least 0, got -0.9"),
     ("l2 = -1e-6", "l2 must be finite and at least 0, got -1e-06"),
-    ("clip_norm = inf", "clip_norm must be finite and at least 0, got inf"),
+    ("clip_norm = inf", "clip_norm must be finite and above 0, got inf"),
+    ("clip_norm = 0", "clip_norm must be finite and above 0, got 0.0"),
 ])
 def test_config_value_out_of_range_is_rejected_before_training(tmp_path, capsys, bad_line,
                                                                fault):
@@ -515,7 +517,7 @@ def test_config_value_out_of_range_is_rejected_before_training(tmp_path, capsys,
     assert run(["train", "--train", str(train_path), "--out", str(tmp_path / "m.spnn"),
                 "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error [scrambleparse.parser]: {fault}"]
+    assert captured.err.splitlines() == [f"error [scrambleparse.parser]: {cfg}:3: {fault}"]
     assert "config" not in captured.out  # rejected before the config is echoed
     assert not (tmp_path / "m.spnn").exists()
 
@@ -551,12 +553,14 @@ def embeddings_case(tmp_path):
     return tmp_path, train_path, cfg, load_treebank(train_path)[0].tokens[0].form
 
 
+@pytest.mark.parametrize("command", ["train", "train-tagger"])
 @pytest.mark.parametrize("bad", ["nan", "1e400", "-inf", "x"])
-def test_embeddings_value_that_is_not_a_finite_number_is_rejected(embeddings_case, capsys, bad):
+def test_embeddings_value_that_is_not_a_finite_number_is_rejected(embeddings_case, capsys, bad,
+                                                                  command):
     tmp_path, train_path, cfg, word = embeddings_case
     (tmp_path / "vectors.txt").write_text(f"2 4\n{word} 0.1 {bad} 0.3 0.4\n")
     capsys.readouterr()
-    assert run(["train", "--train", str(train_path), "--out", str(tmp_path / "m.spnn"),
+    assert run([command, "--train", str(train_path), "--out", str(tmp_path / "m.spnn"),
                 "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error [scrambleparse.parser]: {tmp_path / 'vectors.txt'}:2: the vector of "
@@ -564,11 +568,12 @@ def test_embeddings_value_that_is_not_a_finite_number_is_rejected(embeddings_cas
     assert not (tmp_path / "m.spnn").exists()
 
 
-def test_embeddings_file_trains(embeddings_case, caplog):
+@pytest.mark.parametrize("command", ["train", "train-tagger"])
+def test_embeddings_file_trains(embeddings_case, caplog, command):
     tmp_path, train_path, cfg, word = embeddings_case
     (tmp_path / "vectors.txt").write_text(f"2 4\n{word} 0.1 0.2 0.3 0.4\nzzz 1 2 3 4\n")
     with caplog.at_level(logging.INFO, logger="scrambleparse.parser"):
-        assert run(["train", "--train", str(train_path), "--out", str(tmp_path / "m.spnn"),
+        assert run([command, "--train", str(train_path), "--out", str(tmp_path / "m.spnn"),
                     "--config", str(cfg)]) == 0
     assert "loaded 1 pre-trained word vectors, skipped 1 lines of another width" in caplog.text
 

@@ -565,5 +565,5 @@ def test_train_config_is_checked_however_it_is_made(make, message):
 
 
 def test_train_config_takes_an_int_for_a_float_field():
-    cfg = TINY.merged(lr=0, momentum=0.0, l2=0.0, mlp_dropout=0, embeddings_path="v.txt")
-    assert cfg.lr == 0 and cfg.embeddings_path == "v.txt"
+    cfg = TINY.merged(lr=1, momentum=0.0, l2=0.0, mlp_dropout=0, embeddings_path="v.txt")
+    assert cfg.lr == 1 and cfg.embeddings_path == "v.txt"
