@@ -120,15 +120,19 @@ def cmd_permute(args, argv):
     tb = load_treebank(args.input)
     mapping = MAPPING_PRESETS[args.labels]
     model = ngram.NGramModel.load(args.lm)
-    if any(not projectivity.is_projective(t) for t in tb):
+    # Each tree's shape, built once and keyed by id (the trees live in tb);
+    # the loop below drops each shape once it is used.
+    shape_of = {id(t): t.shape() for t in tb}
+    if any(not projectivity.is_projective(t, shape_of[id(t)]) for t in tb):
         print("input contains non-projective trees; projectivizing first")
         tb = Treebank([projectivity.projectivize(t)[0] for t in tb],
                       source_name=tb.source_name)
+        shape_of = {id(t): t.shape() for t in tb}
     _note_short_treebank(args.select, tb, "--select")
     subset = scramble.select_representative(tb, n=args.select, seed=args.seed)
     batches = []
     for tree in subset:
-        for projection in scramble.extract_projections(tree, mapping):
+        for projection in scramble.extract_projections(tree, mapping, shape_of.pop(id(tree))):
             batch = scramble.permute_projection(tree, projection, limit=args.max_variants,
                                                 mapping=mapping, seed=args.seed)
             batches.append(ngram.filter_by_perplexity(batch, model, k=args.keep))

@@ -11,6 +11,10 @@ distinct words seen after c. The empty-context base case interpolates
 with the uniform distribution over the vocabulary. Tokens seen exactly
 once in the corpus additionally contribute an <unk> event in the same
 context, which reserves observed mass for out-of-vocabulary words.
+
+The recursion is evaluated as one loop, from the empty context up through
+the longer suffixes, in the same arithmetic order. ``filter_by_perplexity``
+scores each order's word tuple and builds variants for its survivors only.
 """
 
 from __future__ import annotations
@@ -34,43 +38,45 @@ class NGramModel:
     order: int
     counts: dict = field(repr=False)  # context tuple -> {next token: count >= 1}
     vocab: frozenset
-    # Derived from ``counts``, per context tuple: the total event count and the
-    # number of distinct continuation types
-    context_totals: dict = field(init=False, repr=False, compare=False)
-    distinct: dict = field(init=False, repr=False, compare=False)
+    # Derived from ``counts``: context tuple -> (its total event count, its
+    # number of distinct continuation types, its counts)
+    _contexts: dict = field(init=False, repr=False, compare=False)
     # n-gram (context words, then the word) -> log probability, filled by ``logprob``
     _logprobs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.context_totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
-        self.distinct = {ctx: len(c) for ctx, c in self.counts.items()}
+        self._contexts = {ctx: (sum(c.values()), len(c), c) for ctx, c in self.counts.items()}
+
+    @property
+    def context_totals(self) -> dict:
+        return {ctx: total for ctx, (total, _, _) in self._contexts.items()}
+
+    @property
+    def distinct(self) -> dict:
+        return {ctx: types for ctx, (_, types, _) in self._contexts.items()}
 
     @property
     def event_vocab_size(self) -> int:
         return len(self.vocab) - 1  # BOS is context-only, never predicted
 
     def _interp(self, word: str, context: tuple) -> float:
-        if context:
-            total = self.context_totals.get(context)
-            if not total:
-                return self._interp(word, context[1:])
-            types = self.distinct[context]
-            backoff = self._interp(word, context[1:])
-            return (self.counts[context].get(word, 0) + types * backoff) / (total + types)
-        total = self.context_totals[()]
-        types = self.distinct[()]
-        uniform = 1.0 / self.event_vocab_size
-        return (self.counts[()].get(word, 0) + types * uniform) / (total + types)
+        """Interpolates from the uniform distribution up through each
+        context suffix, shortest first; an unseen suffix passes P on."""
+        p = 1.0 / self.event_vocab_size
+        contexts = self._contexts
+        for start in range(len(context), -1, -1):
+            entry = contexts.get(context[start:])
+            if entry is not None:
+                total, types, counts = entry
+                p = (counts.get(word, 0) + types * p) / (total + types)
+        return p
 
     def prob(self, word: str, context=()) -> float:
         """Smoothed P(word | context); OOV words and context tokens map to <unk>."""
-        if word not in self.vocab or word == BOS:
+        vocab, k = self.vocab, self.order - 1
+        context = tuple([w if w in vocab else UNK for w in context[-k:]]) if k else ()
+        if word not in vocab or word == BOS:
             word = UNK
-        context = tuple(w if w in self.vocab else UNK for w in context)
-        if self.order == 1:
-            context = ()
-        else:
-            context = context[-(self.order - 1):]
         return self._interp(word, context)
 
     def logprob(self, sentence: list[str]) -> float:
@@ -80,10 +86,9 @@ class NGramModel:
         """
         memo = self._logprobs
         k = self.order - 1
-        events = [BOS] * k + list(sentence) + [EOS]
+        events = (BOS,) * k + tuple(sentence) + (EOS,)
         total = 0.0
-        for i in range(len(events) - k):
-            gram = tuple(events[i:i + k + 1])
+        for gram in zip(*(events[i:] for i in range(k + 1))):
             lp = memo.get(gram)
             if lp is None:
                 lp = memo[gram] = math.log(self.prob(gram[-1], gram[:-1]))
@@ -159,24 +164,22 @@ def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
 
     k defaults to the number of permuted units of the batch's projection.
     Ties break on the lexicographic order of the permutation, so the
-    result is deterministic. Returns a new batch; scores are recorded on
-    the surviving variants.
+    result is deterministic. The batch's word tuples are scored, and only
+    the survivors' variants are built. Returns a new batch; scores are
+    recorded on the surviving variants.
     """
     from .scramble import PermutationBatch
 
     if k is None:
         k = batch.projection.unit_count
-    scored = []
-    for v in batch.variants:
-        ppl = perplexity(model, v.forms)
-        scored.append((ppl, v.perm, v))
-    scored.sort(key=lambda item: (item[0], item[1]))
+    scored = sorted((perplexity(model, words), perm, i)
+                    for i, (perm, words) in enumerate(batch.rows))
     survivors = []
-    for ppl, _, v in scored[:k]:
+    for ppl, _, i in scored[:k]:
+        v = batch.variant(i)
         v.perplexity = ppl
         survivors.append(v)
-    return PermutationBatch(source=batch.source, projection=batch.projection,
-                            variants=survivors)
+    return PermutationBatch(batch.source, batch.projection, survivors)
 
 
 def read_corpus(path) -> list[list[str]]:

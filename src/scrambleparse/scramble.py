@@ -4,6 +4,11 @@ Identifies verbal projections in projective trees, permutes the linear
 order of the verb and its argument/adjunct subtrees while keeping all
 dominance relations intact, labels each variant with its S/O/V order,
 and balances the class distribution of the resulting pool.
+
+Each order starts as a ``(perm, words)`` row of a ``PermutationBatch``,
+which is all the LM filter scores. Its variant (token positions and S/O/V
+label) is built when read, which the filter does for its survivors only,
+and the variant's tree later still, for the orders the balancer keeps.
 """
 
 from __future__ import annotations
@@ -76,8 +81,8 @@ class PermutationVariant:
     ``positions`` holds the source token at each new position and
     ``forms`` the words in that order. The relinearized tree is built
     from ``source`` the first time ``tree`` is read, so variants that the
-    LM filter or the balancer drop never build one. A variant can also
-    be made from a ready ``tree``.
+    balancer drops never build one. A variant can also be made from a
+    ready ``tree``.
     """
 
     def __init__(self, *, order: OrderLabel, perm: tuple[int, ...],
@@ -113,11 +118,37 @@ class PermutationVariant:
         return self.perm == tuple(range(len(self.perm)))
 
 
-@dataclass
 class PermutationBatch:
-    source: DepTree
-    projection: VerbalProjection
-    variants: list[PermutationVariant]
+    """The orders of one projection's units.
+
+    ``rows`` holds each order's ``(perm, words)``: all that the LM filter
+    scores. ``variant(i)`` builds row i's ``PermutationVariant`` (its
+    positions and S/O/V label) the first time it is asked for, and
+    ``variants`` builds every row's, so orders that are only scored build
+    none. A batch can also be made from ready ``variants``.
+    """
+
+    def __init__(self, source: DepTree, projection: VerbalProjection,
+                 variants=(), *, rows=None, build=None):
+        self.source = source
+        self.projection = projection
+        if rows is None:
+            self._built = list(variants)
+            rows = [(v.perm, v.forms) for v in self._built]
+        else:
+            self._built = [None] * len(rows)
+        self.rows: list[tuple[tuple[int, ...], tuple[str, ...]]] = rows
+        self._build = build  # (perm, words) -> PermutationVariant
+
+    def variant(self, i: int) -> PermutationVariant:
+        v = self._built[i]
+        if v is None:
+            v = self._built[i] = self._build(*self.rows[i])
+        return v
+
+    @property
+    def variants(self) -> list[PermutationVariant]:
+        return [self.variant(i) for i in range(len(self.rows))]
 
 
 def _verbal_heads(tree: DepTree, mapping: DeprelMapping,
@@ -132,10 +163,12 @@ def _verbal_heads(tree: DepTree, mapping: DeprelMapping,
     return heads
 
 
-def extract_projections(tree: DepTree, mapping: DeprelMapping) -> list[VerbalProjection]:
+def extract_projections(tree: DepTree, mapping: DeprelMapping,
+                        shape: TreeShape | None = None) -> list[VerbalProjection]:
     """One projection per verbal head; constituents are the head's direct
-    dependents' full subtrees, minus frozen labels."""
-    shape = tree.shape()
+    dependents' full subtrees, minus frozen labels. ``shape`` is the
+    tree's shape, when the caller has built it."""
+    shape = shape or tree.shape()
     if not is_projective(tree, shape):
         raise ValueError(f"sentence {tree.label()} is non-projective; projectivize first")
     children = shape.children
@@ -226,19 +259,17 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
 
     Each unit keeps its internal token order; heads and labels are
     remapped to the new indices; frozen tokens never move. Every variant
-    carries a comment recording its order class and permutation. Variants
-    get their order class and word sequence here; their trees are built
-    only when read (see ``PermutationVariant``).
+    carries a comment recording its order class and permutation. Each
+    order gets its word tuple here; its variant is built when read (see
+    ``PermutationBatch``) and the variant's tree later still (see
+    ``PermutationVariant``).
     """
     m = projection.unit_count
     if m > MAX_UNITS_WITHOUT_LIMIT and limit is None:
         raise ValueError(f"projection has {m} units ({math.factorial(m)} permutations); "
                          "pass an explicit limit")
     spans = sorted(projection.span_map.values())
-    unit_tokens = [list(range(lo, hi + 1)) for lo, hi in spans]
-    forms = tree.forms()
-    unit_forms = [forms[lo - 1:hi] for lo, hi in spans]
-    # The units' tokens fill the same slots in every variant: maximal runs
+    # The units' tokens fill the same slots in every order: maximal runs
     # of adjacent spans, as 0-based [start, stop). Frozen tokens between
     # runs never move.
     runs: list[list[int]] = []
@@ -248,36 +279,43 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
         else:
             runs.append([lo - 1, hi])
 
+    def linearize(perm, units, fixed: list) -> tuple:
+        """``fixed`` with its runs refilled by the units in ``perm``'s order."""
+        refill = [x for u in perm for x in units[u]]
+        out = fixed[:]
+        at = 0
+        for start, stop in runs:
+            out[start:stop] = refill[at:at + stop - start]
+            at += stop - start
+        return tuple(out)
+
     identity = tuple(range(m))
     total = math.factorial(m)
     if limit is not None and total > limit:
         rng = np.random.default_rng(seed)
         chosen = {identity}
         while len(chosen) < limit:
-            chosen.add(tuple(int(x) for x in rng.permutation(m)))
+            # One row per rng.permutation(m) call, in the same stream; a
+            # block of the rows still missing cannot overfill the set.
+            block = rng.permuted(np.tile(identity, (limit - len(chosen), 1)), axis=1)
+            chosen.update(map(tuple, block.tolist()))
         perms = sorted(chosen)
     else:
-        perms = [tuple(p) for p in itertools.permutations(range(m))]
+        perms = list(itertools.permutations(range(m)))
 
     roles = _clause_roles(tree, mapping, projection.shape)
-    base = list(range(1, len(forms) + 1))
-    variants = []
-    for perm in perms:
-        refill = [i for u in perm for i in unit_tokens[u]]
-        refill_forms = [w for u in perm for w in unit_forms[u]]
-        positions = base[:]
-        words = forms[:]
-        at = 0
-        for start, stop in runs:
-            end = at + stop - start
-            positions[start:stop] = refill[at:end]
-            words[start:stop] = refill_forms[at:end]
-            at = end
-        positions = tuple(positions)
-        variants.append(PermutationVariant(
-            order=_order_label(roles, positions.index), perm=perm, positions=positions,
-            source=tree, forms=tuple(words)))
-    return PermutationBatch(source=tree, projection=projection, variants=variants)
+    forms = tree.forms()
+    unit_words = [forms[lo - 1:hi] for lo, hi in spans]
+    unit_tokens = [range(lo, hi + 1) for lo, hi in spans]
+    tokens = list(range(1, len(forms) + 1))
+
+    def build(perm, words) -> PermutationVariant:
+        positions = linearize(perm, unit_tokens, tokens)
+        return PermutationVariant(order=_order_label(roles, positions.index), perm=perm,
+                                  positions=positions, source=tree, forms=words)
+
+    rows = [(perm, linearize(perm, unit_words, forms)) for perm in perms]
+    return PermutationBatch(tree, projection, rows=rows, build=build)
 
 
 def balance_orders(batches: list[PermutationBatch], budget: int,

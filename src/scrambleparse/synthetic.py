@@ -8,6 +8,7 @@ recoverable under scrambling, mirroring morphologically-rich languages.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +53,8 @@ class SyntheticGrammar:
         total = sum(weights.values())
         if not np.isclose(total, 1.0, atol=1e-9):
             raise ValueError(f"order weights must sum to 1, got {total}")
+        if min(weights.values()) < 0:
+            raise ValueError("order weights must be >= 0")
         for name in ("subjects", "objects", "verbs"):
             if not getattr(self, name):
                 raise ValueError(f"grammar role '{name}' has an empty vocabulary")
@@ -121,41 +124,49 @@ def _clause_chunks(g: SyntheticGrammar, order: OrderLabel, rng) -> list[tuple[st
     return ordered
 
 
+def _clause_tree(chunks, order: OrderLabel, sent_id: str) -> DepTree:
+    """The gold tree of ``_clause_chunks``' output. Each chunk's head is its
+    first token; all chunk heads attach to the verb."""
+    chunk_head_pos = {}
+    pos = 0
+    for role, items in chunks:
+        chunk_head_pos[role] = pos + 1
+        pos += len(items)
+    verb_pos = chunk_head_pos["V"]
+    tokens: list[Token] = []
+    pos = 0
+    for role, items in chunks:
+        for j, (form, upos, deprel) in enumerate(items):
+            pos += 1
+            if deprel == "root":
+                head = 0
+            elif j == 0:
+                head = verb_pos
+            else:
+                head = chunk_head_pos[role]
+            tokens.append(Token(index=pos, form=form, upos=upos,
+                                head=head, deprel=deprel))
+    comments = [f"# sent_id = {sent_id}",
+                f"# text = {' '.join(t.form for t in tokens)}",
+                f"# order = {order.value}"]
+    return DepTree(tokens=tokens, sentence_id=sent_id, comments=comments)
+
+
 def gen_synthetic(g: SyntheticGrammar, n: int, seed: int = 42) -> Treebank:
     """Sample n gold trees; order class of each drawn from the grammar weights."""
     rng = np.random.default_rng(seed)
     labels = list(TRANSITIVE_ORDERS)
     probs = np.array([g.order_weights[l] for l in labels])
     probs = probs / probs.sum()
+    # The draw of rng.choice(len(labels), p=probs), without its per-call
+    # overhead: one random() searched in the normalized cumulative sum.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
     trees = []
     for i in range(n):
-        order = labels[int(rng.choice(len(labels), p=probs))]
-        chunks = _clause_chunks(g, order, rng)
-        # Each chunk's head is its first token; all chunk heads attach to the verb.
-        chunk_head_pos = {}
-        pos = 0
-        for role, items in chunks:
-            chunk_head_pos[role] = pos + 1
-            pos += len(items)
-        verb_pos = chunk_head_pos["V"]
-        tokens: list[Token] = []
-        pos = 0
-        for role, items in chunks:
-            for j, (form, upos, deprel) in enumerate(items):
-                pos += 1
-                if deprel == "root":
-                    head = 0
-                elif j == 0:
-                    head = verb_pos
-                else:
-                    head = chunk_head_pos[role]
-                tokens.append(Token(index=pos, form=form, upos=upos,
-                                    head=head, deprel=deprel))
-        sent_id = f"synth-{seed}-{i}"
-        comments = [f"# sent_id = {sent_id}",
-                    f"# text = {' '.join(t.form for t in tokens)}",
-                    f"# order = {order.value}"]
-        trees.append(DepTree(tokens=tokens, sentence_id=sent_id, comments=comments))
+        order = labels[bisect.bisect_right(cdf, rng.random())]
+        trees.append(_clause_tree(_clause_chunks(g, order, rng), order, f"synth-{seed}-{i}"))
     return Treebank(trees, source_name="synthetic")
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import transitive_tree
 from scrambleparse.conllu import DepTree, Token
@@ -236,3 +238,57 @@ def test_load_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"XXXXX" + b"junk")
     with pytest.raises(ValueError, match="magic"):
         NGramModel.load(path)
+
+
+# --- the recursive interpolation, as a reference --------------------------
+
+def ref_interp(model, word, context):
+    counts = model.counts
+    if context:
+        if context not in counts:
+            return ref_interp(model, word, context[1:])
+        total, types = sum(counts[context].values()), len(counts[context])
+        backoff = ref_interp(model, word, context[1:])
+        return (counts[context].get(word, 0) + types * backoff) / (total + types)
+    total, types = sum(counts[()].values()), len(counts[()])
+    uniform = 1.0 / model.event_vocab_size
+    return (counts[()].get(word, 0) + types * uniform) / (total + types)
+
+
+def ref_prob(model, word, context=()):
+    if word not in model.vocab or word == BOS:
+        word = UNK
+    context = tuple(w if w in model.vocab else UNK for w in context)
+    context = () if model.order == 1 else context[-(model.order - 1):]
+    return ref_interp(model, word, context)
+
+
+# Literal <unk> and <s> tokens in the corpus give the model contexts that
+# hold <unk> and counts for <s>, so mapping a word to <unk> changes P.
+LM_WORDS = ["a", "b", "c", "d", "e", UNK, BOS]
+
+
+def _random_corpus(seed):
+    """30 sentences over LM_WORDS, about half with a hapax word."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for i in range(30):
+        sent = [LM_WORDS[int(j)] for j in rng.integers(len(LM_WORDS), size=int(rng.integers(1, 7)))]
+        if rng.random() < 0.5:
+            sent.insert(int(rng.integers(len(sent) + 1)), f"h{i}")
+        corpus.append(sent)
+    return corpus
+
+
+LM_MODELS = {order: train_lm(_random_corpus(order), order=order) for order in range(1, 6)}
+LM_TOKENS = st.sampled_from(LM_WORDS + ["h1", "zz", "yy", EOS])
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=st.integers(1, 5), word=LM_TOKENS, context=st.lists(LM_TOKENS, max_size=7))
+def test_prob_matches_recursive_reference(order, word, context):
+    """Orders 1-5, OOV words and context tokens, <s> as the predicted word
+    and contexts shorter and longer than order - 1, compared with ``==``."""
+    model = LM_MODELS[order]
+    assert model.prob(word, context) == ref_prob(model, word, tuple(context))
+    assert model.prob(word, tuple(context)) == ref_prob(model, word, tuple(context))

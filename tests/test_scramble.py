@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pool_skew, random_projective_tree, transitive_tree
-from scrambleparse import conllu, projectivity
-from scrambleparse.conllu import DepTree, Token, Treebank, validate_tree
+from helpers import (pool_skew, random_nonprojective_tree, random_projective_tree,
+                     transitive_tree)
+from scrambleparse import cli, conllu, projectivity, scramble
+from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_treebank,
+                                  validate_tree)
+from scrambleparse.ngram import train_lm
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import (OrderLabel, PermutationBatch,
                                     PermutationVariant, TRANSITIVE_ORDERS,
@@ -17,6 +20,7 @@ from scrambleparse.scramble import (OrderLabel, PermutationBatch,
                                     classify_order, extract_projections,
                                     order_distribution, permute_projection,
                                     select_representative)
+from scrambleparse.synthetic import default_grammar, gen_synthetic, text_corpus, uniform_orders
 
 
 def figure_like_tree() -> DepTree:
@@ -327,7 +331,22 @@ def test_permutation_count_matches_factorial_on_random_trees():
     assert checked > 10
 
 
-def test_permute_path_builds_each_tree_shape_once():
+@pytest.fixture()
+def permute_inputs(tmp_path):
+    """40 generated trees and a bigram LM trained on their words, on disk."""
+    tb = gen_synthetic(default_grammar(uniform_orders()), 40, seed=3)
+    dump_treebank(tb, tmp_path / "in.conllu")
+    train_lm(text_corpus(tb), order=2).save(tmp_path / "lm.nglm")
+    return tmp_path
+
+
+def _permute(tmp_path, *extra) -> int:
+    return cli.run(["permute", "--in", str(tmp_path / "in.conllu"),
+                    "--lm", str(tmp_path / "lm.nglm"), "--out", str(tmp_path / "aug.conllu"),
+                    "--budget", "30", *extra])
+
+
+def test_permute_path_builds_each_tree_shape_once(permute_inputs):
     calls = []
     real = conllu.tree_shape
 
@@ -340,5 +359,48 @@ def test_permute_path_builds_each_tree_shape_once():
             mock.patch.object(projectivity, "tree_shape", counting):
         (projection,) = extract_projections(tree, UD_MAPPING)
         batch = permute_projection(tree, projection)
-    assert len(calls) == 1
-    assert batch.variants
+        assert len(calls) == 1
+        assert batch.variants
+        calls.clear()
+        assert _permute(permute_inputs, "--select", "25") == 0
+    # One shape per input tree, selected or not, and one per kept tree for
+    # the order distribution that permute prints.
+    kept = len(load_treebank(permute_inputs / "aug.conllu"))
+    assert 0 < kept and len(calls) == 40 + kept
+
+
+def test_permute_notes_a_nonprojective_tree_it_does_not_select(permute_inputs, capsys):
+    tb = load_treebank(permute_inputs / "in.conllu")
+    bad = random_nonprojective_tree(np.random.default_rng(0))
+    tb = Treebank([bad] + tb.trees)
+    dump_treebank(tb, permute_inputs / "in.conllu")
+    assert bad not in select_representative(tb, n=5, seed=42).trees
+    assert _permute(permute_inputs, "--select", "5") == 0
+    assert "projectivizing first" in capsys.readouterr().out
+
+
+def test_permute_labels_and_builds_only_the_filter_survivors(permute_inputs, capsys):
+    rows = []
+    labels_at_summary = []
+    real_permute, real_distribution = scramble.permute_projection, scramble.order_distribution
+
+    def permuting(*args, **kwargs):
+        batch = real_permute(*args, **kwargs)
+        rows.append(len(batch.rows))
+        return batch
+
+    def summarising(*args, **kwargs):
+        labels_at_summary.append(label.call_count)
+        return real_distribution(*args, **kwargs)
+
+    with mock.patch.object(scramble, "_order_label", side_effect=scramble._order_label) as label, \
+            mock.patch.object(scramble, "PermutationVariant",
+                              side_effect=scramble.PermutationVariant) as variant, \
+            mock.patch.object(scramble, "permute_projection", permuting), \
+            mock.patch.object(scramble, "order_distribution", summarising):
+        assert _permute(permute_inputs) == 0
+    out = capsys.readouterr().out
+    survivors = int(out.split(" pool ")[1].split()[0])
+    assert 0 < survivors < sum(rows)
+    assert labels_at_summary == [survivors]
+    assert variant.call_count == survivors

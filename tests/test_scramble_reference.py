@@ -1,11 +1,13 @@
 """Permutation, order labelling and LM filtering against the eager versions.
 
-``permute_projection`` labels each variant from the new positions of its
-subject, object and verb and leaves the tree unbuilt until it is read;
-``filter_by_perplexity`` scores the form sequences of a batch through the
-model's n-gram memo. The functions below are the versions they replaced: a full
-tree per variant, ``classify_order`` on that tree and one uncached
-``perplexity`` per variant. The arithmetic is meant to be the same, so
+``permute_projection`` makes each order's word tuple and leaves the rest
+unbuilt: a variant gets its positions and its label (from the new
+positions of its subject, object and verb) when it is read, and its tree
+later still. ``filter_by_perplexity`` scores the word tuples of a batch
+through the model's n-gram memo and builds only its survivors. The
+functions below are the versions they replaced: a full tree per variant,
+``classify_order`` on that tree and one uncached ``perplexity`` per
+variant. The arithmetic is meant to be the same, so
 perplexities are compared with ``==``, not a tolerance.
 """
 
@@ -206,6 +208,17 @@ def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
         ref_survivors = ref_filter(expected, model, k)
         assert [v.perm for v in survivors] == [v[2] for _, v in ref_survivors]
         assert [v.perplexity for v in survivors] == [ppl for ppl, _ in ref_survivors]
+
+        # A fresh batch builds its survivors' variants in the filter alone.
+        fresh = permute_projection(tree, projection, limit=limit, mapping=UD_MAPPING, seed=seed)
+        built = filter_by_perplexity(fresh, model, k=keep).variants
+        ref_built = [v for _, v in ref_survivors]
+        assert [v.perm for v in built] == [v[2] for v in ref_built]
+        assert [v.perplexity for v in built] == [ppl for ppl, _ in ref_survivors]
+        assert [v.order for v in built] == [v[1] for v in ref_built]
+        assert [v.positions for v in built] == [v[3] for v in ref_built]
+        assert [(v.tree.tokens, v.tree.comments, v.tree.sentence_id) for v in built] == [
+            (v[0].tokens, v[0].comments, v[0].sentence_id) for v in ref_built]
 
         for v, (ref_tree, _, _, _) in zip(batch.variants, expected):
             assert v.tree.tokens == ref_tree.tokens

@@ -5,8 +5,8 @@ from scrambleparse.conllu import validate_tree
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import (TRANSITIVE_ORDERS, UD_MAPPING, OrderLabel,
                                     classify_order, order_distribution)
-from scrambleparse.synthetic import (SyntheticGrammar, default_grammar,
-                                     gen_synthetic, parse_order_spec,
+from scrambleparse.synthetic import (SyntheticGrammar, _clause_chunks, _clause_tree,
+                                     default_grammar, gen_synthetic, parse_order_spec,
                                      text_corpus, uniform_orders)
 
 
@@ -95,3 +95,46 @@ def test_case_markers_present():
         assert len(subj) == 1
         marker = [t for t in tree.tokens if t.head == subj[0].index]
         assert len(marker) == 1 and marker[0].deprel == "case"
+
+
+def ref_gen_synthetic(g, n, seed):
+    """``gen_synthetic`` drawing each order class with ``rng.choice``; returns
+    the trees and the generator."""
+    rng = np.random.default_rng(seed)
+    labels = list(TRANSITIVE_ORDERS)
+    probs = np.array([g.order_weights[l] for l in labels])
+    probs = probs / probs.sum()
+    trees = []
+    for i in range(n):
+        order = labels[int(rng.choice(len(labels), p=probs))]
+        trees.append(_clause_tree(_clause_chunks(g, order, rng), order, f"synth-{seed}-{i}"))
+    return trees, rng
+
+
+@pytest.mark.parametrize("weights", [
+    uniform_orders(), {OrderLabel.SOV: 1.0}, {OrderLabel.VSO: 1.0},
+    {OrderLabel.SOV: 0.9, OrderLabel.OSV: 0.02, OrderLabel.OVS: 0.02,
+     OrderLabel.SVO: 0.02, OrderLabel.VOS: 0.02, OrderLabel.VSO: 0.02},
+])
+def test_order_draw_matches_rng_choice(monkeypatch, weights):
+    g = default_grammar(weights)
+    made = []
+    real = np.random.default_rng
+
+    def recording(seed):
+        made.append(real(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    got = gen_synthetic(g, 2000, seed=6)
+    monkeypatch.undo()
+    want, ref_rng = ref_gen_synthetic(g, 2000, seed=6)
+    assert [(t.tokens, t.comments) for t in got] == [(t.tokens, t.comments) for t in want]
+    assert made[-1].bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_grammar_rejects_negative_weights():
+    with pytest.raises(ValueError, match=">= 0"):
+        SyntheticGrammar(subjects=("a",), objects=("b",), indirect_objects=(),
+                         adjuncts=(), verbs=("v",),
+                         order_weights={OrderLabel.SOV: 1.5, OrderLabel.OSV: -0.5})
