@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 from . import conllu, metrics, ngram, projectivity, scramble, synthetic
 from .conllu import Treebank, dump_treebank, load_treebank
@@ -40,7 +41,7 @@ def _stamp(tb: Treebank, argv) -> Treebank:
 
 def _load_config(args) -> TrainConfig:
     cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    return cfg.merged(seed=args.seed)
+    return replace(cfg, seed=args.seed)
 
 
 def _echo(args, cfg: TrainConfig | None = None) -> None:
@@ -63,15 +64,22 @@ def _note_short_treebank(requested: int, tb: Treebank, flag: str) -> None:
               f"{len(tb)} trees; using all of them")
 
 
+def _percent(dist: dict, label: OrderLabel, spec: str) -> str:
+    """``label``'s share in ``dist``; n/a when no sentence was transitive."""
+    return format(dist[label], spec) if dist else "n/a"
+
+
 def cmd_stats(args, argv):
     tb = load_treebank(args.input)
     mapping = MAPPING_PRESETS[args.labels]
-    dist = scramble.order_distribution(tb, mapping)
+    labels = [scramble.classify_order(tree, mapping) for tree in tb]
+    dist = scramble.order_distribution(labels)
+    ratio = projectivity.nonprojective_arc_ratio(tb)
     print("S.No.\tOrder\tPercentage")
     for i, label in enumerate(TRANSITIVE_ORDERS, start=1):
-        print(f"{i}\t{' '.join(label.value)}\t{dist[label]:.2f}")
-    ratio = projectivity.nonprojective_arc_ratio(tb)
+        print(f"{i}\t{' '.join(label.value)}\t{_percent(dist, label, '.2f')}")
     print(f"sentences\t{len(tb)}")
+    print(f"transitive_sentences\t{len(labels) - labels.count(OrderLabel.NONTRANSITIVE)}")
     print(f"nonprojective_arc_ratio\t{100.0 * ratio:.2f}")
     return 0
 
@@ -137,12 +145,12 @@ def cmd_permute(args, argv):
                                                 mapping=mapping, seed=args.seed)
             batches.append(ngram.filter_by_perplexity(batch, model, k=args.keep))
     pool_size = sum(len(b.variants) for b in batches)
-    augmented = scramble.balance_orders(batches, budget=args.budget)
-    dump_treebank(_stamp(augmented, argv), args.output)
-    dist = scramble.order_distribution(augmented, mapping)
-    dist_str = " ".join(f"{l.value}={dist[l]:.1f}" for l in TRANSITIVE_ORDERS)
+    kept = scramble.balance_orders(batches, budget=args.budget)
+    dump_treebank(_stamp(Treebank([v.tree for v in kept]), argv), args.output)
+    dist = scramble.order_distribution(v.order for v in kept)
+    dist_str = " ".join(f"{l.value}={_percent(dist, l, '.1f')}" for l in TRANSITIVE_ORDERS)
     print(f"permuted {len(subset)} sentences: pool {pool_size} filtered variants, "
-          f"kept {len(augmented)} (budget {args.budget}) -> {args.output}")
+          f"kept {len(kept)} (budget {args.budget}) -> {args.output}")
     print(f"augmented order distribution: {dist_str}")
     return 0
 
@@ -152,7 +160,7 @@ def cmd_train(args, argv):
     is_parser = args.command == "train"
     cfg = _load_config(args)
     if is_parser and args.pseudo_projective:
-        cfg = cfg.merged(pseudo_projective=True)
+        cfg = replace(cfg, pseudo_projective=True)
     _echo(args, cfg)
     train = _union_treebank(args.train)
     dev = load_treebank(args.dev) if args.dev else None
@@ -214,9 +222,14 @@ def cmd_curve(args, argv):
     _echo(args, cfg)
     train = load_treebank(args.train)
     dev = load_treebank(args.dev)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    curve = metrics.learning_curve(train, dev, sizes, cfg)
-    print(metrics.format_curve(curve))
+    if args.sizes[-1] > len(train):
+        raise ValueError(f"largest size {args.sizes[-1]} exceeds the training treebank's "
+                         f"{len(train)} trees")
+    print("size\tLAS\tUAS")
+    for size in args.sizes:
+        model = train_parser(Treebank(train.trees[:size]), None, cfg)
+        s = metrics.score(dev, Treebank(parse_batch(model, dev.trees)[0]))
+        print(f"{size}\t{s.las:.2f}\t{s.uas:.2f}")
     return 0
 
 
@@ -243,6 +256,19 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got '{text}'")
     return value
+
+
+def _sizes(text: str) -> list[int]:
+    """argparse type of ``curve --sizes``: counts separated by commas,
+    strictly increasing."""
+    try:
+        sizes = [_count(s) for s in text.split(",")]
+    except argparse.ArgumentTypeError:
+        sizes = []
+    if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError("expected strictly increasing integers >= 1 "
+                                         f"separated by commas, got '{text}'")
+    return sizes
 
 
 @functools.cache
@@ -322,7 +348,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = add("curve", cmd_curve, help="learning curve over training prefixes")
     sp.add_argument("--train", required=True)
     sp.add_argument("--dev", required=True)
-    sp.add_argument("--sizes", default="250,500,1000,2000")
+    sp.add_argument("--sizes", type=_sizes, default="250,500,1000,2000")
     sp.add_argument("--config", default=None)
 
     sp = add("gen-synthetic", cmd_gen_synthetic, help="synthetic-grammar treebank")

@@ -57,9 +57,6 @@ class DepTree:
     def token(self, index: int) -> Token:
         return self.tokens[index - 1]
 
-    def head_of(self, index: int) -> int:
-        return self.tokens[index - 1].head
-
     def deprel_of(self, index: int) -> str:
         return self.tokens[index - 1].deprel
 
@@ -68,9 +65,6 @@ class DepTree:
 
     def upos_tags(self) -> list[str]:
         return [t.upos for t in self.tokens]
-
-    def arcs(self) -> set[tuple[int, int, str]]:
-        return {(t.head, t.index, t.deprel) for t in self.tokens}
 
     def shape(self) -> "TreeShape":
         return tree_shape([0] + [t.head for t in self.tokens])

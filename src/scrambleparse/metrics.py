@@ -1,4 +1,4 @@
-"""Attachment scoring, POS accuracy, order-stratified scores, learning curves."""
+"""Attachment scoring, POS accuracy and order-stratified scores."""
 
 from __future__ import annotations
 
@@ -13,16 +13,10 @@ class ParseScore:
     las: float
     uas: float
     tokens_scored: int
-    punctuation_excluded: bool
 
     def as_dict(self):
         return {"las": round(self.las, 2), "uas": round(self.uas, 2),
                 "n_tokens": self.tokens_scored}
-
-
-@dataclass
-class LearningCurve:
-    points: list  # (training size, ParseScore), sizes strictly increasing
 
 
 def _check_alignment(gold: Treebank, pred: Treebank) -> None:
@@ -50,10 +44,9 @@ def _score_pairs(pairs, exclude_punct: bool) -> ParseScore:
             if g.deprel == p.deprel:
                 both_ok += 1
     if scored == 0:
-        return ParseScore(las=0.0, uas=0.0, tokens_scored=0,
-                          punctuation_excluded=exclude_punct)
+        return ParseScore(las=0.0, uas=0.0, tokens_scored=0)
     return ParseScore(las=100.0 * both_ok / scored, uas=100.0 * head_ok / scored,
-                      tokens_scored=scored, punctuation_excluded=exclude_punct)
+                      tokens_scored=scored)
 
 
 def score(gold: Treebank, pred: Treebank, exclude_punct: bool = True) -> ParseScore:
@@ -95,26 +88,3 @@ def score_by_order(gold: Treebank, pred: Treebank, mapping: DeprelMapping,
     return {label: _score_pairs(pairs, exclude_punct)
             for label, pairs in buckets.items()}
 
-
-def learning_curve(train: Treebank, dev: Treebank, sizes: list[int], cfg) -> LearningCurve:
-    """Train on growing prefixes of the treebank, score each model on dev."""
-    from .parser import parse_batch, train_parser
-
-    if sorted(sizes) != list(sizes) or len(set(sizes)) != len(sizes):
-        raise ValueError("sizes must be strictly increasing")
-    if sizes and sizes[-1] > len(train):
-        raise ValueError(f"largest size {sizes[-1]} exceeds treebank size {len(train)}")
-    points = []
-    for size in sizes:
-        subset = Treebank(train.trees[:size], source_name=f"{train.source_name}[:{size}]")
-        model = train_parser(subset, None, cfg)
-        pred = Treebank(parse_batch(model, dev.trees)[0])
-        points.append((size, score(dev, pred)))
-    return LearningCurve(points=points)
-
-
-def format_curve(curve: LearningCurve) -> str:
-    lines = ["size\tLAS\tUAS"]
-    for size, s in curve.points:
-        lines.append(f"{size}\t{s.las:.2f}\t{s.uas:.2f}")
-    return "\n".join(lines)

@@ -24,6 +24,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 
+from .scramble import PermutationBatch
 from .serialize import load_arrays, save_arrays
 
 BOS = "<s>"
@@ -46,14 +47,6 @@ class NGramModel:
 
     def __post_init__(self):
         self._contexts = {ctx: (sum(c.values()), len(c), c) for ctx, c in self.counts.items()}
-
-    @property
-    def context_totals(self) -> dict:
-        return {ctx: total for ctx, (total, _, _) in self._contexts.items()}
-
-    @property
-    def distinct(self) -> dict:
-        return {ctx: types for ctx, (_, types, _) in self._contexts.items()}
 
     @property
     def event_vocab_size(self) -> int:
@@ -168,8 +161,6 @@ def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
     the survivors' variants are built. Returns a new batch; scores are
     recorded on the surviving variants.
     """
-    from .scramble import PermutationBatch
-
     if k is None:
         k = batch.projection.unit_count
     scored = sorted((perplexity(model, words), perm, i)

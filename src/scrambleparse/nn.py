@@ -50,9 +50,6 @@ class Param:
     def grad(self, grad):
         self._grad = grad
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
 
 def param(rng, name: str, shape: tuple, init) -> Param:
     """A new parameter of ``shape``, its value ``init(rng, shape)``.
@@ -124,11 +121,11 @@ def nll_loss(logits, gold):
     return loss, dlogits
 
 
-def dropout_mask(rng, shape, p: float, training: bool = True) -> np.ndarray:
+def dropout_mask(rng, shape, p: float) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability p, 1/(1-p) otherwise."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"drop probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return np.ones(shape)
     return (rng.random(shape) >= p) / (1.0 - p)
 
@@ -325,7 +322,7 @@ class MLP:
         Z1, c1 = self.lin1.forward(X)
         A = np.maximum(Z1, 0.0)
         if training and self.dropout > 0.0:
-            mask = dropout_mask(rng, A.shape, self.dropout, training=True)
+            mask = dropout_mask(rng, A.shape, self.dropout)
         else:
             mask = 1.0
         Ad = A * mask

@@ -9,16 +9,18 @@ vector. Both train through one loss (``sentence_loss``) on rows of
 context vectors, the parser's from the static oracle, with the mean
 cross-entropy per sentence and momentum SGD with L2. Inference runs on
 length-sorted chunks of sentences at once (``parse_batch``,
-``tag_batch``). Both use one encoder pass: the character BiLSTM runs
-once over the distinct truncated forms, the stack over a length-masked
-padded batch (one sentence when training).
+``tag_batch``; ``parse`` and ``parse_tree`` are one-sentence calls).
+Both use one encoder method, ``SentenceEncoder.encode_batch``: the
+character BiLSTM runs once over the distinct truncated forms, the stack
+over a length-masked padded batch (one sentence when training, through
+``encode``).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -119,7 +121,8 @@ class TrainConfig:
     def __post_init__(self):
         """Reject a value of another type than its field's, or one that would
         train a useless or broken model, however the config was made: in
-        code, from a file, by ``merged`` or from a checkpoint's meta."""
+        code, from a file, by ``dataclasses.replace`` or from a checkpoint's
+        meta."""
         for f in fields(self):
             _check_config_value(f.name, getattr(self, f.name))
 
@@ -142,9 +145,6 @@ class TrainConfig:
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: {exc}") from None
         return cls(**values)
-
-    def merged(self, **overrides) -> "TrainConfig":
-        return replace(self, **overrides)
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -258,24 +258,21 @@ class SentenceEncoder:
     def encode(self, words: list[str], tags: list[str] | None, training: bool = False, rng=None):
         """Context vectors for ROOT plus every token, shape (n+1, out_dim),
         and the cache for ``backward``."""
-        ctx, _, cache = self._encode([words], None if tags is None else [tags], training, rng)
+        ctx, _, cache = self.encode_batch([words], None if tags is None else [tags],
+                                          training=training, rng=rng, cache=True)
         return ctx, cache
 
-    def encode_batch(self, sentences: list[list[str]], tags: list[list[str]] | None = None):
-        """Inference-only context vectors of many sentences at once.
+    def encode_batch(self, sentences: list[list[str]], tags: list[list[str]] | None = None, *,
+                     training: bool = False, rng=None, cache: bool = False):
+        """Context vectors of many sentences at once.
 
-        Returns ``(rows, lengths)``: what ``encode`` returns for each
-        sentence (ROOT first), stacked one sentence after another, and
-        ``lengths[b] = len(sentences[b]) + 1``.
-        """
-        rows, lengths, _ = self._encode(sentences, tags, cache=False)
-        return rows, lengths
-
-    def _encode(self, sentences, tags, training=False, rng=None, cache=True):
-        """``encode_batch``'s rows and lengths, and with ``cache`` what
-        ``backward`` needs. The char-BiLSTM runs once over the distinct
-        truncated forms and the stack once over the padded (1 + longest, B)
-        batch. Word dropout draws one number per token, sentence by sentence.
+        Returns ``(rows, lengths, cache)``: each sentence's context vectors
+        (ROOT first), stacked one sentence after another;
+        ``lengths[b] = len(sentences[b]) + 1``; and with ``cache`` what
+        ``backward`` needs, else None. The char-BiLSTM runs once over the
+        distinct truncated forms and the stack once over the padded
+        (1 + longest, B) batch. Word dropout draws one number per token,
+        sentence by sentence.
         """
         if any(not words for words in sentences):
             raise ValueError("cannot encode an empty sentence")
@@ -621,11 +618,11 @@ def _slot_table(W1: np.ndarray, rows: np.ndarray):
 def _decode(model: ParserModel, rows: np.ndarray, lengths) -> list[arceager.Configuration]:
     """Greedy decode of a chunk, all sentences in lockstep.
 
-    ``rows`` and ``lengths`` are what ``SentenceEncoder.encode_batch``
-    returns. The first layer is applied to every row once
-    (``_slot_table``); each step then sums 11 table rows per unfinished
-    sentence and runs the second layer once on all of them. Returns the
-    terminal configurations in sentence order.
+    ``rows`` and ``lengths`` are the first two values that
+    ``SentenceEncoder.encode_batch`` returns. The first layer is applied
+    to every row once (``_slot_table``); each step then sums 11 table rows
+    per unfinished sentence and runs the second layer once on all of them.
+    Returns the terminal configurations in sentence order.
     """
     lin1, lin2 = model.mlp.lin1, model.mlp.lin2
     table, offsets, absent = _slot_table(lin1.W.value, rows)
@@ -662,8 +659,8 @@ def parse_batch(model: ParserModel, trees: list[DepTree],
     out: list[DepTree] = [None] * len(trees)
     fallbacks = 0
     for chunk in _chunks([len(t) for t in trees]):
-        rows, lengths = model.encoder.encode_batch([trees[i].forms() for i in chunk],
-                                                   [tags[i] for i in chunk])
+        rows, lengths, _ = model.encoder.encode_batch([trees[i].forms() for i in chunk],
+                                                      [tags[i] for i in chunk])
         for i, c in zip(chunk, _decode(model, rows, lengths)):
             fallbacks += c.n - len(c.heads)
             tokens = arceager.tree_from_config(c, trees[i].tokens, upos=tags[i]).tokens
@@ -710,7 +707,7 @@ def tag_batch(model: TaggerModel, sentences: list[list[str]]) -> list[list[str]]
     out: list[list[str]] = [None] * len(sentences)
     itos = model.vocabs.tags.itos
     for chunk in _chunks([len(words) for words in sentences]):
-        rows, lengths = model.encoder.encode_batch([sentences[i] for i in chunk])
+        rows, lengths, _ = model.encoder.encode_batch([sentences[i] for i in chunk])
         tokens = np.ones(len(rows), dtype=bool)
         tokens[np.cumsum(lengths) - lengths] = False  # drop the ROOT rows
         logits, _ = model.mlp.forward(rows[tokens])
@@ -720,8 +717,3 @@ def tag_batch(model: TaggerModel, sentences: list[list[str]]) -> list[list[str]]
             out[i] = [itos[j] for j in ids[start:start + n]]
             start += n
     return out
-
-
-def tag(model: TaggerModel, words: list[str]) -> list[str]:
-    """Per-token argmax tags; output length always matches the input."""
-    return tag_batch(model, [words])[0]

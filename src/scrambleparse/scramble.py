@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -227,18 +228,12 @@ def classify_order(tree: DepTree, mapping: DeprelMapping) -> OrderLabel:
     return _order_label(_clause_roles(tree, mapping), lambda i: i)
 
 
-def order_distribution(tb: Treebank, mapping: DeprelMapping) -> dict[OrderLabel, float]:
-    """Percentage of each S/O/V order among the transitive sentences."""
-    counts = {label: 0 for label in TRANSITIVE_ORDERS}
-    total = 0
-    for tree in tb:
-        label = classify_order(tree, mapping)
-        if label is not OrderLabel.NONTRANSITIVE:
-            counts[label] += 1
-            total += 1
-    if total == 0:
-        raise ValueError("treebank contains no transitive sentences")
-    return {label: 100.0 * c / total for label, c in counts.items()}
+def order_distribution(labels) -> dict[OrderLabel, float]:
+    """Percentage of each S/O/V order among the transitive ``labels``;
+    empty when none of them is transitive."""
+    counts = Counter(labels)
+    total = sum(counts[label] for label in TRANSITIVE_ORDERS)
+    return {label: 100.0 * counts[label] / total for label in TRANSITIVE_ORDERS} if total else {}
 
 
 def select_representative(tb: Treebank, n: int = 4000, seed: int = 42) -> Treebank:
@@ -318,22 +313,21 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
     return PermutationBatch(tree, projection, rows=rows, build=build)
 
 
-def balance_orders(batches: list[PermutationBatch], budget: int,
-                   include_identity: bool = False) -> Treebank:
+def balance_orders(batches: list[PermutationBatch], budget: int) -> list[PermutationVariant]:
     """Round-robin over the six order classes, lowest perplexity first.
 
     Repeatedly takes the cheapest unused variant of the currently
     least-represented class until the budget is reached or the pool runs
-    dry. Identity permutations are dropped by default (the source trees
-    are kept in the training data anyway); variants from non-transitive
+    dry. Identity permutations are always dropped (the source trees are
+    kept in the training data anyway); variants from non-transitive
     clauses fill any budget left after the six classes are exhausted.
-    Only the chosen variants build their trees.
+    Returns the chosen variants; only their trees are ever built.
     """
     pools: dict[OrderLabel, list[PermutationVariant]] = {l: [] for l in TRANSITIVE_ORDERS}
     leftovers: list[PermutationVariant] = []
     for batch in batches:
         for v in batch.variants:
-            if v.is_identity and not include_identity:
+            if v.is_identity:
                 continue
             if v.order is OrderLabel.NONTRANSITIVE:
                 leftovers.append(v)
@@ -356,4 +350,4 @@ def balance_orders(batches: list[PermutationBatch], budget: int,
         taken[label] += 1
     while len(chosen) < budget and leftovers:
         chosen.append(leftovers.pop())
-    return Treebank([v.tree for v in chosen], source_name="augmented")
+    return chosen

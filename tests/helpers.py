@@ -153,6 +153,11 @@ def run_sequence(n: int, seq: list[Transition]) -> Configuration:
     return c
 
 
+def arcs(tree: DepTree) -> set[tuple[int, int, str]]:
+    """The tree's (head, dependent, label) triples."""
+    return {(t.head, t.index, t.deprel) for t in tree.tokens}
+
+
 def config_arcs(c: Configuration) -> tuple[tuple[int, int, str], ...]:
     """(head, dependent, label) triples in the order the arcs were made."""
     return tuple((h, d, label) for d, (h, label) in c.heads.items())

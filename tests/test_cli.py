@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from helpers import chain_tree, random_nonprojective_tree, toy_treebank, transitive_tree
 from scrambleparse.cli import run
-from scrambleparse.conllu import Treebank, dump_treebank, load_treebank, validate_tree
+from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_treebank,
+                                  validate_tree)
 from scrambleparse.ngram import NGramModel
 from scrambleparse.projectivity import is_projective
-from scrambleparse.scramble import UD_MAPPING, order_distribution
+from scrambleparse.scramble import UD_MAPPING, classify_order, order_distribution
 
 
 @pytest.fixture()
@@ -51,7 +52,7 @@ def test_gen_synthetic_and_stats(tmp_path, capsys):
                 "--orders", "sov=1.0", "--seed", "1"]) == 0
     tb = load_treebank(out)
     assert len(tb) == 50
-    dist = order_distribution(tb, UD_MAPPING)
+    dist = order_distribution(classify_order(t, UD_MAPPING) for t in tb)
     from scrambleparse.scramble import OrderLabel
 
     assert dist[OrderLabel.SOV] == 100.0
@@ -397,6 +398,33 @@ def test_permute_respects_budget_and_preserves_arcs(synth_files, capsys):
     assert "augmented order distribution" in text
 
 
+def test_treebank_without_a_transitive_clause(synth_files, capsys):
+    """stats, permute and eval succeed on valid clauses of subject, adverb
+    and verb; the order distributions they print read n/a."""
+    tmp_path, _, lm_path = synth_files
+    tb_path, out = tmp_path / "intransitive.conllu", tmp_path / "aug.conllu"
+    dump_treebank(Treebank([DepTree([Token(1, subj, upos="NOUN", head=3, deprel="nsubj"),
+                                     Token(2, adv, upos="ADV", head=3, deprel="advmod"),
+                                     Token(3, verb, upos="VERB", head=0, deprel="root")])
+                            for subj, adv, verb in (("ram", "jaldi", "gaya"),
+                                                    ("sita", "dhire", "aayi"))]), tb_path)
+    capsys.readouterr()
+    assert run(["stats", "--in", str(tb_path)]) == 0
+    text = capsys.readouterr().out
+    assert "1\tS O V\tn/a\n" in text and "6\tV S O\tn/a\n" in text
+    assert "sentences\t2\ntransitive_sentences\t0\n" in text
+    assert run(["permute", "--in", str(tb_path), "--lm", str(lm_path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("augmented order distribution: SOV=n/a OSV=n/a OVS=n/a "
+                                 "SVO=n/a VOS=n/a VSO=n/a\n")
+    aug = load_treebank(out)
+    assert len(aug) > 0
+    assert all("# scramble_order=NONTRANSITIVE" in tree.comments[-1] for tree in aug)
+    assert run(["eval", "--gold", str(tb_path), "--pred", str(tb_path)]) == 0
+    assert "NONTRANSITIVE\t100.00\t100.00\t6\n" in capsys.readouterr().out
+
+
 def test_permute_and_eval_have_no_jobs(synth_files, capsys):
     tmp_path, tb_path, lm_path = synth_files
     capsys.readouterr()
@@ -593,6 +621,28 @@ def test_curve_trains_pseudo_projective_on_non_projective_trees(tmp_path, capsys
     assert run(["curve", "--train", str(train_path), "--dev", str(dev_path),
                 "--sizes", "2,4", "--config", str(cfg)]) == 0
     assert len([l for l in capsys.readouterr().out.splitlines() if l[:1].isdigit()]) == 2
+
+
+@pytest.mark.parametrize("sizes", ["8,x", ",", "0", "8,4", "8,8", "-1", ""])
+def test_curve_sizes_are_increasing_counts(tmp_path, capsys, sizes):
+    capsys.readouterr()
+    assert run(["curve", "--train", str(tmp_path / "train.conllu"),
+                "--dev", str(tmp_path / "dev.conllu"), "--sizes", sizes]) == 2
+    assert ("argument --sizes: expected strictly increasing integers >= 1 separated by "
+            f"commas, got '{sizes}'") in capsys.readouterr().err
+
+
+def test_curve_size_above_the_training_treebank_exits_1(tmp_path, capsys):
+    train_path, dev_path = tmp_path / "train.conllu", tmp_path / "dev.conllu"
+    run(["gen-synthetic", "--n", "6", "--out", str(train_path), "--seed", "1"])
+    run(["gen-synthetic", "--n", "2", "--out", str(dev_path), "--seed", "2"])
+    capsys.readouterr()
+    assert run(["curve", "--train", str(train_path), "--dev", str(dev_path),
+                "--sizes", "4,7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error [scrambleparse.cli]: largest size 7 exceeds the training treebank's 6 trees"]
+    assert "size\tLAS\tUAS" not in captured.out
 
 
 def test_config_bools_accept_any_case(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from helpers import chain_tree, random_projective_tree, toy_treebank
+from helpers import arcs, chain_tree, random_projective_tree, toy_treebank
 from scrambleparse.conllu import (ConlluParseError, DepTree, Token, Treebank,
                                   TreeValidationError, parse_conllu, validate_tree,
                                   write_conllu)
@@ -100,7 +100,7 @@ def test_parsed_trees_validate_clean(tree):
     tb = parse_conllu(write_conllu(Treebank([tree])))
     for t in tb:
         assert validate_tree(t) == []
-        assert len(t.arcs()) == len(t.tokens)
+        assert len(arcs(t)) == len(t.tokens)
 
 
 def test_validate_chain_is_clean():

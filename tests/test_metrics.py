@@ -130,7 +130,6 @@ def test_score_by_order_aggregates_to_overall():
 
 
 def test_parse_score_dict_rounding():
-    s = ParseScore(las=33.333333, uas=66.666666, tokens_scored=3,
-                   punctuation_excluded=True)
+    s = ParseScore(las=33.333333, uas=66.666666, tokens_scored=3)
     d = s.as_dict()
     assert d == {"las": 33.33, "uas": 66.67, "n_tokens": 3}

@@ -54,7 +54,7 @@ def test_uniform_model_perplexity_equals_vocab_size():
     words = ["a", "b", "c", "d", EOS, UNK]
     counts = {(): {w: 3 for w in words}}
     model = NGramModel(order=1, counts=counts, vocab=frozenset(words) | {BOS})
-    assert (model.context_totals, model.distinct) == ({(): 18}, {(): 6})
+    assert {ctx: entry[:2] for ctx, entry in model._contexts.items()} == {(): (18, 6)}
     v = model.event_vocab_size
     assert v == 6
     for w in words:

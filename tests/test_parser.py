@@ -15,7 +15,7 @@ from scrambleparse.metrics import score
 from scrambleparse.parser import (FEATURE_SELECTORS, ParserModel, TaggerModel,
                                   TrainConfig, build_vocabs, feature_indices,
                                   oracle_rollout, parse, parse_batch, parse_tree,
-                                  sentence_loss, tag, tag_batch, train_parser,
+                                  sentence_loss, tag_batch, train_parser,
                                   train_tagger, _init_model)
 from scrambleparse.projectivity import HEAD_SEP, PATH_MARK, deprojectivize, projectivize
 from scrambleparse.synthetic import default_grammar, gen_synthetic, uniform_orders
@@ -73,7 +73,7 @@ class TestEncoder:
 
     def test_word_dropout_rate_monte_carlo(self):
         model, tb = tiny_model()
-        model.encoder.cfg = TINY.merged(word_dropout=0.1)
+        model.encoder.cfg = dataclasses.replace(TINY, word_dropout=0.1)
         rng = np.random.default_rng(0)
         words = tb[1].forms() * 4  # 12 tokens per call
         tags = tb[1].upos_tags() * 4
@@ -191,7 +191,7 @@ class TestBatchedInference:
     per-sentence reference decode; form strategies mix known words, OOV
     words and characters the vocabulary has never seen."""
 
-    CFG = TINY.merged(max_word_chars=5)
+    CFG = dataclasses.replace(TINY, max_word_chars=5)
 
     @pytest.fixture(scope="class")
     def models(self):
@@ -252,7 +252,7 @@ class TestBatchedInference:
         words = [[w for w, _ in sent] for sent in sentences]
         with mock.patch.object(parser, "CHUNK_TOKENS", chunk_tokens):
             batch = tag_batch(tagger, words)
-        assert batch == [tag(tagger, ws) for ws in words]
+        assert batch == [tag_batch(tagger, [ws])[0] for ws in words]
         for ws, tags in zip(words, batch):
             ctx, _ = tagger.encoder.encode(ws, None)
             logits, _ = tagger.mlp.forward(ctx[1:])
@@ -265,7 +265,8 @@ class TestBatchedInference:
         model, _ = models
         words = [[w for w, _ in sent] for sent in sentences]
         tags = [[t for _, t in sent] for sent in sentences]
-        rows, lengths = model.encoder.encode_batch(words, tags)
+        rows, lengths, cache = model.encoder.encode_batch(words, tags)
+        assert cache is None
         assert list(lengths) == [len(ws) + 1 for ws in words]
         ref = np.concatenate([model.encoder.encode(ws, ts)[0] for ws, ts in zip(words, tags)])
         assert np.allclose(rows, ref, rtol=1e-12, atol=1e-12)
@@ -304,7 +305,7 @@ class TestTrainingAndParse:
         import logging
 
         with caplog.at_level(logging.INFO, logger="scrambleparse.parser"):
-            train_parser(union, None, TINY.merged(epochs=1))
+            train_parser(union, None, dataclasses.replace(TINY, epochs=1))
         # 6 sentences, oracle length = 2n per sentence here; just check the
         # loop saw every tree via the per-epoch log line.
         assert any("epoch 1/1" in r.message for r in caplog.records)
@@ -351,7 +352,7 @@ class TestTrainingAndParse:
                        for w, tg, ir, g in examples)
 
         for p in model.params():
-            p.zero_grad()
+            p.grad[...] = 0.0
         for w, tg, ir, g in examples:
             _, back = sentence_loss(model, w, tg, ir, g)
             back()
@@ -368,8 +369,8 @@ class TestTrainingAndParse:
                        Token(4, "w4", upos="D", head=2, deprel="d")])
         proj, _ = projectivize(bad)
         tb = Treebank([proj] * 4)
-        cfg = TINY.merged(pseudo_projective=True, epochs=25, lr=0.1,
-                          word_dim=12, enc_hidden=16, mlp_hidden=24)
+        cfg = dataclasses.replace(TINY, pseudo_projective=True, epochs=25, lr=0.1,
+                                  word_dim=12, enc_hidden=16, mlp_hidden=24)
         model = train_parser(tb, None, cfg)
         assert model.cfg.pseudo_projective
         out = parse(model, bad.forms(), bad.upos_tags())
@@ -386,7 +387,7 @@ class TestTrainingAndParse:
         deprojectivized."""
         rng = np.random.default_rng(4)
         raw = Treebank([random_nonprojective_tree(rng, n_lifts=k) for k in (1, 2, 1)])
-        cfg = TINY.merged(pseudo_projective=True)
+        cfg = dataclasses.replace(TINY, pseudo_projective=True)
         model = train_parser(raw, None, cfg)
         lifted = train_parser(Treebank([projectivize(t)[0] for t in raw]), None, cfg)
         for p, q in zip(model.params(), lifted.params(), strict=True):
@@ -402,7 +403,7 @@ class TestTrainingAndParse:
         tb = toy_treebank()
         model = train_parser(tb, None, TINY)
         model.save(tmp_path / "parser.spnn")
-        tagger = train_tagger(tb, None, TINY.merged(epochs=1))
+        tagger = train_tagger(tb, None, dataclasses.replace(TINY, epochs=1))
         tagger.save(tmp_path / "tagger.spnn")
 
         def no_generator(*args, **kwargs):
@@ -498,7 +499,7 @@ class TestTagger:
         model = train_tagger(train, train, cfg)
         correct = total = 0
         for tree in held_out:
-            tags = tag(model, tree.forms())
+            tags = tag_batch(model, [tree.forms()])[0]
             assert len(tags) == len(tree)
             correct += sum(p == t.upos for p, t in zip(tags, tree.tokens))
             total += len(tree)
@@ -512,7 +513,7 @@ class TestTagger:
                           mlp_hidden=6, mlp_dropout=0.0, word_dropout=0.0,
                           epochs=1, seed=1, lr=0.01)
         model = train_tagger(tb, None, cfg)
-        assert tag(model, ["anything", "at", "all"]) == ["ONLY"] * 3
+        assert tag_batch(model, [["anything", "at", "all"]])[0] == ["ONLY"] * 3
 
     def test_tagger_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -520,7 +521,7 @@ class TestTagger:
 
     def test_tagger_deterministic(self):
         tb = toy_treebank()
-        cfg = TINY.merged(epochs=2)
+        cfg = dataclasses.replace(TINY, epochs=2)
         m1 = train_tagger(tb, None, cfg)
         m2 = train_tagger(tb, None, cfg)
         for a, b in zip(m1.params(), m2.params()):
@@ -528,8 +529,8 @@ class TestTagger:
 
     def test_tag_oov_heavy_input_total(self):
         tb = toy_treebank()
-        model = train_tagger(tb, None, TINY.merged(epochs=1))
-        out = tag(model, ["xqj", "zzzz", "%%%", "a"])
+        model = train_tagger(tb, None, dataclasses.replace(TINY, epochs=1))
+        out = tag_batch(model, [["xqj", "zzzz", "%%%", "a"]])[0]
         assert len(out) == 4
         assert all(isinstance(t, str) and t for t in out)
 
@@ -551,12 +552,13 @@ class TestConfigFile:
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: TINY.merged(epochs=0), "epochs must be finite and at least 1, got 0"),
+    (lambda: dataclasses.replace(TINY, epochs=0), "epochs must be finite and at least 1, got 0"),
     (lambda: TrainConfig(word_dropout=1.0), r"word_dropout must be in \[0, 1\), got 1.0"),
     (lambda: TrainConfig(epochs=2.5), "epochs must be int, got 2.5"),
     (lambda: TrainConfig(epochs=True), "epochs must be int, got True"),
     (lambda: TrainConfig(word_dim="8"), "word_dim must be int, got '8'"),
-    (lambda: TINY.merged(pseudo_projective=1), "pseudo_projective must be bool, got 1"),
+    (lambda: dataclasses.replace(TINY, pseudo_projective=1),
+     "pseudo_projective must be bool, got 1"),
     (lambda: TrainConfig(embeddings_path=3), "embeddings_path must be str or None, got 3"),
 ])
 def test_train_config_is_checked_however_it_is_made(make, message):
@@ -565,5 +567,6 @@ def test_train_config_is_checked_however_it_is_made(make, message):
 
 
 def test_train_config_takes_an_int_for_a_float_field():
-    cfg = TINY.merged(lr=1, momentum=0.0, l2=0.0, mlp_dropout=0, embeddings_path="v.txt")
+    cfg = dataclasses.replace(TINY, lr=1, momentum=0.0, l2=0.0, mlp_dropout=0,
+                              embeddings_path="v.txt")
     assert cfg.lr == 1 and cfg.embeddings_path == "v.txt"

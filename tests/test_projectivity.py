@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import chain_tree, random_nonprojective_tree, random_projective_tree
+from helpers import arcs, chain_tree, random_nonprojective_tree, random_projective_tree
 from scrambleparse.conllu import DepTree, Token, Treebank, validate_tree
 from scrambleparse.projectivity import (HEAD_SEP, PATH_MARK, base_label,
                                         deprojectivize, is_projective,
@@ -74,7 +74,7 @@ def test_projectivize_single_lift():
     assert out.token(3).deprel.endswith(PATH_MARK)
     # token order and arc count unchanged
     assert out.forms() == crossing_tree().forms()
-    assert len(out.arcs()) == 4
+    assert len(arcs(out)) == 4
 
 
 def test_projectivize_output_always_projective():

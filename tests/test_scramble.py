@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (pool_skew, random_nonprojective_tree, random_projective_tree,
+from helpers import (arcs, pool_skew, random_nonprojective_tree, random_projective_tree,
                      transitive_tree)
 from scrambleparse import cli, conllu, projectivity, scramble
 from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_treebank,
@@ -124,7 +124,7 @@ def test_variants_preserve_arc_multiset_and_validate():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
     batch = permute_projection(tree, p, mapping=UD_MAPPING)
-    src_arcs = tree.arcs()
+    src_arcs = arcs(tree)
     for v in batch.variants:
         assert validate_tree(v.tree) == []
         assert remapped_arcs(v) == src_arcs
@@ -196,17 +196,16 @@ def test_classify_intransitive():
 
 
 def test_order_distribution_degenerate():
-    tb = Treebank([transitive_tree("SOV") for _ in range(100)])
-    dist = order_distribution(tb, UD_MAPPING)
+    dist = order_distribution([OrderLabel.SOV] * 100 + [OrderLabel.NONTRANSITIVE])
     assert dist[OrderLabel.SOV] == 100.0
     assert set(dist) == set(TRANSITIVE_ORDERS)
     assert abs(sum(dist.values()) - 100.0) < 0.01
 
 
-def test_order_distribution_errors_without_transitive():
-    tb = Treebank([DepTree([Token(1, "hi", upos="INTJ", head=0, deprel="root")])])
-    with pytest.raises(ValueError):
-        order_distribution(tb, UD_MAPPING)
+def test_order_distribution_is_empty_without_transitive():
+    tree = DepTree([Token(1, "hi", upos="INTJ", head=0, deprel="root")])
+    assert order_distribution([classify_order(tree, UD_MAPPING)]) == {}
+    assert order_distribution([]) == {}
 
 
 def test_select_representative_identity_and_determinism():
@@ -242,7 +241,7 @@ def _fake_batch(order_counts: dict, start_ppl: float = 10.0) -> PermutationBatch
 def test_balance_two_class_round_robin():
     batch = _fake_batch({OrderLabel.SOV: 100, OrderLabel.OSV: 100})
     out = balance_orders([batch], budget=100)
-    labels = [classify_order(t, UD_MAPPING) for t in out]
+    labels = [classify_order(v.tree, UD_MAPPING) for v in out]
     assert len(out) == 100
     assert labels.count(OrderLabel.SOV) == 50
     assert labels.count(OrderLabel.OSV) == 50
@@ -264,20 +263,20 @@ def test_balance_reduces_skew():
         before = pool_skew([v.order for v in batch.variants])
         budget = max(6, sum(counts.values()) // 2)
         out = balance_orders([batch], budget=budget)
-        after = pool_skew([classify_order(t, UD_MAPPING) for t in out])
+        after = pool_skew([classify_order(v.tree, UD_MAPPING) for v in out])
         assert after <= before
 
 
 def test_balance_prefers_low_perplexity():
     batch = _fake_batch({OrderLabel.SOV: 10})
     out = balance_orders([batch], budget=3)
-    kept = {" ".join(t.forms()) for t in out}
+    kept = {" ".join(v.tree.forms()) for v in out}
     ppls = sorted(v.perplexity for v in batch.variants)[:3]
     expected = {" ".join(v.tree.forms()) for v in batch.variants if v.perplexity in ppls}
     assert kept <= expected or len(kept) == 1  # identical trees collapse in the set
 
 
-def test_balance_drops_identity_variants_by_default():
+def test_balance_drops_identity_variants():
     source = transitive_tree("SOV")
     from scrambleparse.scramble import VerbalProjection
 
@@ -290,10 +289,7 @@ def test_balance_drops_identity_variants_by_default():
                                    perplexity=2.0)
     batch = PermutationBatch(source=source, projection=proj,
                              variants=[identity, scrambled])
-    out = balance_orders([batch], budget=5)
-    assert len(out) == 1
-    out_inclusive = balance_orders([batch], budget=5, include_identity=True)
-    assert len(out_inclusive) == 2
+    assert balance_orders([batch], budget=5) == [scrambled]
 
 
 def test_trees_built_only_for_kept_variants():
@@ -304,9 +300,12 @@ def test_trees_built_only_for_kept_variants():
         v.perplexity = float(i)
     assert not any("tree" in vars(v) for v in batch.variants)
     out = balance_orders([batch], budget=3)
+    assert not any("tree" in vars(v) for v in batch.variants)
+    for v in out:
+        v.tree  # as permute reads them to write its output
     built = [v for v in batch.variants if "tree" in vars(v)]
     assert len(built) == len(out) == 3
-    assert {id(v.tree) for v in built} == {id(t) for t in out}
+    assert {id(v) for v in built} == {id(v) for v in out}
     assert all(v.forms == tuple(v.tree.forms()) for v in built)
 
 
@@ -363,10 +362,10 @@ def test_permute_path_builds_each_tree_shape_once(permute_inputs):
         assert batch.variants
         calls.clear()
         assert _permute(permute_inputs, "--select", "25") == 0
-    # One shape per input tree, selected or not, and one per kept tree for
-    # the order distribution that permute prints.
-    kept = len(load_treebank(permute_inputs / "aug.conllu"))
-    assert 0 < kept and len(calls) == 40 + kept
+    # One shape per input tree, selected or not; the order distribution
+    # that permute prints reads the kept variants' labels, not their trees.
+    assert len(load_treebank(permute_inputs / "aug.conllu")) > 0
+    assert len(calls) == 40
 
 
 def test_permute_notes_a_nonprojective_tree_it_does_not_select(permute_inputs, capsys):
@@ -381,26 +380,21 @@ def test_permute_notes_a_nonprojective_tree_it_does_not_select(permute_inputs, c
 
 def test_permute_labels_and_builds_only_the_filter_survivors(permute_inputs, capsys):
     rows = []
-    labels_at_summary = []
-    real_permute, real_distribution = scramble.permute_projection, scramble.order_distribution
+    real_permute = scramble.permute_projection
 
     def permuting(*args, **kwargs):
         batch = real_permute(*args, **kwargs)
         rows.append(len(batch.rows))
         return batch
 
-    def summarising(*args, **kwargs):
-        labels_at_summary.append(label.call_count)
-        return real_distribution(*args, **kwargs)
-
     with mock.patch.object(scramble, "_order_label", side_effect=scramble._order_label) as label, \
             mock.patch.object(scramble, "PermutationVariant",
                               side_effect=scramble.PermutationVariant) as variant, \
-            mock.patch.object(scramble, "permute_projection", permuting), \
-            mock.patch.object(scramble, "order_distribution", summarising):
+            mock.patch.object(scramble, "permute_projection", permuting):
         assert _permute(permute_inputs) == 0
     out = capsys.readouterr().out
     survivors = int(out.split(" pool ")[1].split()[0])
     assert 0 < survivors < sum(rows)
-    assert labels_at_summary == [survivors]
+    # Each survivor is labelled once, the summary included.
+    assert label.call_count == survivors
     assert variant.call_count == survivors

@@ -20,14 +20,14 @@ def test_all_trees_valid_and_projective():
 
 def test_order_distribution_matches_request():
     tb = gen_synthetic(default_grammar(uniform_orders()), 5000, seed=5)
-    dist = order_distribution(tb, UD_MAPPING)
+    dist = order_distribution(classify_order(t, UD_MAPPING) for t in tb)
     for label in TRANSITIVE_ORDERS:
         assert abs(dist[label] - 100.0 / 6) < 2.0
 
 
 def test_degenerate_distribution():
     tb = gen_synthetic(default_grammar(), 400, seed=1)
-    dist = order_distribution(tb, UD_MAPPING)
+    dist = order_distribution(classify_order(t, UD_MAPPING) for t in tb)
     assert dist[OrderLabel.SOV] == 100.0
 
 

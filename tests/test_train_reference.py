@@ -10,6 +10,7 @@ the checkpoint bytes and the epoch log lines must all be identical.
 """
 
 import logging
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -206,7 +207,7 @@ def _assert_same(ref, new):
 @pytest.mark.parametrize("case", [*CASES, "pseudo_projective"])
 def test_train_parser_matches_reference(case, tmp_path, caplog):
     overrides, with_dev = CASES.get(case, (dict(pseudo_projective=True), True))
-    cfg = BASE.merged(**overrides)
+    cfg = replace(BASE, **overrides)
     train, dev = _data(cfg.pseudo_projective)
     dev = dev if with_dev else None
     ref = _run(ref_train_parser, ref_save_parser, train, dev, cfg, tmp_path / "ref.spnn", caplog)
@@ -219,7 +220,7 @@ def test_train_parser_matches_reference(case, tmp_path, caplog):
 @pytest.mark.parametrize("case", list(CASES))
 def test_train_tagger_matches_reference(case, tmp_path, caplog):
     overrides, with_dev = CASES[case]
-    cfg = BASE.merged(**overrides)
+    cfg = replace(BASE, **overrides)
     train, dev = _data()
     dev = dev if with_dev else None
     ref = _run(ref_train_tagger, ref_save_tagger, train, dev, cfg, tmp_path / "ref.spnn", caplog)
