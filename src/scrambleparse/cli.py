@@ -64,23 +64,24 @@ def _note_short_treebank(requested: int, tb: Treebank, flag: str) -> None:
               f"{len(tb)} trees; using all of them")
 
 
-def _percent(dist: dict, label: OrderLabel, spec: str) -> str:
-    """``label``'s share in ``dist``; n/a when no sentence was transitive."""
-    return format(dist[label], spec) if dist else "n/a"
+def _na(value, spec: str = ".2f") -> str:
+    """``value`` formatted; n/a for None, a ratio or percentage with no base."""
+    return "n/a" if value is None else format(value, spec)
 
 
 def cmd_stats(args, argv):
     tb = load_treebank(args.input)
     mapping = MAPPING_PRESETS[args.labels]
-    labels = [scramble.classify_order(tree, mapping) for tree in tb]
+    shapes = [tree.shape() for tree in tb]
+    labels = [scramble.classify_order(tree, mapping, shape) for tree, shape in zip(tb, shapes)]
     dist = scramble.order_distribution(labels)
-    ratio = projectivity.nonprojective_arc_ratio(tb)
+    ratio = projectivity.nonprojective_arc_ratio(tb, shapes)
     print("S.No.\tOrder\tPercentage")
     for i, label in enumerate(TRANSITIVE_ORDERS, start=1):
-        print(f"{i}\t{' '.join(label.value)}\t{_percent(dist, label, '.2f')}")
+        print(f"{i}\t{' '.join(label.value)}\t{_na(dist.get(label))}")
     print(f"sentences\t{len(tb)}")
     print(f"transitive_sentences\t{len(labels) - labels.count(OrderLabel.NONTRANSITIVE)}")
-    print(f"nonprojective_arc_ratio\t{100.0 * ratio:.2f}")
+    print(f"nonprojective_arc_ratio\t{_na(None if ratio is None else 100.0 * ratio)}")
     return 0
 
 
@@ -148,7 +149,7 @@ def cmd_permute(args, argv):
     kept = scramble.balance_orders(batches, budget=args.budget)
     dump_treebank(_stamp(Treebank([v.tree for v in kept]), argv), args.output)
     dist = scramble.order_distribution(v.order for v in kept)
-    dist_str = " ".join(f"{l.value}={_percent(dist, l, '.1f')}" for l in TRANSITIVE_ORDERS)
+    dist_str = " ".join(f"{l.value}={_na(dist.get(l), '.1f')}" for l in TRANSITIVE_ORDERS)
     print(f"permuted {len(subset)} sentences: pool {pool_size} filtered variants, "
           f"kept {len(kept)} (budget {args.budget}) -> {args.output}")
     print(f"augmented order distribution: {dist_str}")
@@ -201,17 +202,19 @@ def cmd_eval(args, argv):
     overall = metrics.score(gold, pred, exclude_punct=not args.include_punct)
     by_order = metrics.score_by_order(gold, pred, mapping,
                                       exclude_punct=not args.include_punct)
-    pos = metrics.pos_accuracy(gold, [t.upos_tags() for t in pred])
-    print(f"LAS\t{overall.las:.2f}")
-    print(f"UAS\t{overall.uas:.2f}")
-    print(f"POS\t{pos:.2f}")
+    # No tag to score in an empty file, or one of comment blocks only
+    pos = (metrics.pos_accuracy(gold, [t.upos_tags() for t in pred])
+           if any(len(t) for t in gold) else None)
+    record = overall.as_dict()
+    print(f"LAS\t{_na(record['las'])}")
+    print(f"UAS\t{_na(record['uas'])}")
+    print(f"POS\t{_na(pos)}")
     print("class\tLAS\tUAS\ttokens")
     for label in list(TRANSITIVE_ORDERS) + [OrderLabel.NONTRANSITIVE]:
         if label in by_order:
-            s = by_order[label]
-            print(f"{label.value}\t{s.las:.2f}\t{s.uas:.2f}\t{s.tokens_scored}")
-    record = overall.as_dict()
-    record["pos"] = round(pos, 2)
+            s = by_order[label].as_dict()
+            print(f"{label.value}\t{_na(s['las'])}\t{_na(s['uas'])}\t{s['n_tokens']}")
+    record["pos"] = None if pos is None else round(pos, 2)
     record["by_order"] = {l.value: s.as_dict() for l, s in by_order.items()}
     print(json.dumps(record))
     return 0

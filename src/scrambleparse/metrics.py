@@ -15,7 +15,10 @@ class ParseScore:
     tokens_scored: int
 
     def as_dict(self):
-        return {"las": round(self.las, 2), "uas": round(self.uas, 2),
+        """LAS and UAS rounded to 2 places; None when no token was scored."""
+        scored = self.tokens_scored > 0
+        return {"las": round(self.las, 2) if scored else None,
+                "uas": round(self.uas, 2) if scored else None,
                 "n_tokens": self.tokens_scored}
 
 

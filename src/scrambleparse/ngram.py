@@ -13,16 +13,19 @@ once in the corpus additionally contribute an <unk> event in the same
 context, which reserves observed mass for out-of-vocabulary words.
 
 The recursion is evaluated as one loop, from the empty context up through
-the longer suffixes, in the same arithmetic order. ``filter_by_perplexity``
-scores each order's word tuple and builds variants for its survivors only.
+the longer suffixes, in the same arithmetic order. The counts are arrays,
+saved and loaded as they are; a context's counts are gathered the first
+time a probability reads them. ``filter_by_perplexity`` scores each
+order's word tuple and builds variants for its survivors only.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+
+import numpy as np
 
 from .scramble import PermutationBatch
 from .serialize import load_arrays, save_arrays
@@ -31,34 +34,78 @@ BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
-MAGIC = b"NGLM2"  # order, sorted vocabulary, meta and counts in the header; no arrays
+MAGIC = b"NGLM3"  # order, sorted vocabulary and meta in the header; the counts as arrays
+ARRAYS = ("contexts", "offsets", "words", "counts")
+_MAX_COUNT = 2**53  # float64 holds every integer up to here exactly
+_UNREAD = object()
 
 
-@dataclass
+@dataclass(eq=False)
 class NGramModel:
+    """Counts as arrays: context i, the row ``contexts[i]``, is followed by
+    the words ``words[offsets[i]:offsets[i + 1]]`` with their ``counts``.
+
+    A word is its position in ``vocab``. A row holds ``order - 1`` word
+    ids, the context's words right-aligned after -1 padding, so the rows
+    sort by context length, then word by word; the empty context (all -1)
+    comes first. Each context's words are increasing.
+    """
     order: int
-    counts: dict = field(repr=False)  # context tuple -> {next token: count >= 1}
-    vocab: frozenset
-    # Derived from ``counts``: context tuple -> (its total event count, its
-    # number of distinct continuation types, its counts)
-    _contexts: dict = field(init=False, repr=False, compare=False)
+    vocab: tuple  # sorted
+    contexts: np.ndarray = field(repr=False)  # (n contexts, order - 1)
+    offsets: np.ndarray = field(repr=False)  # (n contexts + 1,)
+    words: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)  # >= 1
+    _ids: dict = field(init=False, repr=False)  # word -> id
+    # The arrays as lists of ints, which a context's read indexes and
+    # bisects without a numpy call: the rows' columns, then offsets, words
+    # and counts
+    _columns: list = field(init=False, repr=False)
+    _lists: tuple = field(init=False, repr=False)
+    # The rows of the contexts of length L are rows blocks[L]:blocks[L + 1]
+    _blocks: list = field(init=False, repr=False)
+    # context ids -> (its total event count, its number of distinct
+    # continuation types, {word id: count}), or None for an unseen context;
+    # filled the first time ``_interp`` reads the context
+    _entries: dict = field(default_factory=dict, init=False, repr=False)
     # n-gram (context words, then the word) -> log probability, filled by ``logprob``
-    _logprobs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _logprobs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self._contexts = {ctx: (sum(c.values()), len(c), c) for ctx, c in self.counts.items()}
+        self._ids = {w: i for i, w in enumerate(self.vocab)}
+        self._columns = self.contexts.astype(np.int64).T.tolist()
+        self._lists = tuple(a.astype(np.int64).tolist() for a in (self.offsets, self.words,
+                                                                    self.counts))
+        lengths = (self.contexts >= 0).sum(axis=1)  # sorted: the rows run by length
+        self._blocks = np.searchsorted(lengths, np.arange(self.order + 1)).tolist()
 
     @property
     def event_vocab_size(self) -> int:
         return len(self.vocab) - 1  # BOS is context-only, never predicted
 
-    def _interp(self, word: str, context: tuple) -> float:
+    def _read(self, context: tuple):
+        """The entry of ``context`` (word ids) from the arrays; None when unseen."""
+        n = len(context)
+        lo, hi = self._blocks[n], self._blocks[n + 1]
+        for column, w in zip(self._columns[self.order - 1 - n:], context):
+            lo, hi = bisect_left(column, w, lo, hi), bisect_right(column, w, lo, hi)
+        if lo == hi:
+            return None
+        offsets, words, counts = self._lists
+        start, end = offsets[lo], offsets[lo + 1]
+        counts = counts[start:end]
+        return sum(counts), len(counts), dict(zip(words[start:end], counts))
+
+    def _interp(self, word: int, context: tuple) -> float:
         """Interpolates from the uniform distribution up through each
         context suffix, shortest first; an unseen suffix passes P on."""
         p = 1.0 / self.event_vocab_size
-        contexts = self._contexts
+        entries = self._entries
         for start in range(len(context), -1, -1):
-            entry = contexts.get(context[start:])
+            suffix = context[start:]
+            entry = entries.get(suffix, _UNREAD)
+            if entry is _UNREAD:
+                entry = entries[suffix] = self._read(suffix)
             if entry is not None:
                 total, types, counts = entry
                 p = (counts.get(word, 0) + types * p) / (total + types)
@@ -66,11 +113,10 @@ class NGramModel:
 
     def prob(self, word: str, context=()) -> float:
         """Smoothed P(word | context); OOV words and context tokens map to <unk>."""
-        vocab, k = self.vocab, self.order - 1
-        context = tuple([w if w in vocab else UNK for w in context[-k:]]) if k else ()
-        if word not in vocab or word == BOS:
-            word = UNK
-        return self._interp(word, context)
+        ids, k = self._ids, self.order - 1
+        unk = ids[UNK]
+        context = tuple([ids.get(w, unk) for w in context[-k:]]) if k else ()
+        return self._interp(unk if word == BOS else ids.get(word, unk), context)
 
     def logprob(self, sentence: list[str]) -> float:
         """Natural-log probability of a sentence including the </s> event.
@@ -89,8 +135,9 @@ class NGramModel:
         return total
 
     def save(self, path, meta: dict | None = None) -> None:
-        save_arrays(path, MAGIC, {"order": self.order, "vocab": sorted(self.vocab),
-                                  "meta": meta or {}, "counts": list(self.counts.items())}, [])
+        save_arrays(path, MAGIC, {"order": self.order, "vocab": list(self.vocab),
+                                  "meta": meta or {}},
+                    [(name, getattr(self, name)) for name in ARRAYS])
 
     @classmethod
     def load(cls, path) -> "NGramModel":
@@ -99,26 +146,60 @@ class NGramModel:
 
     @classmethod
     def _from_header(cls, header: dict, arrays: dict) -> "NGramModel":
-        order, vocab, entries = header.get("order"), header.get("vocab"), header.get("counts")
+        """Checks every value, so that reading a context later cannot fail."""
+        order, vocab = header.get("order"), header.get("vocab")
         if type(order) is not int or not 1 <= order <= 5:
             raise ValueError(f"order is not an integer in [1, 5]: {str(order)[:20]}")
-        if type(vocab) is not list or set(map(type, vocab)) != {str} or {BOS, EOS, UNK} - {*vocab}:
+        if (type(vocab) is not list or set(map(type, vocab)) != {str}
+                or {BOS, EOS, UNK} - {*vocab}):
             raise ValueError(f"vocab is not a list of strings holding {BOS}, {EOS} and {UNK}")
-        if (type(entries) is not list or set(map(type, entries)) != {list}
-                or set(map(len, entries)) != {2}):
-            raise ValueError("counts is not a list of [context, {word: count}] pairs")
-        ctxs, nexts = zip(*entries)  # checked in bulk: this is most of a load's time
-        if set(map(type, ctxs)) != {list} or set(map(type, nexts)) != {dict} or not all(nexts):
-            raise ValueError("a context is not a list, or its counts not a non-empty object")
-        if not set(map(type, chain.from_iterable(ctxs))) <= {str} or max(map(len, ctxs)) >= order:
-            raise ValueError(f"a context is not a list of at most {order - 1} strings")
-        counts = dict(zip(map(tuple, ctxs), nexts))
-        if len(counts) < len(ctxs) or () not in counts:
-            raise ValueError("a context is repeated, or the empty context is missing")
-        values = list(chain.from_iterable(map(dict.values, nexts)))
-        if set(map(type, values)) != {int} or min(values) < 1 or max(values) > 2**53:  # no bools
+        if any(a >= b for a, b in zip(vocab, vocab[1:])):
+            raise ValueError("vocab is not sorted, or repeats a word")
+        missing = [name for name in ARRAYS if name not in arrays]
+        if missing:
+            raise ValueError(f"arrays missing: {', '.join(missing)}")
+        contexts, offsets, words, counts = (arrays.pop(name) for name in ARRAYS)
+        k, n = order - 1, len(contexts)
+        if contexts.ndim != 2 or contexts.shape[1] != k:
+            raise ValueError(f"contexts is not a table of rows of order - 1 = {k} words, "
+                             f"but of shape {contexts.shape}")
+        if offsets.shape != (n + 1,) or words.ndim != 1 or counts.shape != words.shape:
+            raise ValueError(f"offsets, words and counts do not have shapes ({n + 1},), (m,) "
+                             f"and (m,) for {n} contexts")
+        for name, a in zip(ARRAYS, (contexts, offsets, words, counts)):
+            if (a != np.trunc(a)).any():
+                raise ValueError(f"{name} holds a value that is not an integer")
+        if (contexts < -1).any() or (contexts >= len(vocab)).any() or \
+                (words < 0).any() or (words >= len(vocab)).any():
+            raise ValueError(f"a word id is outside [0, {len(vocab)})")
+        if ((counts < 1) | (counts > _MAX_COUNT)).any():
             raise ValueError("a count is not an integer in [1, 2**53]")
-        return cls(order=order, counts=counts, vocab=frozenset(vocab))
+        pad = contexts == -1
+        if (pad[:, 1:] & ~pad[:, :-1]).any():
+            raise ValueError("a context row has -1 after a word")
+        if n == 0 or not pad[0].all():
+            raise ValueError("the empty context is missing")
+        step = np.zeros(n - 1)  # each row's first nonzero difference from the row before
+        for column in np.diff(contexts, axis=0).T[::-1]:
+            step = np.where(column != 0, column, step)
+        if (step <= 0).any():
+            raise ValueError("a context is repeated, or the contexts are not sorted")
+        if offsets[0] != 0 or offsets[-1] != len(words) or (np.diff(offsets) < 1).any():
+            raise ValueError("offsets do not split words into one non-empty run per context")
+        rising = np.diff(words) > 0
+        rising[offsets[1:-1].astype(np.intp) - 1] = True  # where one context's run ends
+        if not rising.all():
+            raise ValueError("a context repeats a word, or its words are not increasing")
+        return cls(order, tuple(vocab), contexts, offsets, words, counts)
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows of a sorted table starts."""
+    starts = np.zeros(len(rows), dtype=bool)
+    starts[0] = True
+    for column in rows.T:  # a column at a time: faster than any(axis=1) on a few columns
+        starts[1:] |= column[1:] != column[:-1]
+    return np.flatnonzero(starts)
 
 
 def train_lm(corpus: list[list[str]], order: int = 3) -> NGramModel:
@@ -127,21 +208,36 @@ def train_lm(corpus: list[list[str]], order: int = 3) -> NGramModel:
         raise ValueError("training corpus is empty")
     if not 1 <= order <= 5:
         raise ValueError(f"order must be in [1, 5], got {order}")
-    freq = Counter(tok for sent in corpus for tok in sent)
-    hapax = {w for w, c in freq.items() if c == 1}
-
-    counts: dict[tuple, Counter] = defaultdict(Counter)
-    for sent in corpus:
-        history = [BOS] * (order - 1) + list(sent)
-        for i, word in enumerate(list(sent) + [EOS]):
-            context = history[i:i + order - 1]
-            for k in range(order):
-                ctx = tuple(context[len(context) - k:])
-                counts[ctx][word] += 1
-                if word in hapax:
-                    counts[ctx][UNK] += 1
-    vocab = frozenset(freq) | {BOS, EOS, UNK}
-    return NGramModel(order=order, counts={ctx: dict(c) for ctx, c in counts.items()}, vocab=vocab)
+    vocab = sorted({tok for sent in corpus for tok in sent} | {BOS, EOS, UNK})
+    ids = {w: i for i, w in enumerate(vocab)}
+    k, n = order - 1, len(corpus)
+    lengths = np.array([len(sent) for sent in corpus], dtype=np.int64)
+    tokens = np.array([ids[tok] for sent in corpus for tok in sent], dtype=np.int64)
+    # One stream of every sentence's k <s>, its words and </s>: an event's
+    # context is the k ids before it.
+    at = np.arange(len(tokens)) + order * np.repeat(np.arange(n), lengths) + k
+    ends = np.cumsum(lengths) + order * np.arange(n) + k
+    stream = np.full(len(tokens) + order * n, ids[BOS], dtype=np.int64)
+    stream[at], stream[ends] = tokens, ids[EOS]
+    grams = stream[np.concatenate([at, ends])[:, None] + np.arange(-k, 1)]
+    # Each event once per context length, as (-1 padding, context, word)
+    # rows, in the smallest type that holds the ids: numpy sorts 8- and
+    # 16-bit integers by radix.
+    small = np.min_scalar_type(-len(vocab))
+    keys = np.full((order, len(grams), order), -1, dtype=small)
+    for length in range(order):
+        keys[length, :, k - length:] = grams[:, k - length:]
+    keys = keys.reshape(-1, order)
+    # An event whose word occurs once in the corpus also counts as <unk>.
+    hapax = keys[(np.bincount(tokens, minlength=len(vocab)) == 1)[keys[:, k]]]
+    hapax[:, k] = ids[UNK]
+    keys = np.concatenate([keys, hapax])
+    keys = keys[np.lexsort(keys.T[::-1])]  # lexicographic row order, no packed key
+    firsts = _run_starts(keys)
+    rows, counts = keys[firsts], np.diff(np.append(firsts, len(keys)))
+    starts = _run_starts(rows[:, :k])
+    return NGramModel(order, tuple(vocab), rows[starts, :k],
+                      np.append(starts, len(rows)), rows[:, k], counts)
 
 
 def perplexity(model: NGramModel, sentence: list[str]) -> float:

@@ -66,16 +66,16 @@ def is_projective(tree: DepTree, shape: TreeShape | None = None) -> bool:
     return not _nonprojective_arcs(_head_column(tree), shape)
 
 
-def nonprojective_arc_ratio(tb: Treebank) -> float:
-    """Fraction of arcs, over the whole treebank, that are non-projective."""
+def nonprojective_arc_ratio(tb: Treebank, shapes=None) -> float | None:
+    """Fraction of arcs, over the whole treebank, that are non-projective;
+    None when the treebank has no token. ``shapes`` are the trees' shapes,
+    when the caller has built them."""
     total = 0
     bad = 0
-    for tree in tb:
+    for tree, shape in zip(tb, shapes or [None] * len(tb)):
         total += len(tree.tokens)
-        bad += len(_nonprojective_arcs(_head_column(tree)))
-    if total == 0:
-        raise ValueError("cannot compute non-projective ratio of an empty treebank")
-    return bad / total
+        bad += len(_nonprojective_arcs(_head_column(tree), shape))
+    return bad / total if total else None
 
 
 def projectivize(tree: DepTree) -> tuple[DepTree, list[LiftRecord]]:

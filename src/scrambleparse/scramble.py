@@ -222,10 +222,12 @@ def _order_label(roles, position) -> OrderLabel:
     return OrderLabel(a + b + c)
 
 
-def classify_order(tree: DepTree, mapping: DeprelMapping) -> OrderLabel:
+def classify_order(tree: DepTree, mapping: DeprelMapping,
+                   shape: TreeShape | None = None) -> OrderLabel:
     """S/O/V order of the main clause, or NONTRANSITIVE when the main
-    verbal head does not have exactly one subject and one object."""
-    return _order_label(_clause_roles(tree, mapping), lambda i: i)
+    verbal head does not have exactly one subject and one object.
+    ``shape`` is the tree's shape, when the caller has built it."""
+    return _order_label(_clause_roles(tree, mapping, shape), lambda i: i)
 
 
 def order_distribution(labels) -> dict[OrderLabel, float]:

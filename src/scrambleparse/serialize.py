@@ -8,8 +8,10 @@ bytes, one after another. The header is ``{"meta": {...}, "arrays":
 counted in values from the start of the data. Loading reads the file into
 one buffer, and the arrays it returns are views of that buffer.
 
-Checkpoints are ``SPNN2`` files and n-gram LMs ``NGLM2`` files (no arrays).
-Version 1 files can run code when read, so they are refused on their magic.
+Checkpoints are ``SPNN2`` files, their parameters the arrays, and n-gram
+LMs ``NGLM3`` files, their counts the arrays. Files of another version
+are refused on their magic, which the error names; version 1 files can
+run code when read.
 """
 
 from __future__ import annotations

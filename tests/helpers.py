@@ -1,5 +1,6 @@
 """Shared builders and checks for the test suite: random trees, tiny
-treebanks, transition mnemonics and a finite-difference gradient check."""
+treebanks, transition mnemonics, n-gram models as count dicts and a
+finite-difference gradient check."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from scrambleparse import nn
 from scrambleparse.arceager import (_MNEMONICS, Configuration, Transition, apply,
                                     initial_config)
 from scrambleparse.conllu import DepTree, Token, Treebank
+from scrambleparse.ngram import NGramModel
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import TRANSITIVE_ORDERS, OrderLabel
 
@@ -175,6 +177,30 @@ def pool_skew(labels: list[OrderLabel]) -> float:
         return 0.0
     pcts = [100.0 * c / total for c in counts.values()]
     return max(pcts) - min(pcts)
+
+
+def lm_counts(model: NGramModel) -> dict:
+    """The model's counts as {context words: {word: count}}."""
+    vocab, offsets = model.vocab, model.offsets.astype(int).tolist()
+    words, counts = model.words.astype(int).tolist(), model.counts.astype(int).tolist()
+    return {tuple(vocab[i] for i in row if i >= 0):
+            {vocab[w]: c for w, c in zip(words[a:b], counts[a:b])}
+            for row, a, b in zip(model.contexts.astype(int).tolist(), offsets, offsets[1:])}
+
+
+def lm_from_counts(order: int, counts: dict, vocab) -> NGramModel:
+    """A model over ``vocab`` holding ``counts``, {context words: {word: count}};
+    the inverse of ``lm_counts``."""
+    vocab = sorted(vocab)
+    ids = {w: i for i, w in enumerate(vocab)}
+    k = order - 1
+    table = sorted(((-1,) * (k - len(ctx)) + tuple(ids[w] for w in ctx),
+                    sorted((ids[w], c) for w, c in nexts.items()))
+                   for ctx, nexts in counts.items())
+    pairs = [pair for _, run in table for pair in run]
+    contexts = np.array([row for row, _ in table]).reshape(len(table), k)
+    return NGramModel(order, tuple(vocab), contexts, np.cumsum([0] + [len(r) for _, r in table]),
+                      np.array([w for w, _ in pairs]), np.array([c for _, c in pairs]))
 
 
 def predict_proba(mlp: nn.MLP, x):

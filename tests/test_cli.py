@@ -5,6 +5,7 @@ import logging
 import os
 import pickle
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from helpers import chain_tree, random_nonprojective_tree, toy_treebank, transit
 from scrambleparse.cli import run
 from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_treebank,
                                   validate_tree)
+from scrambleparse import conllu, projectivity
+from scrambleparse.ngram import ARRAYS as LM_ARRAYS
+from scrambleparse.ngram import MAGIC as LM_MAGIC
 from scrambleparse.ngram import NGramModel
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import UD_MAPPING, classify_order, order_distribution
+from scrambleparse.serialize import load_arrays, save_arrays
 
 
 @pytest.fixture()
@@ -323,6 +328,63 @@ def test_bit_flip_in_lm_permutes_or_is_rejected(nglm_case, position):
         _assert_rejected(status, lines, lm_path)
 
 
+def _lm_with(case, fault):
+    """The bytes of the case's LM with one fault in its header or arrays."""
+    tmp_path, data, _ = case
+    valid = tmp_path / "valid.nglm"
+    valid.write_bytes(data)
+    saved = load_arrays(valid, LM_MAGIC)
+    header, arrays = saved["meta"], {name: a.copy() for name, a in saved["arrays"].items()}
+    contexts, offsets, words, counts = (arrays[name] for name in LM_ARRAYS)
+    if fault == "fractional count":
+        counts[3] = 1.5
+    elif fault == "zero count":
+        counts[3] = 0
+    elif fault == "word id out of range":
+        words[3] = len(header["vocab"])
+    elif fault == "context id out of range":
+        contexts[-1, -1] = len(header["vocab"])
+    elif fault == "repeated context":
+        contexts[-1] = contexts[-2]
+    elif fault == "unsorted contexts":
+        contexts[[-2, -1]] = contexts[[-1, -2]]
+    elif fault == "repeated next word":
+        words[1] = words[0]
+    elif fault == "missing empty context":
+        first = int(offsets[1])
+        arrays.update(contexts=contexts[1:], offsets=offsets[1:] - first,
+                      words=words[first:], counts=counts[first:])
+    elif fault == "padding after a word":
+        contexts[-1, -1] = -1
+    elif fault == "context longer than order - 1":
+        header["order"] = 2
+    elif fault == "offsets short of words":
+        offsets[-1] -= 1
+    elif fault == "offsets beyond words":
+        offsets[-1] += 1
+    path = tmp_path / "faulty.nglm"
+    save_arrays(path, LM_MAGIC, header, arrays.items())
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("fractional count", "not an integer"), ("zero count", "count"),
+    ("word id out of range", "word id"), ("context id out of range", "word id"),
+    ("repeated context", "repeated"), ("unsorted contexts", "not sorted"),
+    ("repeated next word", "repeats a word"), ("missing empty context", "empty context"),
+    ("padding after a word", "-1 after a word"), ("context longer than order - 1", "order - 1"),
+    ("offsets short of words", "offsets"), ("offsets beyond words", "offsets"),
+])
+def test_hostile_lm_files_are_rejected(nglm_case, fault, message):
+    """Each fault, in an otherwise valid file, fails at load with one line
+    and no output."""
+    status, lines, path = _permute_with_lm_bytes(nglm_case, _lm_with(nglm_case, None))
+    assert status == 0
+    status, lines, path = _permute_with_lm_bytes(nglm_case, _lm_with(nglm_case, fault))
+    _assert_rejected(status, lines, path)
+    assert message in lines[0]
+
+
 def test_version_1_lm_is_rejected_without_unpickling(nglm_case):
     """An NGLM1 file is a pickle, and unpickling one can run code: this one
     would create a directory. It is refused on its magic alone."""
@@ -341,17 +403,17 @@ def test_version_1_lm_is_rejected_without_unpickling(nglm_case):
     assert marker.exists()
 
 
-@pytest.mark.parametrize("version", [b"1", b"3"])
-@pytest.mark.parametrize("case", ["checkpoint", "lm"])
+@pytest.mark.parametrize("case, version", [("checkpoint", b"1"), ("checkpoint", b"3"),
+                                           ("lm", b"1"), ("lm", b"2")])
 def test_other_format_versions_are_named(spnn_case, nglm_case, case, version):
     """A file of another version of the format is refused on its magic; only
     a version 1 file gets the advice about version 1 files."""
-    magic = b"SPNN" if case == "checkpoint" else b"NGLM"
+    magic, current = (b"SPNN", "SPNN2") if case == "checkpoint" else (b"NGLM", "NGLM3")
     run_with = _parse_with_model_bytes if case == "checkpoint" else _permute_with_lm_bytes
     status, lines, path = run_with(spnn_case if case == "checkpoint" else nglm_case,
                                    magic + version + b"\x00" * 64)
     _assert_rejected(status, lines, path)
-    assert f"format {(magic + version).decode()} is not read, only {magic.decode()}2" in lines[0]
+    assert f"format {(magic + version).decode()} is not read, only {current}" in lines[0]
     assert ("never loaded" in lines[0]) == (version == b"1")
 
 
@@ -423,6 +485,45 @@ def test_treebank_without_a_transitive_clause(synth_files, capsys):
     assert all("# scramble_order=NONTRANSITIVE" in tree.comments[-1] for tree in aug)
     assert run(["eval", "--gold", str(tb_path), "--pred", str(tb_path)]) == 0
     assert "NONTRANSITIVE\t100.00\t100.00\t6\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["", "# a comment block of no token\n\n"])
+def test_treebank_without_a_token(synth_files, capsys, text):
+    """An empty file, or one of comment blocks only: stats and eval exit 0
+    and print n/a for every ratio and percentage; permute writes nothing."""
+    tmp_path, _, lm_path = synth_files
+    tb_path, out = tmp_path / "empty.conllu", tmp_path / "aug.conllu"
+    tb_path.write_text(text)
+    capsys.readouterr()
+    assert run(["stats", "--in", str(tb_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "1\tS O V\tn/a\n" in captured.out
+    assert captured.out.endswith("transitive_sentences\t0\nnonprojective_arc_ratio\tn/a\n")
+    assert run(["eval", "--gold", str(tb_path), "--pred", str(tb_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "LAS\tn/a\nUAS\tn/a\nPOS\tn/a\n" in captured.out
+    record = json.loads(captured.out.splitlines()[-1])
+    assert (record["las"], record["uas"], record["n_tokens"], record["pos"]) == (None, None, 0,
+                                                                               None)
+    assert run(["permute", "--in", str(tb_path), "--lm", str(lm_path), "--out", str(out)]) == 0
+    assert len(load_treebank(out)) == 0
+
+
+def test_stats_builds_one_tree_shape_per_tree(synth_files, capsys):
+    _, tb_path, _ = synth_files
+    calls = []
+    real = conllu.tree_shape
+
+    def counting(heads):
+        calls.append(len(heads))
+        return real(heads)
+
+    with mock.patch.object(conllu, "tree_shape", counting), \
+            mock.patch.object(projectivity, "tree_shape", counting):
+        assert run(["stats", "--in", str(tb_path)]) == 0
+    assert len(calls) == len(load_treebank(tb_path)) == 80
 
 
 def test_permute_and_eval_have_no_jobs(synth_files, capsys):

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import transitive_tree
-from scrambleparse.conllu import DepTree, Token
-from scrambleparse.ngram import (BOS, EOS, MAGIC, UNK, NGramModel, filter_by_perplexity,
+from helpers import lm_counts, lm_from_counts, transitive_tree
+from scrambleparse.ngram import (ARRAYS, BOS, EOS, MAGIC, UNK, NGramModel, filter_by_perplexity,
                                  perplexity, train_lm)
 from scrambleparse.scramble import UD_MAPPING, extract_projections, permute_projection
 from scrambleparse.serialize import save_arrays
@@ -53,8 +52,8 @@ def test_uniform_model_perplexity_equals_vocab_size():
     # the Witten-Bell unigram exactly uniform.
     words = ["a", "b", "c", "d", EOS, UNK]
     counts = {(): {w: 3 for w in words}}
-    model = NGramModel(order=1, counts=counts, vocab=frozenset(words) | {BOS})
-    assert {ctx: entry[:2] for ctx, entry in model._contexts.items()} == {(): (18, 6)}
+    model = lm_from_counts(1, counts, [*words, BOS])
+    assert model._read(())[:2] == (18, 6)
     v = model.event_vocab_size
     assert v == 6
     for w in words:
@@ -156,8 +155,7 @@ def test_filter_deterministic_under_ties():
     batch = _figure_batch()
     # Uniform model scores every permutation identically: tie-break on perm.
     words = sorted({t.form for t in batch.source.tokens}) + [EOS, UNK]
-    model = NGramModel(order=1, counts={(): {w: 2 for w in words}},
-                       vocab=frozenset(words) | {BOS})
+    model = lm_from_counts(1, {(): {w: 2 for w in words}}, [*words, BOS])
     f1 = filter_by_perplexity(batch, model, k=5)
     f2 = filter_by_perplexity(batch, model, k=5)
     assert [v.perm for v in f1.variants] == [v.perm for v in f2.variants]
@@ -172,64 +170,73 @@ def test_model_save_load_round_trip(tmp_path, order):
     back = NGramModel.load(path)
     assert back.order == model.order
     assert back.vocab == model.vocab
-    assert back.counts == model.counts
+    assert lm_counts(back) == lm_counts(model)
+    assert all(np.array_equal(getattr(back, name), getattr(model, name)) for name in ARRAYS)
+    assert not any(getattr(back, name).flags.owndata for name in ARRAYS)  # views of one buffer
     for w in scoreable(model):
         assert back.prob(w, ("a",)) == model.prob(w, ("a",))
-    assert path.read_bytes().startswith(b"NGLM2")
+    assert path.read_bytes().startswith(b"NGLM3")
     back.save(tmp_path / "again.nglm")
     assert (tmp_path / "again.nglm").read_bytes() == path.read_bytes()
 
 
-def _valid_header():
-    return {"order": 2, "vocab": [BOS, EOS, UNK, "a", "b"], "meta": {},
-            "counts": [[[], {"a": 2, "b": 1, UNK: 1, EOS: 2}], [[BOS], {"a": 2}],
-                       [["a"], {"b": 1, UNK: 1, EOS: 1}], [["b"], {EOS: 1}]]}
+def _valid_file():
+    """The header and arrays of a small order-2 model."""
+    model = lm_from_counts(2, {(): {"a": 2, "b": 1, UNK: 1, EOS: 2}, (BOS,): {"a": 2},
+                               ("a",): {"b": 1, UNK: 1, EOS: 1}, ("b",): {EOS: 1}},
+                           [BOS, EOS, UNK, "a", "b"])
+    header = {"order": 2, "vocab": list(model.vocab), "meta": {}}
+    return header, {name: getattr(model, name) for name in ARRAYS}
 
 
 def _with(**changes):
-    return {**_valid_header(), **changes}
+    header, arrays = _valid_file()
+    return {**header, **changes}, arrays
 
 
-def _counts_with(entry_index, entry):
-    counts = _valid_header()["counts"]
-    counts[entry_index] = entry
-    return _with(counts=counts)
+def _arrays_with(**changes):
+    header, arrays = _valid_file()
+    return header, {**arrays, **changes}
 
 
-@pytest.mark.parametrize("header, fault", [
-    (_with(order=0), "order"), (_with(order=6), "order"), (_with(order=2.0), "order"),
-    (_with(order=True), "order"), ({k: v for k, v in _valid_header().items() if k != "order"},
-                                   "order"),
-    (_with(vocab=["</s>", "<unk>", "a", "b"]), "vocab"),
-    (_with(vocab=["<s>", "<unk>", "a", "b"]), "vocab"),
-    (_with(vocab=["<s>", "</s>", "a", "b"]), "vocab"),
-    (_with(vocab=["<s>", "</s>", "<unk>", 7]), "vocab"),
-    (_with(counts={}), "counts"), (_with(counts=[[[], {"a": 1}, 3]]), "counts"),
-    (_counts_with(1, [["a", "b"], {"a": 1}]), "at most 1 strings"),
-    (_counts_with(1, [[7], {"a": 1}]), "at most 1 strings"),
-    (_counts_with(1, [["a"], {"b": 1}]), "repeated"),
-    (_counts_with(1, [[BOS], {}]), "context"),
-    (_counts_with(1, ["<s>", {"a": 1}]), "context"),
-    (_counts_with(1, [[BOS], {"a": 0}]), "count"), (_counts_with(1, [[BOS], {"a": -1}]), "count"),
-    (_counts_with(1, [[BOS], {"a": 1.5}]), "count"), (_counts_with(1, [[BOS], {"a": "2"}]), "count"),
-    (_counts_with(1, [[BOS], {"a": True}]), "count"),
-    (_counts_with(1, [[BOS], {"a": 2**53 + 1}]), "count"),
-    (_with(counts=_valid_header()["counts"][1:]), "empty context"),
+@pytest.mark.parametrize("header, arrays, fault", [
+    (*_with(order=0), "order"), (*_with(order=6), "order"), (*_with(order=2.0), "order"),
+    (*_with(order=True), "order"), (*_with(order=None), "order"),
+    (*_with(vocab=["</s>", "<unk>", "a", "b"]), "vocab"),
+    (*_with(vocab=["<s>", "<unk>", "a", "b"]), "vocab"),
+    (*_with(vocab=["<s>", "</s>", "a", "b"]), "vocab"),
+    (*_with(vocab=["<s>", "</s>", "<unk>", 7]), "vocab"),
+    (*_with(vocab=["<s>", "</s>", "<unk>", "a", "b"]), "not sorted"),
+    (*_with(vocab=["</s>", "<s>", "<s>", "<unk>", "a"]), "repeats a word"),
+    (*_arrays_with(contexts=np.zeros((4, 1)) - 1), "repeated"),
+    (*_arrays_with(contexts=np.zeros(4)), "order - 1"),
+    (*_arrays_with(offsets=np.arange(4)), "shapes"),
+    (*_arrays_with(counts=np.ones(3)), "shapes"),
+    (*_arrays_with(counts=np.full(10, 2.0**53 + 2)), "count"),
+    (*_arrays_with(counts=np.full(10, -1.0)), "count"),
 ])
-def test_load_rejects_a_bad_header(tmp_path, header, fault):
+def test_load_rejects_a_bad_file(tmp_path, header, arrays, fault):
     path = tmp_path / "bad.nglm"
-    save_arrays(path, MAGIC, _valid_header(), [])
-    assert NGramModel.load(path).counts[(BOS,)] == {"a": 2}  # the valid header loads
-    save_arrays(path, MAGIC, header, [])
+    valid_header, valid_arrays = _valid_file()
+    save_arrays(path, MAGIC, valid_header, valid_arrays.items())
+    assert lm_counts(NGramModel.load(path))[(BOS,)] == {"a": 2}  # the valid file loads
+    save_arrays(path, MAGIC, header, arrays.items())
     with pytest.raises(ValueError) as err:
         NGramModel.load(path)
     assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)
 
 
-def test_load_rejects_arrays(tmp_path):
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_load_rejects_missing_and_extra_arrays(tmp_path, change):
     path = tmp_path / "arrays.nglm"
-    save_arrays(path, MAGIC, _valid_header(), [("x", np.zeros(2))])
-    with pytest.raises(ValueError, match="holds arrays the model does not have: x"):
+    header, arrays = _valid_file()
+    if change == "missing":
+        del arrays["words"]
+    else:
+        arrays["x"] = np.zeros(2)
+    save_arrays(path, MAGIC, header, arrays.items())
+    with pytest.raises(ValueError, match="arrays missing: words" if change == "missing"
+                       else "holds arrays the model does not have: x"):
         NGramModel.load(path)
 
 
@@ -242,13 +249,12 @@ def test_load_rejects_wrong_magic(tmp_path):
 
 # --- the recursive interpolation, as a reference --------------------------
 
-def ref_interp(model, word, context):
-    counts = model.counts
+def ref_interp(model, counts, word, context):
     if context:
         if context not in counts:
-            return ref_interp(model, word, context[1:])
+            return ref_interp(model, counts, word, context[1:])
         total, types = sum(counts[context].values()), len(counts[context])
-        backoff = ref_interp(model, word, context[1:])
+        backoff = ref_interp(model, counts, word, context[1:])
         return (counts[context].get(word, 0) + types * backoff) / (total + types)
     total, types = sum(counts[()].values()), len(counts[()])
     uniform = 1.0 / model.event_vocab_size
@@ -260,7 +266,7 @@ def ref_prob(model, word, context=()):
         word = UNK
     context = tuple(w if w in model.vocab else UNK for w in context)
     context = () if model.order == 1 else context[-(model.order - 1):]
-    return ref_interp(model, word, context)
+    return ref_interp(model, LM_COUNTS[model.order], word, context)
 
 
 # Literal <unk> and <s> tokens in the corpus give the model contexts that
@@ -281,6 +287,7 @@ def _random_corpus(seed):
 
 
 LM_MODELS = {order: train_lm(_random_corpus(order), order=order) for order in range(1, 6)}
+LM_COUNTS = {order: lm_counts(model) for order, model in LM_MODELS.items()}
 LM_TOKENS = st.sampled_from(LM_WORDS + ["h1", "zz", "yy", EOS])
 
 

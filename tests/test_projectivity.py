@@ -52,9 +52,10 @@ def test_ratio_invariant_under_sentence_order():
     assert a == b
 
 
-def test_ratio_empty_treebank_errors():
-    with pytest.raises(ValueError):
-        nonprojective_arc_ratio(Treebank([]))
+def test_ratio_without_tokens_is_none():
+    """No trees, or only a comment block's tree of no tokens: no base."""
+    assert nonprojective_arc_ratio(Treebank([])) is None
+    assert nonprojective_arc_ratio(Treebank([DepTree([], comments=["# c"])])) is None
 
 
 def test_projectivize_identity_on_projective_input():
