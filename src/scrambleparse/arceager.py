@@ -112,13 +112,12 @@ def static_oracle(tree: DepTree) -> list[Transition]:
     """Gold transition sequence whose replay reconstructs the tree's arcs.
     A non-projective tree raises ``ValueError``: this is the projectivity
     check of every training tree."""
-    shape = tree.shape()
-    if not is_projective(tree, shape):
+    if not is_projective(tree):
         raise ValueError(f"sentence {tree.label()} is non-projective; projectivize it "
                          "first, or train with pseudo_projective set")
     gold_head = {t.index: t.head for t in tree.tokens}
     gold_label = {t.index: t.deprel for t in tree.tokens}
-    dependents = shape.children
+    dependents = tree.shape().children
 
     c = initial_config(len(tree.tokens))
     seq: list[Transition] = []

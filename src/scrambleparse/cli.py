@@ -72,10 +72,9 @@ def _na(value, spec: str = ".2f") -> str:
 def cmd_stats(args, argv):
     tb = load_treebank(args.input)
     mapping = MAPPING_PRESETS[args.labels]
-    shapes = [tree.shape() for tree in tb]
-    labels = [scramble.classify_order(tree, mapping, shape) for tree, shape in zip(tb, shapes)]
+    labels = [scramble.classify_order(tree, mapping) for tree in tb]
     dist = scramble.order_distribution(labels)
-    ratio = projectivity.nonprojective_arc_ratio(tb, shapes)
+    ratio = projectivity.nonprojective_arc_ratio(tb)
     print("S.No.\tOrder\tPercentage")
     for i, label in enumerate(TRANSITIVE_ORDERS, start=1):
         print(f"{i}\t{' '.join(label.value)}\t{_na(dist.get(label))}")
@@ -129,19 +128,15 @@ def cmd_permute(args, argv):
     tb = load_treebank(args.input)
     mapping = MAPPING_PRESETS[args.labels]
     model = ngram.NGramModel.load(args.lm)
-    # Each tree's shape, built once and keyed by id (the trees live in tb);
-    # the loop below drops each shape once it is used.
-    shape_of = {id(t): t.shape() for t in tb}
-    if any(not projectivity.is_projective(t, shape_of[id(t)]) for t in tb):
+    if any(not projectivity.is_projective(t) for t in tb):
         print("input contains non-projective trees; projectivizing first")
         tb = Treebank([projectivity.projectivize(t)[0] for t in tb],
                       source_name=tb.source_name)
-        shape_of = {id(t): t.shape() for t in tb}
     _note_short_treebank(args.select, tb, "--select")
     subset = scramble.select_representative(tb, n=args.select, seed=args.seed)
     batches = []
     for tree in subset:
-        for projection in scramble.extract_projections(tree, mapping, shape_of.pop(id(tree))):
+        for projection in scramble.extract_projections(tree, mapping):
             batch = scramble.permute_projection(tree, projection, limit=args.max_variants,
                                                 mapping=mapping, seed=args.seed)
             batches.append(ngram.filter_by_perplexity(batch, model, k=args.keep))
@@ -231,8 +226,8 @@ def cmd_curve(args, argv):
     print("size\tLAS\tUAS")
     for size in args.sizes:
         model = train_parser(Treebank(train.trees[:size]), None, cfg)
-        s = metrics.score(dev, Treebank(parse_batch(model, dev.trees)[0]))
-        print(f"{size}\t{s.las:.2f}\t{s.uas:.2f}")
+        s = metrics.score(dev, Treebank(parse_batch(model, dev.trees)[0])).as_dict()
+        print(f"{size}\t{_na(s['las'])}\t{_na(s['uas'])}")
     return 0
 
 

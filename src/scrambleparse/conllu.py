@@ -5,9 +5,12 @@ each pointing at a head (0 is the artificial root). Multiword-token
 ranges ("1-2") and empty nodes ("1.1") are skipped on input; enhanced
 dependencies are not modelled (column 9 is written as "_").
 
-``tree_shape`` (``DepTree.shape``) is the one place a tree's dominance
-structure is derived: children, preorder positions, subtree sizes and
-spans, and depths, from one iterative walk from ROOT.
+``tree_shape`` is the one place a tree's dominance structure is
+derived: children, preorder positions, subtree sizes and spans, and
+depths, from one iterative walk from ROOT. ``DepTree.shape`` builds a
+tree's shape the first time it is called and keeps it; a tree's tokens
+are never changed in place, so the kept shape stays true. A tree made by
+``with_tokens`` or ``dataclasses.replace`` starts without one.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ class DepTree:
     tokens: list[Token]
     sentence_id: str | None = None
     comments: list[str] = field(default_factory=list)
+    _shape: TreeShape | None = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self):
         return len(self.tokens)
@@ -67,7 +71,9 @@ class DepTree:
         return [t.upos for t in self.tokens]
 
     def shape(self) -> "TreeShape":
-        return tree_shape([0] + [t.head for t in self.tokens])
+        if self._shape is None:
+            self._shape = tree_shape([0] + [t.head for t in self.tokens])
+        return self._shape
 
     def with_tokens(self, tokens: list[Token]) -> "DepTree":
         return DepTree(tokens=tokens, sentence_id=self.sentence_id,

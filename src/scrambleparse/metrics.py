@@ -30,7 +30,7 @@ def _check_alignment(gold: Treebank, pred: Treebank) -> None:
             raise ValueError(f"sentence {i + 1} ({g.label()}) diverges between gold and prediction")
 
 
-def _is_punct(token) -> bool:
+def is_punct(token) -> bool:
     return token.upos == "PUNCT" or token.deprel == "punct"
 
 
@@ -39,7 +39,7 @@ def _score_pairs(pairs, exclude_punct: bool) -> ParseScore:
     head_ok = 0
     both_ok = 0
     for g, p in pairs:
-        if exclude_punct and _is_punct(g):
+        if exclude_punct and is_punct(g):
             continue
         scored += 1
         if g.head == p.head:

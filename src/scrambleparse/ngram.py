@@ -14,15 +14,15 @@ context, which reserves observed mass for out-of-vocabulary words.
 
 The recursion is evaluated as one loop, from the empty context up through
 the longer suffixes, in the same arithmetic order. The counts are arrays,
-saved and loaded as they are; a context's counts are gathered the first
-time a probability reads them. ``filter_by_perplexity`` scores each
-order's word tuple and builds variants for its survivors only.
+saved and loaded as they are; a context's row is found with one dict
+lookup, and its counts are gathered the first time a probability reads
+them. ``filter_by_perplexity`` scores each order's word tuple and builds
+variants for its survivors only.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,13 +57,10 @@ class NGramModel:
     words: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)  # >= 1
     _ids: dict = field(init=False, repr=False)  # word -> id
-    # The arrays as lists of ints, which a context's read indexes and
-    # bisects without a numpy call: the rows' columns, then offsets, words
-    # and counts
-    _columns: list = field(init=False, repr=False)
+    _rows: dict = field(init=False, repr=False)  # padded context row (a tuple of ids) -> row index
+    # offsets, words and counts as lists of ints, which a context's read
+    # indexes without a numpy call
     _lists: tuple = field(init=False, repr=False)
-    # The rows of the contexts of length L are rows blocks[L]:blocks[L + 1]
-    _blocks: list = field(init=False, repr=False)
     # context ids -> (its total event count, its number of distinct
     # continuation types, {word id: count}), or None for an unseen context;
     # filled the first time ``_interp`` reads the context
@@ -73,11 +70,10 @@ class NGramModel:
 
     def __post_init__(self):
         self._ids = {w: i for i, w in enumerate(self.vocab)}
-        self._columns = self.contexts.astype(np.int64).T.tolist()
+        self._rows = dict(zip(map(tuple, self.contexts.astype(np.int64).tolist()),
+                              range(len(self.contexts))))
         self._lists = tuple(a.astype(np.int64).tolist() for a in (self.offsets, self.words,
                                                                     self.counts))
-        lengths = (self.contexts >= 0).sum(axis=1)  # sorted: the rows run by length
-        self._blocks = np.searchsorted(lengths, np.arange(self.order + 1)).tolist()
 
     @property
     def event_vocab_size(self) -> int:
@@ -85,14 +81,11 @@ class NGramModel:
 
     def _read(self, context: tuple):
         """The entry of ``context`` (word ids) from the arrays; None when unseen."""
-        n = len(context)
-        lo, hi = self._blocks[n], self._blocks[n + 1]
-        for column, w in zip(self._columns[self.order - 1 - n:], context):
-            lo, hi = bisect_left(column, w, lo, hi), bisect_right(column, w, lo, hi)
-        if lo == hi:
+        i = self._rows.get((-1,) * (self.order - 1 - len(context)) + context)
+        if i is None:
             return None
         offsets, words, counts = self._lists
-        start, end = offsets[lo], offsets[lo + 1]
+        start, end = offsets[i], offsets[i + 1]
         counts = counts[start:end]
         return sum(counts), len(counts), dict(zip(words[start:end], counts))
 
@@ -254,19 +247,19 @@ def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
     k defaults to the number of permuted units of the batch's projection.
     Ties break on the lexicographic order of the permutation, so the
     result is deterministic. The batch's word tuples are scored, and only
-    the survivors' variants are built. Returns a new batch; scores are
-    recorded on the surviving variants.
+    the survivors' variants are built. Returns a new batch of the
+    survivors' rows, with the input batch's ``build``; scores are recorded
+    on its variants.
     """
     if k is None:
         k = batch.projection.unit_count
     scored = sorted((perplexity(model, words), perm, i)
-                    for i, (perm, words) in enumerate(batch.rows))
-    survivors = []
-    for ppl, _, i in scored[:k]:
-        v = batch.variant(i)
+                    for i, (perm, words) in enumerate(batch.rows))[:k]
+    survivors = PermutationBatch(batch.source, batch.projection,
+                                 [batch.rows[i] for _, _, i in scored], batch.build)
+    for v, (ppl, _, _) in zip(survivors.variants, scored):
         v.perplexity = ppl
-        survivors.append(v)
-    return PermutationBatch(batch.source, batch.projection, survivors)
+    return survivors
 
 
 def read_corpus(path) -> list[list[str]]:

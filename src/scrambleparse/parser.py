@@ -565,6 +565,8 @@ def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Par
     the parameters of the best dev-LAS epoch are restored at the end."""
     if len(train) == 0:
         raise ValueError("training treebank is empty")
+    if dev is not None and all(metrics.is_punct(t) for tree in dev for t in tree.tokens):
+        raise ValueError("the dev treebank has no token to score")
     if cfg.pseudo_projective:
         train = Treebank([projectivize(tree)[0] for tree in train])
     model = _init_model("parser", cfg, build_vocabs(train))
@@ -586,10 +588,11 @@ CHUNK_TOKENS = 1024
 
 
 def _chunks(lengths: list[int]):
-    """Indices by sentence length, cut into runs of at most CHUNK_TOKENS
-    padded positions (a longer sentence gets a run of its own)."""
+    """Indices of the sentences of at least one token, by length, cut into
+    runs of at most CHUNK_TOKENS padded positions (a longer sentence gets
+    a run of its own)."""
     chunk: list[int] = []
-    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+    for i in sorted((i for i, n in enumerate(lengths) if n), key=lengths.__getitem__):
         if chunk and (len(chunk) + 1) * (lengths[i] + 1) > CHUNK_TOKENS:
             yield chunk
             chunk = []
@@ -650,13 +653,14 @@ def parse_batch(model: ParserModel, trees: list[DepTree],
     Returns the predicted trees, which keep each input's surface columns
     and take ``tags`` (default: the input's own) as upos, and the number
     of tokens decoding left headless. Those are attached to ROOT with the
-    fallback label, so every output is a valid tree.
+    fallback label, so every output is a valid tree. A sentence of no
+    token comes back as it is, comments and all, without being encoded.
     """
     trees = list(trees)
     tags = [t.upos_tags() for t in trees] if tags is None else list(tags)
     if len(tags) != len(trees):
         raise ValueError(f"{len(tags)} tag sequences for {len(trees)} sentences")
-    out: list[DepTree] = [None] * len(trees)
+    out: list[DepTree] = [None if len(t) else t.with_tokens([]) for t in trees]
     fallbacks = 0
     for chunk in _chunks([len(t) for t in trees]):
         rows, lengths, _ = model.encoder.encode_batch([trees[i].forms() for i in chunk],
@@ -687,6 +691,8 @@ def train_tagger(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Tag
     (``_fit``); with a dev treebank, the best dev-accuracy epoch is kept."""
     if len(train) == 0:
         raise ValueError("training treebank is empty")
+    if dev is not None and not any(len(tree) for tree in dev):
+        raise ValueError("the dev treebank has no token to score")
     vocabs = build_vocabs(train)
     if len(vocabs.tags) <= 3:  # only the reserved entries
         raise ValueError("training data carries no POS tags")
@@ -702,9 +708,10 @@ def train_tagger(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Tag
 
 
 def tag_batch(model: TaggerModel, sentences: list[list[str]]) -> list[list[str]]:
-    """Per-token argmax tags of many sentences, in length-sorted chunks."""
+    """Per-token argmax tags of many sentences, in length-sorted chunks;
+    a sentence of no word gets no tag, without being encoded."""
     sentences = [list(words) for words in sentences]
-    out: list[list[str]] = [None] * len(sentences)
+    out: list[list[str]] = [[] for _ in sentences]
     itos = model.vocabs.tags.itos
     for chunk in _chunks([len(words) for words in sentences]):
         rows, lengths, _ = model.encoder.encode_batch([sentences[i] for i in chunk])

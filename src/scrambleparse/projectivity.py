@@ -60,21 +60,20 @@ def _head_column(tree: DepTree) -> list[int]:
     return [0] + [t.head for t in tree.tokens]
 
 
-def is_projective(tree: DepTree, shape: TreeShape | None = None) -> bool:
+def is_projective(tree: DepTree) -> bool:
     """True iff every token between a head and its dependent descends from
-    the head. ``shape`` is the tree's shape, when the caller has built it."""
-    return not _nonprojective_arcs(_head_column(tree), shape)
+    the head."""
+    return not _nonprojective_arcs(_head_column(tree), tree.shape())
 
 
-def nonprojective_arc_ratio(tb: Treebank, shapes=None) -> float | None:
+def nonprojective_arc_ratio(tb: Treebank) -> float | None:
     """Fraction of arcs, over the whole treebank, that are non-projective;
-    None when the treebank has no token. ``shapes`` are the trees' shapes,
-    when the caller has built them."""
+    None when the treebank has no token."""
     total = 0
     bad = 0
-    for tree, shape in zip(tb, shapes or [None] * len(tb)):
+    for tree in tb:
         total += len(tree.tokens)
-        bad += len(_nonprojective_arcs(_head_column(tree), shape))
+        bad += len(_nonprojective_arcs(_head_column(tree), tree.shape()))
     return bad / total if total else None
 
 

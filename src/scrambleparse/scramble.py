@@ -6,9 +6,11 @@ dominance relations intact, labels each variant with its S/O/V order,
 and balances the class distribution of the resulting pool.
 
 Each order starts as a ``(perm, words)`` row of a ``PermutationBatch``,
-which is all the LM filter scores. Its variant (token positions and S/O/V
-label) is built when read, which the filter does for its survivors only,
-and the variant's tree later still, for the orders the balancer keeps.
+which is all the LM filter scores. The batch builds a row's variant
+(token positions and S/O/V label) when it is read, which happens for the
+filter's survivors only, and the variant builds its tree later still,
+for the orders the balancer keeps. Every tree read here uses the shape
+it keeps (``DepTree.shape``).
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .conllu import DepTree, TreeShape, Treebank
+from .conllu import DepTree, Treebank
 from .projectivity import base_label, is_projective
 
 MAX_UNITS_WITHOUT_LIMIT = 8  # 8! = 40320 variants; beyond that require an explicit cap
@@ -68,36 +71,27 @@ class VerbalProjection:
     verb_index: int
     constituent_roots: tuple[int, ...]
     span_map: dict  # unit root (verb included) -> inclusive (lo, hi) span
-    # The source tree's shape, so permuting does not walk the tree again.
-    shape: TreeShape | None = field(default=None, compare=False, repr=False)
 
     @property
     def unit_count(self) -> int:
         return 1 + len(self.constituent_roots)
 
 
+@dataclass(eq=False)
 class PermutationVariant:
     """One linear order of a projection's units.
 
     ``positions`` holds the source token at each new position and
     ``forms`` the words in that order. The relinearized tree is built
     from ``source`` the first time ``tree`` is read, so variants that the
-    balancer drops never build one. A variant can also be made from a
-    ready ``tree``.
+    balancer drops never build one.
     """
-
-    def __init__(self, *, order: OrderLabel, perm: tuple[int, ...],
-                 positions: tuple[int, ...], perplexity: float | None = None,
-                 tree: DepTree | None = None, source: DepTree | None = None,
-                 forms: tuple[str, ...] | None = None):
-        self.order = order
-        self.perm = perm              # permutation of unit slots, identity = (0, 1, ...)
-        self.positions = positions    # source token index occupying each new position
-        self.perplexity = perplexity
-        self.source = source
-        if tree is not None:
-            self.__dict__["tree"] = tree
-        self.forms = forms if forms is not None else tuple(self.tree.forms())
+    order: OrderLabel
+    perm: tuple[int, ...]        # permutation of unit slots, identity = (0, 1, ...)
+    positions: tuple[int, ...]   # source token index occupying each new position
+    forms: tuple[str, ...]
+    source: DepTree = field(repr=False)
+    perplexity: float | None = None
 
     @cached_property
     def tree(self) -> DepTree:
@@ -119,32 +113,29 @@ class PermutationVariant:
         return self.perm == tuple(range(len(self.perm)))
 
 
+@dataclass(eq=False)
 class PermutationBatch:
     """The orders of one projection's units.
 
     ``rows`` holds each order's ``(perm, words)``: all that the LM filter
     scores. ``variant(i)`` builds row i's ``PermutationVariant`` (its
-    positions and S/O/V label) the first time it is asked for, and
-    ``variants`` builds every row's, so orders that are only scored build
-    none. A batch can also be made from ready ``variants``.
+    positions and S/O/V label) with ``build`` the first time it is asked
+    for, and ``variants`` builds every row's, so orders that are only
+    scored build none.
     """
+    source: DepTree
+    projection: VerbalProjection
+    rows: list[tuple[tuple[int, ...], tuple[str, ...]]]
+    build: Callable[..., PermutationVariant] = field(repr=False)  # (perm, words) -> variant
+    _built: list = field(init=False, repr=False)
 
-    def __init__(self, source: DepTree, projection: VerbalProjection,
-                 variants=(), *, rows=None, build=None):
-        self.source = source
-        self.projection = projection
-        if rows is None:
-            self._built = list(variants)
-            rows = [(v.perm, v.forms) for v in self._built]
-        else:
-            self._built = [None] * len(rows)
-        self.rows: list[tuple[tuple[int, ...], tuple[str, ...]]] = rows
-        self._build = build  # (perm, words) -> PermutationVariant
+    def __post_init__(self):
+        self._built = [None] * len(self.rows)
 
     def variant(self, i: int) -> PermutationVariant:
         v = self._built[i]
         if v is None:
-            v = self._built[i] = self._build(*self.rows[i])
+            v = self._built[i] = self.build(*self.rows[i])
         return v
 
     @property
@@ -164,14 +155,12 @@ def _verbal_heads(tree: DepTree, mapping: DeprelMapping,
     return heads
 
 
-def extract_projections(tree: DepTree, mapping: DeprelMapping,
-                        shape: TreeShape | None = None) -> list[VerbalProjection]:
+def extract_projections(tree: DepTree, mapping: DeprelMapping) -> list[VerbalProjection]:
     """One projection per verbal head; constituents are the head's direct
-    dependents' full subtrees, minus frozen labels. ``shape`` is the
-    tree's shape, when the caller has built it."""
-    shape = shape or tree.shape()
-    if not is_projective(tree, shape):
+    dependents' full subtrees, minus frozen labels."""
+    if not is_projective(tree):
         raise ValueError(f"sentence {tree.label()} is non-projective; projectivize first")
+    shape = tree.shape()
     children = shape.children
     projections = []
     for v in _verbal_heads(tree, mapping, children):
@@ -182,16 +171,16 @@ def extract_projections(tree: DepTree, mapping: DeprelMapping,
             span_map[r] = (shape.lo[r], shape.hi[r])
         projections.append(VerbalProjection(verb_index=v,
                                             constituent_roots=tuple(roots),
-                                            span_map=span_map, shape=shape))
+                                            span_map=span_map))
     return projections
 
 
-def _clause_roles(tree: DepTree, mapping: DeprelMapping,
-                  shape: TreeShape | None = None) -> list[tuple[int, list[int], list[int]]]:
-    """The shallowest verbal heads of ``tree`` (of shape ``shape``), each
-    with its subject and object children. Relinearizing the tree changes
-    none of these; it only changes which of the heads comes first."""
-    shape = shape or tree.shape()
+def _clause_roles(tree: DepTree,
+                  mapping: DeprelMapping) -> list[tuple[int, list[int], list[int]]]:
+    """The shallowest verbal heads of ``tree``, each with its subject and
+    object children. Relinearizing the tree changes none of these; it
+    only changes which of the heads comes first."""
+    shape = tree.shape()
     children, depth = shape.children, shape.depth
     heads = _verbal_heads(tree, mapping, children)
     if not heads:
@@ -222,12 +211,10 @@ def _order_label(roles, position) -> OrderLabel:
     return OrderLabel(a + b + c)
 
 
-def classify_order(tree: DepTree, mapping: DeprelMapping,
-                   shape: TreeShape | None = None) -> OrderLabel:
+def classify_order(tree: DepTree, mapping: DeprelMapping) -> OrderLabel:
     """S/O/V order of the main clause, or NONTRANSITIVE when the main
-    verbal head does not have exactly one subject and one object.
-    ``shape`` is the tree's shape, when the caller has built it."""
-    return _order_label(_clause_roles(tree, mapping, shape), lambda i: i)
+    verbal head does not have exactly one subject and one object."""
+    return _order_label(_clause_roles(tree, mapping), lambda i: i)
 
 
 def order_distribution(labels) -> dict[OrderLabel, float]:
@@ -300,7 +287,7 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
     else:
         perms = list(itertools.permutations(range(m)))
 
-    roles = _clause_roles(tree, mapping, projection.shape)
+    roles = _clause_roles(tree, mapping)
     forms = tree.forms()
     unit_words = [forms[lo - 1:hi] for lo, hi in spans]
     unit_tokens = [range(lo, hi + 1) for lo, hi in spans]
@@ -308,11 +295,11 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
 
     def build(perm, words) -> PermutationVariant:
         positions = linearize(perm, unit_tokens, tokens)
-        return PermutationVariant(order=_order_label(roles, positions.index), perm=perm,
-                                  positions=positions, source=tree, forms=words)
+        return PermutationVariant(_order_label(roles, positions.index), perm, positions,
+                                  words, tree)
 
     rows = [(perm, linearize(perm, unit_words, forms)) for perm in perms]
-    return PermutationBatch(tree, projection, rows=rows, build=build)
+    return PermutationBatch(tree, projection, rows, build)
 
 
 def balance_orders(batches: list[PermutationBatch], budget: int) -> list[PermutationVariant]:

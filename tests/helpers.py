@@ -12,7 +12,8 @@ from scrambleparse.arceager import (_MNEMONICS, Configuration, Transition, apply
 from scrambleparse.conllu import DepTree, Token, Treebank
 from scrambleparse.ngram import NGramModel
 from scrambleparse.projectivity import is_projective
-from scrambleparse.scramble import TRANSITIVE_ORDERS, OrderLabel
+from scrambleparse.scramble import (TRANSITIVE_ORDERS, OrderLabel, PermutationBatch,
+                                    PermutationVariant)
 
 
 def chain_tree(n: int, label: str = "dep") -> DepTree:
@@ -177,6 +178,23 @@ def pool_skew(labels: list[OrderLabel]) -> float:
         return 0.0
     pcts = [100.0 * c / total for c in counts.values()]
     return max(pcts) - min(pcts)
+
+
+def ready_variant(tree: DepTree, order: OrderLabel, perm: tuple, positions: tuple = (),
+                  perplexity: float | None = None) -> PermutationVariant:
+    """A variant made by the one constructor whose tree is ``tree``, already
+    built: it sits where ``cached_property`` keeps the built tree."""
+    v = PermutationVariant(order, perm, positions, tuple(tree.forms()), tree, perplexity)
+    v.__dict__["tree"] = tree
+    return v
+
+
+def batch_of(source: DepTree, projection, variants: list) -> PermutationBatch:
+    """A batch of ready variants, one row each: building a row returns its
+    variant. Their perms must differ."""
+    ready = {v.perm: v for v in variants}
+    return PermutationBatch(source, projection, [(v.perm, v.forms) for v in variants],
+                            lambda perm, words: ready[perm])
 
 
 def lm_counts(model: NGramModel) -> dict:

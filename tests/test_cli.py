@@ -871,3 +871,80 @@ def test_curve_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "size\tLAS\tUAS" in out
     assert len([l for l in out.splitlines() if l and l[0].isdigit()]) == 3
+
+
+TINY_CFG = ("word_dim = 6\ntag_dim = 4\nchar_dim = 4\nchar_hidden = 3\nenc_hidden = 6\n"
+            "mlp_hidden = 8\nepochs = 1\n")
+NO_TOKEN_BLOCK = "# a block of no token\n\n"
+PUNCT_ONLY = "1\t.\t_\tPUNCT\t_\t_\t0\tpunct\t_\t_\n\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_models(tmp_path_factory):
+    """A one-epoch parser and tagger, and a test file led by a block of no token."""
+    tmp_path = tmp_path_factory.mktemp("tiny")
+    train_path, test_path, cfg = (tmp_path / "train.conllu", tmp_path / "test.conllu",
+                                  tmp_path / "train.cfg")
+    assert run(["gen-synthetic", "--n", "12", "--out", str(train_path), "--seed", "1"]) == 0
+    assert run(["gen-synthetic", "--n", "4", "--out", str(test_path), "--seed", "2"]) == 0
+    test_path.write_text(NO_TOKEN_BLOCK + test_path.read_text())
+    cfg.write_text(TINY_CFG)
+    for command, name in (("train", "parser.spnn"), ("train-tagger", "tagger.spnn")):
+        assert run([command, "--train", str(train_path), "--out", str(tmp_path / name),
+                    "--config", str(cfg)]) == 0
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--model", "parser.spnn"],
+    ["parse", "--model", "parser.spnn", "--tagger", "tagger.spnn"],
+    ["tag", "--model", "tagger.spnn"],
+])
+def test_parse_and_tag_pass_a_block_of_no_token_through(tiny_models, capsys, argv):
+    tmp_path = tiny_models
+    test_path, out = tmp_path / "test.conllu", tmp_path / "out.conllu"
+    argv = [str(tmp_path / a) if a.endswith(".spnn") else a for a in argv]
+    assert run(argv + ["--in", str(test_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    got, want = load_treebank(out), load_treebank(test_path)
+    assert len(got) == len(want) == 5
+    assert got[0].tokens == [] and got[0].comments[-1] == NO_TOKEN_BLOCK.strip()
+    assert [t.forms() for t in got] == [t.forms() for t in want]
+
+
+def test_train_with_a_dev_block_of_no_token(tiny_models):
+    tmp_path = tiny_models
+    assert run(["train", "--train", str(tmp_path / "train.conllu"),
+                "--dev", str(tmp_path / "test.conllu"), "--out", str(tmp_path / "dev.spnn"),
+                "--config", str(tmp_path / "train.cfg")]) == 0
+
+
+@pytest.mark.parametrize("command, dev", [
+    ("train", PUNCT_ONLY),
+    ("train", NO_TOKEN_BLOCK),
+    ("train", ""),
+    ("train-tagger", NO_TOKEN_BLOCK),
+], ids=["punct-only", "no-token-block", "empty-file", "tagger-no-token-block"])
+def test_dev_with_nothing_to_score_exits_before_training(tiny_models, capsys, caplog,
+                                                         command, dev):
+    tmp_path = tiny_models
+    dev_path, model_path = tmp_path / "nothing.conllu", tmp_path / "nothing.spnn"
+    dev_path.write_text(dev)
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO, logger="scrambleparse.parser"):
+        assert run([command, "--train", str(tmp_path / "train.conllu"), "--dev", str(dev_path),
+                    "--out", str(model_path), "--config", str(tmp_path / "train.cfg")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error [scrambleparse.parser]: the dev treebank has no token to score"]
+    assert "epoch" not in caplog.text
+    assert not model_path.exists()
+
+
+def test_curve_prints_na_without_a_scored_token(tiny_models, capsys):
+    tmp_path = tiny_models
+    dev_path = tmp_path / "punct.conllu"
+    dev_path.write_text(PUNCT_ONLY)
+    capsys.readouterr()
+    assert run(["curve", "--train", str(tmp_path / "train.conllu"), "--dev", str(dev_path),
+                "--sizes", "4", "--config", str(tmp_path / "train.cfg")]) == 0
+    assert capsys.readouterr().out.endswith("size\tLAS\tUAS\n4\tn/a\tn/a\n")

@@ -272,13 +272,22 @@ class TestBatchedInference:
         assert np.allclose(rows, ref, rtol=1e-12, atol=1e-12)
 
     def test_empty_inputs(self, models):
+        """No sentence gives no output. A sentence of no token is not
+        encoded (the encoder refuses one) and passes through with its
+        comments, among the others."""
         model, tagger = models
         assert parse_batch(model, []) == ([], 0)
         assert tag_batch(tagger, []) == []
-        with pytest.raises(ValueError, match="empty"):
-            parse_batch(model, [DepTree([])])
-        with pytest.raises(ValueError, match="empty"):
-            tag_batch(tagger, [["a"], []])
+        with pytest.raises(ValueError, match="cannot encode an empty sentence"):
+            model.encoder.encode_batch([["a"], []], [["NOUN"], []])
+        blank = DepTree([], comments=["# a block of no token"])
+        word = DepTree([Token(1, "a", upos="NOUN", head=0, deprel="root")])
+        trees, _ = parse_batch(model, [blank, word, blank])
+        assert [(t.tokens, t.comments) for t in trees] == [
+            ([], blank.comments), (parse_batch(model, [word])[0][0].tokens, []),
+            ([], blank.comments)]
+        assert trees[0] is not blank
+        assert tag_batch(tagger, [[], ["a"], []]) == [[], tag_batch(tagger, [["a"]])[0], []]
 
 
 class TestTrainingAndParse:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (arcs, pool_skew, random_nonprojective_tree, random_projective_tree,
-                     transitive_tree)
+from helpers import (arcs, batch_of, pool_skew, random_nonprojective_tree,
+                     random_projective_tree, ready_variant, transitive_tree)
 from scrambleparse import cli, conllu, projectivity, scramble
 from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_treebank,
                                   validate_tree)
@@ -231,11 +231,10 @@ def _fake_batch(order_counts: dict, start_ppl: float = 10.0) -> PermutationBatch
     for order, count in order_counts.items():
         for _ in range(count):
             i += 1
-            variants.append(PermutationVariant(
-                tree=transitive_tree(order.value), order=order,
-                perm=(1, 0, i), positions=(), perplexity=ppl))
+            variants.append(ready_variant(transitive_tree(order.value), order, (1, 0, i),
+                                          perplexity=ppl))
             ppl += 1.0
-    return PermutationBatch(source=source, projection=proj, variants=variants)
+    return batch_of(source, proj, variants)
 
 
 def test_balance_two_class_round_robin():
@@ -281,14 +280,10 @@ def test_balance_drops_identity_variants():
     from scrambleparse.scramble import VerbalProjection
 
     proj = VerbalProjection(verb_index=4, constituent_roots=(1, 3), span_map={})
-    identity = PermutationVariant(tree=source, order=OrderLabel.SOV,
-                                  perm=(0, 1, 2), positions=(1, 2, 3, 4, 5),
-                                  perplexity=1.0)
-    scrambled = PermutationVariant(tree=transitive_tree("OSV"), order=OrderLabel.OSV,
-                                   perm=(1, 0, 2), positions=(3, 1, 2, 4, 5),
-                                   perplexity=2.0)
-    batch = PermutationBatch(source=source, projection=proj,
-                             variants=[identity, scrambled])
+    identity = ready_variant(source, OrderLabel.SOV, (0, 1, 2), (1, 2, 3, 4, 5), 1.0)
+    scrambled = ready_variant(transitive_tree("OSV"), OrderLabel.OSV, (1, 0, 2),
+                              (3, 1, 2, 4, 5), 2.0)
+    batch = batch_of(source, proj, [identity, scrambled])
     assert balance_orders([batch], budget=5) == [scrambled]
 
 

@@ -19,12 +19,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import batch_of, ready_variant
 from scrambleparse.conllu import DepTree, Token
 from scrambleparse.ngram import BOS, EOS, filter_by_perplexity, perplexity, train_lm
 from scrambleparse.projectivity import base_label, is_projective
-from scrambleparse.scramble import (OrderLabel, PermutationBatch, PermutationVariant,
-                                    UD_MAPPING, balance_orders, extract_projections,
-                                    permute_projection)
+from scrambleparse.scramble import (OrderLabel, UD_MAPPING, balance_orders,
+                                    extract_projections, permute_projection)
 
 VOCAB = ["ram", "ne", "kitab", "di", "gopal", "ko", "ghar", "gaya", "."]
 OOV = ["zzq", "xvv"]  # never in the LM corpus
@@ -203,7 +203,8 @@ def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
         for v, (ref_tree, _, _, _) in zip(batch.variants, expected):
             assert perplexity(model, v.forms) == ref_perplexity(model, ref_tree.forms())
 
-        survivors = filter_by_perplexity(batch, model, k=keep).variants
+        filtered = filter_by_perplexity(batch, model, k=keep)
+        survivors = filtered.variants
         k = keep if keep is not None else projection.unit_count
         ref_survivors = ref_filter(expected, model, k)
         assert [v.perm for v in survivors] == [v[2] for _, v in ref_survivors]
@@ -225,10 +226,15 @@ def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
             assert v.tree.comments == ref_tree.comments
             assert v.tree.sentence_id == ref_tree.sentence_id
 
-        eager = [PermutationVariant(tree=v[0], order=v[1], perm=v[2], positions=v[3],
-                                    perplexity=ppl) for ppl, v in ref_survivors]
-        got = balance_orders([PermutationBatch(tree, projection, survivors)], budget=4)
-        want = balance_orders([PermutationBatch(tree, projection, eager)], budget=4)
+        # The filter on a batch of the eager variants keeps the same ones.
+        eager = batch_of(tree, projection, [ready_variant(*e) for e in expected])
+        kept = filter_by_perplexity(eager, model, k=keep).variants
+        assert [(v.perm, v.perplexity) for v in kept] == [
+            (v[2], ppl) for ppl, v in ref_survivors]
+        assert all(v.tree is e[0] for v, (_, e) in zip(kept, ref_survivors))
+
+        got = balance_orders([filtered], budget=4)
+        want = balance_orders([batch_of(tree, projection, kept)], budget=4)
         assert [(v.tree.tokens, v.tree.comments) for v in got] == [
             (v.tree.tokens, v.tree.comments) for v in want]
 

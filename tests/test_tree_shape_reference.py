@@ -15,12 +15,14 @@ import tracemalloc
 import warnings
 from collections import deque
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import chain_tree
+from scrambleparse import conllu
 from scrambleparse.arceager import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT, Transition, apply,
                                     initial_config, is_terminal, static_oracle)
 from scrambleparse.conllu import DepTree, Token, Treebank, tree_shape
@@ -28,7 +30,7 @@ from scrambleparse.projectivity import (HEAD_SEP, PATH_MARK, LiftRecord, base_la
                                         deprojectivize, is_projective,
                                         nonprojective_arc_ratio, projectivize)
 from scrambleparse.scramble import (UD_MAPPING, _order_label, _verbal_heads, classify_order,
-                                    extract_projections)
+                                    extract_projections, permute_projection)
 
 LABELS = ("nsubj", "obj", "case", "obl", "punct", "a", "b")
 UPOS = ("VERB", "NOUN", "ADP", "X")
@@ -321,6 +323,44 @@ def test_shape_of_a_small_tree():
     assert shape.size == [5, 1, 4, 1, 2]
     assert shape.depth == [0, 2, 1, 3, 2]
     assert (shape.lo, shape.hi) == ([0, 1, 1, 3, 3], [4, 1, 4, 3, 4])
+
+
+def test_a_tree_keeps_its_shape_and_a_copy_builds_its_own():
+    tree = DepTree([Token(1, "a", head=2), Token(2, "b", head=0, deprel="root")])
+    flipped = [Token(1, "a", head=0, deprel="root"), Token(2, "b", head=1)]
+    with mock.patch.object(conllu, "tree_shape", side_effect=conllu.tree_shape) as build:
+        shape = tree.shape()
+        assert tree.shape() is shape
+        assert build.call_count == 1
+        for copy in (tree.with_tokens(flipped), replace(tree, tokens=flipped)):
+            assert copy.shape() is not shape
+            assert copy.shape().children == [[1], [2], []]
+            assert copy.shape() is copy.shape()
+        assert tree.with_tokens(list(tree.tokens)).shape() is not shape
+        assert build.call_count == 4
+    # The kept shape takes no part in equality or repr.
+    assert tree == DepTree(list(tree.tokens))
+    assert repr(tree) == repr(DepTree(list(tree.tokens)))
+
+
+def _fresh(tree: DepTree) -> DepTree:
+    return DepTree(list(tree.tokens), tree.sentence_id, list(tree.comments))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=head_columns())
+def test_a_kept_shape_gives_the_results_of_a_fresh_one(tree):
+    """A tree whose shape was built earlier, and the trees derived from it
+    (projectivized, relinearized), answer as a fresh copy does."""
+    proj = projectivize(tree)[0]
+    variants = [v.tree for p in extract_projections(proj, UD_MAPPING)
+                for v in permute_projection(proj, p, limit=6).variants]
+    for t in [tree, proj] + variants:
+        t.shape()
+        assert is_projective(t) == is_projective(_fresh(t))
+        assert classify_order(t, UD_MAPPING) == classify_order(_fresh(t), UD_MAPPING)
+    for t in [proj] + [v for v in variants if is_projective(v)]:
+        assert extract_projections(t, UD_MAPPING) == extract_projections(_fresh(t), UD_MAPPING)
 
 
 @pytest.mark.parametrize("heads", [[0, 2, 1], [0, 0, 3, 2], [0, 1], [0, 2, 3, 2]])
