@@ -124,6 +124,12 @@ def cmd_train_lm(args, argv):
     return 0
 
 
+def _filter(batches, model, keep):
+    """Each batch's survivors, all the batches' rows scored in one pass."""
+    ngram.score_batches(batches, model)
+    return [ngram.filter_by_perplexity(batch, model, k=keep) for batch in batches]
+
+
 def cmd_permute(args, argv):
     tb = load_treebank(args.input)
     mapping = MAPPING_PRESETS[args.labels]
@@ -134,12 +140,16 @@ def cmd_permute(args, argv):
                       source_name=tb.source_name)
     _note_short_treebank(args.select, tb, "--select")
     subset = scramble.select_representative(tb, n=args.select, seed=args.seed)
-    batches = []
+    batches, pending, rows = [], [], 0
     for tree in subset:
         for projection in scramble.extract_projections(tree, mapping):
-            batch = scramble.permute_projection(tree, projection, limit=args.max_variants,
-                                                mapping=mapping, seed=args.seed)
-            batches.append(ngram.filter_by_perplexity(batch, model, k=args.keep))
+            pending.append(scramble.permute_projection(tree, projection, limit=args.max_variants,
+                                                       mapping=mapping, seed=args.seed))
+            rows += len(pending[-1].rows)
+            if rows >= ngram.PASS_ROWS:
+                batches += _filter(pending, model, args.keep)
+                pending, rows = [], 0
+    batches += _filter(pending, model, args.keep)
     pool_size = sum(len(b.variants) for b in batches)
     kept = scramble.balance_orders(batches, budget=args.budget)
     dump_treebank(_stamp(Treebank([v.tree for v in kept]), argv), args.output)

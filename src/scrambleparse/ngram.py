@@ -12,16 +12,26 @@ with the uniform distribution over the vocabulary. Tokens seen exactly
 once in the corpus additionally contribute an <unk> event in the same
 context, which reserves observed mass for out-of-vocabulary words.
 
-The recursion is evaluated as one loop, from the empty context up through
-the longer suffixes, in the same arithmetic order. The counts are arrays,
-saved and loaded as they are; a context's row is found with one dict
-lookup, and its counts are gathered the first time a probability reads
-them. ``filter_by_perplexity`` scores each order's word tuple and builds
-variants for its survivors only.
+The counts are arrays, saved and loaded as they are. ``logprobs`` scores
+many sentences in one pass of numpy calls, with no Python work per
+n-gram: the sentences become one padded matrix of word ids, and each
+n-gram's longest held context suffix is found by walking its context
+from the newest word, one ``np.searchsorted`` per word. A context is
+keyed by its parent (itself without its oldest word) and that word, so
+no key packs more than one word id. Every suffix of a held context is
+held too, so an n-gram's probability depends only on that suffix and the
+word; each distinct pair is interpolated once, from the empty context up
+through the longer suffixes in the recursion's arithmetic order, and its
+log taken once with ``math.log``. Each sentence's log probabilities are
+summed left to right, so every perplexity is the float the recursion
+gives. ``permute`` scores the rows of many batches in one pass
+(``score_batches``) and then ranks each batch (``filter_by_perplexity``),
+which builds variants for its survivors only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +47,11 @@ UNK = "<unk>"
 MAGIC = b"NGLM3"  # order, sorted vocabulary and meta in the header; the counts as arrays
 ARRAYS = ("contexts", "offsets", "words", "counts")
 _MAX_COUNT = 2**53  # float64 holds every integer up to here exactly
-_UNREAD = object()
+_KEY_END = np.iinfo(np.int64).max  # ends each key table, above every key: a search stays inside
+# Rows that ``permute`` scores in one pass: tens of batches, so that the
+# pass's numpy calls cost little per row, and few enough rows that its
+# arrays take a few MB (at ~16 words a row: about 17,000 n-grams).
+PASS_ROWS = 1024
 
 
 @dataclass(eq=False)
@@ -48,7 +62,8 @@ class NGramModel:
     A word is its position in ``vocab``. A row holds ``order - 1`` word
     ids, the context's words right-aligned after -1 padding, so the rows
     sort by context length, then word by word; the empty context (all -1)
-    comes first. Each context's words are increasing.
+    comes first. Each context's words are increasing. Every suffix of a
+    context is a context.
     """
     order: int
     vocab: tuple  # sorted
@@ -57,74 +72,123 @@ class NGramModel:
     words: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)  # >= 1
     _ids: dict = field(init=False, repr=False)  # word -> id
-    _rows: dict = field(init=False, repr=False)  # padded context row (a tuple of ids) -> row index
-    # offsets, words and counts as lists of ints, which a context's read
-    # indexes without a numpy call
-    _lists: tuple = field(init=False, repr=False)
-    # context ids -> (its total event count, its number of distinct
-    # continuation types, {word id: count}), or None for an unseen context;
-    # filled the first time ``_interp`` reads the context
-    _entries: dict = field(default_factory=dict, init=False, repr=False)
-    # n-gram (context words, then the word) -> log probability, filled by ``logprob``
-    _logprobs: dict = field(default_factory=dict, init=False, repr=False)
+    # Per context: its number of words, its parent (the context without
+    # its oldest word; the empty context is its own), its total event
+    # count and its number of distinct continuation types.
+    _depths: np.ndarray = field(init=False, repr=False)
+    _parents: np.ndarray = field(init=False, repr=False)
+    _totals: np.ndarray = field(init=False, repr=False)
+    _types: np.ndarray = field(init=False, repr=False)
+    # Each non-empty context's key, parent * (|V| + 1) + oldest word + 1,
+    # sorted, then _KEY_END; and the context row of each key.
+    _keys: np.ndarray = field(init=False, repr=False)
+    _key_rows: np.ndarray = field(init=False, repr=False)
+    # Each count's key, context * |V| + word, increasing, then _KEY_END;
+    # and the counts, then 0.
+    _count_keys: np.ndarray = field(init=False, repr=False)
+    _count_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        v, k = len(self.vocab), self.order - 1
         self._ids = {w: i for i, w in enumerate(self.vocab)}
-        self._rows = dict(zip(map(tuple, self.contexts.astype(np.int64).tolist()),
-                              range(len(self.contexts))))
-        self._lists = tuple(a.astype(np.int64).tolist() for a in (self.offsets, self.words,
-                                                                    self.counts))
+        contexts = self.contexts.astype(np.int64)
+        counts = self.counts.astype(np.int64)
+        self._types = np.diff(self.offsets).astype(np.int64)
+        self._totals = np.add.reduceat(counts, self.offsets[:-1].astype(np.intp))
+        self._count_keys = np.append(np.repeat(np.arange(len(contexts)), self._types) * v
+                                     + self.words.astype(np.int64), _KEY_END)
+        self._count_values = np.append(counts, 0)
+        self._depths = (contexts >= 0).sum(axis=1)
+        self._parents = np.zeros(len(contexts), dtype=np.int64)
+        self._keys, self._key_rows = np.array([_KEY_END]), np.zeros(1, dtype=np.int64)
+        # One context length at a time, each found through the shorter ones'
+        # keys. A length's parents are all rows after the previous length's,
+        # so its keys all sort after theirs.
+        for length in range(1, k + 1):
+            rows = np.flatnonzero(self._depths == length)
+            parents = self._deepest(contexts[rows, k - length + 1:])
+            if (self._depths[parents] != length - 1).any():
+                raise ValueError("a context without its oldest word is not a context")
+            self._parents[rows] = parents
+            keys = parents * (v + 1) + contexts[rows, k - length] + 1
+            order = np.argsort(keys)
+            self._keys = np.concatenate([self._keys[:-1], keys[order], [_KEY_END]])
+            self._key_rows = np.concatenate([self._key_rows[:-1], rows[order], [0]])
 
     @property
     def event_vocab_size(self) -> int:
         return len(self.vocab) - 1  # BOS is context-only, never predicted
 
-    def _read(self, context: tuple):
-        """The entry of ``context`` (word ids) from the arrays; None when unseen."""
-        i = self._rows.get((-1,) * (self.order - 1 - len(context)) + context)
-        if i is None:
-            return None
-        offsets, words, counts = self._lists
-        start, end = offsets[i], offsets[i + 1]
-        counts = counts[start:end]
-        return sum(counts), len(counts), dict(zip(words[start:end], counts))
+    def _deepest(self, context: np.ndarray) -> np.ndarray:
+        """The row of each context's longest suffix that is a context (0,
+        the empty one, when no word is). ``context`` holds word ids, the
+        newest last, -1 where there is no word."""
+        rows = np.zeros(len(context), dtype=np.int64)
+        found = np.ones(len(context), dtype=bool)
+        base = len(self.vocab) + 1
+        for column in context.T[::-1]:
+            key = rows * base + column + 1  # -1 gives no key: every key's word part is >= 1
+            at = np.searchsorted(self._keys, key)
+            found &= self._keys[at] == key
+            if not found.any():
+                break
+            rows = np.where(found, self._key_rows[at], rows)
+        return rows
 
-    def _interp(self, word: int, context: tuple) -> float:
-        """Interpolates from the uniform distribution up through each
-        context suffix, shortest first; an unseen suffix passes P on."""
-        p = 1.0 / self.event_vocab_size
-        entries = self._entries
-        for start in range(len(context), -1, -1):
-            suffix = context[start:]
-            entry = entries.get(suffix, _UNREAD)
-            if entry is _UNREAD:
-                entry = entries[suffix] = self._read(suffix)
-            if entry is not None:
-                total, types, counts = entry
-                p = (counts.get(word, 0) + types * p) / (total + types)
+    def _probs(self, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """P(word | context) of each context row and word id: interpolates
+        from the uniform distribution up through the row's suffixes,
+        shortest first, as the recursion's Python ints and floats do."""
+        v, k = len(self.vocab), self.order - 1
+        chain = [rows]  # chain[j]: the suffix j words shorter than the row
+        for _ in range(k):
+            chain.append(self._parents[chain[-1]])
+        depths = self._depths[rows]
+        p = np.full(len(rows), 1.0 / self.event_vocab_size)
+        for j in range(k, -1, -1):
+            row = chain[j]
+            key = row * v + words
+            at = np.searchsorted(self._count_keys, key)
+            count = np.where(self._count_keys[at] == key, self._count_values[at], 0)
+            types = self._types[row]
+            p = np.where(j <= depths, (count + types * p) / (self._totals[row] + types), p)
         return p
 
     def prob(self, word: str, context=()) -> float:
         """Smoothed P(word | context); OOV words and context tokens map to <unk>."""
         ids, k = self._ids, self.order - 1
         unk = ids[UNK]
-        context = tuple([ids.get(w, unk) for w in context[-k:]]) if k else ()
-        return self._interp(unk if word == BOS else ids.get(word, unk), context)
+        context = [ids.get(w, unk) for w in context[-k:]] if k else []
+        row = self._deepest(np.array([[-1] * (k - len(context)) + context], dtype=np.int64))
+        return float(self._probs(row, np.array([unk if word == BOS else ids.get(word, unk)]))[0])
 
-    def logprob(self, sentence: list[str]) -> float:
-        """Natural-log probability of a sentence including the </s> event.
+    def logprobs(self, sentences: list) -> np.ndarray:
+        """Natural-log probability of each sentence including the </s>
+        event, all scored in one pass.
 
-        Each distinct n-gram's log probability is computed once per model.
+        ``math.log`` runs once per distinct (longest held context, word)
+        pair, and each sentence's terms are summed left to right.
         """
-        memo = self._logprobs
-        k = self.order - 1
-        events = (BOS,) * k + tuple(sentence) + (EOS,)
-        total = 0.0
-        for gram in zip(*(events[i:] for i in range(k + 1))):
-            lp = memo.get(gram)
-            if lp is None:
-                lp = memo[gram] = math.log(self.prob(gram[-1], gram[:-1]))
-            total += lp
+        ids, k, v = self._ids, self.order - 1, len(self.vocab)
+        bos, eos, unk = ids[BOS], ids[EOS], ids[UNK]
+        lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+        width = int(lengths.max(initial=0)) + 1  # the events of the longest sentence
+        # Row i: k <s>, sentence i's words, then </s> to the end. A literal
+        # <s> is <s> in a context and <unk> as the predicted word.
+        ids_matrix = np.full((len(sentences), k + width), eos, dtype=np.int64)
+        ids_matrix[:, :k] = bos
+        ids_matrix[:, k:][np.arange(width) < lengths[:, None]] = list(
+            map(ids.get, itertools.chain.from_iterable(sentences), itertools.repeat(unk)))
+        events = np.arange(width) <= lengths[:, None]
+        grams = np.lib.stride_tricks.sliding_window_view(ids_matrix, k + 1, axis=1)[events]
+        words = np.where(grams[:, k] == bos, unk, grams[:, k])
+        pairs, which = np.unique(self._deepest(grams[:, :k]) * v + words, return_inverse=True)
+        logs = np.array([math.log(p) for p in self._probs(pairs // v, pairs % v).tolist()])
+        terms = np.zeros((len(sentences), width), order="F")
+        terms[events] = logs[which]
+        total = np.zeros(len(sentences))
+        for column in terms.T:  # left to right; past a sentence's end each term is +0.0
+            total += column
         return total
 
     def save(self, path, meta: dict | None = None) -> None:
@@ -183,6 +247,13 @@ class NGramModel:
         rising[offsets[1:-1].astype(np.intp) - 1] = True  # where one context's run ends
         if not rising.all():
             raise ValueError("a context repeats a word, or its words are not increasing")
+        if n * (len(vocab) + 1) >= 2**63:
+            raise ValueError(f"{n} contexts over {len(vocab)} words give keys beyond int64")
+        # A float64 sum of counts in [1, 2**53] is exact up to 2**53 and at
+        # least 2**53 above it, so this compares the exact totals.
+        totals = np.add.reduceat(counts, offsets[:-1].astype(np.intp))
+        if (totals > _MAX_COUNT - np.diff(offsets)).any():
+            raise ValueError("a context's total count plus its type count exceeds 2**53")
         return cls(order, tuple(vocab), contexts, offsets, words, counts)
 
 
@@ -233,12 +304,28 @@ def train_lm(corpus: list[list[str]], order: int = 3) -> NGramModel:
                       np.append(starts, len(rows)), rows[:, k], counts)
 
 
+def perplexities(model: NGramModel, sentences: list) -> list[float]:
+    """exp of the average negative log-probability per event (tokens +
+    </s>) of each sentence, scored in one pass."""
+    events = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences)) + 1
+    return list(map(math.exp, (-model.logprobs(sentences) / events).tolist()))
+
+
 def perplexity(model: NGramModel, sentence: list[str]) -> float:
-    """exp of the average negative log-probability per event (tokens + </s>)."""
+    """The perplexity of one sentence (see ``perplexities``)."""
     if not sentence:
         raise ValueError("cannot score an empty sentence")
-    n_events = len(sentence) + 1
-    return math.exp(-model.logprob(sentence) / n_events)
+    return perplexities(model, [sentence])[0]
+
+
+def score_batches(batches: list[PermutationBatch], model: NGramModel) -> None:
+    """Scores the rows of every batch in one pass; each batch keeps its
+    rows' perplexities in ``perplexities``."""
+    scores = perplexities(model, [words for batch in batches for _, words in batch.rows])
+    at = 0
+    for batch in batches:
+        batch.perplexities = scores[at:at + len(batch.rows)]
+        at += len(batch.rows)
 
 
 def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
@@ -246,18 +333,21 @@ def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
 
     k defaults to the number of permuted units of the batch's projection.
     Ties break on the lexicographic order of the permutation, so the
-    result is deterministic. The batch's word tuples are scored, and only
-    the survivors' variants are built. Returns a new batch of the
-    survivors' rows, with the input batch's ``build``; scores are recorded
-    on its variants.
+    result is deterministic. A batch that ``score_batches`` has not
+    scored is scored alone, and only the survivors' variants are built.
+    Returns a new batch of the survivors' rows and perplexities, with the
+    input batch's ``build``; scores are recorded on its variants.
     """
     if k is None:
         k = batch.projection.unit_count
-    scored = sorted((perplexity(model, words), perm, i)
-                    for i, (perm, words) in enumerate(batch.rows))[:k]
+    if batch.perplexities is None:
+        score_batches([batch], model)
+    scored = sorted(zip(batch.perplexities, [perm for perm, _ in batch.rows],
+                        range(len(batch.rows))))[:k]
     survivors = PermutationBatch(batch.source, batch.projection,
-                                 [batch.rows[i] for _, _, i in scored], batch.build)
-    for v, (ppl, _, _) in zip(survivors.variants, scored):
+                                 [batch.rows[i] for _, _, i in scored], batch.build,
+                                 [ppl for ppl, _, _ in scored])
+    for v, ppl in zip(survivors.variants, survivors.perplexities):
         v.perplexity = ppl
     return survivors
 

@@ -118,15 +118,17 @@ class PermutationBatch:
     """The orders of one projection's units.
 
     ``rows`` holds each order's ``(perm, words)``: all that the LM filter
-    scores. ``variant(i)`` builds row i's ``PermutationVariant`` (its
-    positions and S/O/V label) with ``build`` the first time it is asked
-    for, and ``variants`` builds every row's, so orders that are only
-    scored build none.
+    scores, and ``perplexities`` their scores once the filter has them.
+    ``variant(i)`` builds row i's ``PermutationVariant`` (its positions
+    and S/O/V label) with ``build`` the first time it is asked for, and
+    ``variants`` builds every row's, so orders that are only scored build
+    none.
     """
     source: DepTree
     projection: VerbalProjection
     rows: list[tuple[tuple[int, ...], tuple[str, ...]]]
     build: Callable[..., PermutationVariant] = field(repr=False)  # (perm, words) -> variant
+    perplexities: list[float] | None = field(default=None, repr=False)
     _built: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -242,7 +244,11 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
     """All linear orderings of a projection's units (capped at ``limit``).
 
     Each unit keeps its internal token order; heads and labels are
-    remapped to the new indices; frozen tokens never move. Every variant
+    remapped to the new indices; frozen tokens never move. When frozen
+    tokens split the units' slots into runs, only the orders that place
+    every unit inside one run are kept (a sampled batch may then hold
+    fewer than ``limit``), so no unit is torn apart and the variant stays
+    projective; the identity order always fits. Every variant
     carries a comment recording its order class and permutation. Each
     order gets its word tuple here; its variant is built when read (see
     ``PermutationBatch``) and the variant's tree later still (see
@@ -286,6 +292,10 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
         perms = sorted(chosen)
     else:
         perms = list(itertools.permutations(range(m)))
+    if len(runs) > 1:  # an order fits when each run ends where a unit ends
+        ends = set(itertools.accumulate(stop - start for start, stop in runs))
+        sizes = [hi - lo + 1 for lo, hi in spans]
+        perms = [p for p in perms if ends <= set(itertools.accumulate(sizes[u] for u in p))]
 
     roles = _clause_roles(tree, mapping)
     forms = tree.forms()

@@ -362,6 +362,8 @@ def _lm_with(case, fault):
         offsets[-1] -= 1
     elif fault == "offsets beyond words":
         offsets[-1] += 1
+    elif fault == "context total over 2**53":
+        counts[0] = 2**53  # the empty context's first count: its total passes 2**53
     path = tmp_path / "faulty.nglm"
     save_arrays(path, LM_MAGIC, header, arrays.items())
     return path.read_bytes()
@@ -374,6 +376,7 @@ def _lm_with(case, fault):
     ("repeated next word", "repeats a word"), ("missing empty context", "empty context"),
     ("padding after a word", "-1 after a word"), ("context longer than order - 1", "order - 1"),
     ("offsets short of words", "offsets"), ("offsets beyond words", "offsets"),
+    ("context total over 2**53", "exceeds 2**53"),
 ])
 def test_hostile_lm_files_are_rejected(nglm_case, fault, message):
     """Each fault, in an otherwise valid file, fails at load with one line

@@ -53,7 +53,8 @@ def test_uniform_model_perplexity_equals_vocab_size():
     words = ["a", "b", "c", "d", EOS, UNK]
     counts = {(): {w: 3 for w in words}}
     model = lm_from_counts(1, counts, [*words, BOS])
-    assert model._read(())[:2] == (18, 6)
+    empty = lm_counts(model)[()]
+    assert (sum(empty.values()), len(empty)) == (18, 6)
     v = model.event_vocab_size
     assert v == 6
     for w in words:
@@ -224,6 +225,37 @@ def test_load_rejects_a_bad_file(tmp_path, header, arrays, fault):
     with pytest.raises(ValueError) as err:
         NGramModel.load(path)
     assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)
+
+
+@pytest.mark.parametrize("count, loads", [(2**53 - 1, True), (2**53, False)])
+def test_load_bounds_a_context_total_plus_its_types(tmp_path, count, loads):
+    """A context's total count plus its type count may reach 2**53, not
+    pass it, so that summing counts in int64 and dividing in float64 are
+    exact. (<s>,) has one next word: its total plus types is count + 1."""
+    path = tmp_path / "big.nglm"
+    header, arrays = _valid_file()
+    counts = arrays["counts"].astype(float)
+    assert arrays["offsets"][1:3].tolist() == [4, 5]  # (<s>,)'s run is entry 4
+    counts[4] = count
+    save_arrays(path, MAGIC, header, {**arrays, "counts": counts}.items())
+    if loads:
+        assert lm_counts(NGramModel.load(path))[(BOS,)] == {"a": count}
+    else:
+        with pytest.raises(ValueError, match="exceeds 2\\*\\*53"):
+            NGramModel.load(path)
+
+
+def test_load_rejects_a_context_whose_suffix_is_not_a_context(tmp_path):
+    """An n-gram's probability is read from its longest held context suffix,
+    found word by word from the newest, so each context's suffixes must be
+    contexts: here (a, b) is one and (b) is not."""
+    path = tmp_path / "gap.nglm"
+    vocab = [EOS, BOS, UNK, "a", "b"]
+    arrays = {"contexts": np.array([[-1, -1], [3, 4]]), "offsets": np.array([0, 1, 2]),
+              "words": np.array([0, 0]), "counts": np.array([1, 1])}
+    save_arrays(path, MAGIC, {"order": 3, "vocab": vocab, "meta": {}}, arrays.items())
+    with pytest.raises(ValueError, match="without its oldest word is not a context"):
+        NGramModel.load(path)
 
 
 @pytest.mark.parametrize("change", ["missing", "extra"])

@@ -1,14 +1,20 @@
-"""The n-gram model as dicts, kept as the reference for the count arrays.
+"""The n-gram model as dicts, kept as the reference for the count arrays
+and the one-pass scorer.
 
 ``ref_train`` counts events in one dict per context, and ``RefModel``
 tabulates every context's (total, types, counts) up front and
-interpolates over them in the loop that ``NGramModel._interp`` keeps.
+interpolates over them one n-gram at a time, in Python ints and floats.
 The properties below hold ``train_lm`` and the array model to them with
-``==``: the same counts, and the same float for every log probability
-and perplexity, on random corpora of orders 1-5 with out-of-vocabulary
-words, hapaxes and the reserved tokens used as words.
+``==``: the same counts, and the same float for every probability, log
+probability and perplexity, on random corpora of orders 1-5 with
+out-of-vocabulary words, hapaxes and the reserved tokens used as words.
+Batches of rows of different lengths scored in one pass rank as the
+reference ranks them, and as each batch scored alone does, also over a
+vocabulary too large for a key that packs ``order - 1`` word ids into
+an int64.
 """
 
+import functools
 import math
 from collections import Counter, defaultdict
 
@@ -17,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import lm_counts
-from scrambleparse.ngram import ARRAYS, BOS, EOS, UNK, NGramModel, perplexity, train_lm
+from scrambleparse.ngram import (ARRAYS, BOS, EOS, UNK, NGramModel, filter_by_perplexity,
+                                 perplexity, score_batches, train_lm)
+from scrambleparse.scramble import OrderLabel, PermutationBatch, PermutationVariant
 
 
 def ref_train(corpus, order):
@@ -95,7 +103,7 @@ def test_logprob_and_perplexity_equal_the_reference(corpus, order, queries):
     model = train_lm(corpus, order)
     ref = RefModel(order, *ref_train(corpus, order))
     for sentence in [s for s in corpus if s] + queries:
-        assert model.logprob(sentence) == ref.logprob(sentence)
+        assert model.logprobs([sentence])[0] == ref.logprob(sentence)
         assert perplexity(model, sentence) == ref.perplexity(sentence)
 
 
@@ -110,4 +118,74 @@ def test_a_saved_model_reloads_equal(tmp_path_factory, corpus, order, query):
     assert (back.order, back.vocab) == (model.order, model.vocab)
     assert all(np.array_equal(getattr(back, name), getattr(model, name)) for name in ARRAYS)
     assert lm_counts(back) == lm_counts(model)
-    assert back.logprob(query) == model.logprob(query)
+    assert back.logprobs([query])[0] == model.logprobs([query])[0]
+
+
+def _batch(sentences):
+    """A batch of the sentences as rows. Row i's perm is (n - i,), so equal
+    perplexities rank against the input order."""
+    rows = [((len(sentences) - i,), tuple(words)) for i, words in enumerate(sentences)]
+    return PermutationBatch(None, None, rows, lambda perm, words: PermutationVariant(
+        OrderLabel.NONTRANSITIVE, perm, (), words, None))
+
+
+def assert_ranked_as_the_reference(model, ref, batches, keep):
+    """Scored in one pass or one batch at a time, each batch keeps the
+    reference's ``keep`` best rows, in its order, with its perplexities."""
+    together = [_batch(sentences) for sentences in batches]
+    score_batches(together, model)
+    for sentences, batch in zip(batches, together):
+        expected = sorted((ref.perplexity(words), perm) for perm, words in batch.rows)[:keep]
+        for scored in (batch, _batch(sentences)):
+            survivors = filter_by_perplexity(scored, model, k=keep)
+            assert [(v.perplexity, v.perm) for v in survivors.variants] == expected
+            assert survivors.perplexities == [ppl for ppl, _ in expected]
+
+
+QUERY = st.lists(st.one_of(WORDS, RARE, OOV), min_size=1, max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=CORPUS, order=st.integers(1, 5),
+       batches=st.lists(st.lists(QUERY, min_size=1, max_size=6), min_size=1, max_size=5),
+       keep=st.integers(1, 6))
+def test_batches_scored_in_one_pass_rank_as_the_reference(corpus, order, batches, keep):
+    model = train_lm(corpus, order)
+    ref = RefModel(order, *ref_train(corpus, order))
+    assert_ranked_as_the_reference(model, ref, batches, keep)
+    sentences = [s for batch in batches for s in batch]
+    assert model.logprobs(sentences).tolist() == [ref.logprob(s) for s in sentences]
+
+
+# 60,000 words that sort between the reserved tokens and "x" and "y": an
+# order-5 context of four such ids overflows an int64 key packed base |V|.
+FILLERS = [f"f{i:05d}" for i in range(60_000)]
+
+
+@functools.cache
+def large_vocabulary_models():
+    corpus = [FILLERS[i:i + 8] + ["x", "y"] for i in range(0, len(FILLERS), 8)]
+    corpus += [["y", "x", BOS, UNK, "x"], ["x", EOS, "y"]]
+    model = train_lm(corpus, 5)
+    assert len(model.vocab) ** 4 > 2**63
+    return model, RefModel(5, *ref_train(corpus, 5))
+
+
+LARGE_TOKEN = st.one_of(st.sampled_from(["x", "y", "zz", BOS, EOS, UNK]),
+                        st.sampled_from(FILLERS))
+LARGE_QUERY = st.one_of(
+    st.lists(LARGE_TOKEN, min_size=1, max_size=8),
+    st.builds(lambda at, n, tail: FILLERS[at:at + n] + tail, st.integers(0, len(FILLERS) - 8),
+              st.integers(1, 8), st.lists(LARGE_TOKEN, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=st.lists(st.lists(LARGE_QUERY, min_size=1, max_size=6), min_size=1, max_size=4),
+       keep=st.integers(1, 6))
+def test_a_large_vocabulary_ranks_as_the_reference(batches, keep):
+    model, ref = large_vocabulary_models()
+    assert_ranked_as_the_reference(model, ref, batches, keep)
+    for sentence in batches[0]:
+        history = [BOS] * 4 + list(sentence)
+        for i, word in enumerate(list(sentence) + [EOS]):
+            assert model.prob(word, history[i:i + 4]) == ref.prob(word, history[i:i + 4])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (arcs, batch_of, pool_skew, random_nonprojective_tree,
                      random_projective_tree, ready_variant, transitive_tree)
-from scrambleparse import cli, conllu, projectivity, scramble
+from scrambleparse import cli, conllu, ngram, projectivity, scramble
 from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_treebank,
                                   validate_tree)
 from scrambleparse.ngram import train_lm
@@ -130,6 +130,44 @@ def test_variants_preserve_arc_multiset_and_validate():
         assert remapped_arcs(v) == src_arcs
         assert sorted(v.tree.forms()) == sorted(tree.forms())
         assert is_projective(v.tree) == is_projective(tree)
+
+
+def test_permute_keeps_each_unit_inside_one_run_of_slots():
+    """In "Ram ne , kitab di" the comma is a punct child of the verb, so the
+    units' slots are two runs of two tokens. An order that would split
+    "Ram ne" across the comma, or put "kitab" and "di" on either side of
+    it (OSV, VSO), is not emitted."""
+    tree = DepTree([Token(1, "Ram", upos="NOUN", head=5, deprel="nsubj"),
+                    Token(2, "ne", upos="ADP", head=1, deprel="case"),
+                    Token(3, ",", upos="PUNCT", head=5, deprel="punct"),
+                    Token(4, "kitab", upos="NOUN", head=5, deprel="obj"),
+                    Token(5, "di", upos="VERB", head=0, deprel="root")])
+    (p,) = extract_projections(tree, UD_MAPPING)
+    batch = permute_projection(tree, p, mapping=UD_MAPPING)
+    assert {" ".join(words) for _, words in batch.rows} == {
+        "Ram ne , kitab di", "Ram ne , di kitab", "kitab di , Ram ne", "di kitab , Ram ne"}
+    assert {v.order for v in batch.variants} == {OrderLabel.SOV, OrderLabel.SVO,
+                                                  OrderLabel.OVS, OrderLabel.VOS}
+    for v in batch.variants:
+        assert is_projective(v.tree) and remapped_arcs(v) == arcs(tree)
+
+
+PUNCT_ROLES = DeprelMapping(subject_labels=frozenset({"a"}), object_labels=frozenset({"b"}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12))
+def test_variants_with_frozen_tokens_between_units_stay_projective(seed, n):
+    """Every variant of a projective tree whose punct tokens sit between a
+    projection's units is projective and keeps the source's arc set."""
+    tree = random_projective_tree(np.random.default_rng(seed), n,
+                                  labels=("a", "b", "c", "punct"))
+    for p in extract_projections(tree, PUNCT_ROLES):
+        if p.unit_count <= 6:
+            batch = permute_projection(tree, p, mapping=PUNCT_ROLES)
+            assert any(v.is_identity for v in batch.variants)
+            for v in batch.variants:
+                assert is_projective(v.tree) and remapped_arcs(v) == arcs(tree)
 
 
 def test_identity_variant_present_and_matches_source_order():
@@ -393,3 +431,14 @@ def test_permute_labels_and_builds_only_the_filter_survivors(permute_inputs, cap
     # Each survivor is labelled once, the summary included.
     assert label.call_count == survivors
     assert variant.call_count == survivors
+
+
+def test_permute_writes_the_same_bytes_whatever_rows_a_pass_scores(permute_inputs, monkeypatch):
+    """Each batch scored in a pass of its own, or every batch in one pass:
+    the same survivors, so the same augmented treebank."""
+    outputs = []
+    for rows in (1, 10**9):
+        monkeypatch.setattr(ngram, "PASS_ROWS", rows)
+        assert _permute(permute_inputs) == 0
+        outputs.append((permute_inputs / "aug.conllu").read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0]

@@ -101,7 +101,9 @@ def ref_relinearize(tree, slots, unit_tokens, perm):
 
 
 def ref_permute(tree, projection, limit, mapping, seed):
-    """(tree, order, perm, positions) of every variant, trees built eagerly."""
+    """(tree, order, perm, positions) of every variant, trees built eagerly.
+
+    An order is kept only when each unit's tokens stay contiguous."""
     m = projection.unit_count
     unit_roots = sorted(projection.span_map, key=lambda r: projection.span_map[r])
     unit_tokens = [list(range(projection.span_map[r][0], projection.span_map[r][1] + 1))
@@ -119,6 +121,10 @@ def ref_permute(tree, projection, limit, mapping, seed):
     out = []
     for perm in perms:
         tokens, positions = ref_relinearize(tree, slots, unit_tokens, perm)
+        new_index = {old: new for new, old in enumerate(positions, start=1)}
+        if any(max(new_index[i] for i in toks) - min(new_index[i] for i in toks) >= len(toks)
+               for toks in unit_tokens):
+            continue  # a frozen token would split this unit
         variant = tree.with_tokens(tokens)
         order = ref_classify_order(variant, mapping)
         variant.comments = list(tree.comments) + [
