@@ -145,7 +145,7 @@ def cmd_permute(args, argv):
         for projection in scramble.extract_projections(tree, mapping):
             pending.append(scramble.permute_projection(tree, projection, limit=args.max_variants,
                                                        mapping=mapping, seed=args.seed))
-            rows += len(pending[-1].rows)
+            rows += len(pending[-1].perms)
             if rows >= ngram.PASS_ROWS:
                 batches += _filter(pending, model, args.keep)
                 pending, rows = [], 0

@@ -8,9 +8,10 @@ dependencies are not modelled (column 9 is written as "_").
 ``tree_shape`` is the one place a tree's dominance structure is
 derived: children, preorder positions, subtree sizes and spans, and
 depths, from one iterative walk from ROOT. ``DepTree.shape`` builds a
-tree's shape the first time it is called and keeps it; a tree's tokens
-are never changed in place, so the kept shape stays true. A tree made by
-``with_tokens`` or ``dataclasses.replace`` starts without one.
+tree's shape the first time it is called and keeps it, and
+``projectivity.is_projective`` keeps its verdict next to it; a tree's
+tokens are never changed in place, so both stay true. A tree made by
+``with_tokens`` or ``dataclasses.replace`` starts without either.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class DepTree:
     sentence_id: str | None = None
     comments: list[str] = field(default_factory=list)
     _shape: TreeShape | None = field(default=None, init=False, compare=False, repr=False)
+    _projective: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self):
         return len(self.tokens)

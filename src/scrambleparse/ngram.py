@@ -12,20 +12,24 @@ with the uniform distribution over the vocabulary. Tokens seen exactly
 once in the corpus additionally contribute an <unk> event in the same
 context, which reserves observed mass for out-of-vocabulary words.
 
-The counts are arrays, saved and loaded as they are. ``logprobs`` scores
-many sentences in one pass of numpy calls, with no Python work per
-n-gram: the sentences become one padded matrix of word ids, and each
-n-gram's longest held context suffix is found by walking its context
-from the newest word, one ``np.searchsorted`` per word. A context is
-keyed by its parent (itself without its oldest word) and that word, so
-no key packs more than one word id. Every suffix of a held context is
-held too, so an n-gram's probability depends only on that suffix and the
-word; each distinct pair is interpolated once, from the empty context up
-through the longer suffixes in the recursion's arithmetic order, and its
-log taken once with ``math.log``. Each sentence's log probabilities are
-summed left to right, so every perplexity is the float the recursion
-gives. ``permute`` scores the rows of many batches in one pass
-(``score_batches``) and then ranks each batch (``filter_by_perplexity``),
+The counts are arrays, saved and loaded as they are. ``id_logprobs``
+scores many sentences, a matrix of word ids and their lengths, in one
+pass of numpy calls, with no Python work per n-gram. ``logprobs`` and
+``perplexity`` map words to ids for it, and ``prob`` puts one n-gram
+through the same suffix walk and interpolation. A pass numbers the
+distinct n-grams first, and each finds its longest held context suffix
+by walking its context from the newest word, one ``np.searchsorted`` per
+word. A context is keyed by its parent (itself without its oldest word)
+and that word, so no key packs more than one word id. Every suffix of a
+held context is held too, so an n-gram's probability depends only on
+that suffix and the word; each distinct pair is interpolated once, from
+the empty context up through the longer suffixes in the recursion's
+arithmetic order, and its log taken once with ``math.log``. Each
+sentence's log probabilities are summed left to right, so every
+perplexity is the float the recursion gives. ``permute`` scores the
+orders of many batches in one pass (``score_batches``), mapping each
+source tree's words to ids once and gathering each order's ids through
+its position row, and then ranks each batch (``filter_by_perplexity``),
 which builds variants for its survivors only.
 """
 
@@ -162,31 +166,59 @@ class NGramModel:
         row = self._deepest(np.array([[-1] * (k - len(context)) + context], dtype=np.int64))
         return float(self._probs(row, np.array([unk if word == BOS else ids.get(word, unk)]))[0])
 
-    def logprobs(self, sentences: list) -> np.ndarray:
-        """Natural-log probability of each sentence including the </s>
-        event, all scored in one pass.
+    def word_ids(self, words) -> np.ndarray:
+        """The id of each word; a word outside the vocabulary is <unk>."""
+        return np.fromiter(map(self._ids.get, words, itertools.repeat(self._ids[UNK])),
+                           dtype=np.int64)
 
-        ``math.log`` runs once per distinct (longest held context, word)
-        pair, and each sentence's terms are summed left to right.
-        """
-        ids, k, v = self._ids, self.order - 1, len(self.vocab)
-        bos, eos, unk = ids[BOS], ids[EOS], ids[UNK]
+    def logprobs(self, sentences: list) -> np.ndarray:
+        """``id_logprobs`` of sentences given as words."""
         lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-        width = int(lengths.max(initial=0)) + 1  # the events of the longest sentence
+        ids = np.zeros((len(sentences), int(lengths.max(initial=0))), dtype=np.int64)
+        ids[np.arange(ids.shape[1]) < lengths[:, None]] = self.word_ids(
+            itertools.chain.from_iterable(sentences))
+        return self.id_logprobs(ids, lengths)
+
+    def id_logprobs(self, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Natural-log probability of each sentence including the </s>
+        event, all scored in one pass. Sentence i is ``ids[i, :lengths[i]]``;
+        the rest of its row is not read.
+
+        Each distinct n-gram finds its longest held context suffix once,
+        ``math.log`` runs once per distinct (suffix, word) pair, and each
+        sentence's terms are summed left to right.
+        """
+        k, v = self.order - 1, len(self.vocab)
+        bos, eos, unk = self._ids[BOS], self._ids[EOS], self._ids[UNK]
+        width = ids.shape[1] + 1  # the events of the widest row
         # Row i: k <s>, sentence i's words, then </s> to the end. A literal
         # <s> is <s> in a context and <unk> as the predicted word.
-        ids_matrix = np.full((len(sentences), k + width), eos, dtype=np.int64)
-        ids_matrix[:, :k] = bos
-        ids_matrix[:, k:][np.arange(width) < lengths[:, None]] = list(
-            map(ids.get, itertools.chain.from_iterable(sentences), itertools.repeat(unk)))
+        grid = np.full((len(ids), k + width), eos, dtype=np.int64)
+        grid[:, :k] = bos
+        grid[:, k:-1] = np.where(np.arange(width - 1) < lengths[:, None], ids, eos)
         events = np.arange(width) <= lengths[:, None]
-        grams = np.lib.stride_tricks.sliding_window_view(ids_matrix, k + 1, axis=1)[events]
+        grams = np.lib.stride_tricks.sliding_window_view(grid, k + 1, axis=1)[events]
+        # Number the distinct n-grams by a key of one base-|V| digit per
+        # word. Where a digit more could overflow an int64, the keys so far
+        # are renumbered from 0 first, so an n-gram of any order has a key.
+        key, bound = np.zeros(len(grams), dtype=np.int64), 1
+        for column in grams.T:
+            if bound * v > _KEY_END:
+                key, bound = np.unique(key, return_inverse=True)[1], len(grams)
+            key, bound = key * v + column, bound * v
+        by_key = np.argsort(key)
+        ordered = key[by_key]
+        first = np.ones(len(key), dtype=bool)  # where a run of equal keys starts
+        first[1:] = ordered[1:] != ordered[:-1]
+        gram_of = np.empty(len(key), dtype=np.intp)
+        gram_of[by_key] = np.cumsum(first) - 1
+        grams = grams[by_key[first]]
         words = np.where(grams[:, k] == bos, unk, grams[:, k])
-        pairs, which = np.unique(self._deepest(grams[:, :k]) * v + words, return_inverse=True)
-        logs = np.array([math.log(p) for p in self._probs(pairs // v, pairs % v).tolist()])
-        terms = np.zeros((len(sentences), width), order="F")
-        terms[events] = logs[which]
-        total = np.zeros(len(sentences))
+        pairs, pair_of = np.unique(self._deepest(grams[:, :k]) * v + words, return_inverse=True)
+        logs = np.array(list(map(math.log, self._probs(pairs // v, pairs % v).tolist())))
+        terms = np.zeros((len(ids), width), order="F")
+        terms[events] = logs[pair_of[gram_of]]
+        total = np.zeros(len(ids))
         for column in terms.T:  # left to right; past a sentence's end each term is +0.0
             total += column
         return total
@@ -304,28 +336,40 @@ def train_lm(corpus: list[list[str]], order: int = 3) -> NGramModel:
                       np.append(starts, len(rows)), rows[:, k], counts)
 
 
-def perplexities(model: NGramModel, sentences: list) -> list[float]:
+def _perplexities(logprobs: np.ndarray, lengths: np.ndarray) -> list[float]:
     """exp of the average negative log-probability per event (tokens +
-    </s>) of each sentence, scored in one pass."""
-    events = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences)) + 1
-    return list(map(math.exp, (-model.logprobs(sentences) / events).tolist()))
+    </s>) of each sentence."""
+    return list(map(math.exp, (-logprobs / (lengths + 1)).tolist()))
 
 
 def perplexity(model: NGramModel, sentence: list[str]) -> float:
-    """The perplexity of one sentence (see ``perplexities``)."""
+    """The perplexity of one sentence."""
     if not sentence:
         raise ValueError("cannot score an empty sentence")
-    return perplexities(model, [sentence])[0]
+    return _perplexities(model.logprobs([sentence]), np.array([len(sentence)]))[0]
 
 
 def score_batches(batches: list[PermutationBatch], model: NGramModel) -> None:
-    """Scores the rows of every batch in one pass; each batch keeps its
-    rows' perplexities in ``perplexities``."""
-    scores = perplexities(model, [words for batch in batches for _, words in batch.rows])
+    """Scores the orders of every batch in one pass; each batch keeps its
+    orders' perplexities in ``perplexities``. Each source tree's words
+    are mapped to ids once, and an order's ids are gathered through its
+    position row."""
+    trees = list({id(b.source): b.source for b in batches}.values())
+    words = model.word_ids(itertools.chain.from_iterable([t.forms() for t in trees]))
+    bounds = np.cumsum([0] + [len(t) for t in trees]).tolist()
+    tree_ids = {id(t): words[a:b] for t, a, b in zip(trees, bounds, bounds[1:])}
+    lengths = np.repeat([b.positions.shape[1] for b in batches], [len(b.perms) for b in batches])
+    ids = np.zeros((len(lengths), int(lengths.max(initial=0))), dtype=np.int64)
     at = 0
-    for batch in batches:
-        batch.perplexities = scores[at:at + len(batch.rows)]
-        at += len(batch.rows)
+    for b in batches:
+        rows, n = b.positions.shape
+        ids[at:at + rows, :n] = tree_ids[id(b.source)][b.positions - 1]
+        at += rows
+    scores = _perplexities(model.id_logprobs(ids, lengths), lengths)
+    at = 0
+    for b in batches:
+        b.perplexities = scores[at:at + len(b.perms)]
+        at += len(b.perms)
 
 
 def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
@@ -335,18 +379,16 @@ def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
     Ties break on the lexicographic order of the permutation, so the
     result is deterministic. A batch that ``score_batches`` has not
     scored is scored alone, and only the survivors' variants are built.
-    Returns a new batch of the survivors' rows and perplexities, with the
-    input batch's ``build``; scores are recorded on its variants.
+    Returns the batch of the survivors (``PermutationBatch.take``) with
+    their perplexities; scores are recorded on its variants.
     """
     if k is None:
         k = batch.projection.unit_count
     if batch.perplexities is None:
         score_batches([batch], model)
-    scored = sorted(zip(batch.perplexities, [perm for perm, _ in batch.rows],
-                        range(len(batch.rows))))[:k]
-    survivors = PermutationBatch(batch.source, batch.projection,
-                                 [batch.rows[i] for _, _, i in scored], batch.build,
-                                 [ppl for ppl, _, _ in scored])
+    rows = np.lexsort((*batch.perms.T[::-1], batch.perplexities))[:k].tolist()
+    survivors = batch.take(rows)
+    survivors.perplexities = [batch.perplexities[i] for i in rows]
     for v, ppl in zip(survivors.variants, survivors.perplexities):
         v.perplexity = ppl
     return survivors

@@ -62,8 +62,10 @@ def _head_column(tree: DepTree) -> list[int]:
 
 def is_projective(tree: DepTree) -> bool:
     """True iff every token between a head and its dependent descends from
-    the head."""
-    return not _nonprojective_arcs(_head_column(tree), tree.shape())
+    the head. The tree keeps the verdict, so it is tested once."""
+    if tree._projective is None:
+        tree._projective = not _nonprojective_arcs(_head_column(tree), tree.shape())
+    return tree._projective
 
 
 def nonprojective_arc_ratio(tb: Treebank) -> float | None:

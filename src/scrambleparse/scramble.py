@@ -5,12 +5,17 @@ order of the verb and its argument/adjunct subtrees while keeping all
 dominance relations intact, labels each variant with its S/O/V order,
 and balances the class distribution of the resulting pool.
 
-Each order starts as a ``(perm, words)`` row of a ``PermutationBatch``,
-which is all the LM filter scores. The batch builds a row's variant
-(token positions and S/O/V label) when it is read, which happens for the
-filter's survivors only, and the variant builds its tree later still,
-for the orders the balancer keeps. Every tree read here uses the shape
-it keeps (``DepTree.shape``).
+A projection's orders are two arrays of a ``PermutationBatch``: each
+order's permutation of the units and the source token at each of its new
+positions. They depend only on the layout (sentence length, unit spans,
+``limit`` and ``seed``), so each layout's table is built once and kept,
+read-only, in a bounded memo. The LM filter scores the orders through
+the position rows, and the batch builds an order's ``PermutationVariant``
+(its S/O/V label from its position row) when it is read, which happens
+for the filter's survivors only; the variant builds its tree later
+still, for the orders the balancer keeps. So ``permute`` runs no Python
+code once per order. Every tree read here uses the shape it keeps
+(``DepTree.shape``).
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -115,34 +119,48 @@ class PermutationVariant:
 
 @dataclass(eq=False)
 class PermutationBatch:
-    """The orders of one projection's units.
+    """The orders of one projection's units, as arrays.
 
-    ``rows`` holds each order's ``(perm, words)``: all that the LM filter
-    scores, and ``perplexities`` their scores once the filter has them.
-    ``variant(i)`` builds row i's ``PermutationVariant`` (its positions
-    and S/O/V label) with ``build`` the first time it is asked for, and
-    ``variants`` builds every row's, so orders that are only scored build
-    none.
+    Row i of ``perms`` is order i's permutation of the unit slots and row
+    i of ``positions`` the source token at each of its new positions: all
+    that the LM filter scores. ``perplexities`` holds their scores once
+    the filter has them. ``variant(i)`` builds order i's
+    ``PermutationVariant``, labelled through ``roles`` (the source's
+    ``_clause_roles``), the first time it is asked for, and ``variants``
+    builds every order's, so orders that are only scored build none.
     """
     source: DepTree
     projection: VerbalProjection
-    rows: list[tuple[tuple[int, ...], tuple[str, ...]]]
-    build: Callable[..., PermutationVariant] = field(repr=False)  # (perm, words) -> variant
+    perms: np.ndarray = field(repr=False)      # (orders, units)
+    positions: np.ndarray = field(repr=False)  # (orders, tokens), 1-based
+    roles: list = field(default_factory=list, repr=False)
     perplexities: list[float] | None = field(default=None, repr=False)
     _built: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._built = [None] * len(self.rows)
+        self._built = [None] * len(self.perms)
 
     def variant(self, i: int) -> PermutationVariant:
         v = self._built[i]
         if v is None:
-            v = self._built[i] = self.build(*self.rows[i])
+            positions = tuple(self.positions[i].tolist())
+            forms = self.source.forms()
+            v = self._built[i] = PermutationVariant(
+                _order_label(self.roles, positions.index), tuple(self.perms[i].tolist()),
+                positions, tuple([forms[p - 1] for p in positions]), self.source)
         return v
 
     @property
     def variants(self) -> list[PermutationVariant]:
-        return [self.variant(i) for i in range(len(self.rows))]
+        return [self.variant(i) for i in range(len(self.perms))]
+
+    def take(self, rows: list[int]) -> PermutationBatch:
+        """The batch of orders ``rows``, in that order, with the variants
+        already built."""
+        out = PermutationBatch(self.source, self.projection, self.perms[rows],
+                               self.positions[rows], self.roles)
+        out._built = [self._built[i] for i in rows]
+        return out
 
 
 def _verbal_heads(tree: DepTree, mapping: DeprelMapping,
@@ -237,6 +255,48 @@ def select_representative(tb: Treebank, n: int = 4000, seed: int = 42) -> Treeba
     return Treebank([tb[int(i)] for i in picked], source_name=tb.source_name)
 
 
+@lru_cache(maxsize=64)
+def _orders(n: int, spans: tuple, limit: int | None, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``perms`` and ``positions`` of every order of the units with the
+    sorted inclusive ``spans`` in a sentence of ``n`` tokens, read-only.
+
+    The units' tokens fill the same slots in every order: maximal runs of
+    adjacent spans. Frozen tokens between runs never move, and an order
+    fits when each run ends where one of its units ends.
+    """
+    m = len(spans)
+    identity = tuple(range(m))
+    if limit is not None and math.factorial(m) > limit:
+        rng = np.random.default_rng(seed)
+        chosen = {identity}
+        while len(chosen) < limit:
+            # One row per rng.permutation(m) call, in the same stream; a
+            # block of the rows still missing cannot overfill the set.
+            block = rng.permuted(np.tile(identity, (limit - len(chosen), 1)), axis=1)
+            chosen.update(map(tuple, block.tolist()))
+        perms = np.array(sorted(chosen))
+    else:
+        perms = np.array(list(itertools.permutations(identity)))
+    lo, hi = np.array(spans).T
+    sizes = hi - lo + 1
+    run_ends = np.flatnonzero(lo[1:] != hi[:-1] + 1)  # the last unit of each run but the last
+    if len(run_ends):
+        reach = np.cumsum(sizes[perms], axis=1)  # tokens placed after each unit of an order
+        ends = np.cumsum(sizes)[run_ends]
+        perms = perms[(reach[:, :, None] == ends).any(axis=1).all(axis=1)]
+    # The slots in order, refilled by each order's units in sequence: the
+    # token at refill place j of unit u, which starts at place s, is lo_u + j - s.
+    units = perms.ravel()
+    width = sizes[units]
+    refill = np.repeat(lo[units] - (np.cumsum(width) - width), width) + np.arange(width.sum())
+    positions = np.tile(np.arange(1, n + 1), (len(perms), 1))
+    positions[:, np.concatenate([np.arange(a - 1, b) for a, b in spans])] = \
+        refill.reshape(len(perms), -1)
+    perms, positions = perms.astype(np.min_scalar_type(m)), positions.astype(np.min_scalar_type(n))
+    perms.flags.writeable = positions.flags.writeable = False
+    return perms, positions
+
+
 def permute_projection(tree: DepTree, projection: VerbalProjection,
                        limit: int | None = None, *,
                        mapping: DeprelMapping = UD_MAPPING,
@@ -249,67 +309,18 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
     every unit inside one run are kept (a sampled batch may then hold
     fewer than ``limit``), so no unit is torn apart and the variant stays
     projective; the identity order always fits. Every variant
-    carries a comment recording its order class and permutation. Each
-    order gets its word tuple here; its variant is built when read (see
-    ``PermutationBatch``) and the variant's tree later still (see
-    ``PermutationVariant``).
+    carries a comment recording its order class and permutation. The
+    orders are the layout's memoised arrays (see ``_orders``); a variant
+    is built when read (see ``PermutationBatch``) and the variant's tree
+    later still (see ``PermutationVariant``).
     """
     m = projection.unit_count
     if m > MAX_UNITS_WITHOUT_LIMIT and limit is None:
         raise ValueError(f"projection has {m} units ({math.factorial(m)} permutations); "
                          "pass an explicit limit")
-    spans = sorted(projection.span_map.values())
-    # The units' tokens fill the same slots in every order: maximal runs
-    # of adjacent spans, as 0-based [start, stop). Frozen tokens between
-    # runs never move.
-    runs: list[list[int]] = []
-    for lo, hi in spans:
-        if runs and runs[-1][1] == lo - 1:
-            runs[-1][1] = hi
-        else:
-            runs.append([lo - 1, hi])
-
-    def linearize(perm, units, fixed: list) -> tuple:
-        """``fixed`` with its runs refilled by the units in ``perm``'s order."""
-        refill = [x for u in perm for x in units[u]]
-        out = fixed[:]
-        at = 0
-        for start, stop in runs:
-            out[start:stop] = refill[at:at + stop - start]
-            at += stop - start
-        return tuple(out)
-
-    identity = tuple(range(m))
-    total = math.factorial(m)
-    if limit is not None and total > limit:
-        rng = np.random.default_rng(seed)
-        chosen = {identity}
-        while len(chosen) < limit:
-            # One row per rng.permutation(m) call, in the same stream; a
-            # block of the rows still missing cannot overfill the set.
-            block = rng.permuted(np.tile(identity, (limit - len(chosen), 1)), axis=1)
-            chosen.update(map(tuple, block.tolist()))
-        perms = sorted(chosen)
-    else:
-        perms = list(itertools.permutations(range(m)))
-    if len(runs) > 1:  # an order fits when each run ends where a unit ends
-        ends = set(itertools.accumulate(stop - start for start, stop in runs))
-        sizes = [hi - lo + 1 for lo, hi in spans]
-        perms = [p for p in perms if ends <= set(itertools.accumulate(sizes[u] for u in p))]
-
-    roles = _clause_roles(tree, mapping)
-    forms = tree.forms()
-    unit_words = [forms[lo - 1:hi] for lo, hi in spans]
-    unit_tokens = [range(lo, hi + 1) for lo, hi in spans]
-    tokens = list(range(1, len(forms) + 1))
-
-    def build(perm, words) -> PermutationVariant:
-        positions = linearize(perm, unit_tokens, tokens)
-        return PermutationVariant(_order_label(roles, positions.index), perm, positions,
-                                  words, tree)
-
-    rows = [(perm, linearize(perm, unit_words, forms)) for perm in perms]
-    return PermutationBatch(tree, projection, rows, build)
+    perms, positions = _orders(len(tree), tuple(sorted(projection.span_map.values())),
+                               limit, seed)
+    return PermutationBatch(tree, projection, perms, positions, _clause_roles(tree, mapping))
 
 
 def balance_orders(batches: list[PermutationBatch], budget: int) -> list[PermutationVariant]:

@@ -190,11 +190,17 @@ def ready_variant(tree: DepTree, order: OrderLabel, perm: tuple, positions: tupl
 
 
 def batch_of(source: DepTree, projection, variants: list) -> PermutationBatch:
-    """A batch of ready variants, one row each: building a row returns its
-    variant. Their perms must differ."""
-    ready = {v.perm: v for v in variants}
-    return PermutationBatch(source, projection, [(v.perm, v.forms) for v in variants],
-                            lambda perm, words: ready[perm])
+    """A batch of ready variants, one order each, already built."""
+    batch = PermutationBatch(source, projection, np.array([v.perm for v in variants]),
+                             np.array([v.positions for v in variants]))
+    batch._built = list(variants)
+    return batch
+
+
+def order_words(batch: PermutationBatch) -> list[tuple[str, ...]]:
+    """Each order's words: the source's forms through its position row."""
+    forms = batch.source.forms()
+    return [tuple([forms[p - 1] for p in row]) for row in batch.positions.tolist()]
 
 
 def lm_counts(model: NGramModel) -> dict:

@@ -8,13 +8,14 @@ The properties below hold ``train_lm`` and the array model to them with
 ``==``: the same counts, and the same float for every probability, log
 probability and perplexity, on random corpora of orders 1-5 with
 out-of-vocabulary words, hapaxes and the reserved tokens used as words.
-Batches of rows of different lengths scored in one pass rank as the
+Batches of orders of different lengths scored in one pass rank as the
 reference ranks them, and as each batch scored alone does, also over a
 vocabulary too large for a key that packs ``order - 1`` word ids into
 an int64.
 """
 
 import functools
+import itertools
 import math
 from collections import Counter, defaultdict
 
@@ -22,10 +23,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lm_counts
+from helpers import lm_counts, order_words
+from scrambleparse.conllu import DepTree, Token
 from scrambleparse.ngram import (ARRAYS, BOS, EOS, UNK, NGramModel, filter_by_perplexity,
                                  perplexity, score_batches, train_lm)
-from scrambleparse.scramble import OrderLabel, PermutationBatch, PermutationVariant
+from scrambleparse.scramble import PermutationBatch
 
 
 def ref_train(corpus, order):
@@ -122,11 +124,13 @@ def test_a_saved_model_reloads_equal(tmp_path_factory, corpus, order, query):
 
 
 def _batch(sentences):
-    """A batch of the sentences as rows. Row i's perm is (n - i,), so equal
-    perplexities rank against the input order."""
-    rows = [((len(sentences) - i,), tuple(words)) for i, words in enumerate(sentences)]
-    return PermutationBatch(None, None, rows, lambda perm, words: PermutationVariant(
-        OrderLabel.NONTRANSITIVE, perm, (), words, None))
+    """The sentences, all of one length, as the orders of a batch whose
+    source tree holds their words one after another. Order i's perm is
+    (n - i,), so equal perplexities rank against the input order."""
+    n, width = len(sentences), len(sentences[0])
+    source = DepTree([Token(i, w) for i, w in enumerate(itertools.chain(*sentences), start=1)])
+    return PermutationBatch(source, None, np.arange(n, 0, -1)[:, None],
+                            np.arange(1, n * width + 1).reshape(n, width))
 
 
 def assert_ranked_as_the_reference(model, ref, batches, keep):
@@ -135,11 +139,18 @@ def assert_ranked_as_the_reference(model, ref, batches, keep):
     together = [_batch(sentences) for sentences in batches]
     score_batches(together, model)
     for sentences, batch in zip(batches, together):
-        expected = sorted((ref.perplexity(words), perm) for perm, words in batch.rows)[:keep]
+        expected = sorted((ref.perplexity(words), tuple(perm))
+                          for perm, words in zip(batch.perms.tolist(), order_words(batch)))[:keep]
         for scored in (batch, _batch(sentences)):
             survivors = filter_by_perplexity(scored, model, k=keep)
             assert [(v.perplexity, v.perm) for v in survivors.variants] == expected
             assert survivors.perplexities == [ppl for ppl, _ in expected]
+
+
+def one_length(batch):
+    """A batch's sentences cut to the length of its shortest: the orders of
+    a batch are of one sentence."""
+    return [sentence[:min(map(len, batch))] for sentence in batch]
 
 
 QUERY = st.lists(st.one_of(WORDS, RARE, OOV), min_size=1, max_size=10)
@@ -147,7 +158,8 @@ QUERY = st.lists(st.one_of(WORDS, RARE, OOV), min_size=1, max_size=10)
 
 @settings(max_examples=150, deadline=None)
 @given(corpus=CORPUS, order=st.integers(1, 5),
-       batches=st.lists(st.lists(QUERY, min_size=1, max_size=6), min_size=1, max_size=5),
+       batches=st.lists(st.lists(QUERY, min_size=1, max_size=6).map(one_length),
+                        min_size=1, max_size=5),
        keep=st.integers(1, 6))
 def test_batches_scored_in_one_pass_rank_as_the_reference(corpus, order, batches, keep):
     model = train_lm(corpus, order)
@@ -180,7 +192,8 @@ LARGE_QUERY = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(batches=st.lists(st.lists(LARGE_QUERY, min_size=1, max_size=6), min_size=1, max_size=4),
+@given(batches=st.lists(st.lists(LARGE_QUERY, min_size=1, max_size=6).map(one_length),
+                       min_size=1, max_size=4),
        keep=st.integers(1, 6))
 def test_a_large_vocabulary_ranks_as_the_reference(batches, keep):
     model, ref = large_vocabulary_models()
@@ -189,3 +202,17 @@ def test_a_large_vocabulary_ranks_as_the_reference(batches, keep):
         history = [BOS] * 4 + list(sentence)
         for i, word in enumerate(list(sentence) + [EOS]):
             assert model.prob(word, history[i:i + 4]) == ref.prob(word, history[i:i + 4])
+
+
+def test_n_gram_keys_past_int64_are_renumbered():
+    """With exactly 2**16 words an order-5 key of five base-|V| digits
+    would need 2**80: its oldest word would wrap out of an int64, and the
+    two last n-grams below, which differ only there, would be scored as
+    one. ``abcd`` is a held context and ``zbcd`` is not."""
+    fillers = [f"g{i:05d}" for i in range(2**16 - 3 - 6)] + ["z"]
+    corpus = [fillers[i:i + 8] for i in range(0, len(fillers), 8)] + [list("abcde")]
+    model = train_lm(corpus, 5)
+    assert len(model.vocab) == 2**16
+    ref = RefModel(5, *ref_train(corpus, 5))
+    queries = [list("abcde"), list("zbcde")]
+    assert model.logprobs(queries).tolist() == [ref.logprob(q) for q in queries]

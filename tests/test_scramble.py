@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (arcs, batch_of, pool_skew, random_nonprojective_tree,
+from helpers import (arcs, batch_of, order_words, pool_skew, random_nonprojective_tree,
                      random_projective_tree, ready_variant, transitive_tree)
 from scrambleparse import cli, conllu, ngram, projectivity, scramble
 from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_treebank,
@@ -144,7 +144,7 @@ def test_permute_keeps_each_unit_inside_one_run_of_slots():
                     Token(5, "di", upos="VERB", head=0, deprel="root")])
     (p,) = extract_projections(tree, UD_MAPPING)
     batch = permute_projection(tree, p, mapping=UD_MAPPING)
-    assert {" ".join(words) for _, words in batch.rows} == {
+    assert {" ".join(words) for words in order_words(batch)} == {
         "Ram ne , kitab di", "Ram ne , di kitab", "kitab di , Ram ne", "di kitab , Ram ne"}
     assert {v.order for v in batch.variants} == {OrderLabel.SOV, OrderLabel.SVO,
                                                   OrderLabel.OVS, OrderLabel.VOS}
@@ -401,6 +401,20 @@ def test_permute_path_builds_each_tree_shape_once(permute_inputs):
     assert len(calls) == 40
 
 
+def test_permute_tests_each_tree_for_projectivity_once(permute_inputs):
+    """``permute`` checks every input tree and ``extract_projections``
+    checks each selected one again: the second check reads the verdict
+    the tree keeps."""
+    with mock.patch.object(projectivity, "_nonprojective_arcs",
+                           side_effect=projectivity._nonprojective_arcs) as check, \
+            mock.patch.object(projectivity, "is_projective",
+                              side_effect=projectivity.is_projective) as verdict, \
+            mock.patch.object(scramble, "is_projective", verdict):
+        assert _permute(permute_inputs, "--select", "25") == 0
+    assert verdict.call_count == 40 + 25
+    assert check.call_count == 40
+
+
 def test_permute_notes_a_nonprojective_tree_it_does_not_select(permute_inputs, capsys):
     tb = load_treebank(permute_inputs / "in.conllu")
     bad = random_nonprojective_tree(np.random.default_rng(0))
@@ -417,7 +431,7 @@ def test_permute_labels_and_builds_only_the_filter_survivors(permute_inputs, cap
 
     def permuting(*args, **kwargs):
         batch = real_permute(*args, **kwargs)
-        rows.append(len(batch.rows))
+        rows.append(len(batch.perms))
         return batch
 
     with mock.patch.object(scramble, "_order_label", side_effect=scramble._order_label) as label, \

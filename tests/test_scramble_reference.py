@@ -1,14 +1,15 @@
 """Permutation, order labelling and LM filtering against the eager versions.
 
-``permute_projection`` makes each order's word tuple and leaves the rest
-unbuilt: a variant gets its positions and its label (from the new
-positions of its subject, object and verb) when it is read, and its tree
-later still. ``filter_by_perplexity`` scores the word tuples of a batch
-through the model's n-gram memo and builds only its survivors. The
-functions below are the versions they replaced: a full tree per variant,
-``classify_order`` on that tree and one uncached ``perplexity`` per
-variant. The arithmetic is meant to be the same, so
-perplexities are compared with ``==``, not a tolerance.
+``permute_projection`` gives a batch of each order's permutation and
+position row, memoised per clause layout, and leaves the rest unbuilt: a
+variant gets its label (from the new positions of its subject, object
+and verb) when it is read, and its tree later still.
+``filter_by_perplexity`` scores the orders through their position rows
+in one numpy pass and builds only its survivors. The functions below are
+the versions they replaced: a full tree per variant, ``classify_order``
+on that tree and a perplexity per variant that sums one ``prob`` per
+n-gram. The arithmetic is meant to be the same, so perplexities are
+compared with ``==``, not a tolerance.
 """
 
 import itertools
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 
 from helpers import batch_of, ready_variant
 from scrambleparse.conllu import DepTree, Token
-from scrambleparse.ngram import BOS, EOS, filter_by_perplexity, perplexity, train_lm
+from scrambleparse.ngram import (BOS, EOS, filter_by_perplexity, perplexity, score_batches,
+                                 train_lm)
 from scrambleparse.projectivity import base_label, is_projective
 from scrambleparse.scramble import (OrderLabel, UD_MAPPING, balance_orders,
                                     extract_projections, permute_projection)
@@ -244,3 +246,71 @@ def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
         assert [(v.tree.tokens, v.tree.comments) for v in got] == [
             (v.tree.tokens, v.tree.comments) for v in want]
 
+
+
+# --- one pass over clauses with frozen tokens ------------------------------
+
+FORMS = VOCAB + OOV + [BOS]  # a literal <s> is <unk> when predicted, <s> in a context
+
+
+@st.composite
+def frozen_clauses(draw):
+    """The heads, labels and tags of a clause: a verb and 2-5 dependent
+    units of 1-3 tokens, with frozen ``punct`` children of the verb between
+    some of the units, so that they split the units' slots into runs."""
+    units = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    verb_at = draw(st.integers(0, len(units)))
+    units.insert(verb_at, 0)  # 0: the verb itself
+    cuts = draw(st.lists(st.booleans(), min_size=len(units) - 1, max_size=len(units) - 1))
+    tokens = []  # (upos, deprel, head), the head a token index or "verb"
+    for i, size in enumerate(units):
+        if size == 0:
+            tokens.append(("VERB", "root", 0))
+        else:
+            first = len(tokens) + 1
+            tokens.append(("NOUN", draw(st.sampled_from(("nsubj", "obj", "obl", "iobj"))), "verb"))
+            tokens += [("ADP", "case", first)] * (size - 1)
+        if i < len(units) - 1 and cuts[i]:
+            tokens.append(("PUNCT", "punct", "verb"))
+    verb = 1 + [upos for upos, _, _ in tokens].index("VERB")
+    return [(u, d, verb if h == "verb" else h) for u, d, h in tokens]
+
+
+def clause_tree(clause, forms, sentence_id):
+    return DepTree([Token(i, f, upos=u, head=h, deprel=d)
+                    for i, ((u, d, h), f) in enumerate(zip(clause, forms), start=1)],
+                   sentence_id=sentence_id, comments=[f"# text = {' '.join(forms)}"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(clause=frozen_clauses(), data=st.data(),
+       keep=st.one_of(st.none(), st.integers(1, 8)),
+       lm_order=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2 ** 16))
+def test_one_pass_over_frozen_clauses_matches_eager_reference(clause, data, keep, lm_order,
+                                                              seed):
+    """Two trees of one layout and different words, scored in one pass
+    over sampled orders, each keep the reference's survivors with their
+    own words: the layout's memoised arrays are shared, not its words."""
+    words = st.lists(st.sampled_from(FORMS), min_size=len(clause), max_size=len(clause))
+    trees = [clause_tree(clause, data.draw(words), f"s{i}") for i in range(2)]
+    model = MODELS[lm_order]
+    (projection,) = extract_projections(trees[0], UD_MAPPING)
+    m = projection.unit_count
+    limit = data.draw(st.integers(1, math.factorial(m) - 1))
+    batches = [permute_projection(t, p, limit=limit, mapping=UD_MAPPING, seed=seed)
+               for t in trees for p in extract_projections(t, UD_MAPPING)]
+    assert batches[0].positions is batches[1].positions
+    assert not batches[0].positions.flags.writeable
+    score_batches(batches, model)
+    for tree, batch in zip(trees, batches):
+        expected = ref_permute(tree, batch.projection, limit, UD_MAPPING, seed)
+        ref_survivors = ref_filter(expected, model, keep if keep is not None else m)
+        survivors = filter_by_perplexity(batch, model, k=keep).variants
+        assert [(v.perm, v.positions, v.order, v.perplexity) for v in survivors] == [
+            (v[2], v[3], v[1], ppl) for ppl, v in ref_survivors]
+        assert [v.perplexity for v in survivors] == [
+            ref_perplexity(model, v[0].forms()) for _, v in ref_survivors]
+        assert [(v.tree.tokens, v.tree.comments, v.tree.sentence_id) for v in survivors] == [
+            (v[0].tokens, v[0].comments, v[0].sentence_id) for _, v in ref_survivors]
+        assert all(is_projective(v.tree) for v in survivors)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import chain_tree
-from scrambleparse import conllu
+from scrambleparse import conllu, projectivity
 from scrambleparse.arceager import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT, Transition, apply,
                                     initial_config, is_terminal, static_oracle)
 from scrambleparse.conllu import DepTree, Token, Treebank, tree_shape
@@ -339,6 +339,23 @@ def test_a_tree_keeps_its_shape_and_a_copy_builds_its_own():
         assert tree.with_tokens(list(tree.tokens)).shape() is not shape
         assert build.call_count == 4
     # The kept shape takes no part in equality or repr.
+    assert tree == DepTree(list(tree.tokens))
+    assert repr(tree) == repr(DepTree(list(tree.tokens)))
+
+
+def test_a_tree_keeps_its_projectivity_verdict_and_a_copy_tests_its_own():
+    tree = DepTree([Token(1, "a", head=3), Token(2, "b", head=0, deprel="root"),
+                    Token(3, "c", head=2)])
+    with mock.patch.object(projectivity, "_nonprojective_arcs",
+                           side_effect=projectivity._nonprojective_arcs) as check:
+        assert not is_projective(tree)
+        assert not is_projective(tree)
+        assert check.call_count == 1
+        fixed = [Token(1, "a", head=2), Token(2, "b", head=0, deprel="root"), Token(3, "c", head=2)]
+        for copy in (tree.with_tokens(fixed), replace(tree, tokens=fixed)):
+            assert is_projective(copy) and is_projective(copy)
+        assert check.call_count == 3
+    # The kept verdict takes no part in equality or repr.
     assert tree == DepTree(list(tree.tokens))
     assert repr(tree) == repr(DepTree(list(tree.tokens)))
 
