@@ -4,7 +4,10 @@ Every run echoes the resolved configuration and seed; generated files
 carry the producing command line as a provenance comment. Exit status is
 0 on success, 1 on pipeline errors (printed with the failing module), 2
 on usage errors. Any other exception raised in a package module also
-exits 1, its type named in the error line.
+exits 1, its type named in the error line. A reader that closes stdout
+early (``scrambleparse eval ... | head -1``) ends the run with status 141,
+the status a shell gives a command killed by SIGPIPE, and no error line;
+files the run had already written stay written.
 """
 
 from __future__ import annotations
@@ -381,6 +384,9 @@ def _failing_module(exc) -> tuple[str, bool]:
     return module, raised_here
 
 
+EXIT_CLOSED_STDOUT = 128 + 13  # 128 + SIGPIPE
+
+
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -392,7 +398,16 @@ def run(argv=None) -> int:
             args.seed = int(os.environ.get("SCRAMBLE_SEED") or DEFAULT_SEED)
         if args.command not in ("train", "train-tagger", "curve"):
             _echo(args)
-        return args.handler(args, argv)
+        status = args.handler(args, argv)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # Whatever is still buffered goes to the null device, so the
+        # interpreter's last flush finds no broken pipe either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except Exception as exc:
         module, raised_here = _failing_module(exc)
         message = str(exc)

@@ -1,12 +1,15 @@
 """Minimal neural substrate with hand-derived gradients.
 
 Everything is float64 and deterministic under a seeded generator:
-dense layers, LSTM cells run in either direction, bidirectional
-stacks, a one-hidden-layer rectifier classifier, softmax
-cross-entropy, inverted dropout, and momentum SGD with L2. The
-forward passes return explicit caches so layers can be reused
-re-entrantly. The LSTM layers run one sequence or a length-masked
-padded batch of them, for training and inference alike.
+dense layers, bidirectional LSTMs and stacks of them, a one-hidden-layer
+rectifier classifier, softmax cross-entropy, inverted dropout, and
+momentum SGD with L2. The forward passes return explicit caches so
+layers can be reused re-entrantly. A BiLSTM runs one sequence or a
+length-masked padded batch of them, for training and inference alike,
+and steps its two directions together. Its arithmetic is that of two
+separate one-direction cells, bit for bit, given that numpy routes each
+slice of the stacked ``(2, B, H) @ (2, H, 4H)`` product to BLAS as it
+routes a lone ``(B, H) @ (H, 4H)``.
 
 Layers draw their initial parameters from a generator, or take them
 from a checkpoint's arrays (``param``), which are views of the one buffer
@@ -14,7 +17,8 @@ the file was read into. Once an optimizer exists, parameters live in its
 flat buffers: each ``p.value`` is a view, and rebinding it detaches the
 parameter. The clip norm is one dot product over the gradient buffer;
 summed parameter by parameter before, it can change only steps where
-clipping engages.
+clipping engages. One optimizer ``step`` updates the parameters and
+zeroes the gradients.
 """
 
 from __future__ import annotations
@@ -89,16 +93,20 @@ def sigmoid(x, out=None):
     """Logistic function split on the sign of x, so exp never overflows.
 
     ``exp(-|x|)`` is ``exp(x)`` for negative x and ``exp(-x)`` otherwise,
-    and the numerator is 1 or that exponential: the same arithmetic as
-    ``where(x >= 0, 1/(1+z), z/(1+z))``, with the result written to
-    ``out`` when given.
+    and the numerator is 1 or that exponential: the 0/1 step ``x >= 0``
+    raised to the exponential by ``maximum``, since the exponential is at
+    most 1 and a NaN passes through. That is the arithmetic of
+    ``where(x >= 0, 1/(1+z), z/(1+z))``, bit for bit, with the result
+    written to ``out`` when given.
     """
     z = np.abs(x)
     np.negative(z, out=z)
     np.exp(z, out=z)
-    num = np.where(x >= 0, 1.0, z)
-    den = np.add(z, 1.0, out=z)
-    return np.divide(num, den, out=out)
+    num = np.empty(z.shape)
+    np.greater_equal(x, 0.0, out=num)
+    np.maximum(num, z, out=num)
+    np.add(z, 1.0, out=z)
+    return np.divide(num, z, out=out)
 
 
 def softmax(logits):
@@ -150,111 +158,30 @@ class Linear:
 
 
 class LSTMCell:
-    """One direction of an LSTM; gate order is input, forget, output, candidate."""
+    """One direction's parameters; gate order is input, forget, output,
+    candidate. ``BiLSTM`` runs its two cells together."""
 
     def __init__(self, in_dim: int, hidden: int, rng, name: str):
-        self.in_dim = in_dim
-        self.hidden = hidden
         self.Wx = param(rng, f"{name}.Wx", (in_dim, 4 * hidden), glorot)
         self.Wh = param(rng, f"{name}.Wh", (hidden, 4 * hidden), glorot)
         self.b = param(rng, f"{name}.b", (4 * hidden,), lstm_bias)
-
-    def run(self, X, reverse: bool = False, lengths=None, cache: bool = True):
-        """Hidden states for every position, and the cache for ``backward``.
-
-        X is (T, in_dim), or a padded batch (T, B, in_dim) with ``lengths``
-        giving each sequence's true length. Past that length a sequence's
-        input and forget gates are 0 (their pre-activations are -inf), so
-        its state there is zero: a reverse pass starts each sequence from a
-        zero state at its own last position, and padded positions come out
-        zero. The cached zero gates have zero derivative, which stops
-        ``backward`` there. With ``cache=False`` no per-step state outlives
-        the call, and the cell states and their tanh, which only
-        ``backward`` reads, take two rows and one instead of one per step.
-        """
-        T = X.shape[0]
-        H = self.hidden
-        Wh = self.Wh.value
-        batch = X.shape[1:-1]  # () for one sequence, (B,) for a batch
-        # Each step's input projection, turned into its gates in place.
-        gates = (X.reshape(-1, X.shape[-1]) @ self.Wx.value + self.b.value
-                 ).reshape(X.shape[:-1] + (4 * H,))
-        if lengths is not None:
-            gates[np.arange(T)[:, None] >= np.asarray(lengths), :2 * H] = -np.inf
-        # Row k of hs/cs is the state after step k-1 (forward) or step k
-        # (reverse), with a zero initial state at the end the pass starts
-        # from, so each step's previous state is just the neighbouring row.
-        # Without a cache, cs keeps rows k mod 2 and tanh_cs one row.
-        c_rows, tc_rows = (T + 1, T) if cache else (2, 1)
-        hs = np.empty((T + 1,) + batch + (H,))
-        cs = np.empty((c_rows,) + batch + (H,))
-        tanh_cs = np.empty((tc_rows,) + batch + (H,))
-        if reverse:
-            order, prev, new = range(T - 1, -1, -1), 1, 0
-            hs[T] = cs[T % c_rows] = 0.0
-        else:
-            order, prev, new = range(T), 0, 1
-            hs[0] = cs[0] = 0.0
-        for t in order:
-            gate = gates[t]
-            gate += hs[t + prev] @ Wh
-            sigmoid(gate[..., :3 * H], out=gate[..., :3 * H])
-            np.tanh(gate[..., 3 * H:], out=gate[..., 3 * H:])
-            c_new = np.multiply(gate[..., H:2 * H], cs[(t + prev) % c_rows],
-                                out=cs[(t + new) % c_rows])
-            c_new += gate[..., :H] * gate[..., 3 * H:]
-            tanh_c = np.tanh(c_new, out=tanh_cs[t % tc_rows])
-            np.multiply(gate[..., 2 * H:3 * H], tanh_c, out=hs[t + new])
-        Hs = hs[:T] if reverse else hs[1:]
-        if not cache:
-            return Hs, None
-        h_prevs, c_prevs = (hs[1:], cs[1:]) if reverse else (hs[:T], cs[:T])
-        return Hs, (X, gates, c_prevs, h_prevs, tanh_cs, reverse)
-
-    def backward(self, dHs, cache):
-        X, gates, c_prevs, h_prevs, tanh_cs, reverse = cache
-        T = X.shape[0]
-        H = self.hidden
-        order = range(T) if reverse else range(T - 1, -1, -1)
-        WhT = self.Wh.value.T
-        sig = gates[..., :3 * H]
-        one_minus_sig = 1.0 - sig
-        g = gates[..., 3 * H:]
-        one_minus_g2 = 1.0 - g * g
-        one_minus_tc2 = 1.0 - tanh_cs * tanh_cs
-        dZ = np.empty(gates.shape)
-        dh_carry = np.zeros(tanh_cs.shape[1:])
-        dc_carry = np.zeros(tanh_cs.shape[1:])
-        for t in order:
-            gate = gates[t]
-            dz = dZ[t]
-            dh = dh_carry
-            dh += dHs[t]
-            np.multiply(dh, tanh_cs[t], out=dz[..., 2 * H:3 * H])      # do
-            dc = dh * gate[..., 2 * H:3 * H]
-            dc *= one_minus_tc2[t]
-            dc += dc_carry
-            np.multiply(dc, gate[..., 3 * H:], out=dz[..., :H])        # di
-            np.multiply(dc, c_prevs[t], out=dz[..., H:2 * H])          # df
-            np.multiply(dc, gate[..., :H], out=dz[..., 3 * H:])        # dg
-            dc_carry = np.multiply(dc, gate[..., H:2 * H], out=dc)
-            dz[..., :3 * H] *= sig[t]
-            dz[..., :3 * H] *= one_minus_sig[t]
-            dz[..., 3 * H:] *= one_minus_g2[t]
-            dh_carry = dz @ WhT
-        X = X.reshape(-1, X.shape[-1])
-        dZ = dZ.reshape(-1, 4 * H)
-        self.Wx.grad += X.T @ dZ
-        self.Wh.grad += h_prevs.reshape(-1, H).T @ dZ
-        self.b.grad += dZ.sum(axis=0)
-        return (dZ @ self.Wx.value.T).reshape(dHs.shape[:-1] + (X.shape[-1],))
 
     def params(self):
         return [self.Wx, self.Wh, self.b]
 
 
 class BiLSTM:
-    """Per-position concatenation of a forward and a backward LSTM pass."""
+    """Per-position concatenation of a forward and a backward LSTM pass.
+
+    Both directions run in one loop over stacked arrays: step k is time k
+    of the forward cell and time T-1-k of the reverse one, so every
+    per-step array has a direction axis, the recurrent product is one
+    ``(2, B, H) @ (2, H, 4H)`` matmul, and each elementwise op runs once
+    for both. Gates are stored gate-major, (T, 4, 2, B, H), so that one
+    gate of both directions is one contiguous block. The input
+    projections and the weight gradients are still one gemm per
+    direction, in time order.
+    """
 
     def __init__(self, in_dim: int, hidden: int, rng, name: str):
         self.hidden = hidden
@@ -262,17 +189,107 @@ class BiLSTM:
         self.bwd = LSTMCell(in_dim, hidden, rng, f"{name}.bwd")
 
     def forward(self, X, lengths=None, cache: bool = True):
-        """X is (T, in_dim), or a padded (T, B, in_dim) batch with ``lengths``."""
-        Hf, cf = self.fwd.run(X, reverse=False, lengths=lengths, cache=cache)
-        Hb, cb = self.bwd.run(X, reverse=True, lengths=lengths, cache=cache)
-        return np.concatenate([Hf, Hb], axis=-1), (cf, cb)
+        """Hidden states ``[forward; backward]`` for every position, and the
+        cache for ``backward``.
+
+        X is (T, in_dim), or a padded batch (T, B, in_dim) with ``lengths``
+        giving each sequence's true length. Past that length a sequence's
+        input and forget gates are 0 (their pre-activations are -inf), so
+        its state there is zero: the reverse pass starts each sequence from
+        a zero state at its own last position, and padded positions come
+        out zero. The cached zero gates have zero derivative, which stops
+        ``backward`` there. With ``cache=False`` no per-step state outlives
+        the call, and the cell states and their tanh, which only
+        ``backward`` reads, take two rows and one instead of one per step.
+        """
+        H = self.hidden
+        shape = X.shape[:-1]
+        X = X.reshape(shape[0], -1, X.shape[-1])  # one sequence is a batch of one
+        T, B = X.shape[:2]
+        gates = np.empty((T, 4, 2, B, H))
+        # Each projection stays an unnamed temporary, freed once added in:
+        # kept alive through the loop it raised parse's resident heap.
+        for cell, in_time_order in ((self.fwd, gates[:, :, 0]), (self.bwd, gates[::-1, :, 1])):
+            np.add((X.reshape(T * B, -1) @ cell.Wx.value).reshape(T, B, 4, H)
+                   .transpose(0, 2, 1, 3), cell.b.value.reshape(4, 1, H), out=in_time_order)
+        if lengths is not None:
+            pad = np.arange(T)[:, None] >= np.asarray(lengths)  # (T, B)
+            gates.transpose(0, 2, 3, 1, 4)[np.stack([pad, pad[::-1]], axis=1), :2] = -np.inf
+        Wh = np.stack([self.fwd.Wh.value, self.bwd.Wh.value])
+        # Row k of hs/cs is the state before step k, so each step's previous
+        # state is the row above. Without a cache, cs keeps rows k mod 2 and
+        # tanh_cs one row.
+        c_rows, tc_rows = (T + 1, T) if cache else (2, 1)
+        hs = np.empty((T + 1, 2, B, H))
+        cs = np.empty((c_rows, 2, B, H))
+        tanh_cs = np.empty((tc_rows, 2, B, H))
+        hs[0] = cs[0] = 0.0
+        for k in range(T):
+            gate = gates[k]
+            gate += np.matmul(hs[k], Wh).reshape(2, B, 4, H).transpose(2, 0, 1, 3)
+            sigmoid(gate[:3], out=gate[:3])
+            np.tanh(gate[3], out=gate[3])
+            c_new = np.multiply(gate[1], cs[k % c_rows], out=cs[(k + 1) % c_rows])
+            c_new += gate[0] * gate[3]
+            tanh_c = np.tanh(c_new, out=tanh_cs[k % tc_rows])
+            np.multiply(gate[2], tanh_c, out=hs[k + 1])
+        Y = np.empty((T, B, 2 * H))
+        Y[..., :H] = hs[1:, 0]
+        Y[..., H:] = hs[:0:-1, 1]
+        Y = Y.reshape(shape + (2 * H,))
+        if not cache:
+            return Y, None
+        return Y, (X, gates, cs[:T], hs[:T], tanh_cs)
 
     def backward(self, dY, cache):
-        cf, cb = cache
+        X, gates, c_prevs, h_prevs, tanh_cs = cache
+        T, B = X.shape[:2]
         H = self.hidden
-        dX = self.fwd.backward(dY[..., :H], cf)
-        dX += self.bwd.backward(dY[..., H:], cb)
-        return dX
+        shape = dY.shape[:-1]
+        dY = dY.reshape(T, B, 2 * H)
+        dHs = np.empty((T, 2, B, H))  # in step order, as the cache
+        dHs[:, 0] = dY[..., :H]
+        dHs[:, 1] = dY[::-1, :, H:]
+        WhT = np.stack([self.fwd.Wh.value, self.bwd.Wh.value]).transpose(0, 2, 1)
+        sig = gates[:, :3]
+        one_minus_sig = 1.0 - sig
+        g = gates[:, 3]
+        one_minus_g2 = 1.0 - g * g
+        one_minus_tc2 = 1.0 - tanh_cs * tanh_cs
+        dZ = np.empty(gates.shape)
+        dh_carry = np.zeros((2, B, H))
+        dc_carry = np.zeros((2, B, H))
+        for k in range(T - 1, -1, -1):
+            gate = gates[k]
+            dz = dZ[k]
+            dh = dh_carry
+            dh += dHs[k]
+            np.multiply(dh, tanh_cs[k], out=dz[2])     # do
+            dc = dh * gate[2]
+            dc *= one_minus_tc2[k]
+            dc += dc_carry
+            np.multiply(dc, gate[3], out=dz[0])        # di
+            np.multiply(dc, c_prevs[k], out=dz[1])     # df
+            np.multiply(dc, gate[0], out=dz[3])        # dg
+            dc_carry = np.multiply(dc, gate[1], out=dc)
+            dz[:3] *= sig[k]
+            dz[:3] *= one_minus_sig[k]
+            dz[3] *= one_minus_g2[k]
+            # Contiguous (2, B, 4H), so each slice goes to BLAS as a lone (B, 4H) @ (4H, H).
+            dz = np.ascontiguousarray(dz.transpose(1, 2, 0, 3)).reshape(2, B, 4 * H)
+            dh_carry = np.matmul(dz, WhT)
+        X = X.reshape(T * B, -1)
+        dXs = []
+        for cell, d, time in ((self.fwd, 0, slice(None)), (self.bwd, 1, slice(None, None, -1))):
+            dz = np.ascontiguousarray(dZ[time, :, d].transpose(0, 2, 1, 3)).reshape(T * B, 4 * H)
+            h_prev = np.ascontiguousarray(h_prevs[time, d]).reshape(T * B, H)
+            cell.Wx.grad += X.T @ dz
+            cell.Wh.grad += h_prev.T @ dz
+            cell.b.grad += dz.sum(axis=0)
+            dXs.append(dz @ cell.Wx.value.T)
+        dX, dX_reverse = dXs
+        dX += dX_reverse
+        return dX.reshape(shape + (X.shape[-1],))
 
     def params(self):
         return self.fwd.params() + self.bwd.params()
@@ -350,7 +367,10 @@ class MomentumSGD:
     Gradients are rescaled to ``clip_norm`` (global L2 norm) before the
     update when they exceed it; recurrent nets need this to survive the
     occasional exploding backpropagated gradient. ``values``, ``grads``
-    and ``velocity`` are flat buffers in parameter order.
+    and ``velocity`` are flat buffers in parameter order. One ``step``
+    updates the parameters and zeroes the gradients, block by block while
+    each block is in cache, so the next backward pass accumulates from
+    zero.
     """
 
     def __init__(self, params, lr: float = 0.01, momentum: float = 0.9, l2: float = 1e-6,
@@ -399,13 +419,11 @@ class MomentumSGD:
             else:
                 np.multiply(grad, scale, out=buf)
                 buf += self.l2 * theta
+            grad.fill(0.0)
             buf *= self.lr
             v *= self.momentum
             v -= buf
             theta += v
-
-    def zero_grad(self):
-        self.grads.fill(0.0)
 
 
 def save_checkpoint(path, params, meta: dict) -> None:

@@ -517,7 +517,6 @@ def _fit(model: ParserModel | TaggerModel, examples: list[tuple], dev_score=None
             loss, backprop = sentence_loss(model, *examples[i], training=True, rng=rng)
             backprop()
             opt.step()
-            opt.zero_grad()
             total += loss * len(examples[i][-1])
             n_gold += len(examples[i][-1])
         msg = f"{prefix} {epoch + 1}/{cfg.epochs}: loss/{unit} {total / n_gold:.4f}"

@@ -4,6 +4,8 @@ import json
 import logging
 import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import chain_tree, random_nonprojective_tree, toy_treebank, transitive_tree
+import scrambleparse
 from scrambleparse.cli import run
 from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_treebank,
                                   validate_tree)
@@ -49,6 +52,24 @@ def test_pipeline_error_exit_code_1(tmp_path, capsys):
     assert run(["stats", "--in", str(missing)]) == 1
     err = capsys.readouterr().err
     assert "error [" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_141_without_an_error_line(tmp_path, unbuffered):
+    """``eval ... | head -1`` with the reader already gone: every write to
+    stdout fails, whether each print is written at once or at the end."""
+    gold = tmp_path / "g.conllu"
+    dump_treebank(toy_treebank(), gold)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.path.dirname(os.path.dirname(scrambleparse.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "scrambleparse.cli", "eval", "--gold",
+                             str(gold), "--pred", str(gold)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_gen_synthetic_and_stats(tmp_path, capsys):

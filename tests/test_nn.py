@@ -159,20 +159,20 @@ class TestLSTM:
         swapped = np.concatenate([Yb[::-1][:, H:], Yb[::-1][:, :H]], axis=1)
         assert np.allclose(Ya, swapped)
 
-    def test_gradient_check_single_direction(self):
+    def test_gradient_check_bilstm(self):
         rng = rng_()
-        cell = nn.LSTMCell(3, 4, rng, "c")
+        bi = nn.BiLSTM(3, 4, rng, "b")
         X = rng.normal(size=(5, 3))
-        proj = rng.normal(size=(5, 4))
+        proj = rng.normal(size=(5, 8))
 
         def loss_fn():
-            return scalar_loss(cell.run(X)[0], proj)
+            return scalar_loss(bi.forward(X)[0], proj)
 
-        for p in cell.params():
+        for p in bi.params():
             p.grad[...] = 0.0
-        Hs, cache = cell.run(X)
-        cell.backward(proj, cache)
-        assert check_gradients(loss_fn, cell.params()) < 1e-4
+        Hs, cache = bi.forward(X)
+        bi.backward(proj, cache)
+        assert check_gradients(loss_fn, bi.params()) < 1e-4
 
     def test_gradient_check_bilstm_stack_and_inputs(self):
         rng = rng_()
@@ -202,29 +202,28 @@ class TestLSTM:
 
     def test_reverse_cell_uses_future_context_only(self):
         rng = rng_()
-        cell = nn.LSTMCell(2, 3, rng, "c")
+        bi = nn.BiLSTM(2, 3, rng, "b")
         X = rng.normal(size=(5, 2))
-        H1, _ = cell.run(X, reverse=True)
+        H1 = bi.forward(X)[0][:, 3:]  # the reverse direction's states
         X2 = X.copy()
         X2[0] += 10.0  # changing the first position cannot affect later reverse states
-        H2, _ = cell.run(X2, reverse=True)
+        H2 = bi.forward(X2)[0][:, 3:]
         assert np.allclose(H1[1:], H2[1:])
         assert not np.allclose(H1[0], H2[0])
 
 
 @settings(max_examples=80, deadline=None)
 @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
-       dims=st.tuples(st.integers(1, 6), st.integers(1, 8)),
-       reverse=st.booleans(), seed=st.integers(0, 2**16))
-def test_padded_batch_run_matches_per_sequence_run(lengths, dims, reverse, seed):
+       dims=st.tuples(st.integers(1, 6), st.integers(1, 8)), seed=st.integers(0, 2**16))
+def test_padded_batch_forward_matches_per_sequence_forward(lengths, dims, seed):
     in_dim, hidden = dims
     rng = np.random.default_rng(seed)
-    cell = nn.LSTMCell(in_dim, hidden, rng, "c")
+    bi = nn.BiLSTM(in_dim, hidden, rng, "b")
     X = rng.normal(size=(max(lengths) + int(rng.integers(0, 3)), len(lengths), in_dim))
-    Hs, cache = cell.run(X, reverse=reverse, lengths=lengths, cache=False)
-    assert cache is None and Hs.shape == X.shape[:2] + (hidden,)
+    Hs, cache = bi.forward(X, lengths, cache=False)
+    assert cache is None and Hs.shape == X.shape[:2] + (2 * hidden,)
     for b, n in enumerate(lengths):
-        ref, _ = cell.run(X[:n, b], reverse=reverse)
+        ref, _ = bi.forward(X[:n, b])
         assert np.allclose(Hs[:n, b], ref, rtol=1e-12, atol=1e-12)
         assert not Hs[n:, b].any()
 
@@ -232,40 +231,39 @@ def test_padded_batch_run_matches_per_sequence_run(lengths, dims, reverse, seed)
 @settings(max_examples=60, deadline=None)
 @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
        dims=st.tuples(st.integers(1, 6), st.integers(1, 8)),
-       reverse=st.booleans(), padded=st.booleans(), seed=st.integers(0, 2**16))
-def test_run_without_cache_is_bit_identical(lengths, dims, reverse, padded, seed):
+       padded=st.booleans(), seed=st.integers(0, 2**16))
+def test_forward_without_cache_is_bit_identical(lengths, dims, padded, seed):
     """The two-row cell-state buffer of ``cache=False`` gives the hidden
     states of the cached run, bit for bit, on one sequence or a batch."""
     in_dim, hidden = dims
     rng = np.random.default_rng(seed)
-    cell = nn.LSTMCell(in_dim, hidden, rng, "c")
+    bi = nn.BiLSTM(in_dim, hidden, rng, "b")
     if padded:
         X, lens = rng.normal(size=(max(lengths), len(lengths), in_dim)), lengths
     else:
         X, lens = rng.normal(size=(lengths[0], in_dim)), None
-    cached, cache = cell.run(X, reverse=reverse, lengths=lens)
-    bare, none = cell.run(X, reverse=reverse, lengths=lens, cache=False)
+    cached, cache = bi.forward(X, lens)
+    bare, none = bi.forward(X, lens, cache=False)
     assert none is None and cache is not None
     assert np.array_equal(bare, cached)
 
 
 @settings(max_examples=80, deadline=None)
 @given(lengths=st.lists(st.integers(1, 9), min_size=2, max_size=6),
-       dims=st.tuples(st.integers(1, 6), st.integers(1, 8)),
-       reverse=st.booleans(), seed=st.integers(0, 2**16))
-def test_padded_backward_matches_per_sequence_backward(lengths, dims, reverse, seed):
+       dims=st.tuples(st.integers(1, 6), st.integers(1, 8)), seed=st.integers(0, 2**16))
+def test_padded_backward_matches_per_sequence_backward(lengths, dims, seed):
     in_dim, hidden = dims
     rng = np.random.default_rng(seed)
-    cell = nn.LSTMCell(in_dim, hidden, rng, "c")
+    bi = nn.BiLSTM(in_dim, hidden, rng, "b")
     T = max(lengths) + int(rng.integers(0, 3))
     X = rng.normal(size=(T, len(lengths), in_dim))
-    dHs = rng.normal(size=(T, len(lengths), hidden))
+    dHs = rng.normal(size=(T, len(lengths), 2 * hidden))
     pad = np.arange(T)[:, None] >= np.asarray(lengths)  # (T, B)
 
     def backward(X, dHs, lengths=None):
-        c = copy.deepcopy(cell)
-        _, cache = c.run(X, reverse=reverse, lengths=lengths)
-        return c.backward(dHs, cache), [p.grad for p in c.params()]
+        b = copy.deepcopy(bi)
+        _, cache = b.forward(X, lengths)
+        return b.backward(dHs, cache), [p.grad for p in b.params()]
 
     dX, grads = backward(X, dHs, lengths)
     summed = [np.zeros_like(g) for g in grads]
@@ -311,6 +309,7 @@ class TestOptimizer:
         opt = nn.MomentumSGD([p], lr=1.0, momentum=0.5, l2=0.0, clip_norm=None)
         p.grad[...] = 1.0
         opt.step()  # v = -1, theta = -1
+        p.grad[...] = 1.0  # step zeroed it
         opt.step()  # v = -1.5, theta = -2.5
         assert np.allclose(p.value, [-2.5])
 
@@ -347,7 +346,6 @@ class TestOptimizer:
             losses.append(loss)
             mlp.backward(dlogits, cache)
             opt.step()
-            opt.zero_grad()
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
 

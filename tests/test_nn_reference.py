@@ -1,10 +1,12 @@
 """The LSTM and optimizer steps against their plain reference versions.
 
-``LSTMCell.run``, ``LSTMCell.backward`` and ``MomentumSGD.step`` write
-through preallocated buffers and fused slices; the loops below are the
-straightforward versions they replaced. The arithmetic is meant to be
-the same, so every comparison is ``np.array_equal``, not a tolerance
-(``ref_step`` sums the clip norm in the optimizer's order).
+``BiLSTM.forward``/``backward`` run both directions in one loop over
+stacked arrays, and ``MomentumSGD.step`` writes through preallocated
+buffers and fused slices; the loops below are the straightforward
+versions they replaced, one direction at a time. The arithmetic is meant
+to be the same, so every comparison is ``np.array_equal``, not a
+tolerance (``ref_step`` sums the clip norm in the optimizer's order),
+and the sigmoid is compared bit pattern by bit pattern.
 """
 
 import copy
@@ -18,38 +20,43 @@ from scrambleparse import nn
 
 
 def ref_sigmoid(x):
-    pos = x >= 0
-    z = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def ref_run(cell, X, reverse=False):
+def ref_run(cell, X, reverse=False, lengths=None):
+    """One direction over X, (T, in_dim) or a padded (T, B, in_dim) batch:
+    past ``lengths[b]`` the input and forget pre-activations are -inf."""
     T = X.shape[0]
-    H = cell.hidden
+    H = cell.Wh.value.shape[0]
     order = range(T - 1, -1, -1) if reverse else range(T)
-    G_in = X @ cell.Wx.value + cell.b.value
-    Hs = np.zeros((T, H))
-    gates = np.zeros((T, 4 * H))
-    c_prevs = np.zeros((T, H))
-    h_prevs = np.zeros((T, H))
-    tanh_cs = np.zeros((T, H))
-    h = np.zeros(H)
-    c = np.zeros(H)
+    G_in = (X.reshape(-1, X.shape[-1]) @ cell.Wx.value + cell.b.value
+            ).reshape(X.shape[:-1] + (4 * H,))
+    if lengths is not None:
+        G_in[np.arange(T)[:, None] >= np.asarray(lengths), :2 * H] = -np.inf
+    state = X.shape[1:-1] + (H,)
+    Hs = np.zeros((T,) + state)
+    gates = np.zeros(G_in.shape)
+    c_prevs = np.zeros((T,) + state)
+    h_prevs = np.zeros((T,) + state)
+    tanh_cs = np.zeros((T,) + state)
+    h = np.zeros(state)
+    c = np.zeros(state)
     for t in order:
         z = G_in[t] + h @ cell.Wh.value
-        i = ref_sigmoid(z[:H])
-        f = ref_sigmoid(z[H:2 * H])
-        o = ref_sigmoid(z[2 * H:3 * H])
-        g = np.tanh(z[3 * H:])
+        i = ref_sigmoid(z[..., :H])
+        f = ref_sigmoid(z[..., H:2 * H])
+        o = ref_sigmoid(z[..., 2 * H:3 * H])
+        g = np.tanh(z[..., 3 * H:])
         h_prevs[t] = h
         c_prevs[t] = c
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
-        gates[t, :H] = i
-        gates[t, H:2 * H] = f
-        gates[t, 2 * H:3 * H] = o
-        gates[t, 3 * H:] = g
+        gates[t, ..., :H] = i
+        gates[t, ..., H:2 * H] = f
+        gates[t, ..., 2 * H:3 * H] = o
+        gates[t, ..., 3 * H:] = g
         tanh_cs[t] = tc
         Hs[t] = h
     return Hs, (X, gates, c_prevs, h_prevs, tanh_cs, reverse)
@@ -58,16 +65,16 @@ def ref_run(cell, X, reverse=False):
 def ref_backward(cell, dHs, cache):
     X, gates, c_prevs, h_prevs, tanh_cs, reverse = cache
     T = X.shape[0]
-    H = cell.hidden
+    H = cell.Wh.value.shape[0]
     order = range(T) if reverse else range(T - 1, -1, -1)
-    dZ = np.zeros((T, 4 * H))
-    dh_carry = np.zeros(H)
-    dc_carry = np.zeros(H)
+    dZ = np.zeros(gates.shape)
+    dh_carry = np.zeros(tanh_cs.shape[1:])
+    dc_carry = np.zeros(tanh_cs.shape[1:])
     for t in order:
-        i = gates[t, :H]
-        f = gates[t, H:2 * H]
-        o = gates[t, 2 * H:3 * H]
-        g = gates[t, 3 * H:]
+        i = gates[t, ..., :H]
+        f = gates[t, ..., H:2 * H]
+        o = gates[t, ..., 2 * H:3 * H]
+        g = gates[t, ..., 3 * H:]
         tc = tanh_cs[t]
         dh = dHs[t] + dh_carry
         do = dh * tc
@@ -77,15 +84,17 @@ def ref_backward(cell, dHs, cache):
         df = dc * c_prevs[t]
         dc_carry = dc * f
         dz = dZ[t]
-        dz[:H] = di * i * (1.0 - i)
-        dz[H:2 * H] = df * f * (1.0 - f)
-        dz[2 * H:3 * H] = do * o * (1.0 - o)
-        dz[3 * H:] = dg * (1.0 - g * g)
+        dz[..., :H] = di * i * (1.0 - i)
+        dz[..., H:2 * H] = df * f * (1.0 - f)
+        dz[..., 2 * H:3 * H] = do * o * (1.0 - o)
+        dz[..., 3 * H:] = dg * (1.0 - g * g)
         dh_carry = dz @ cell.Wh.value.T
+    X = X.reshape(-1, X.shape[-1])
+    dZ = dZ.reshape(-1, 4 * H)
     cell.Wx.grad += X.T @ dZ
-    cell.Wh.grad += h_prevs.T @ dZ
+    cell.Wh.grad += h_prevs.reshape(-1, H).T @ dZ
     cell.b.grad += dZ.sum(axis=0)
-    return dZ @ cell.Wx.value.T
+    return (dZ @ cell.Wx.value.T).reshape(dHs.shape[:-1] + (X.shape[-1],))
 
 
 def ref_step(params, velocity, lr, momentum, l2, clip_norm):
@@ -94,7 +103,8 @@ def ref_step(params, velocity, lr, momentum, l2, clip_norm):
     The squared norm is one ``np.dot`` over the gradients concatenated in
     parameter order, the summation ``MomentumSGD.step`` does over its flat
     gradient buffer. When the squares overflow, the norm is
-    ``m * sqrt(sum((g / m) ** 2))`` with m the largest |g|.
+    ``m * sqrt(sum((g / m) ** 2))`` with m the largest |g|. Each gradient
+    is zeroed once used.
     """
     for p in params:
         if not np.all(np.isfinite(p.grad)):
@@ -112,48 +122,94 @@ def ref_step(params, velocity, lr, momentum, l2, clip_norm):
         v *= momentum
         v -= lr * (scale * p.grad + l2 * p.value)
         p.value += v
+        p.grad[...] = 0.0
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _assert_sigmoid_bits(x):
+    want = _bits(ref_sigmoid(x))
+    assert np.array_equal(_bits(nn.sigmoid(x)), want)
+    out = np.empty_like(x)
+    nn.sigmoid(x, out=out)
+    assert np.array_equal(_bits(out), want)
 
 
 @settings(max_examples=150, deadline=None)
-@given(x=st.lists(st.floats(allow_nan=False, width=64, min_value=-800.0, max_value=800.0),
-                  min_size=1, max_size=40))
+@given(x=st.lists(st.floats(width=64), min_size=1, max_size=40))
 def test_sigmoid_matches_reference(x):
-    x = np.asarray(x)
-    assert np.array_equal(nn.sigmoid(x), ref_sigmoid(x))
-    out = np.empty_like(x)
-    nn.sigmoid(x, out=out)
-    assert np.array_equal(out, ref_sigmoid(x))
+    """Any doubles: NaN (any payload), infinities and subnormals included."""
+    _assert_sigmoid_bits(np.asarray(x))
 
 
-def test_sigmoid_signed_zero_and_extremes():
-    x = np.array([-0.0, 0.0, -1e308, 1e308, -745.0, 745.0, np.inf, -np.inf])
-    assert np.array_equal(nn.sigmoid(x), ref_sigmoid(x))
+def test_sigmoid_signed_zero_nan_and_extremes():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF4000000000000, 0x7FF8000000000123], dtype=np.uint64).view(np.float64)
+    x = np.concatenate([nans, [-0.0, 0.0, -1e308, 1e308, -745.0, 745.0, -745.2, -744.5,
+                               -709.0, 709.0, np.inf, -np.inf, 5e-324, -5e-324,
+                               2.2e-308, -2.2e-308, 1e-17, -1e-17, -6e-17]])
+    _assert_sigmoid_bits(x)
 
 
-@settings(max_examples=120, deadline=None)
-@given(T=st.integers(1, 12), H=st.sampled_from([1, 2, 3, 5, 8, 16, 64]),
-       in_dim=st.integers(1, 6), reverse=st.booleans(),
-       amp=st.sampled_from([0.1, 1.0, 10.0]), seed=st.integers(0, 2 ** 32 - 1))
-def test_lstm_cell_matches_reference(T, H, in_dim, reverse, amp, seed):
+def test_sigmoid_in_place_on_masked_gates():
+    """As the LSTM uses it: in place on the first three of gate-major
+    (4, 2, B, H) gates, whose padded rows hold -inf input and forget
+    pre-activations; and in place on a strided (2, B, 3H) slice."""
+    rng = np.random.default_rng(3)
+    for B, H in [(1, 64), (5, 3), (150, 32)]:
+        gates = 20.0 * rng.normal(size=(4, 2, B, H))
+        gates[:2, :, B // 2:] = -np.inf
+        rows = 20.0 * rng.normal(size=(2, B, 4 * H))
+        rows[:, B // 2:, :2 * H] = -np.inf
+        for x in (gates[:3], rows[..., :3 * H]):
+            want = _bits(ref_sigmoid(x))
+            nn.sigmoid(x, out=x)
+            assert np.array_equal(_bits(x), want)
+        assert not gates[:2, :, B // 2:].any() and not rows[:, B // 2:, :2 * H].any()
+
+
+@st.composite
+def _bilstm_inputs(draw):
+    """T, H, in_dim and amplitude; then one sequence, the B = 1 padded
+    batch that training encodes, or a padded batch with lengths 1..T."""
+    T = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["sequence", "batch of one", "padded"]))
+    if shape == "padded":
+        lengths = draw(st.lists(st.integers(1, T), min_size=1, max_size=5))
+    else:
+        lengths = None if shape == "sequence" else [T]
+    return (T, draw(st.sampled_from([1, 2, 3, 5, 8, 16, 64])), draw(st.integers(1, 6)),
+            draw(st.sampled_from([0.1, 1.0, 10.0])), lengths, shape != "sequence",
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=_bilstm_inputs())
+def test_bilstm_matches_two_reference_cells(args):
+    T, H, in_dim, amp, lengths, batched, seed = args
     rng = np.random.default_rng(seed)
-    cell = nn.LSTMCell(in_dim, H, rng, "c")
-    for p in cell.params():
+    bi = nn.BiLSTM(in_dim, H, rng, "b")
+    for p in bi.params():
         p.value *= amp
-    X = amp * rng.normal(size=(T, in_dim))
-    dHs = rng.normal(size=(T, H))
+    batch = (len(lengths),) if batched else ()
+    X = amp * rng.normal(size=(T,) + batch + (in_dim,))
+    dY = rng.normal(size=(T,) + batch + (2 * H,))
+    ref = copy.deepcopy(bi)
 
-    Hs, cache = cell.run(X, reverse=reverse)
-    Hs_ref, cache_ref = ref_run(cell, X, reverse=reverse)
-    assert np.array_equal(Hs, Hs_ref)
-    assert len(cache) == len(cache_ref)
-    for got, want in zip(cache, cache_ref):
-        assert np.array_equal(got, want)
+    Y, cache = bi.forward(X, lengths)
+    Hf, cf = ref_run(ref.fwd, X, lengths=lengths)
+    Hb, cb = ref_run(ref.bwd, X, reverse=True, lengths=lengths)
+    assert np.array_equal(Y, np.concatenate([Hf, Hb], axis=-1))
+    bare, none = bi.forward(X, lengths, cache=False)
+    assert none is None and np.array_equal(bare, Y)
 
-    ref_cell = copy.deepcopy(cell)
-    dX = cell.backward(dHs, cache)
-    dX_ref = ref_backward(ref_cell, dHs, cache_ref)
+    dX = bi.backward(dY, cache)
+    dX_ref = ref_backward(ref.fwd, dY[..., :H], cf)
+    dX_ref += ref_backward(ref.bwd, dY[..., H:], cb)
     assert np.array_equal(dX, dX_ref)
-    for p, q in zip(cell.params(), ref_cell.params()):
+    for p, q in zip(bi.params(), ref.params()):
         assert np.array_equal(p.grad, q.grad), p.name
 
 
@@ -180,13 +236,12 @@ def _assert_step_matches(params, clip_norm, lr=0.05, momentum=0.9, l2=1e-3, step
     opt = nn.MomentumSGD(params, lr=lr, momentum=momentum, l2=l2, clip_norm=clip_norm)
     ref_velocity = [np.zeros_like(p.value) for p in ref]
     for _ in range(steps):
-        grads = [p.grad.copy() for p in params]
         opt.step()
         ref_step(ref, ref_velocity, lr, momentum, l2, clip_norm)
-        for p, q, v, w, g in zip(params, ref, _velocity_views(opt), ref_velocity, grads):
+        for p, q, v, w in zip(params, ref, _velocity_views(opt), ref_velocity):
             assert np.array_equal(p.value, q.value), p.name
             assert np.array_equal(v, w), p.name
-            assert np.array_equal(p.grad, g), "step must not touch the gradient"
+            assert not p.grad.any(), "step leaves the gradient zero"
         if rng is not None:
             for p, q in zip(params, ref):
                 p.grad[...] = q.grad[...] = rng.normal(size=p.grad.shape)
@@ -247,7 +302,7 @@ def test_optimizer_owns_parameter_storage(shapes, seed):
         assert np.shares_memory(p.value, opt.values), p.name
         assert np.shares_memory(p.grad, opt.grads), p.name
 
-    opt.zero_grad()
+    opt.grads[...] = 0.0
     assert all(not p.grad.any() for p in params)
     added = [rng.normal(size=p.value.shape) for p in params]
     for p, a in zip(params, added):
@@ -256,8 +311,7 @@ def test_optimizer_owns_parameter_storage(shapes, seed):
     before = opt.values.copy()
     opt.step()  # from zero velocity: theta - lr * g
     assert np.array_equal(opt.values, before - 0.1 * G)
-    assert np.array_equal(opt.grads, G), "step must not touch the gradient"
-    opt.zero_grad()
+    assert not opt.grads.any(), "step leaves the gradient zero"
     assert all(not p.grad.any() for p in params)
 
     with pytest.raises(ValueError, match="twice"):

@@ -67,7 +67,6 @@ def ref_train_parser(train, dev, cfg):
                                            training=True, rng=rng)
             backprop()
             opt.step()
-            opt.zero_grad()
             total += loss * len(gold_ids)
             n_steps += len(gold_ids)
         msg = f"epoch {epoch + 1}/{cfg.epochs}: loss/transition {total / n_steps:.4f}"
@@ -115,7 +114,6 @@ def ref_train_tagger(train, dev, cfg):
             dctx[1:] = model.mlp.backward(dlogits / len(words), mlp_cache)
             model.encoder.backward(dctx, enc_cache)
             opt.step()
-            opt.zero_grad()
             total += loss
             n_tok += len(words)
         msg = f"tagger epoch {epoch + 1}/{cfg.epochs}: loss/token {total / n_tok:.4f}"
