@@ -54,12 +54,6 @@ class Configuration:
     rc: dict = field(default_factory=dict)  # head -> rightmost dependent so far
 
 
-def initial_config(n: int) -> Configuration:
-    if n < 1:
-        raise ValueError("sentence must contain at least one token")
-    return Configuration(n)
-
-
 def is_terminal(c: Configuration) -> bool:
     # ROOT is never popped, so the stack condition always holds.
     return c.buffer_start > c.n
@@ -119,7 +113,7 @@ def static_oracle(tree: DepTree) -> list[Transition]:
     gold_label = {t.index: t.deprel for t in tree.tokens}
     dependents = tree.shape().children
 
-    c = initial_config(len(tree.tokens))
+    c = Configuration(len(tree.tokens))
     seq: list[Transition] = []
     while not is_terminal(c):
         s = c.stack[-1]

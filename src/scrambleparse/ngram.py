@@ -12,25 +12,24 @@ with the uniform distribution over the vocabulary. Tokens seen exactly
 once in the corpus additionally contribute an <unk> event in the same
 context, which reserves observed mass for out-of-vocabulary words.
 
-The counts are arrays, saved and loaded as they are. ``id_logprobs``
-scores many sentences, a matrix of word ids and their lengths, in one
-pass of numpy calls, with no Python work per n-gram. ``logprobs`` and
-``perplexity`` map words to ids for it, and ``prob`` puts one n-gram
-through the same suffix walk and interpolation. A pass numbers the
-distinct n-grams first, and each finds its longest held context suffix
-by walking its context from the newest word, one ``np.searchsorted`` per
-word. A context is keyed by its parent (itself without its oldest word)
-and that word, so no key packs more than one word id. Every suffix of a
-held context is held too, so an n-gram's probability depends only on
-that suffix and the word; each distinct pair is interpolated once, from
-the empty context up through the longer suffixes in the recursion's
-arithmetic order, and its log taken once with ``math.log``. Each
-sentence's log probabilities are summed left to right, so every
-perplexity is the float the recursion gives. ``permute`` scores the
-orders of many batches in one pass (``score_batches``), mapping each
-source tree's words to ids once and gathering each order's ids through
-its position row, and then ranks each batch (``filter_by_perplexity``),
-which builds variants for its survivors only.
+The counts are arrays, saved and loaded as they are. ``id_logprobs``,
+the one scoring routine, scores many sentences, a matrix of word ids and
+their lengths, in one pass of numpy calls, with no Python work per
+n-gram. A pass numbers the distinct n-grams first, and each finds its
+longest held context suffix by walking its context from the newest word,
+one ``np.searchsorted`` per word. A context is keyed by its parent
+(itself without its oldest word) and that word, so no key packs more
+than one word id. Every suffix of a held context is held too, so an
+n-gram's probability depends only on that suffix and the word; each
+distinct pair is interpolated once, from the empty context up through
+the longer suffixes in the recursion's arithmetic order, and its log
+taken once with ``math.log``. Each sentence's log probabilities are
+summed left to right, so every perplexity is the float the recursion
+gives. ``permute`` scores the orders of many batches in one pass
+(``score_batches``), mapping each source tree's words to ids once and
+gathering each order's ids through its position row, and then ranks each
+batch (``filter_by_perplexity``), which builds variants for its
+survivors only.
 """
 
 from __future__ import annotations
@@ -158,26 +157,10 @@ class NGramModel:
             p = np.where(j <= depths, (count + types * p) / (self._totals[row] + types), p)
         return p
 
-    def prob(self, word: str, context=()) -> float:
-        """Smoothed P(word | context); OOV words and context tokens map to <unk>."""
-        ids, k = self._ids, self.order - 1
-        unk = ids[UNK]
-        context = [ids.get(w, unk) for w in context[-k:]] if k else []
-        row = self._deepest(np.array([[-1] * (k - len(context)) + context], dtype=np.int64))
-        return float(self._probs(row, np.array([unk if word == BOS else ids.get(word, unk)]))[0])
-
     def word_ids(self, words) -> np.ndarray:
         """The id of each word; a word outside the vocabulary is <unk>."""
         return np.fromiter(map(self._ids.get, words, itertools.repeat(self._ids[UNK])),
                            dtype=np.int64)
-
-    def logprobs(self, sentences: list) -> np.ndarray:
-        """``id_logprobs`` of sentences given as words."""
-        lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-        ids = np.zeros((len(sentences), int(lengths.max(initial=0))), dtype=np.int64)
-        ids[np.arange(ids.shape[1]) < lengths[:, None]] = self.word_ids(
-            itertools.chain.from_iterable(sentences))
-        return self.id_logprobs(ids, lengths)
 
     def id_logprobs(self, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Natural-log probability of each sentence including the </s>
@@ -340,13 +323,6 @@ def _perplexities(logprobs: np.ndarray, lengths: np.ndarray) -> list[float]:
     """exp of the average negative log-probability per event (tokens +
     </s>) of each sentence."""
     return list(map(math.exp, (-logprobs / (lengths + 1)).tolist()))
-
-
-def perplexity(model: NGramModel, sentence: list[str]) -> float:
-    """The perplexity of one sentence."""
-    if not sentence:
-        raise ValueError("cannot score an empty sentence")
-    return _perplexities(model.logprobs([sentence]), np.array([len(sentence)]))[0]
 
 
 def score_batches(batches: list[PermutationBatch], model: NGramModel) -> None:

@@ -4,9 +4,9 @@ Everything is float64 and deterministic under a seeded generator:
 dense layers, bidirectional LSTMs and stacks of them, a one-hidden-layer
 rectifier classifier, softmax cross-entropy, inverted dropout, and
 momentum SGD with L2. The forward passes return explicit caches so
-layers can be reused re-entrantly. A BiLSTM runs one sequence or a
-length-masked padded batch of them, for training and inference alike,
-and steps its two directions together. Its arithmetic is that of two
+layers can be reused re-entrantly. A BiLSTM runs a length-masked
+padded batch of sequences, for training and inference alike, and steps
+its two directions together. Its arithmetic is that of two
 separate one-direction cells, bit for bit, given that numpy routes each
 slice of the stacked ``(2, B, H) @ (2, H, 4H)`` product to BLAS as it
 routes a lone ``(B, H) @ (H, 4H)``.
@@ -110,32 +110,21 @@ def sigmoid(x, out=None):
 
 
 def softmax(logits):
-    """Row-wise softmax; accepts a vector or a matrix."""
-    z = np.atleast_2d(logits)
-    z = z - z.max(axis=1, keepdims=True)
+    """Row-wise softmax of a matrix."""
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p if np.ndim(logits) > 1 else p[0]
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def nll_loss(logits, gold):
-    """Summed negative log-likelihood and its gradient w.r.t. the logits."""
-    probs = softmax(np.atleast_2d(logits))
-    gold = np.atleast_1d(gold)
+    """Summed negative log-likelihood of the gold class of each row of
+    ``logits``, and its gradient w.r.t. the logits."""
+    probs = softmax(logits)
     rows = np.arange(len(gold))
     loss = -np.log(probs[rows, gold]).sum()
     dlogits = probs.copy()
     dlogits[rows, gold] -= 1.0
     return loss, dlogits
-
-
-def dropout_mask(rng, shape, p: float) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability p, 1/(1-p) otherwise."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"drop probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return np.ones(shape)
-    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 class Linear:
@@ -188,12 +177,12 @@ class BiLSTM:
         self.fwd = LSTMCell(in_dim, hidden, rng, f"{name}.fwd")
         self.bwd = LSTMCell(in_dim, hidden, rng, f"{name}.bwd")
 
-    def forward(self, X, lengths=None, cache: bool = True):
-        """Hidden states ``[forward; backward]`` for every position, and the
-        cache for ``backward``.
+    def forward(self, X, lengths, cache: bool = True):
+        """Hidden states ``[forward; backward]`` for every position, (T, B,
+        2H), and the cache for ``backward``.
 
-        X is (T, in_dim), or a padded batch (T, B, in_dim) with ``lengths``
-        giving each sequence's true length. Past that length a sequence's
+        X is a padded batch (T, B, in_dim), and ``lengths`` gives each
+        sequence's true length. Past that length a sequence's
         input and forget gates are 0 (their pre-activations are -inf), so
         its state there is zero: the reverse pass starts each sequence from
         a zero state at its own last position, and padded positions come
@@ -203,8 +192,6 @@ class BiLSTM:
         ``backward`` reads, take two rows and one instead of one per step.
         """
         H = self.hidden
-        shape = X.shape[:-1]
-        X = X.reshape(shape[0], -1, X.shape[-1])  # one sequence is a batch of one
         T, B = X.shape[:2]
         gates = np.empty((T, 4, 2, B, H))
         # Each projection stays an unnamed temporary, freed once added in:
@@ -212,9 +199,8 @@ class BiLSTM:
         for cell, in_time_order in ((self.fwd, gates[:, :, 0]), (self.bwd, gates[::-1, :, 1])):
             np.add((X.reshape(T * B, -1) @ cell.Wx.value).reshape(T, B, 4, H)
                    .transpose(0, 2, 1, 3), cell.b.value.reshape(4, 1, H), out=in_time_order)
-        if lengths is not None:
-            pad = np.arange(T)[:, None] >= np.asarray(lengths)  # (T, B)
-            gates.transpose(0, 2, 3, 1, 4)[np.stack([pad, pad[::-1]], axis=1), :2] = -np.inf
+        pad = np.arange(T)[:, None] >= np.asarray(lengths)  # (T, B)
+        gates.transpose(0, 2, 3, 1, 4)[np.stack([pad, pad[::-1]], axis=1), :2] = -np.inf
         Wh = np.stack([self.fwd.Wh.value, self.bwd.Wh.value])
         # Row k of hs/cs is the state before step k, so each step's previous
         # state is the row above. Without a cache, cs keeps rows k mod 2 and
@@ -236,7 +222,6 @@ class BiLSTM:
         Y = np.empty((T, B, 2 * H))
         Y[..., :H] = hs[1:, 0]
         Y[..., H:] = hs[:0:-1, 1]
-        Y = Y.reshape(shape + (2 * H,))
         if not cache:
             return Y, None
         return Y, (X, gates, cs[:T], hs[:T], tanh_cs)
@@ -245,8 +230,6 @@ class BiLSTM:
         X, gates, c_prevs, h_prevs, tanh_cs = cache
         T, B = X.shape[:2]
         H = self.hidden
-        shape = dY.shape[:-1]
-        dY = dY.reshape(T, B, 2 * H)
         dHs = np.empty((T, 2, B, H))  # in step order, as the cache
         dHs[:, 0] = dY[..., :H]
         dHs[:, 1] = dY[::-1, :, H:]
@@ -278,7 +261,8 @@ class BiLSTM:
             # Contiguous (2, B, 4H), so each slice goes to BLAS as a lone (B, 4H) @ (4H, H).
             dz = np.ascontiguousarray(dz.transpose(1, 2, 0, 3)).reshape(2, B, 4 * H)
             dh_carry = np.matmul(dz, WhT)
-        X = X.reshape(T * B, -1)
+        in_dim = X.shape[-1]
+        X = X.reshape(T * B, in_dim)
         dXs = []
         for cell, d, time in ((self.fwd, 0, slice(None)), (self.bwd, 1, slice(None, None, -1))):
             dz = np.ascontiguousarray(dZ[time, :, d].transpose(0, 2, 1, 3)).reshape(T * B, 4 * H)
@@ -289,7 +273,7 @@ class BiLSTM:
             dXs.append(dz @ cell.Wx.value.T)
         dX, dX_reverse = dXs
         dX += dX_reverse
-        return dX.reshape(shape + (X.shape[-1],))
+        return dX.reshape(T, B, in_dim)
 
     def params(self):
         return self.fwd.params() + self.bwd.params()
@@ -310,7 +294,7 @@ class BiLSTMStack:
             self.layers.append(BiLSTM(d, hidden, rng, f"{name}.{k}"))
             d = 2 * hidden
 
-    def forward(self, X, lengths=None, cache: bool = True):
+    def forward(self, X, lengths, cache: bool = True):
         caches = []
         for layer in self.layers:
             X, layer_cache = layer.forward(X, lengths, cache=cache)
@@ -338,10 +322,9 @@ class MLP:
     def forward(self, X, training: bool = False, rng=None):
         Z1, c1 = self.lin1.forward(X)
         A = np.maximum(Z1, 0.0)
-        if training and self.dropout > 0.0:
-            mask = dropout_mask(rng, A.shape, self.dropout)
-        else:
-            mask = 1.0
+        mask = 1.0
+        if training and self.dropout > 0.0:  # inverted dropout: keep with 1 - p, scaled up
+            mask = (rng.random(A.shape) >= self.dropout) / (1.0 - self.dropout)
         Ad = A * mask
         logits, c2 = self.lin2.forward(Ad)
         return logits, (c1, Z1, mask, c2)
@@ -373,8 +356,7 @@ class MomentumSGD:
     zero.
     """
 
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.9, l2: float = 1e-6,
-                 clip_norm: float | None = 5.0):
+    def __init__(self, params, lr: float, momentum: float, l2: float, clip_norm: float):
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("a parameter is passed to the optimizer twice")
@@ -402,7 +384,7 @@ class MomentumSGD:
                 if not np.all(np.isfinite(p.grad)):
                     raise FloatingPointError(f"non-finite gradient in {p.name}")
         scale = 1.0
-        if self.clip_norm is not None and sq > self.clip_norm ** 2:
+        if sq > self.clip_norm ** 2:
             if np.isinf(sq):  # squares overflowed: norm = m * sqrt(sum((g/m)^2)), m = max |g|
                 m = np.abs(g).max()
                 scale = self.clip_norm / m / np.sqrt(np.dot(g / m, g / m))

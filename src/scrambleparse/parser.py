@@ -69,9 +69,10 @@ class VocabSet:
     labels: Vocab
 
 
-def build_vocabs(tb: Treebank) -> VocabSet:
+def build_vocabs(trees) -> VocabSet:
+    """The vocabularies of an iterable of trees."""
     words, tags, chars, labels = set(), set(), set(), set()
-    for tree in tb:
+    for tree in trees:
         for tok in tree.tokens:
             words.add(tok.form)
             tags.add(tok.upos)
@@ -128,7 +129,8 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """Plain key=value file; '#' starts a comment."""
+        """Plain key=value file; '#' starts a comment. The seed is not read
+        from a file: ``--seed`` or ``SCRAMBLE_SEED`` sets it for the run."""
         values = {}
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -139,6 +141,9 @@ class TrainConfig:
                 key = key.strip()
                 if not sep or key not in cls.__dataclass_fields__:
                     raise ValueError(f"{path}:{line_no}: bad config line '{line}'")
+                if key == "seed":
+                    raise ValueError(f"{path}:{line_no}: seed is not a config file field; "
+                                     "set it with --seed or SCRAMBLE_SEED")
                 try:
                     values[key] = _cast_config_value(key, value.strip())
                     _check_config_value(key, values[key])
@@ -391,7 +396,7 @@ def oracle_rollout(tree: DepTree):
     """Static-oracle path: a (steps, 11) array of feature indices, -1 where
     the node is absent, and the gold moves."""
     seq = arceager.static_oracle(tree)
-    c = arceager.initial_config(len(tree.tokens))
+    c = arceager.Configuration(len(tree.tokens))
     idx_rows = []
     for t in seq:
         idx_rows.append([-1 if i is None else i for i in feature_indices(c)])
@@ -556,21 +561,30 @@ def sentence_loss(model: ParserModel | TaggerModel, words, tags, idx_rows, gold_
     return loss / n, backprop
 
 
+def _trees_with_tokens(train: Treebank) -> list[DepTree]:
+    """The training trees of at least one token: a block of no token
+    (comments only) gives no example."""
+    trees = [tree for tree in train if len(tree)]
+    if not trees:
+        raise ValueError("the training treebank has no token")
+    return trees
+
+
 def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> ParserModel:
-    """Static-oracle training of the parser (``_fit``). With
-    ``cfg.pseudo_projective`` the training trees are projectivized here and
-    the model's parses deprojectivized; otherwise a non-projective tree
-    raises ``ValueError`` (``arceager.static_oracle``). With a dev treebank,
-    the parameters of the best dev-LAS epoch are restored at the end."""
-    if len(train) == 0:
-        raise ValueError("training treebank is empty")
+    """Static-oracle training of the parser (``_fit``) on the trees of at
+    least one token. With ``cfg.pseudo_projective`` the training trees are
+    projectivized here and the model's parses deprojectivized; otherwise a
+    non-projective tree raises ``ValueError`` (``arceager.static_oracle``).
+    With a dev treebank, the parameters of the best dev-LAS epoch are
+    restored at the end."""
+    trees = _trees_with_tokens(train)
     if dev is not None and all(metrics.is_punct(t) for tree in dev for t in tree.tokens):
         raise ValueError("the dev treebank has no token to score")
     if cfg.pseudo_projective:
-        train = Treebank([projectivize(tree)[0] for tree in train])
-    model = _init_model("parser", cfg, build_vocabs(train))
+        trees = [projectivize(tree)[0] for tree in trees]
+    model = _init_model("parser", cfg, build_vocabs(trees))
     examples = []
-    for tree in train:
+    for tree in trees:
         idx_rows, seq = oracle_rollout(tree)
         gold_ids = [model.transition_id(t) for t in seq]
         examples.append((tree.forms(), tree.upos_tags(), idx_rows, gold_ids))
@@ -629,7 +643,7 @@ def _decode(model: ParserModel, rows: np.ndarray, lengths) -> list[arceager.Conf
     lin1, lin2 = model.mlp.lin1, model.mlp.lin2
     table, offsets, absent = _slot_table(lin1.W.value, rows)
     starts = (np.cumsum(lengths) - lengths).tolist()  # row of each sentence's ROOT
-    configs = [arceager.initial_config(int(n) - 1) for n in lengths]
+    configs = [arceager.Configuration(int(n) - 1) for n in lengths]
     active = list(range(len(configs)))
     while active:
         feats = np.array([[absent if i is None else starts[b] + i
@@ -687,18 +701,18 @@ def parse_tree(model: ParserModel, tree: DepTree, tags: list[str] | None = None)
 
 def train_tagger(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> TaggerModel:
     """Per-token softmax over the tag inventory from word+char context only
-    (``_fit``); with a dev treebank, the best dev-accuracy epoch is kept."""
-    if len(train) == 0:
-        raise ValueError("training treebank is empty")
+    (``_fit``), on the trees of at least one token; with a dev treebank,
+    the best dev-accuracy epoch is kept."""
+    trees = _trees_with_tokens(train)
     if dev is not None and not any(len(tree) for tree in dev):
         raise ValueError("the dev treebank has no token to score")
-    vocabs = build_vocabs(train)
+    vocabs = build_vocabs(trees)
     if len(vocabs.tags) <= 3:  # only the reserved entries
         raise ValueError("training data carries no POS tags")
     model = _init_model("tagger", cfg, vocabs)
     # One classifier row per token: its own context vector.
     examples = [(tree.forms(), None, np.arange(1, len(tree) + 1)[:, None],
-                 [vocabs.tags.id(t) for t in tree.upos_tags()]) for tree in train]
+                 [vocabs.tags.id(t) for t in tree.upos_tags()]) for tree in trees]
 
     def dev_acc():
         return metrics.pos_accuracy(dev, tag_batch(model, [t.forms() for t in dev]))

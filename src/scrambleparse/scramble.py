@@ -32,8 +32,6 @@ import numpy as np
 from .conllu import DepTree, Treebank
 from .projectivity import base_label, is_projective
 
-MAX_UNITS_WITHOUT_LIMIT = 8  # 8! = 40320 variants; beyond that require an explicit cap
-
 
 class OrderLabel(Enum):
     SOV = "SOV"
@@ -85,15 +83,13 @@ class VerbalProjection:
 class PermutationVariant:
     """One linear order of a projection's units.
 
-    ``positions`` holds the source token at each new position and
-    ``forms`` the words in that order. The relinearized tree is built
-    from ``source`` the first time ``tree`` is read, so variants that the
-    balancer drops never build one.
+    ``positions`` holds the source token at each new position. The
+    relinearized tree is built from ``source`` the first time ``tree`` is
+    read, so variants that the balancer drops never build one.
     """
     order: OrderLabel
     perm: tuple[int, ...]        # permutation of unit slots, identity = (0, 1, ...)
     positions: tuple[int, ...]   # source token index occupying each new position
-    forms: tuple[str, ...]
     source: DepTree = field(repr=False)
     perplexity: float | None = None
 
@@ -144,10 +140,9 @@ class PermutationBatch:
         v = self._built[i]
         if v is None:
             positions = tuple(self.positions[i].tolist())
-            forms = self.source.forms()
             v = self._built[i] = PermutationVariant(
                 _order_label(self.roles, positions.index), tuple(self.perms[i].tolist()),
-                positions, tuple([forms[p - 1] for p in positions]), self.source)
+                positions, self.source)
         return v
 
     @property
@@ -256,7 +251,7 @@ def select_representative(tb: Treebank, n: int = 4000, seed: int = 42) -> Treeba
 
 
 @lru_cache(maxsize=64)
-def _orders(n: int, spans: tuple, limit: int | None, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _orders(n: int, spans: tuple, limit: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``perms`` and ``positions`` of every order of the units with the
     sorted inclusive ``spans`` in a sentence of ``n`` tokens, read-only.
 
@@ -266,7 +261,7 @@ def _orders(n: int, spans: tuple, limit: int | None, seed: int) -> tuple[np.ndar
     """
     m = len(spans)
     identity = tuple(range(m))
-    if limit is not None and math.factorial(m) > limit:
+    if math.factorial(m) > limit:
         rng = np.random.default_rng(seed)
         chosen = {identity}
         while len(chosen) < limit:
@@ -297,11 +292,11 @@ def _orders(n: int, spans: tuple, limit: int | None, seed: int) -> tuple[np.ndar
     return perms, positions
 
 
-def permute_projection(tree: DepTree, projection: VerbalProjection,
-                       limit: int | None = None, *,
+def permute_projection(tree: DepTree, projection: VerbalProjection, limit: int, *,
                        mapping: DeprelMapping = UD_MAPPING,
                        seed: int = 42) -> PermutationBatch:
-    """All linear orderings of a projection's units (capped at ``limit``).
+    """All linear orderings of a projection's units, or ``limit`` of them
+    drawn with ``seed`` when there are more.
 
     Each unit keeps its internal token order; heads and labels are
     remapped to the new indices; frozen tokens never move. When frozen
@@ -314,10 +309,6 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
     is built when read (see ``PermutationBatch``) and the variant's tree
     later still (see ``PermutationVariant``).
     """
-    m = projection.unit_count
-    if m > MAX_UNITS_WITHOUT_LIMIT and limit is None:
-        raise ValueError(f"projection has {m} units ({math.factorial(m)} permutations); "
-                         "pass an explicit limit")
     perms, positions = _orders(len(tree), tuple(sorted(projection.span_map.values())),
                                limit, seed)
     return PermutationBatch(tree, projection, perms, positions, _clause_roles(tree, mapping))
@@ -326,38 +317,29 @@ def permute_projection(tree: DepTree, projection: VerbalProjection,
 def balance_orders(batches: list[PermutationBatch], budget: int) -> list[PermutationVariant]:
     """Round-robin over the six order classes, lowest perplexity first.
 
-    Repeatedly takes the cheapest unused variant of the currently
-    least-represented class until the budget is reached or the pool runs
-    dry. Identity permutations are always dropped (the source trees are
-    kept in the training data anyway); variants from non-transitive
-    clauses fill any budget left after the six classes are exhausted.
-    Returns the chosen variants; only their trees are ever built.
+    Each class's variants are ranked by (perplexity, permutation), a
+    missing perplexity last; among equal keys the variant pooled later
+    ranks first. The picks are every class's first variant in class
+    order, then every class's second, and so on, skipping classes that
+    have run out, until the budget is reached: one sort by (rank within
+    class, class). Identity permutations are always dropped (the source
+    trees are kept in the training data anyway); variants from
+    non-transitive clauses, ranked the same way, fill any budget left
+    after the six classes are exhausted. Returns the chosen variants;
+    only their trees are ever built.
     """
-    pools: dict[OrderLabel, list[PermutationVariant]] = {l: [] for l in TRANSITIVE_ORDERS}
-    leftovers: list[PermutationVariant] = []
-    for batch in batches:
-        for v in batch.variants:
-            if v.is_identity:
-                continue
-            if v.order is OrderLabel.NONTRANSITIVE:
-                leftovers.append(v)
-            else:
-                pools[v.order].append(v)
-
     def cost(v: PermutationVariant):
         return (v.perplexity if v.perplexity is not None else math.inf, v.perm)
 
-    for pool in pools.values():
-        pool.sort(key=cost, reverse=True)  # cheapest last, popped first
-    leftovers.sort(key=cost, reverse=True)
-
-    chosen: list[PermutationVariant] = []
-    taken = {label: 0 for label in TRANSITIVE_ORDERS}
-    while len(chosen) < budget and any(pools.values()):
-        label = min((l for l in TRANSITIVE_ORDERS if pools[l]),
-                    key=lambda l: (taken[l], TRANSITIVE_ORDERS.index(l)))
-        chosen.append(pools[label].pop())
-        taken[label] += 1
-    while len(chosen) < budget and leftovers:
-        chosen.append(leftovers.pop())
-    return chosen
+    pooled = [v for batch in batches for v in batch.variants if not v.is_identity]
+    ranked = sorted(reversed(pooled), key=cost)  # stable: later-pooled first among ties
+    taken = Counter()
+    places = []  # (rank within class, class) of each ranked variant; leftovers last
+    for v in ranked:
+        if v.order is OrderLabel.NONTRANSITIVE:
+            places.append((math.inf, 0))
+        else:
+            places.append((taken[v.order], TRANSITIVE_ORDERS.index(v.order)))
+            taken[v.order] += 1
+    order = sorted(range(len(ranked)), key=places.__getitem__)
+    return [ranked[i] for i in order[:budget]]

@@ -1,16 +1,16 @@
 """Shared builders and checks for the test suite: random trees, tiny
-treebanks, transition mnemonics, n-gram models as count dicts and a
-finite-difference gradient check."""
+treebanks, transition mnemonics, n-gram models as count dicts, n-gram
+probabilities and perplexities of words, and a finite-difference
+gradient check."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from scrambleparse import nn
-from scrambleparse.arceager import (_MNEMONICS, Configuration, Transition, apply,
-                                    initial_config)
+from scrambleparse.arceager import _MNEMONICS, Configuration, Transition, apply
 from scrambleparse.conllu import DepTree, Token, Treebank
-from scrambleparse.ngram import NGramModel
+from scrambleparse.ngram import BOS, UNK, NGramModel, _perplexities
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import (TRANSITIVE_ORDERS, OrderLabel, PermutationBatch,
                                     PermutationVariant)
@@ -150,7 +150,7 @@ def parse_sequence(text: str) -> list[Transition]:
 
 
 def run_sequence(n: int, seq: list[Transition]) -> Configuration:
-    c = initial_config(n)
+    c = Configuration(n)
     for t in seq:
         c = apply(c, t)
     return c
@@ -184,7 +184,7 @@ def ready_variant(tree: DepTree, order: OrderLabel, perm: tuple, positions: tupl
                   perplexity: float | None = None) -> PermutationVariant:
     """A variant made by the one constructor whose tree is ``tree``, already
     built: it sits where ``cached_property`` keeps the built tree."""
-    v = PermutationVariant(order, perm, positions, tuple(tree.forms()), tree, perplexity)
+    v = PermutationVariant(order, perm, positions, tree, perplexity)
     v.__dict__["tree"] = tree
     return v
 
@@ -225,6 +225,32 @@ def lm_from_counts(order: int, counts: dict, vocab) -> NGramModel:
     contexts = np.array([row for row, _ in table]).reshape(len(table), k)
     return NGramModel(order, tuple(vocab), contexts, np.cumsum([0] + [len(r) for _, r in table]),
                       np.array([w for w, _ in pairs]), np.array([c for _, c in pairs]))
+
+
+def lm_prob(model: NGramModel, word: str, context=()) -> float:
+    """Smoothed P(word | context) through the model's own suffix walk
+    (``_deepest``) and interpolation (``_probs``); an out-of-vocabulary
+    word or context token is <unk>, and so is a predicted <s>."""
+    k = model.order - 1
+    context = model.word_ids(context[-k:] if k else ()).tolist()
+    row = model._deepest(np.array([[-1] * (k - len(context)) + context], dtype=np.int64))
+    word_id = model.word_ids([UNK if word == BOS else word])
+    return float(model._probs(row, word_id)[0])
+
+
+def lm_logprobs(model: NGramModel, sentences) -> np.ndarray:
+    """``id_logprobs`` of sentences given as words."""
+    lengths = np.array([len(words) for words in sentences], dtype=np.intp)
+    ids = np.zeros((len(sentences), int(lengths.max(initial=0))), dtype=np.int64)
+    for row, words in zip(ids, sentences):
+        row[:len(words)] = model.word_ids(words)
+    return model.id_logprobs(ids, lengths)
+
+
+def lm_perplexity(model: NGramModel, sentence) -> float:
+    """The perplexity of one sentence given as words, as ``score_batches``
+    computes it."""
+    return _perplexities(lm_logprobs(model, [sentence]), np.array([len(sentence)]))[0]
 
 
 def predict_proba(mlp: nn.MLP, x):

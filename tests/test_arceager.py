@@ -4,8 +4,7 @@ import pytest
 from helpers import (arcs, config_arcs, format_sequence, parse_sequence, random_projective_tree,
                      run_sequence)
 from scrambleparse.arceager import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT,
-                                    Transition, apply,
-                                    initial_config, is_terminal,
+                                    Configuration, Transition, apply, is_terminal,
                                     legal_transitions, static_oracle,
                                     tree_from_config)
 from scrambleparse.conllu import DepTree, Token, validate_tree
@@ -20,20 +19,20 @@ def three_token_tree() -> DepTree:
 
 
 def test_initial_config():
-    c = initial_config(3)
+    c = Configuration(3)
     assert c.stack == [0]
     assert (c.buffer_start, c.n) == (1, 3)  # the buffer is tokens 1..3
     assert config_arcs(c) == ()
 
 
 def test_arcs_derived_from_heads_in_arc_order():
-    c = apply(apply(initial_config(3), Transition(SHIFT)), Transition(LEFT_ARC, "x"))
+    c = apply(apply(Configuration(3), Transition(SHIFT)), Transition(LEFT_ARC, "x"))
     c = apply(c, Transition(RIGHT_ARC, "root"))
     assert config_arcs(c) == ((2, 1, "x"), (0, 2, "root"))
 
 
 def test_apply_updates_in_place_and_rejects_without_change():
-    c = initial_config(3)
+    c = Configuration(3)
     assert apply(c, Transition(SHIFT)) is c
     assert apply(c, Transition(LEFT_ARC, "x")) is c
     assert (c.stack, c.buffer_start, c.heads, c.lc, c.rc) == ([0], 2, {1: (2, "x")},
@@ -45,34 +44,37 @@ def test_apply_updates_in_place_and_rejects_without_change():
 
 
 def test_initial_config_single_token():
-    c = initial_config(1)
+    c = Configuration(1)
     assert (c.stack, c.buffer_start, c.n) == ([0], 1, 1)
 
 
-def test_initial_config_rejects_empty():
-    with pytest.raises(ValueError):
-        initial_config(0)
+def test_initial_config_of_no_token_is_terminal():
+    """A sentence of no token has nothing to decode: its configuration is
+    terminal from the start with no legal move, and its oracle is empty."""
+    c = Configuration(0)
+    assert is_terminal(c) and legal_transitions(c) == set()
+    assert static_oracle(DepTree([])) == []
 
 
 def test_legal_at_initial():
-    c = initial_config(2)
+    c = Configuration(2)
     assert legal_transitions(c) == {SHIFT, RIGHT_ARC}
 
 
 def test_legal_with_empty_buffer():
-    c = initial_config(1)
+    c = Configuration(1)
     c = apply(c, Transition(RIGHT_ARC, "root"))
     assert is_terminal(c)
     assert legal_transitions(c) == {REDUCE}
 
 
 def test_left_arc_blocked_on_root_only_stack():
-    c = initial_config(2)
+    c = Configuration(2)
     assert LEFT_ARC not in legal_transitions(c)
 
 
 def test_shift_moves_buffer_front():
-    c = apply(initial_config(2), Transition(SHIFT))
+    c = apply(Configuration(2), Transition(SHIFT))
     assert c.stack == [0, 1]
     assert (c.buffer_start, c.n) == (2, 2)
 
@@ -86,13 +88,13 @@ def test_gold_sequence_reconstructs_arcs():
 
 
 def test_reduce_requires_attached_top():
-    c = apply(initial_config(2), Transition(SHIFT))
+    c = apply(Configuration(2), Transition(SHIFT))
     with pytest.raises(ValueError, match="reduce"):
         apply(c, Transition(REDUCE))
 
 
 def test_illegal_left_arc_reports_precondition():
-    c = initial_config(2)
+    c = Configuration(2)
     with pytest.raises(ValueError, match="ROOT"):
         apply(c, Transition(LEFT_ARC, "x"))
 
@@ -153,7 +155,7 @@ def test_oracle_round_trip_random_trees():
 
 def test_terminal_config_defaults_to_root_attachment():
     # Shift everything: no arcs made; all tokens default to ROOT/"dep".
-    c = initial_config(3)
+    c = Configuration(3)
     for _ in range(3):
         c = apply(c, Transition(SHIFT))
     tree = tree_from_config(c, [Token(i, f"w{i}") for i in range(1, 4)])
@@ -166,7 +168,7 @@ def test_tree_from_config_keeps_surface_columns():
     of each token is carried over."""
     tokens = [Token(i, f"w{i}", lemma=f"l{i}", upos=f"U{i}", xpos=f"X{i}", feats=f"F{i}",
                     head=9, deprel="old", misc=f"M{i}") for i in range(1, 3)]
-    c = apply(apply(initial_config(2), Transition(RIGHT_ARC, "root")),
+    c = apply(apply(Configuration(2), Transition(RIGHT_ARC, "root")),
               Transition(RIGHT_ARC, "obj"))
     for upos in (None, ["A", "B"]):
         out = tree_from_config(c, tokens, upos=upos).tokens

@@ -203,7 +203,7 @@ def trees(max_tokens=14):
 def test_oracle_path_matches_reference(tree):
     seq = static_oracle(tree)
     assert seq == ref_static_oracle(tree)
-    ref, new = ref_initial_config(len(tree)), arceager.initial_config(len(tree))
+    ref, new = ref_initial_config(len(tree)), arceager.Configuration(len(tree))
     assert_same_state(ref, new)
     for t in seq:
         ref, applied = step_both(ref, new, t)
@@ -222,7 +222,7 @@ def test_oracle_path_matches_reference(tree):
 def test_random_moves_match_reference(n, data):
     """Random moves, legal or not: every kind is tried, so the rejected
     ones check that ``legal_transitions`` and ``apply`` agree."""
-    ref, new = ref_initial_config(n), arceager.initial_config(n)
+    ref, new = ref_initial_config(n), arceager.Configuration(n)
     assert_same_state(ref, new)
     while True:
         legal = arceager.legal_transitions(new)

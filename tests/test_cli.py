@@ -19,7 +19,7 @@ import scrambleparse
 from scrambleparse.cli import run
 from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_treebank,
                                   validate_tree)
-from scrambleparse import conllu, projectivity
+from scrambleparse import conllu, nn, projectivity
 from scrambleparse.ngram import ARRAYS as LM_ARRAYS
 from scrambleparse.ngram import MAGIC as LM_MAGIC
 from scrambleparse.ngram import NGramModel
@@ -675,6 +675,25 @@ def test_config_value_out_of_range_is_rejected_before_training(tmp_path, capsys,
     assert not (tmp_path / "m.spnn").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "train-tagger", "curve"])
+def test_config_seed_line_is_rejected_before_training(tmp_path, capsys, command):
+    """The run's seed comes from --seed or SCRAMBLE_SEED and is echoed; a
+    config file's seed would be overwritten, so the file is refused."""
+    train_path, cfg, model = tmp_path / "train.conllu", tmp_path / "train.cfg", tmp_path / "m.spnn"
+    run(["gen-synthetic", "--n", "3", "--out", str(train_path)])
+    cfg.write_text("word_dim = 8\nepochs = 1\nseed = 7\n")
+    argv = ([command, "--train", str(train_path), "--dev", str(train_path), "--sizes", "1"]
+            if command == "curve" else [command, "--train", str(train_path), "--out", str(model)])
+    capsys.readouterr()
+    assert run(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error [scrambleparse.parser]: {cfg}:3: seed is not a config file field; "
+        "set it with --seed or SCRAMBLE_SEED"]
+    assert "config" not in captured.out
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-synthetic", "--n", "-1"],
     ["gen-synthetic", "--n", "0"],
@@ -934,6 +953,38 @@ def test_parse_and_tag_pass_a_block_of_no_token_through(tiny_models, capsys, arg
     assert len(got) == len(want) == 5
     assert got[0].tokens == [] and got[0].comments[-1] == NO_TOKEN_BLOCK.strip()
     assert [t.forms() for t in got] == [t.forms() for t in want]
+
+
+@pytest.mark.parametrize("command, name", [("train", "parser.spnn"),
+                                           ("train-tagger", "tagger.spnn")])
+def test_training_skips_a_block_of_no_token(tiny_models, capsys, command, name):
+    """A comment-only block in the training data gives no example: the
+    model is the one the other blocks train, array for array."""
+    tmp_path = tiny_models
+    train_path, out = tmp_path / "blank-train.conllu", tmp_path / f"blank-{name}"
+    train_path.write_text(NO_TOKEN_BLOCK + (tmp_path / "train.conllu").read_text())
+    assert run([command, "--train", str(train_path), "--out", str(out),
+                "--config", str(tmp_path / "train.cfg")]) == 0
+    assert capsys.readouterr().err == ""
+    got, want = (nn.load_checkpoint(path)["arrays"] for path in (out, tmp_path / name))
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+@pytest.mark.parametrize("command", ["train", "train-tagger"])
+def test_training_data_of_no_token_exits_before_training(tiny_models, capsys, caplog,
+                                                          command):
+    tmp_path = tiny_models
+    train_path, model_path = tmp_path / "no-token.conllu", tmp_path / "no-token.spnn"
+    train_path.write_text(NO_TOKEN_BLOCK * 2)
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO, logger="scrambleparse.parser"):
+        assert run([command, "--train", str(train_path), "--out", str(model_path),
+                    "--config", str(tmp_path / "train.cfg")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error [scrambleparse.parser]: the training treebank has no token"]
+    assert "epoch" not in caplog.text
+    assert not model_path.exists()
 
 
 def test_train_with_a_dev_block_of_no_token(tiny_models):

@@ -42,7 +42,9 @@ def ref_encode(enc, words, tags, training=False, rng=None):
             chars = words[pos - 1][:cfg.max_word_chars]
             if chars:
                 char_ids = [enc.vocabs.chars.id(c) for c in chars]
-                Hs, cache = enc.char_rnn.forward(enc.char_emb.value[char_ids])
+                Hs, cache = enc.char_rnn.forward(enc.char_emb.value[char_ids][:, None],
+                                                 [len(char_ids)])
+                Hs = Hs[:, 0]
                 char_vec = np.concatenate([Hs[-1, :h], Hs[0, h:]])
                 char_caches[-1] = (char_ids, Hs.shape[0], cache)
             word_vec = np.zeros(cfg.word_dim) if drop[pos - 1] else enc.word_emb.value[wid]
@@ -51,7 +53,8 @@ def ref_encode(enc, words, tags, training=False, rng=None):
             tag_id = 1 if pos == 0 else enc.vocabs.tags.id(tags[pos - 1])
             parts.append(enc.tag_emb.value[tag_id])
         rows.append(np.concatenate(parts))
-    ctx, stack_caches = enc.stack.forward(np.asarray(rows))
+    ctx, stack_caches = enc.stack.forward(np.asarray(rows)[:, None], [len(rows)])
+    ctx = ctx[:, 0]
     tag_ids = [1] + [enc.vocabs.tags.id(t) for t in tags] if enc.use_tags else None
     return ctx, (word_ids, drop, char_caches, stack_caches, tag_ids)
 
@@ -59,7 +62,7 @@ def ref_encode(enc, words, tags, training=False, rng=None):
 def ref_backward(enc, dctx, cache):
     word_ids, drop, char_caches, stack_caches, tag_ids = cache
     cfg = enc.cfg
-    dX = enc.stack.backward(dctx, stack_caches)
+    dX = enc.stack.backward(dctx[:, None], stack_caches)[:, 0]
     wd = cfg.word_dim
     cd = 2 * cfg.char_hidden
     h = cfg.char_hidden
@@ -72,7 +75,7 @@ def ref_backward(enc, dctx, cache):
             dHs = np.zeros((T, cd))
             dHs[-1, :h] = dchar[:h]
             dHs[0, h:] += dchar[h:]
-            dC = enc.char_rnn.backward(dHs, rnn_cache)
+            dC = enc.char_rnn.backward(dHs[:, None], rnn_cache)[:, 0]
             for row, cid in enumerate(char_ids):
                 enc.char_emb.grad[cid] += dC[row]
         if enc.use_tags:

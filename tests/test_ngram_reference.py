@@ -23,10 +23,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lm_counts, order_words
+from helpers import lm_counts, lm_logprobs, lm_perplexity, lm_prob, order_words
 from scrambleparse.conllu import DepTree, Token
 from scrambleparse.ngram import (ARRAYS, BOS, EOS, UNK, NGramModel, filter_by_perplexity,
-                                 perplexity, score_batches, train_lm)
+                                 score_batches, train_lm)
 from scrambleparse.scramble import PermutationBatch
 
 
@@ -105,8 +105,8 @@ def test_logprob_and_perplexity_equal_the_reference(corpus, order, queries):
     model = train_lm(corpus, order)
     ref = RefModel(order, *ref_train(corpus, order))
     for sentence in [s for s in corpus if s] + queries:
-        assert model.logprobs([sentence])[0] == ref.logprob(sentence)
-        assert perplexity(model, sentence) == ref.perplexity(sentence)
+        assert lm_logprobs(model, [sentence])[0] == ref.logprob(sentence)
+        assert lm_perplexity(model, sentence) == ref.perplexity(sentence)
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,7 +120,7 @@ def test_a_saved_model_reloads_equal(tmp_path_factory, corpus, order, query):
     assert (back.order, back.vocab) == (model.order, model.vocab)
     assert all(np.array_equal(getattr(back, name), getattr(model, name)) for name in ARRAYS)
     assert lm_counts(back) == lm_counts(model)
-    assert back.logprobs([query])[0] == model.logprobs([query])[0]
+    assert lm_logprobs(back, [query])[0] == lm_logprobs(model, [query])[0]
 
 
 def _batch(sentences):
@@ -166,7 +166,7 @@ def test_batches_scored_in_one_pass_rank_as_the_reference(corpus, order, batches
     ref = RefModel(order, *ref_train(corpus, order))
     assert_ranked_as_the_reference(model, ref, batches, keep)
     sentences = [s for batch in batches for s in batch]
-    assert model.logprobs(sentences).tolist() == [ref.logprob(s) for s in sentences]
+    assert lm_logprobs(model, sentences).tolist() == [ref.logprob(s) for s in sentences]
 
 
 # 60,000 words that sort between the reserved tokens and "x" and "y": an
@@ -201,7 +201,7 @@ def test_a_large_vocabulary_ranks_as_the_reference(batches, keep):
     for sentence in batches[0]:
         history = [BOS] * 4 + list(sentence)
         for i, word in enumerate(list(sentence) + [EOS]):
-            assert model.prob(word, history[i:i + 4]) == ref.prob(word, history[i:i + 4])
+            assert lm_prob(model, word, history[i:i + 4]) == ref.prob(word, history[i:i + 4])
 
 
 def test_n_gram_keys_past_int64_are_renumbered():
@@ -215,4 +215,4 @@ def test_n_gram_keys_past_int64_are_renumbered():
     assert len(model.vocab) == 2**16
     ref = RefModel(5, *ref_train(corpus, 5))
     queries = [list("abcde"), list("zbcde")]
-    assert model.logprobs(queries).tolist() == [ref.logprob(q) for q in queries]
+    assert lm_logprobs(model, queries).tolist() == [ref.logprob(q) for q in queries]

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,18 @@ from hypothesis import strategies as st
 
 from helpers import check_gradients, predict_proba
 from scrambleparse import nn
+from scrambleparse.parser import TrainConfig
 
 
 def rng_():
     return np.random.default_rng(0)
+
+
+def one(layer, X, **kwargs):
+    """``layer.forward`` of one (T, in) sequence as a padded batch of one:
+    its (T, out) states and the cache."""
+    Y, cache = layer.forward(X[:, None], [len(X)], **kwargs)
+    return Y[:, 0], cache
 
 
 def scalar_loss(Y, proj):
@@ -21,7 +30,7 @@ def scalar_loss(Y, proj):
 
 class TestSoftmaxAndLoss:
     def test_zero_logits_uniform(self):
-        p = nn.softmax(np.zeros(7))
+        p = nn.softmax(np.zeros((1, 7)))
         assert np.allclose(p, 1 / 7)
 
     def test_rows_sum_to_one(self):
@@ -33,7 +42,7 @@ class TestSoftmaxAndLoss:
 
     def test_shift_invariance_of_argmax(self):
         rng = rng_()
-        z = rng.normal(size=12)
+        z = rng.normal(size=(1, 12))
         assert np.argmax(nn.softmax(z)) == np.argmax(nn.softmax(z + 123.4))
         assert np.allclose(nn.softmax(z), nn.softmax(z + 123.4))
 
@@ -51,8 +60,9 @@ class TestSoftmaxAndLoss:
 
 class TestDropout:
     def test_p_zero_all_ones(self):
-        mask = nn.dropout_mask(rng_(), (100,), 0.0)
-        assert (mask == 1.0).all()
+        mlp = nn.MLP(4, 100, 3, rng_(), "m", dropout=0.0)
+        _, (_, _, mask, _) = mlp.forward(rng_().normal(size=(1, 4)), training=True, rng=rng_())
+        assert np.all(mask == 1.0)
 
     def test_inference_all_ones(self):
         mlp = nn.MLP(4, 6, 3, rng_(), "m", dropout=0.9)
@@ -61,15 +71,17 @@ class TestDropout:
 
     def test_empirical_drop_rate(self):
         p = 0.3
-        mask = nn.dropout_mask(rng_(), (100000,), p)
+        mlp = nn.MLP(2, 1000, 2, rng_(), "m", dropout=p)
+        _, (_, _, mask, _) = mlp.forward(rng_().normal(size=(100, 2)), training=True,
+                                         rng=rng_())
         dropped = (mask == 0.0).mean()
         assert abs(dropped - p) < 0.01
         kept = mask[mask > 0]
         assert np.allclose(kept, 1.0 / (1.0 - p))
 
     def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            nn.dropout_mask(rng_(), (3,), 1.0)
+        with pytest.raises(ValueError, match="mlp_dropout"):
+            TrainConfig(mlp_dropout=1.0)
 
 
 class TestMLP:
@@ -130,9 +142,9 @@ class TestLSTM:
         rng = rng_()
         bi = nn.BiLSTM(5, 4, rng, "b")
         X = rng.normal(size=(7, 5))
-        Y, _ = bi.forward(X)
+        Y, _ = one(bi, X)
         assert Y.shape == (7, 8)
-        Y1, _ = bi.forward(X[:1])
+        Y1, _ = one(bi, X[:1])
         assert Y1.shape == (1, 8)
 
     def test_all_zero_parameters_give_zero_outputs(self):
@@ -140,7 +152,7 @@ class TestLSTM:
         bi = nn.BiLSTM(3, 4, rng, "b")
         for p in bi.params():
             p.value[...] = 0.0
-        Y, _ = bi.forward(rng.normal(size=(5, 3)))
+        Y, _ = one(bi, rng.normal(size=(5, 3)))
         assert np.allclose(Y, 0.0)
 
     def test_direction_symmetry_with_mirrored_cells(self):
@@ -153,8 +165,8 @@ class TestLSTM:
         for src, dst in zip(a.fwd.params(), b.bwd.params()):
             dst.value[...] = src.value
         X = rng.normal(size=(6, 4))
-        Ya, _ = a.forward(X)
-        Yb, _ = b.forward(X[::-1])
+        Ya, _ = one(a, X)
+        Yb, _ = one(b, X[::-1])
         H = 3
         swapped = np.concatenate([Yb[::-1][:, H:], Yb[::-1][:, :H]], axis=1)
         assert np.allclose(Ya, swapped)
@@ -166,12 +178,12 @@ class TestLSTM:
         proj = rng.normal(size=(5, 8))
 
         def loss_fn():
-            return scalar_loss(bi.forward(X)[0], proj)
+            return scalar_loss(one(bi, X)[0], proj)
 
         for p in bi.params():
             p.grad[...] = 0.0
-        Hs, cache = bi.forward(X)
-        bi.backward(proj, cache)
+        Hs, cache = one(bi, X)
+        bi.backward(proj[:, None], cache)
         assert check_gradients(loss_fn, bi.params()) < 1e-4
 
     def test_gradient_check_bilstm_stack_and_inputs(self):
@@ -181,12 +193,12 @@ class TestLSTM:
         proj = rng.normal(size=(4, 4))
 
         def loss_fn():
-            return scalar_loss(stack.forward(X)[0], proj)
+            return scalar_loss(one(stack, X)[0], proj)
 
         for p in stack.params():
             p.grad[...] = 0.0
-        Y, caches = stack.forward(X)
-        dX = stack.backward(proj, caches)
+        Y, caches = one(stack, X)
+        dX = stack.backward(proj[:, None], caches)[:, 0]
         assert check_gradients(loss_fn, stack.params()) < 1e-4
         # input gradient against finite differences
         eps = 1e-6
@@ -196,18 +208,18 @@ class TestLSTM:
                 Xp, Xm = X.copy(), X.copy()
                 Xp[i, j] += eps
                 Xm[i, j] -= eps
-                num[i, j] = (scalar_loss(stack.forward(Xp)[0], proj)
-                             - scalar_loss(stack.forward(Xm)[0], proj)) / (2 * eps)
+                num[i, j] = (scalar_loss(one(stack, Xp)[0], proj)
+                             - scalar_loss(one(stack, Xm)[0], proj)) / (2 * eps)
         assert np.allclose(dX, num, atol=1e-5)
 
     def test_reverse_cell_uses_future_context_only(self):
         rng = rng_()
         bi = nn.BiLSTM(2, 3, rng, "b")
         X = rng.normal(size=(5, 2))
-        H1 = bi.forward(X)[0][:, 3:]  # the reverse direction's states
+        H1 = one(bi, X)[0][:, 3:]  # the reverse direction's states
         X2 = X.copy()
         X2[0] += 10.0  # changing the first position cannot affect later reverse states
-        H2 = bi.forward(X2)[0][:, 3:]
+        H2 = one(bi, X2)[0][:, 3:]
         assert np.allclose(H1[1:], H2[1:])
         assert not np.allclose(H1[0], H2[0])
 
@@ -223,7 +235,7 @@ def test_padded_batch_forward_matches_per_sequence_forward(lengths, dims, seed):
     Hs, cache = bi.forward(X, lengths, cache=False)
     assert cache is None and Hs.shape == X.shape[:2] + (2 * hidden,)
     for b, n in enumerate(lengths):
-        ref, _ = bi.forward(X[:n, b])
+        ref, _ = one(bi, X[:n, b])
         assert np.allclose(Hs[:n, b], ref, rtol=1e-12, atol=1e-12)
         assert not Hs[n:, b].any()
 
@@ -234,14 +246,15 @@ def test_padded_batch_forward_matches_per_sequence_forward(lengths, dims, seed):
        padded=st.booleans(), seed=st.integers(0, 2**16))
 def test_forward_without_cache_is_bit_identical(lengths, dims, padded, seed):
     """The two-row cell-state buffer of ``cache=False`` gives the hidden
-    states of the cached run, bit for bit, on one sequence or a batch."""
+    states of the cached run, bit for bit, on a batch of one sequence or
+    of several."""
     in_dim, hidden = dims
     rng = np.random.default_rng(seed)
     bi = nn.BiLSTM(in_dim, hidden, rng, "b")
     if padded:
         X, lens = rng.normal(size=(max(lengths), len(lengths), in_dim)), lengths
     else:
-        X, lens = rng.normal(size=(lengths[0], in_dim)), None
+        X, lens = rng.normal(size=(lengths[0], 1, in_dim)), lengths[:1]
     cached, cache = bi.forward(X, lens)
     bare, none = bi.forward(X, lens, cache=False)
     assert none is None and cache is not None
@@ -260,7 +273,7 @@ def test_padded_backward_matches_per_sequence_backward(lengths, dims, seed):
     dHs = rng.normal(size=(T, len(lengths), 2 * hidden))
     pad = np.arange(T)[:, None] >= np.asarray(lengths)  # (T, B)
 
-    def backward(X, dHs, lengths=None):
+    def backward(X, dHs, lengths):
         b = copy.deepcopy(bi)
         _, cache = b.forward(X, lengths)
         return b.backward(dHs, cache), [p.grad for p in b.params()]
@@ -268,8 +281,8 @@ def test_padded_backward_matches_per_sequence_backward(lengths, dims, seed):
     dX, grads = backward(X, dHs, lengths)
     summed = [np.zeros_like(g) for g in grads]
     for b, n in enumerate(lengths):
-        ref_dX, ref_grads = backward(X[:n, b], dHs[:n, b])
-        assert np.allclose(dX[:n, b], ref_dX, rtol=1e-12, atol=1e-12)
+        ref_dX, ref_grads = backward(X[:n, b:b + 1], dHs[:n, b:b + 1], [n])
+        assert np.allclose(dX[:n, b], ref_dX[:, 0], rtol=1e-12, atol=1e-12)
         for total, g in zip(summed, ref_grads):
             total += g
     for g, total in zip(grads, summed):
@@ -291,7 +304,7 @@ def test_padded_bilstm_final_states_match_per_sequence():
     Hs, _ = bi.forward(X, lengths)
     finals = bi.final_states(Hs, lengths)
     for b, n in enumerate(lengths):
-        Y, _ = bi.forward(X[:n, b])
+        Y, _ = one(bi, X[:n, b])
         ref = np.concatenate([Y[-1, :4], Y[0, 4:]])  # last forward, first backward state
         assert np.allclose(finals[b], ref, rtol=1e-12, atol=1e-12)
 
@@ -300,13 +313,13 @@ class TestOptimizer:
     def test_plain_sgd_reduction(self):
         p = nn.Param(np.array([1.0, -2.0]), "p")
         p.grad[...] = np.array([0.5, 0.5])
-        opt = nn.MomentumSGD([p], lr=0.1, momentum=0.0, l2=0.0, clip_norm=None)
+        opt = nn.MomentumSGD([p], lr=0.1, momentum=0.0, l2=0.0, clip_norm=math.inf)
         opt.step()
         assert np.allclose(p.value, [0.95, -2.05])
 
     def test_momentum_accumulates_velocity(self):
         p = nn.Param(np.zeros(1), "p")
-        opt = nn.MomentumSGD([p], lr=1.0, momentum=0.5, l2=0.0, clip_norm=None)
+        opt = nn.MomentumSGD([p], lr=1.0, momentum=0.5, l2=0.0, clip_norm=math.inf)
         p.grad[...] = 1.0
         opt.step()  # v = -1, theta = -1
         p.grad[...] = 1.0  # step zeroed it
@@ -315,7 +328,7 @@ class TestOptimizer:
 
     def test_l2_pulls_towards_zero(self):
         p = nn.Param(np.array([10.0]), "p")
-        opt = nn.MomentumSGD([p], lr=0.1, momentum=0.0, l2=0.5, clip_norm=None)
+        opt = nn.MomentumSGD([p], lr=0.1, momentum=0.0, l2=0.5, clip_norm=math.inf)
         opt.step()  # grad zero, l2 only: theta -= 0.1*0.5*10
         assert np.allclose(p.value, [9.5])
 
@@ -329,7 +342,7 @@ class TestOptimizer:
     def test_nonfinite_gradient_names_parameter(self):
         p = nn.Param(np.zeros(2), "layers.W")
         p.grad[...] = np.array([np.nan, 0.0])
-        opt = nn.MomentumSGD([p])
+        opt = nn.MomentumSGD([p], lr=0.01, momentum=0.9, l2=1e-6, clip_norm=5.0)
         with pytest.raises(FloatingPointError, match="layers.W"):
             opt.step()
 
@@ -338,7 +351,7 @@ class TestOptimizer:
         X = rng.normal(size=(20, 6))
         gold = rng.integers(0, 3, size=20)
         mlp = nn.MLP(6, 16, 3, rng, "m")
-        opt = nn.MomentumSGD(mlp.params(), lr=0.01, momentum=0.9, l2=1e-6)
+        opt = nn.MomentumSGD(mlp.params(), lr=0.01, momentum=0.9, l2=1e-6, clip_norm=5.0)
         losses = []
         for _ in range(10):
             logits, cache = mlp.forward(X, training=False)

@@ -10,6 +10,7 @@ and the sigmoid is compared bit pattern by bit pattern.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -24,16 +25,15 @@ def ref_sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def ref_run(cell, X, reverse=False, lengths=None):
-    """One direction over X, (T, in_dim) or a padded (T, B, in_dim) batch:
-    past ``lengths[b]`` the input and forget pre-activations are -inf."""
+def ref_run(cell, X, lengths, reverse=False):
+    """One direction over X, a padded (T, B, in_dim) batch: past
+    ``lengths[b]`` the input and forget pre-activations are -inf."""
     T = X.shape[0]
     H = cell.Wh.value.shape[0]
     order = range(T - 1, -1, -1) if reverse else range(T)
     G_in = (X.reshape(-1, X.shape[-1]) @ cell.Wx.value + cell.b.value
             ).reshape(X.shape[:-1] + (4 * H,))
-    if lengths is not None:
-        G_in[np.arange(T)[:, None] >= np.asarray(lengths), :2 * H] = -np.inf
+    G_in[np.arange(T)[:, None] >= np.asarray(lengths), :2 * H] = -np.inf
     state = X.shape[1:-1] + (H,)
     Hs = np.zeros((T,) + state)
     gates = np.zeros(G_in.shape)
@@ -112,7 +112,7 @@ def ref_step(params, velocity, lr, momentum, l2, clip_norm):
     g = np.concatenate([p.grad.ravel() for p in params])
     sq = float(np.dot(g, g))
     scale = 1.0
-    if clip_norm is not None and sq > clip_norm ** 2:
+    if sq > clip_norm ** 2:
         if np.isinf(sq):
             m = np.abs(g).max()
             scale = clip_norm / m / np.sqrt(np.dot(g / m, g / m))
@@ -172,35 +172,32 @@ def test_sigmoid_in_place_on_masked_gates():
 
 @st.composite
 def _bilstm_inputs(draw):
-    """T, H, in_dim and amplitude; then one sequence, the B = 1 padded
-    batch that training encodes, or a padded batch with lengths 1..T."""
+    """T, H, in_dim and amplitude; then the B = 1 padded batch that
+    training encodes, or a padded batch with lengths 1..T."""
     T = draw(st.integers(1, 12))
-    shape = draw(st.sampled_from(["sequence", "batch of one", "padded"]))
-    if shape == "padded":
+    if draw(st.booleans()):
         lengths = draw(st.lists(st.integers(1, T), min_size=1, max_size=5))
     else:
-        lengths = None if shape == "sequence" else [T]
+        lengths = [T]
     return (T, draw(st.sampled_from([1, 2, 3, 5, 8, 16, 64])), draw(st.integers(1, 6)),
-            draw(st.sampled_from([0.1, 1.0, 10.0])), lengths, shape != "sequence",
-            draw(st.integers(0, 2 ** 32 - 1)))
+            draw(st.sampled_from([0.1, 1.0, 10.0])), lengths, draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(args=_bilstm_inputs())
 def test_bilstm_matches_two_reference_cells(args):
-    T, H, in_dim, amp, lengths, batched, seed = args
+    T, H, in_dim, amp, lengths, seed = args
     rng = np.random.default_rng(seed)
     bi = nn.BiLSTM(in_dim, H, rng, "b")
     for p in bi.params():
         p.value *= amp
-    batch = (len(lengths),) if batched else ()
-    X = amp * rng.normal(size=(T,) + batch + (in_dim,))
-    dY = rng.normal(size=(T,) + batch + (2 * H,))
+    X = amp * rng.normal(size=(T, len(lengths), in_dim))
+    dY = rng.normal(size=(T, len(lengths), 2 * H))
     ref = copy.deepcopy(bi)
 
     Y, cache = bi.forward(X, lengths)
-    Hf, cf = ref_run(ref.fwd, X, lengths=lengths)
-    Hb, cb = ref_run(ref.bwd, X, reverse=True, lengths=lengths)
+    Hf, cf = ref_run(ref.fwd, X, lengths)
+    Hb, cb = ref_run(ref.bwd, X, lengths, reverse=True)
     assert np.array_equal(Y, np.concatenate([Hf, Hb], axis=-1))
     bare, none = bi.forward(X, lengths, cache=False)
     assert none is None and np.array_equal(bare, Y)
@@ -249,7 +246,7 @@ def _assert_step_matches(params, clip_norm, lr=0.05, momentum=0.9, l2=1e-3, step
 
 @settings(max_examples=80, deadline=None)
 @given(shapes=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=4),
-       clip=st.sampled_from([None, 0.5, 5.0, 1e6]), grad_scale=st.sampled_from([1e-3, 1.0, 30.0]),
+       clip=st.sampled_from([math.inf, 0.5, 5.0, 1e6]), grad_scale=st.sampled_from([1e-3, 1.0, 30.0]),
        momentum=st.sampled_from([0.0, 0.9]), l2=st.sampled_from([0.0, 1e-6, 0.1]),
        wide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_sgd_step_matches_reference(shapes, clip, grad_scale, momentum, l2, wide, seed):
@@ -266,14 +263,14 @@ def test_nonfinite_gradient_in_later_parameter_is_named(bad):
     params = _params(rng, [(3, 2), (4,), (2, 2)], 1.0)
     params[2].grad[1, 0] = bad
     before = [p.value.copy() for p in params]
-    opt = nn.MomentumSGD(params)
+    opt = nn.MomentumSGD(params, lr=0.01, momentum=0.9, l2=1e-6, clip_norm=5.0)
     with pytest.raises(FloatingPointError, match="p2"):
         opt.step()
     assert all(np.array_equal(p.value, b) for p, b in zip(params, before))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("clip", [None, 5.0])
+@pytest.mark.parametrize("clip", [math.inf, 5.0])
 def test_overflowing_squares_update_like_reference(clip):
     rng = np.random.default_rng(2)
     params = _params(rng, [(3, 2), (4,)], 1.0)
@@ -281,7 +278,7 @@ def test_overflowing_squares_update_like_reference(clip):
     before = np.concatenate([p.value.ravel() for p in params])
     lr, l2 = 0.05, 1e-3
     _assert_step_matches(params, clip, lr=lr, l2=l2, steps=1)
-    if clip is not None:
+    if clip < math.inf:
         # The gradient is rescaled to norm clip, not dropped.
         step = np.concatenate([p.value.ravel() for p in params]) - before
         assert np.isclose(np.linalg.norm(step + lr * l2 * before), lr * clip, rtol=1e-9)
@@ -295,7 +292,7 @@ def test_optimizer_owns_parameter_storage(shapes, seed):
     params = _params(rng, shapes, 1.0)
     values = [p.value.copy() for p in params]
     grads = [p.grad.copy() for p in params]
-    opt = nn.MomentumSGD(params, lr=0.1, momentum=0.9, l2=0.0, clip_norm=None)
+    opt = nn.MomentumSGD(params, lr=0.1, momentum=0.9, l2=0.0, clip_norm=math.inf)
     for p, v, g in zip(params, values, grads):
         assert p.value.shape == v.shape and p.value.tobytes() == v.tobytes(), p.name
         assert p.grad.shape == g.shape and p.grad.tobytes() == g.tobytes(), p.name
@@ -315,4 +312,4 @@ def test_optimizer_owns_parameter_storage(shapes, seed):
     assert all(not p.grad.any() for p in params)
 
     with pytest.raises(ValueError, match="twice"):
-        nn.MomentumSGD(params + params[:1])
+        nn.MomentumSGD(params + params[:1], lr=0.1, momentum=0.9, l2=0.0, clip_norm=math.inf)

@@ -108,7 +108,7 @@ def reference_parse(model, words, tags):
     """The per-sentence greedy decode ``parse_batch`` replaced: one
     encoder pass per sentence, one classifier row per transition."""
     ctx, _ = model.encoder.encode(words, tags)
-    c = arceager.initial_config(len(words))
+    c = arceager.Configuration(len(words))
     while not arceager.is_terminal(c):
         logits, _ = model.mlp.forward(reference_features(c, ctx)[None, :])
         c = arceager.apply(c, model.transitions[int(np.argmax(logits[0] + model.legal_mask(c)))])
@@ -125,14 +125,14 @@ class TestFeaturize:
             assert {len(row) for row in idx_rows} == {11}
 
     def test_initial_config_slots(self):
-        c = arceager.initial_config(4)
+        c = arceager.Configuration(4)
         idxs = feature_indices(c)
         # s0 = ROOT, b0 = 1; everything else absent.
         assert idxs[0] == 0 and idxs[3] == 1
         assert all(i is None for k, i in enumerate(idxs) if k not in (0, 3))
 
     def test_terminal_config_buffer_slots_null(self):
-        c = arceager.initial_config(1)
+        c = arceager.Configuration(1)
         c = arceager.apply(c, arceager.Transition(arceager.RIGHT_ARC, "root"))
         idxs = feature_indices(c)
         assert idxs[3] is None and idxs[10] is None
@@ -146,7 +146,7 @@ class TestFeaturize:
         ctx, _ = model.encoder.encode(tree.forms(), tree.upos_tags())
         table, offsets, absent = parser._slot_table(model.mlp.lin1.W.value, ctx)
         assert not table[offsets + absent].any()
-        c = arceager.initial_config(len(tree))
+        c = arceager.Configuration(len(tree))
         while not arceager.is_terminal(c):
             rows = [absent if i is None else i for i in feature_indices(c)]
             split = table[np.array(rows) + offsets].sum(axis=0)
@@ -232,7 +232,7 @@ class TestBatchedInference:
         encoder = model.encoder
         batches = []
 
-        def counting(C, lengths=None, cache=True):
+        def counting(C, lengths, cache=True):
             batches.append(C.shape[1])
             return type(encoder.char_rnn).forward(encoder.char_rnn, C, lengths, cache)
 
@@ -552,6 +552,13 @@ class TestConfigFile:
         cfg = TrainConfig.from_file(path)
         assert cfg.lr == 0.5 and cfg.epochs == 3
         assert cfg.word_dropout == 0.0 and cfg.pseudo_projective is True
+
+    def test_seed_line_rejected(self, tmp_path):
+        """The seed is set per run (--seed, SCRAMBLE_SEED), never by a file."""
+        path = tmp_path / "seeded.cfg"
+        path.write_text("lr = 0.5\nseed = 7\n")
+        with pytest.raises(ValueError, match="seeded.cfg:2: seed .* --seed or SCRAMBLE_SEED"):
+            TrainConfig.from_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

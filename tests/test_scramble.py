@@ -102,7 +102,7 @@ def test_extract_requires_projective():
 def test_permute_figure_sentence_gives_24_variants():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
     assert len(batch.variants) == math.factorial(4) == 24
     # The IO-postposed order exists: "Ram ne kitab di Gopal ko ."
     forms = {" ".join(v.tree.forms()) for v in batch.variants}
@@ -114,7 +114,7 @@ def test_permute_figure_sentence_gives_24_variants():
 def test_permute_single_unit_identity():
     tree = DepTree([Token(1, "go", upos="VERB", head=0, deprel="root")])
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
     assert len(batch.variants) == 1
     assert batch.variants[0].is_identity
     assert batch.variants[0].tree.forms() == tree.forms()
@@ -123,7 +123,7 @@ def test_permute_single_unit_identity():
 def test_variants_preserve_arc_multiset_and_validate():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
     src_arcs = arcs(tree)
     for v in batch.variants:
         assert validate_tree(v.tree) == []
@@ -143,7 +143,7 @@ def test_permute_keeps_each_unit_inside_one_run_of_slots():
                     Token(4, "kitab", upos="NOUN", head=5, deprel="obj"),
                     Token(5, "di", upos="VERB", head=0, deprel="root")])
     (p,) = extract_projections(tree, UD_MAPPING)
-    batch = permute_projection(tree, p, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
     assert {" ".join(words) for words in order_words(batch)} == {
         "Ram ne , kitab di", "Ram ne , di kitab", "kitab di , Ram ne", "di kitab , Ram ne"}
     assert {v.order for v in batch.variants} == {OrderLabel.SOV, OrderLabel.SVO,
@@ -164,7 +164,7 @@ def test_variants_with_frozen_tokens_between_units_stay_projective(seed, n):
                                   labels=("a", "b", "c", "punct"))
     for p in extract_projections(tree, PUNCT_ROLES):
         if p.unit_count <= 6:
-            batch = permute_projection(tree, p, mapping=PUNCT_ROLES)
+            batch = permute_projection(tree, p, limit=120, mapping=PUNCT_ROLES)
             assert any(v.is_identity for v in batch.variants)
             for v in batch.variants:
                 assert is_projective(v.tree) and remapped_arcs(v) == arcs(tree)
@@ -173,7 +173,7 @@ def test_variants_with_frozen_tokens_between_units_stay_projective(seed, n):
 def test_identity_variant_present_and_matches_source_order():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
     identity = [v for v in batch.variants if v.is_identity]
     assert len(identity) == 1
     assert identity[0].tree.forms() == tree.forms()
@@ -192,12 +192,13 @@ def test_permute_limit_samples_without_replacement():
 
 
 def test_permute_refuses_factorial_blowup():
+    """Ten units have 10! orders: there is no call without a cap."""
     tokens = [Token(i, f"n{i}", upos="NOUN", head=10, deprel=f"dep{i}") for i in range(1, 10)]
     tokens.append(Token(10, "v", upos="VERB", head=0, deprel="root"))
     tree = DepTree(tokens)
     p = extract_projections(tree, UD_MAPPING)[0]
     assert p.unit_count == 10
-    with pytest.raises(ValueError, match="limit"):
+    with pytest.raises(TypeError, match="limit"):
         permute_projection(tree, p, mapping=UD_MAPPING)
     capped = permute_projection(tree, p, limit=5, mapping=UD_MAPPING)
     assert len(capped.variants) == 5
@@ -206,7 +207,7 @@ def test_permute_refuses_factorial_blowup():
 def test_variant_comments_record_order_and_perm():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
     for v in batch.variants:
         assert any(c.startswith("# scramble_order=") and "perm=" in c
                    for c in v.tree.comments)
@@ -221,7 +222,7 @@ def test_classify_io_postposed_still_sov():
     # Indirect object moves do not affect the S/O/V label.
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
     target = next(v for v in batch.variants
                   if " ".join(v.tree.forms()) == "Ram ne kitab di Gopal ko .")
     assert target.order == OrderLabel.SOV
@@ -328,7 +329,7 @@ def test_balance_drops_identity_variants():
 def test_trees_built_only_for_kept_variants():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
     for i, v in enumerate(batch.variants):
         v.perplexity = float(i)
     assert not any("tree" in vars(v) for v in batch.variants)
@@ -339,7 +340,8 @@ def test_trees_built_only_for_kept_variants():
     built = [v for v in batch.variants if "tree" in vars(v)]
     assert len(built) == len(out) == 3
     assert {id(v) for v in built} == {id(v) for v in out}
-    assert all(v.forms == tuple(v.tree.forms()) for v in built)
+    forms = tree.forms()
+    assert all(v.tree.forms() == [forms[i - 1] for i in v.positions] for v in built)
 
 
 def test_mapping_rejects_overlapping_roles():
@@ -357,7 +359,7 @@ def test_permutation_count_matches_factorial_on_random_trees():
                                 frozen_labels=frozenset())
         for p in extract_projections(tree, mapping):
             if p.unit_count <= 5:
-                batch = permute_projection(tree, p, mapping=mapping)
+                batch = permute_projection(tree, p, limit=120, mapping=mapping)
                 assert len(batch.variants) == math.factorial(p.unit_count)
                 checked += 1
     assert checked > 10
@@ -390,7 +392,7 @@ def test_permute_path_builds_each_tree_shape_once(permute_inputs):
     with mock.patch.object(conllu, "tree_shape", counting), \
             mock.patch.object(projectivity, "tree_shape", counting):
         (projection,) = extract_projections(tree, UD_MAPPING)
-        batch = permute_projection(tree, projection)
+        batch = permute_projection(tree, projection, limit=120)
         assert len(calls) == 1
         assert batch.variants
         calls.clear()

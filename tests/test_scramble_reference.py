@@ -5,11 +5,13 @@ position row, memoised per clause layout, and leaves the rest unbuilt: a
 variant gets its label (from the new positions of its subject, object
 and verb) when it is read, and its tree later still.
 ``filter_by_perplexity`` scores the orders through their position rows
-in one numpy pass and builds only its survivors. The functions below are
-the versions they replaced: a full tree per variant, ``classify_order``
-on that tree and a perplexity per variant that sums one ``prob`` per
-n-gram. The arithmetic is meant to be the same, so perplexities are
-compared with ``==``, not a tolerance.
+in one numpy pass and builds only its survivors, and ``balance_orders``
+picks by one sort. The functions below are the versions they replaced:
+a full tree per variant, ``classify_order`` on that tree, a perplexity
+per variant that sums one probability (``helpers.lm_prob``) per n-gram,
+and a balancer that pops the cheapest variant of the least-taken class
+until the budget is spent. The arithmetic is meant to be the same, so
+perplexities are compared with ``==``, not a tolerance.
 """
 
 import itertools
@@ -20,12 +22,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_of, ready_variant
+from helpers import batch_of, lm_prob, ready_variant, transitive_tree
 from scrambleparse.conllu import DepTree, Token
-from scrambleparse.ngram import (BOS, EOS, filter_by_perplexity, perplexity, score_batches,
-                                 train_lm)
+from scrambleparse.ngram import BOS, EOS, filter_by_perplexity, score_batches, train_lm
 from scrambleparse.projectivity import base_label, is_projective
-from scrambleparse.scramble import (OrderLabel, UD_MAPPING, balance_orders,
+from scrambleparse.scramble import (OrderLabel, TRANSITIVE_ORDERS, UD_MAPPING, balance_orders,
                                     extract_projections, permute_projection)
 
 VOCAB = ["ram", "ne", "kitab", "di", "gopal", "ko", "ghar", "gaya", "."]
@@ -112,7 +113,7 @@ def ref_permute(tree, projection, limit, mapping, seed):
                    for r in unit_roots]
     slots = sorted(idx for toks in unit_tokens for idx in toks)
     identity = tuple(range(m))
-    if limit is not None and math.factorial(m) > limit:
+    if math.factorial(m) > limit:
         rng = np.random.default_rng(seed)
         chosen = {identity}
         while len(chosen) < limit:
@@ -139,7 +140,7 @@ def ref_perplexity(model, sentence):
     history = [BOS] * (model.order - 1) + list(sentence)
     total = 0.0
     for i, word in enumerate(list(sentence) + [EOS]):
-        total += math.log(model.prob(word, history[i:i + model.order - 1]))
+        total += math.log(lm_prob(model, word, history[i:i + model.order - 1]))
     return math.exp(-total / (len(sentence) + 1))
 
 
@@ -147,6 +148,39 @@ def ref_filter(variants, model, k):
     scored = sorted(((ref_perplexity(model, v[0].forms()), v[2], v) for v in variants),
                     key=lambda item: (item[0], item[1]))
     return [(ppl, v) for ppl, _, v in scored[:k]]
+
+
+def ref_balance_orders(batches, budget):
+    """Round-robin by popping: each class's pool sorted cheapest last, then
+    the cheapest variant of the least-taken class (ties: class order) until
+    the budget is spent; non-transitive leftovers fill what remains."""
+    pools = {label: [] for label in TRANSITIVE_ORDERS}
+    leftovers = []
+    for batch in batches:
+        for v in batch.variants:
+            if v.is_identity:
+                continue
+            if v.order is OrderLabel.NONTRANSITIVE:
+                leftovers.append(v)
+            else:
+                pools[v.order].append(v)
+
+    def cost(v):
+        return (v.perplexity if v.perplexity is not None else math.inf, v.perm)
+
+    for pool in pools.values():
+        pool.sort(key=cost, reverse=True)  # cheapest last, popped first
+    leftovers.sort(key=cost, reverse=True)
+    chosen = []
+    taken = {label: 0 for label in TRANSITIVE_ORDERS}
+    while len(chosen) < budget and any(pools.values()):
+        label = min((l for l in TRANSITIVE_ORDERS if pools[l]),
+                    key=lambda l: (taken[l], TRANSITIVE_ORDERS.index(l)))
+        chosen.append(pools[label].pop())
+        taken[label] += 1
+    while len(chosen) < budget and leftovers:
+        chosen.append(leftovers.pop())
+    return chosen
 
 
 # --- random trees --------------------------------------------------------
@@ -202,14 +236,15 @@ def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
     for projection in extract_projections(tree, UD_MAPPING):
         if projection.unit_count > 5 and limit is None:
             limit = 24  # bound the enumeration; the sampled path is checked too
-        batch = permute_projection(tree, projection, limit=limit, mapping=UD_MAPPING, seed=seed)
-        expected = ref_permute(tree, projection, limit, UD_MAPPING, seed)
+        cap = 120 if limit is None else limit  # 120 = 5!: every order of up to five units
+        batch = permute_projection(tree, projection, limit=cap, mapping=UD_MAPPING, seed=seed)
+        expected = ref_permute(tree, projection, cap, UD_MAPPING, seed)
 
         assert [v.perm for v in batch.variants] == [e[2] for e in expected]
         assert [v.positions for v in batch.variants] == [e[3] for e in expected]
         assert [v.order for v in batch.variants] == [e[1] for e in expected]
-        for v, (ref_tree, _, _, _) in zip(batch.variants, expected):
-            assert perplexity(model, v.forms) == ref_perplexity(model, ref_tree.forms())
+        score_batches([batch], model)
+        assert batch.perplexities == [ref_perplexity(model, e[0].forms()) for e in expected]
 
         filtered = filter_by_perplexity(batch, model, k=keep)
         survivors = filtered.variants
@@ -219,7 +254,7 @@ def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
         assert [v.perplexity for v in survivors] == [ppl for ppl, _ in ref_survivors]
 
         # A fresh batch builds its survivors' variants in the filter alone.
-        fresh = permute_projection(tree, projection, limit=limit, mapping=UD_MAPPING, seed=seed)
+        fresh = permute_projection(tree, projection, limit=cap, mapping=UD_MAPPING, seed=seed)
         built = filter_by_perplexity(fresh, model, k=keep).variants
         ref_built = [v for _, v in ref_survivors]
         assert [v.perm for v in built] == [v[2] for v in ref_built]
@@ -246,6 +281,32 @@ def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
         assert [(v.tree.tokens, v.tree.comments) for v in got] == [
             (v.tree.tokens, v.tree.comments) for v in want]
 
+
+# --- the balancer ------------------------------------------------------------
+
+BALANCE_SOURCE = transitive_tree("SOV")
+# Few perplexities and few permutations, so that (perplexity, perm) ties
+# are common; the identity (0, 1, 2) is among them and always dropped.
+POOLED = st.tuples(st.sampled_from(list(OrderLabel)),
+                   st.sampled_from(list(itertools.permutations(range(3)))),
+                   st.sampled_from([None, 1.0, 2.5, 2.5000000000000004, 7.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools=st.lists(st.lists(POOLED, min_size=1, max_size=12), max_size=5),
+       data=st.data())
+def test_balance_orders_picks_as_the_pop_loop(pools, data):
+    """Item for item, the same variant objects as the reference: ties in
+    (perplexity, perm) across and within batches, missing perplexities,
+    non-transitive leftovers, and budgets from 0 to past the pool."""
+    batches = [batch_of(BALANCE_SOURCE, None,
+                        [ready_variant(BALANCE_SOURCE, order, perm, (1, 2, 3), ppl)
+                         for order, perm, ppl in pool]) for pool in pools]
+    size = sum(map(len, pools))
+    budget = data.draw(st.integers(0, size + 3))
+    got = balance_orders(batches, budget)
+    want = ref_balance_orders(batches, budget)
+    assert [id(v) for v in got] == [id(v) for v in want]
 
 
 # --- one pass over clauses with frozen tokens ------------------------------

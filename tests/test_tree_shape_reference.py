@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from helpers import chain_tree
 from scrambleparse import conllu, projectivity
 from scrambleparse.arceager import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT, Transition, apply,
-                                    initial_config, is_terminal, static_oracle)
+                                    Configuration, is_terminal, static_oracle)
 from scrambleparse.conllu import DepTree, Token, Treebank, tree_shape
 from scrambleparse.projectivity import (HEAD_SEP, PATH_MARK, LiftRecord, base_label,
                                         deprojectivize, is_projective,
@@ -214,7 +214,7 @@ def ref_static_oracle(tree):
     gold_head = {t.index: t.head for t in tree.tokens}
     gold_label = {t.index: t.deprel for t in tree.tokens}
     dependents = ref_children(tree)
-    c = initial_config(len(tree.tokens))
+    c = Configuration(len(tree.tokens))
     seq = []
     while not is_terminal(c):
         s = c.stack[-1]
