@@ -132,17 +132,15 @@ def static_oracle(tree: DepTree) -> list[Transition]:
     return seq
 
 
-def tree_from_config(c: Configuration, tokens: list[Token],
-                     upos: list[str] | None = None) -> DepTree:
-    """Build a tree from a terminal configuration's arc set.
+def tree_from_config(c: Configuration, tokens: list[Token], upos: list[str]) -> DepTree:
+    """Build a tree from a terminal configuration's arc set, with the tags
+    ``upos`` in place of the tokens' own.
 
     Tokens without a head are attached to ROOT with the fallback label so
-    the output is always a well-formed tree. ``upos``, when given,
-    replaces the tokens' tags.
+    the output is always a well-formed tree.
     """
-    tags = [tok.upos for tok in tokens] if upos is None else upos
     out = []
-    for tok, tag in zip(tokens, tags):
+    for tok, tag in zip(tokens, upos):
         head, label = c.heads.get(tok.index, (0, FALLBACK_LABEL))
         out.append(Token(index=tok.index, form=tok.form, lemma=tok.lemma, upos=tag,
                          xpos=tok.xpos, feats=tok.feats, head=head, deprel=label,

@@ -130,7 +130,7 @@ def cmd_train_lm(args, argv):
 def _filter(batches, model, keep):
     """Each batch's survivors, all the batches' rows scored in one pass."""
     ngram.score_batches(batches, model)
-    return [ngram.filter_by_perplexity(batch, model, k=keep) for batch in batches]
+    return [ngram.filter_by_perplexity(batch, k=keep) for batch in batches]
 
 
 def cmd_permute(args, argv):
@@ -175,7 +175,8 @@ def cmd_train(args, argv):
     dev = load_treebank(args.dev) if args.dev else None
     model = (train_parser if is_parser else train_tagger)(train, dev, cfg)
     model.save(args.output, extra_meta={"command": " ".join(argv)})
-    print(f"trained {model.kind} on {len(train)} sentences -> {args.output}")
+    used = sum(len(tree) > 0 for tree in train)  # a block of no token gives no example
+    print(f"trained {model.kind} on {used} sentences -> {args.output}")
     return 0
 
 

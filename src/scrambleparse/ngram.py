@@ -25,11 +25,12 @@ distinct pair is interpolated once, from the empty context up through
 the longer suffixes in the recursion's arithmetic order, and its log
 taken once with ``math.log``. Each sentence's log probabilities are
 summed left to right, so every perplexity is the float the recursion
-gives. ``permute`` scores the orders of many batches in one pass
-(``score_batches``), mapping each source tree's words to ids once and
-gathering each order's ids through its position row, and then ranks each
-batch (``filter_by_perplexity``), which builds variants for its
-survivors only.
+gives. ``score_batches`` is the one way to score ``permute``'s orders:
+it scores the orders of many batches in one pass, mapping each source
+tree's words to ids once and gathering each order's ids through its
+position row, and leaves each batch one perplexity per row.
+``filter_by_perplexity`` then only ranks: the survivors are a new batch
+of their rows and perplexities, so variants are built for them alone.
 """
 
 from __future__ import annotations
@@ -348,26 +349,20 @@ def score_batches(batches: list[PermutationBatch], model: NGramModel) -> None:
         at += len(b.perms)
 
 
-def filter_by_perplexity(batch, model: NGramModel, k: int | None = None):
-    """Keep the k lowest-perplexity variants of a permutation batch.
+def filter_by_perplexity(batch: PermutationBatch, k: int | None = None) -> PermutationBatch:
+    """The batch of the k lowest-perplexity orders of a batch that
+    ``score_batches`` has scored, lowest first, with their perplexities.
 
     k defaults to the number of permuted units of the batch's projection.
     Ties break on the lexicographic order of the permutation, so the
-    result is deterministic. A batch that ``score_batches`` has not
-    scored is scored alone, and only the survivors' variants are built.
-    Returns the batch of the survivors (``PermutationBatch.take``) with
-    their perplexities; scores are recorded on its variants.
+    result is deterministic.
     """
     if k is None:
         k = batch.projection.unit_count
-    if batch.perplexities is None:
-        score_batches([batch], model)
     rows = np.lexsort((*batch.perms.T[::-1], batch.perplexities))[:k].tolist()
-    survivors = batch.take(rows)
-    survivors.perplexities = [batch.perplexities[i] for i in rows]
-    for v, ppl in zip(survivors.variants, survivors.perplexities):
-        v.perplexity = ppl
-    return survivors
+    return PermutationBatch(batch.source, batch.projection, batch.perms[rows],
+                            batch.positions[rows], batch.roles,
+                            [batch.perplexities[i] for i in rows])
 
 
 def read_corpus(path) -> list[list[str]]:

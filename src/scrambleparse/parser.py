@@ -423,8 +423,6 @@ class _Model:
             "cfg": self.cfg.__dict__,
             "vocab_items": {f.name: getattr(self.vocabs, f.name).itos for f in fields(VocabSet)},
         }
-        if self.kind == "parser":  # a copy of cfg's flag; load reads the cfg
-            meta["pseudo_projective"] = self.cfg.pseudo_projective
         meta.update(extra_meta or {})
         nn.save_checkpoint(path, self.params(), meta)
 

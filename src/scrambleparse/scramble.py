@@ -9,12 +9,14 @@ A projection's orders are two arrays of a ``PermutationBatch``: each
 order's permutation of the units and the source token at each of its new
 positions. They depend only on the layout (sentence length, unit spans,
 ``limit`` and ``seed``), so each layout's table is built once and kept,
-read-only, in a bounded memo. The LM filter scores the orders through
-the position rows, and the batch builds an order's ``PermutationVariant``
-(its S/O/V label from its position row) when it is read, which happens
-for the filter's survivors only; the variant builds its tree later
-still, for the orders the balancer keeps. So ``permute`` runs no Python
-code once per order. Every tree read here uses the shape it keeps
+read-only, in a bounded memo. The LM step (``ngram``) scores every
+batch's orders in one pass through their position rows, one perplexity
+per row, and ranks each batch into a new batch of its survivors. A batch
+builds its orders' ``PermutationVariant``s (each S/O/V label from its
+position row, each perplexity from its row) when they are first read,
+which ``permute`` does for the survivors only; a variant builds its tree
+later still, for the orders the balancer keeps. So ``permute`` runs no
+Python code once per order. Every tree read here uses the shape it keeps
 (``DepTree.shape``).
 """
 
@@ -119,43 +121,27 @@ class PermutationBatch:
 
     Row i of ``perms`` is order i's permutation of the unit slots and row
     i of ``positions`` the source token at each of its new positions: all
-    that the LM filter scores. ``perplexities`` holds their scores once
-    the filter has them. ``variant(i)`` builds order i's
-    ``PermutationVariant``, labelled through ``roles`` (the source's
-    ``_clause_roles``), the first time it is asked for, and ``variants``
-    builds every order's, so orders that are only scored build none.
+    that the LM filter scores. ``perplexities`` holds row i's score at i
+    once ``score_batches`` has scored the batch. ``variants`` builds each
+    order's ``PermutationVariant``, labelled through ``roles`` (the
+    source's ``_clause_roles``) and carrying its row's perplexity, the
+    first time it is read (before scoring, with none), so orders that are
+    only scored build none.
     """
     source: DepTree
     projection: VerbalProjection
     perms: np.ndarray = field(repr=False)      # (orders, units)
     positions: np.ndarray = field(repr=False)  # (orders, tokens), 1-based
-    roles: list = field(default_factory=list, repr=False)
+    roles: list = field(repr=False)
     perplexities: list[float] | None = field(default=None, repr=False)
-    _built: list = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._built = [None] * len(self.perms)
-
-    def variant(self, i: int) -> PermutationVariant:
-        v = self._built[i]
-        if v is None:
-            positions = tuple(self.positions[i].tolist())
-            v = self._built[i] = PermutationVariant(
-                _order_label(self.roles, positions.index), tuple(self.perms[i].tolist()),
-                positions, self.source)
-        return v
-
-    @property
+    @cached_property
     def variants(self) -> list[PermutationVariant]:
-        return [self.variant(i) for i in range(len(self.perms))]
-
-    def take(self, rows: list[int]) -> PermutationBatch:
-        """The batch of orders ``rows``, in that order, with the variants
-        already built."""
-        out = PermutationBatch(self.source, self.projection, self.perms[rows],
-                               self.positions[rows], self.roles)
-        out._built = [self._built[i] for i in rows]
-        return out
+        ppls = self.perplexities or [None] * len(self.perms)
+        return [PermutationVariant(_order_label(self.roles, positions.index), tuple(perm),
+                                   positions, self.source, ppl)
+                for perm, positions, ppl in zip(self.perms.tolist(),
+                                                map(tuple, self.positions.tolist()), ppls)]
 
 
 def _verbal_heads(tree: DepTree, mapping: DeprelMapping,
@@ -305,9 +291,9 @@ def permute_projection(tree: DepTree, projection: VerbalProjection, limit: int, 
     fewer than ``limit``), so no unit is torn apart and the variant stays
     projective; the identity order always fits. Every variant
     carries a comment recording its order class and permutation. The
-    orders are the layout's memoised arrays (see ``_orders``); a variant
-    is built when read (see ``PermutationBatch``) and the variant's tree
-    later still (see ``PermutationVariant``).
+    orders are the layout's memoised arrays (see ``_orders``); the
+    variants are built when read (see ``PermutationBatch``) and a
+    variant's tree later still (see ``PermutationVariant``).
     """
     perms, positions = _orders(len(tree), tuple(sorted(projection.span_map.values())),
                                limit, seed)

@@ -10,7 +10,8 @@ import numpy as np
 from scrambleparse import nn
 from scrambleparse.arceager import _MNEMONICS, Configuration, Transition, apply
 from scrambleparse.conllu import DepTree, Token, Treebank
-from scrambleparse.ngram import BOS, UNK, NGramModel, _perplexities
+from scrambleparse.ngram import (BOS, UNK, NGramModel, _perplexities, filter_by_perplexity,
+                                 score_batches)
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import (TRANSITIVE_ORDERS, OrderLabel, PermutationBatch,
                                     PermutationVariant)
@@ -189,12 +190,23 @@ def ready_variant(tree: DepTree, order: OrderLabel, perm: tuple, positions: tupl
     return v
 
 
-def batch_of(source: DepTree, projection, variants: list) -> PermutationBatch:
-    """A batch of ready variants, one order each, already built."""
+def batch_of(source: DepTree, projection, variants: list, roles=()) -> PermutationBatch:
+    """A batch of ready variants, one order each, already built: they sit
+    where ``cached_property`` keeps the batch's variants, and the batch's
+    perplexities are theirs. ``roles`` labels the orders of batches made
+    from it, such as the filter's survivors."""
     batch = PermutationBatch(source, projection, np.array([v.perm for v in variants]),
-                             np.array([v.positions for v in variants]))
-    batch._built = list(variants)
+                             np.array([v.positions for v in variants]), list(roles),
+                             [v.perplexity for v in variants])
+    batch.__dict__["variants"] = list(variants)
     return batch
+
+
+def lm_filter(batch: PermutationBatch, model: NGramModel, k: int | None = None):
+    """The survivors of one batch scored alone: ``score_batches``, then
+    ``filter_by_perplexity``."""
+    score_batches([batch], model)
+    return filter_by_perplexity(batch, k=k)
 
 
 def order_words(batch: PermutationBatch) -> list[tuple[str, ...]]:

@@ -158,22 +158,21 @@ def test_terminal_config_defaults_to_root_attachment():
     c = Configuration(3)
     for _ in range(3):
         c = apply(c, Transition(SHIFT))
-    tree = tree_from_config(c, [Token(i, f"w{i}") for i in range(1, 4)])
+    tree = tree_from_config(c, [Token(i, f"w{i}") for i in range(1, 4)], upos=["X"] * 3)
     assert validate_tree(tree) == []
     assert all(t.head == 0 and t.deprel == "dep" for t in tree.tokens)
 
 
 def test_tree_from_config_keeps_surface_columns():
-    """Only head, deprel and (when given) upos change; every other column
-    of each token is carried over."""
+    """Only head, deprel and upos change; every other column of each
+    token is carried over."""
     tokens = [Token(i, f"w{i}", lemma=f"l{i}", upos=f"U{i}", xpos=f"X{i}", feats=f"F{i}",
                     head=9, deprel="old", misc=f"M{i}") for i in range(1, 3)]
     c = apply(apply(Configuration(2), Transition(RIGHT_ARC, "root")),
               Transition(RIGHT_ARC, "obj"))
-    for upos in (None, ["A", "B"]):
-        out = tree_from_config(c, tokens, upos=upos).tokens
-        assert out == [Token(1, "w1", "l1", upos[0] if upos else "U1", "X1", "F1", 0, "root", "M1"),
-                       Token(2, "w2", "l2", upos[1] if upos else "U2", "X2", "F2", 1, "obj", "M2")]
+    out = tree_from_config(c, tokens, upos=["A", "B"]).tokens
+    assert out == [Token(1, "w1", "l1", "A", "X1", "F1", 0, "root", "M1"),
+                   Token(2, "w2", "l2", "B", "X2", "F2", 1, "obj", "M2")]
 
 
 def test_mnemonic_round_trip():

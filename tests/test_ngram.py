@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lm_counts, lm_from_counts, lm_perplexity, lm_prob, transitive_tree
+from helpers import lm_counts, lm_filter, lm_from_counts, lm_perplexity, lm_prob, transitive_tree
 from scrambleparse.ngram import (ARRAYS, BOS, EOS, MAGIC, UNK, NGramModel, filter_by_perplexity,
-                                 train_lm)
+                                 score_batches, train_lm)
 from scrambleparse.scramble import UD_MAPPING, extract_projections, permute_projection
 from scrambleparse.serialize import save_arrays
 
@@ -133,7 +133,7 @@ def _lm_for_batch():
 def test_filter_keeps_k_lowest():
     batch = _figure_batch()
     model = _lm_for_batch()
-    filtered = filter_by_perplexity(batch, model)
+    filtered = lm_filter(batch, model)
     assert len(filtered.variants) == batch.projection.unit_count == 4
     ppls = [v.perplexity for v in filtered.variants]
     assert ppls == sorted(ppls)
@@ -145,7 +145,7 @@ def test_filter_keeps_k_lowest():
 def test_filter_with_large_k_keeps_all_sorted():
     batch = _figure_batch()
     model = _lm_for_batch()
-    filtered = filter_by_perplexity(batch, model, k=1000)
+    filtered = lm_filter(batch, model, k=1000)
     assert len(filtered.variants) == len(batch.variants)
     ppls = [v.perplexity for v in filtered.variants]
     assert ppls == sorted(ppls)
@@ -156,10 +156,29 @@ def test_filter_deterministic_under_ties():
     # Uniform model scores every permutation identically: tie-break on perm.
     words = sorted({t.form for t in batch.source.tokens}) + [EOS, UNK]
     model = lm_from_counts(1, {(): {w: 2 for w in words}}, [*words, BOS])
-    f1 = filter_by_perplexity(batch, model, k=5)
-    f2 = filter_by_perplexity(batch, model, k=5)
+    f1 = lm_filter(batch, model, k=5)
+    f2 = lm_filter(batch, model, k=5)
     assert [v.perm for v in f1.variants] == [v.perm for v in f2.variants]
     assert [v.perm for v in f1.variants] == sorted(v.perm for v in f1.variants)
+
+
+def test_filtered_variants_carry_their_rows_perplexities():
+    """The survivors are a batch of their rows: each variant is its row's
+    order with its row's perplexity, built once, and the filter builds no
+    variant of the batch it ranks."""
+    batch = _figure_batch()
+    score_batches([batch], _lm_for_batch())
+    filtered = filter_by_perplexity(batch, k=3)
+    assert "variants" not in vars(batch)
+    first = filtered.variants
+    assert filtered.variants is first
+    assert len(first) == len(filtered.perms) == len(filtered.perplexities) == 3
+    assert [v.perplexity for v in first] == filtered.perplexities
+    by_perm = dict(zip(map(tuple, batch.perms.tolist()), batch.perplexities))
+    assert [by_perm[v.perm] for v in first] == filtered.perplexities
+    assert [v.perm for v in first] == list(map(tuple, filtered.perms.tolist()))
+    assert [v.positions for v in first] == list(map(tuple, filtered.positions.tolist()))
+    assert all(v.source is batch.source for v in first)
 
 
 @pytest.mark.parametrize("order", [1, 3, 5])

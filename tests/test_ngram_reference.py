@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lm_counts, lm_logprobs, lm_perplexity, lm_prob, order_words
+from helpers import lm_counts, lm_filter, lm_logprobs, lm_perplexity, lm_prob, order_words
 from scrambleparse.conllu import DepTree, Token
 from scrambleparse.ngram import (ARRAYS, BOS, EOS, UNK, NGramModel, filter_by_perplexity,
                                  score_batches, train_lm)
@@ -130,7 +130,7 @@ def _batch(sentences):
     n, width = len(sentences), len(sentences[0])
     source = DepTree([Token(i, w) for i, w in enumerate(itertools.chain(*sentences), start=1)])
     return PermutationBatch(source, None, np.arange(n, 0, -1)[:, None],
-                            np.arange(1, n * width + 1).reshape(n, width))
+                            np.arange(1, n * width + 1).reshape(n, width), [])
 
 
 def assert_ranked_as_the_reference(model, ref, batches, keep):
@@ -141,8 +141,8 @@ def assert_ranked_as_the_reference(model, ref, batches, keep):
     for sentences, batch in zip(batches, together):
         expected = sorted((ref.perplexity(words), tuple(perm))
                           for perm, words in zip(batch.perms.tolist(), order_words(batch)))[:keep]
-        for scored in (batch, _batch(sentences)):
-            survivors = filter_by_perplexity(scored, model, k=keep)
+        for survivors in (filter_by_perplexity(batch, k=keep),
+                          lm_filter(_batch(sentences), model, keep)):
             assert [(v.perplexity, v.perm) for v in survivors.variants] == expected
             assert survivors.perplexities == [ppl for ppl, _ in expected]
 

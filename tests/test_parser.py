@@ -113,7 +113,7 @@ def reference_parse(model, words, tags):
         logits, _ = model.mlp.forward(reference_features(c, ctx)[None, :])
         c = arceager.apply(c, model.transitions[int(np.argmax(logits[0] + model.legal_mask(c)))])
     tokens = [Token(index=i + 1, form=w, upos=t) for i, (w, t) in enumerate(zip(words, tags))]
-    return arceager.tree_from_config(c, tokens)
+    return arceager.tree_from_config(c, tokens, upos=list(tags))
 
 
 class TestFeaturize:
@@ -468,6 +468,28 @@ class TestTrainingAndParse:
             assert a.tokens == b.tokens
         for p, q in zip(model.params(), back.params()):
             assert p.value.tobytes() == q.value.tobytes()
+
+    @pytest.mark.parametrize("old_value", [True, False])
+    def test_checkpoint_with_a_top_level_pseudo_projective_key_loads(self, tmp_path, old_value):
+        """Checkpoints once carried a copy of ``cfg.pseudo_projective`` in
+        their meta; such a file still loads, whatever the copy says, and
+        parses as the ``cfg`` it holds directs."""
+        rng = np.random.default_rng(4)
+        raw = Treebank([random_nonprojective_tree(rng, n_lifts=k) for k in (1, 2, 1)])
+        model = train_parser(raw, None, dataclasses.replace(TINY, pseudo_projective=True))
+        path = tmp_path / "parser.spnn"
+        model.save(path)
+        meta = nn.load_checkpoint(path)["meta"]
+        assert "pseudo_projective" not in meta
+        meta["pseudo_projective"] = old_value
+        nn.save_checkpoint(tmp_path / "old.spnn", model.params(), meta)
+        back = ParserModel.load(tmp_path / "old.spnn")
+        assert back.cfg == model.cfg
+        for p, q in zip(model.params(), back.params(), strict=True):
+            assert p.value.tobytes() == q.value.tobytes()
+        want, got = parse_batch(model, raw.trees), parse_batch(back, raw.trees)
+        assert [t.tokens for t in got[0]] == [t.tokens for t in want[0]]
+        assert got[1] == want[1]
 
     def test_tagger_checkpoint_kind_guard(self, tmp_path):
         tb = toy_treebank()

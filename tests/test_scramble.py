@@ -330,8 +330,8 @@ def test_trees_built_only_for_kept_variants():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
     batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
-    for i, v in enumerate(batch.variants):
-        v.perplexity = float(i)
+    batch.perplexities = [float(i) for i in range(len(batch.perms))]
+    assert [v.perplexity for v in batch.variants] == batch.perplexities
     assert not any("tree" in vars(v) for v in batch.variants)
     out = balance_orders([batch], budget=3)
     assert not any("tree" in vars(v) for v in batch.variants)

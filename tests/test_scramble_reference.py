@@ -4,13 +4,14 @@
 position row, memoised per clause layout, and leaves the rest unbuilt: a
 variant gets its label (from the new positions of its subject, object
 and verb) when it is read, and its tree later still.
-``filter_by_perplexity`` scores the orders through their position rows
-in one numpy pass and builds only its survivors, and ``balance_orders``
-picks by one sort. The functions below are the versions they replaced:
-a full tree per variant, ``classify_order`` on that tree, a perplexity
-per variant that sums one probability (``helpers.lm_prob``) per n-gram,
-and a balancer that pops the cheapest variant of the least-taken class
-until the budget is spent. The arithmetic is meant to be the same, so
+``score_batches`` scores the orders through their position rows in one
+numpy pass, one perplexity per row; ``filter_by_perplexity`` ranks a
+scored batch into a new batch of its survivors, the only variants built;
+and ``balance_orders`` picks by one sort. The functions below are the
+versions they replaced: a full tree per variant, ``classify_order`` on
+that tree, a perplexity per variant that sums one probability
+(``helpers.lm_prob``) per n-gram, and a balancer that pops the cheapest
+variant of the least-taken class until the budget is spent. The arithmetic is meant to be the same, so
 perplexities are compared with ``==``, not a tolerance.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import batch_of, lm_prob, ready_variant, transitive_tree
+from helpers import batch_of, lm_filter, lm_prob, ready_variant, transitive_tree
 from scrambleparse.conllu import DepTree, Token
 from scrambleparse.ngram import BOS, EOS, filter_by_perplexity, score_batches, train_lm
 from scrambleparse.projectivity import base_label, is_projective
@@ -246,16 +247,17 @@ def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
         score_batches([batch], model)
         assert batch.perplexities == [ref_perplexity(model, e[0].forms()) for e in expected]
 
-        filtered = filter_by_perplexity(batch, model, k=keep)
+        filtered = filter_by_perplexity(batch, k=keep)
         survivors = filtered.variants
         k = keep if keep is not None else projection.unit_count
         ref_survivors = ref_filter(expected, model, k)
         assert [v.perm for v in survivors] == [v[2] for _, v in ref_survivors]
         assert [v.perplexity for v in survivors] == [ppl for ppl, _ in ref_survivors]
 
-        # A fresh batch builds its survivors' variants in the filter alone.
+        # A fresh batch, scored alone, builds its survivors' variants only.
         fresh = permute_projection(tree, projection, limit=cap, mapping=UD_MAPPING, seed=seed)
-        built = filter_by_perplexity(fresh, model, k=keep).variants
+        built = lm_filter(fresh, model, keep).variants
+        assert "variants" not in vars(fresh)
         ref_built = [v for _, v in ref_survivors]
         assert [v.perm for v in built] == [v[2] for v in ref_built]
         assert [v.perplexity for v in built] == [ppl for ppl, _ in ref_survivors]
@@ -270,11 +272,12 @@ def test_matches_eager_reference(tree, limit, keep, lm_order, seed):
             assert v.tree.sentence_id == ref_tree.sentence_id
 
         # The filter on a batch of the eager variants keeps the same ones.
-        eager = batch_of(tree, projection, [ready_variant(*e) for e in expected])
-        kept = filter_by_perplexity(eager, model, k=keep).variants
-        assert [(v.perm, v.perplexity) for v in kept] == [
-            (v[2], ppl) for ppl, v in ref_survivors]
-        assert all(v.tree is e[0] for v, (_, e) in zip(kept, ref_survivors))
+        eager = batch_of(tree, projection, [ready_variant(*e) for e in expected], batch.roles)
+        kept = lm_filter(eager, model, keep).variants
+        assert [(v.perm, v.order, v.perplexity) for v in kept] == [
+            (v[2], v[1], ppl) for ppl, v in ref_survivors]
+        assert [(v.tree.tokens, v.tree.comments, v.tree.sentence_id) for v in kept] == [
+            (e[0].tokens, e[0].comments, e[0].sentence_id) for _, e in ref_survivors]
 
         got = balance_orders([filtered], budget=4)
         want = balance_orders([batch_of(tree, projection, kept)], budget=4)
@@ -367,7 +370,7 @@ def test_one_pass_over_frozen_clauses_matches_eager_reference(clause, data, keep
     for tree, batch in zip(trees, batches):
         expected = ref_permute(tree, batch.projection, limit, UD_MAPPING, seed)
         ref_survivors = ref_filter(expected, model, keep if keep is not None else m)
-        survivors = filter_by_perplexity(batch, model, k=keep).variants
+        survivors = filter_by_perplexity(batch, k=keep).variants
         assert [(v.perm, v.positions, v.order, v.perplexity) for v in survivors] == [
             (v[2], v[3], v[1], ppl) for ppl, v in ref_survivors]
         assert [v.perplexity for v in survivors] == [

@@ -142,7 +142,6 @@ def ref_save_parser(self, path, extra_meta=None):
                         "tags": self.vocabs.tags.itos,
                         "chars": self.vocabs.chars.itos,
                         "labels": self.vocabs.labels.itos},
-        "pseudo_projective": self.cfg.pseudo_projective,
     }
     meta.update(extra_meta or {})
     nn.save_checkpoint(path, self.params(), meta)
