@@ -421,7 +421,7 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
+    logging.basicConfig(level=logging.INFO, format="[scrambleparse] %(message)s")
     sys.exit(run())
 
 

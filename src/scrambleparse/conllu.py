@@ -12,28 +12,44 @@ tree's shape the first time it is called and keeps it, and
 ``projectivity.is_projective`` keeps its verdict next to it; a tree's
 tokens are never changed in place, so both stay true. A tree made by
 ``with_tokens`` or ``dataclasses.replace`` starts without either.
+
+``read_lines`` is how every text input (CoNLL-U, LM corpus, training
+config, word vectors) is read, so each reader's errors start with the
+file's path and line.
 """
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, field, replace
 
 N_COLUMNS = 10
 
+log = logging.getLogger(__name__)
+
 
 class ConlluParseError(ValueError):
-    """Malformed CoNLL-U input; message carries the offending line number."""
-
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+    """Malformed CoNLL-U input; the message starts with the offending line."""
 
 
 class TreeValidationError(ValueError):
     """A sentence that parses but does not form a valid dependency tree."""
+
+
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file as ``open`` splits them. A line
+    holding a byte that is not UTF-8 raises ``ValueError`` starting
+    "PATH:LINE:"."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:  # an undecodable byte was read as a lone surrogate
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ValueError(f"{path}:{line_no}: byte 0x{byte:02x} is not UTF-8") \
+                        from None
+            yield line
 
 
 @dataclass(frozen=True)
@@ -199,23 +215,22 @@ def validate_tree(tree: DepTree, single_root: bool = False) -> list[str]:
     return violations
 
 
-def _parse_token_line(line: str, line_no: int) -> Token | None:
+def _parse_token_line(line: str) -> Token | None:
+    """The token of a token line; None for a multiword-token or empty-node line."""
     cols = line.split("\t")
     if len(cols) != N_COLUMNS:
-        raise ConlluParseError(f"expected {N_COLUMNS} tab-separated columns, got {len(cols)}",
-                               line_no)
+        raise ConlluParseError(f"expected {N_COLUMNS} tab-separated columns, got {len(cols)}")
     raw_id = cols[0]
     if "-" in raw_id or "." in raw_id:
-        warnings.warn(f"line {line_no}: skipping multiword/empty node line '{raw_id}'")
         return None
     try:
         index = int(raw_id)
     except ValueError:
-        raise ConlluParseError(f"non-integer token id '{raw_id}'", line_no) from None
+        raise ConlluParseError(f"non-integer token id '{raw_id}'") from None
     try:
         head = int(cols[6])
     except ValueError:
-        raise ConlluParseError(f"non-integer head '{cols[6]}'", line_no) from None
+        raise ConlluParseError(f"non-integer head '{cols[6]}'") from None
     return Token(index=index, form=cols[1], lemma=cols[2], upos=cols[3], xpos=cols[4],
                  feats=cols[5], head=head, deprel=cols[7], misc=cols[9])
 
@@ -234,25 +249,45 @@ def _finish_sentence(tokens: list[Token], comments: list[str]) -> DepTree:
 
 
 def parse_conllu(text: str, source_name: str = "") -> Treebank:
-    """Parse CoNLL-U text into a Treebank, validating every sentence."""
+    """Parse CoNLL-U text into a Treebank, validating every sentence.
+
+    An error starts with ``source_name`` and the line ("line N" without
+    a source name): the token line's own, or a sentence's first line for
+    a tree error. Multiword-token and empty-node lines are skipped, and
+    their count is logged once.
+    """
     trees: list[DepTree] = []
     tokens: list[Token] = []
     comments: list[str] = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
-        if not line.strip():
-            if tokens or comments:
-                trees.append(_finish_sentence(tokens, comments))
-                tokens, comments = [], []
-            continue
-        if line.startswith("#"):
-            comments.append(line)
-            continue
-        tok = _parse_token_line(line, line_no)
-        if tok is not None:
-            tokens.append(tok)
-    if tokens or comments:
-        trees.append(_finish_sentence(tokens, comments))
+    start = 0  # the line that opened the sentence being read
+    skipped = 0
+    try:
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            line = line.rstrip("\r")
+            if not line.strip():
+                if tokens or comments:
+                    trees.append(_finish_sentence(tokens, comments))
+                    tokens, comments = [], []
+                continue
+            if not (tokens or comments):
+                start = line_no
+            if line.startswith("#"):
+                comments.append(line)
+                continue
+            tok = _parse_token_line(line)
+            if tok is None:
+                skipped += 1
+            else:
+                tokens.append(tok)
+        if tokens or comments:
+            trees.append(_finish_sentence(tokens, comments))
+    except (ConlluParseError, TreeValidationError) as exc:
+        at = line_no if isinstance(exc, ConlluParseError) else start
+        where = f"{source_name}:{at}" if source_name else f"line {at}"
+        raise type(exc)(f"{where}: {exc}") from None
+    if skipped:
+        log.info("%s: skipped %d multiword-token or empty-node line%s",
+                 source_name or "input", skipped, "" if skipped == 1 else "s")
     return Treebank(trees=trees, source_name=source_name)
 
 
@@ -269,8 +304,7 @@ def write_conllu(tb: Treebank) -> str:
 
 
 def load_treebank(path) -> Treebank:
-    with open(path, encoding="utf-8") as f:
-        return parse_conllu(f.read(), source_name=str(path))
+    return parse_conllu("".join(read_lines(path)), source_name=str(path))
 
 
 def dump_treebank(tb: Treebank, path) -> None:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conllu import read_lines
 from .scramble import PermutationBatch
 from .serialize import load_arrays, save_arrays
 
@@ -367,10 +368,4 @@ def filter_by_perplexity(batch: PermutationBatch, k: int | None = None) -> Permu
 
 def read_corpus(path) -> list[list[str]]:
     """One whitespace-tokenized sentence per line; blank lines ignored."""
-    sentences = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            toks = line.split()
-            if toks:
-                sentences.append(toks)
-    return sentences
+    return [toks for toks in map(str.split, read_lines(path)) if toks]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import arceager, metrics, nn
 from .arceager import LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT, Transition
-from .conllu import DepTree, Token, Treebank
+from .conllu import DepTree, Token, Treebank, read_lines
 from .projectivity import deprojectivize, projectivize
 
 log = logging.getLogger(__name__)
@@ -132,23 +132,22 @@ class TrainConfig:
         """Plain key=value file; '#' starts a comment. The seed is not read
         from a file: ``--seed`` or ``SCRAMBLE_SEED`` sets it for the run."""
         values = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, value = line.partition("=")
-                key = key.strip()
-                if not sep or key not in cls.__dataclass_fields__:
-                    raise ValueError(f"{path}:{line_no}: bad config line '{line}'")
-                if key == "seed":
-                    raise ValueError(f"{path}:{line_no}: seed is not a config file field; "
-                                     "set it with --seed or SCRAMBLE_SEED")
-                try:
-                    values[key] = _cast_config_value(key, value.strip())
-                    _check_config_value(key, values[key])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+        for line_no, line in enumerate(read_lines(path), start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep or key not in cls.__dataclass_fields__:
+                raise ValueError(f"{path}:{line_no}: bad config line '{line}'")
+            if key == "seed":
+                raise ValueError(f"{path}:{line_no}: seed is not a config file field; "
+                                 "set it with --seed or SCRAMBLE_SEED")
+            try:
+                values[key] = _cast_config_value(key, value.strip())
+                _check_config_value(key, values[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
         return cls(**values)
 
 
@@ -242,21 +241,20 @@ class SentenceEncoder:
         holding a value that is not a finite number raises ``ValueError``."""
         loaded = skipped = 0
         dim = self.cfg.word_dim
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                parts = line.split()
-                if len(parts) != dim + 1:
-                    skipped += 1
-                elif parts[0] in self.vocabs.words:
-                    try:
-                        row = [float(x) for x in parts[1:]]
-                    except ValueError:
-                        row = [math.nan]
-                    if not all(map(math.isfinite, row)):
-                        raise ValueError(f"{path}:{line_no}: the vector of '{parts[0]}' holds "
-                                         "a value that is not a finite number")
-                    self.word_emb.value[self.vocabs.words.id(parts[0])] = row
-                    loaded += 1
+        for line_no, line in enumerate(read_lines(path), start=1):
+            parts = line.split()
+            if len(parts) != dim + 1:
+                skipped += 1
+            elif parts[0] in self.vocabs.words:
+                try:
+                    row = [float(x) for x in parts[1:]]
+                except ValueError:
+                    row = [math.nan]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"{path}:{line_no}: the vector of '{parts[0]}' holds "
+                                     "a value that is not a finite number")
+                self.word_emb.value[self.vocabs.words.id(parts[0])] = row
+                loaded += 1
         log.info("loaded %d pre-trained word vectors, skipped %d lines of another width",
                  loaded, skipped)
 
@@ -367,15 +365,15 @@ FEATURE_SELECTORS = ("s0", "s1", "s2", "b0",
                      "lc(b0)")
 
 
-def feature_indices(c: arceager.Configuration) -> list[int | None]:
-    """Token index picked by each selector, None where the node is absent."""
+def feature_indices(c: arceager.Configuration) -> list[int]:
+    """Token index picked by each selector, -1 where the node is absent."""
     stack, lc, rc = c.stack, c.lc, c.rc
     s0 = stack[-1]  # ROOT is never popped
-    s1 = stack[-2] if len(stack) >= 2 else None
-    s2 = stack[-3] if len(stack) >= 3 else None
-    b0 = c.buffer_start if c.buffer_start <= c.n else None
-    return [s0, s1, s2, b0,
-            lc.get(s0), rc.get(s0), lc.get(s1), rc.get(s1), lc.get(s2), rc.get(s2), lc.get(b0)]
+    s1 = stack[-2] if len(stack) >= 2 else -1
+    s2 = stack[-3] if len(stack) >= 3 else -1
+    b0 = c.buffer_start if c.buffer_start <= c.n else -1
+    return [s0, s1, s2, b0, lc.get(s0, -1), rc.get(s0, -1), lc.get(s1, -1), rc.get(s1, -1),
+            lc.get(s2, -1), rc.get(s2, -1), lc.get(b0, -1)]
 
 
 def _gather_features(ctx, idx_rows):
@@ -399,7 +397,7 @@ def oracle_rollout(tree: DepTree):
     c = arceager.Configuration(len(tree.tokens))
     idx_rows = []
     for t in seq:
-        idx_rows.append([-1 if i is None else i for i in feature_indices(c)])
+        idx_rows.append(feature_indices(c))
         c = arceager.apply(c, t)
     return np.array(idx_rows, dtype=np.intp), seq
 
@@ -640,12 +638,12 @@ def _decode(model: ParserModel, rows: np.ndarray, lengths) -> list[arceager.Conf
     """
     lin1, lin2 = model.mlp.lin1, model.mlp.lin2
     table, offsets, absent = _slot_table(lin1.W.value, rows)
-    starts = (np.cumsum(lengths) - lengths).tolist()  # row of each sentence's ROOT
+    starts = np.cumsum(lengths) - lengths  # row of each sentence's ROOT
     configs = [arceager.Configuration(int(n) - 1) for n in lengths]
     active = list(range(len(configs)))
     while active:
-        feats = np.array([[absent if i is None else starts[b] + i
-                           for i in feature_indices(configs[b])] for b in active])
+        idx = np.array([feature_indices(configs[b]) for b in active])
+        feats = np.where(idx < 0, absent, idx + starts[active, None])
         hidden = table[feats + offsets].sum(axis=1)
         hidden += lin1.b.value
         np.maximum(hidden, 0.0, out=hidden)

@@ -14,11 +14,13 @@ projective tree is checked in linear time.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from collections import deque
 from dataclasses import dataclass, replace
 
 from .conllu import DepTree, TreeShape, Treebank, tree_shape
+
+log = logging.getLogger(__name__)
 
 HEAD_SEP = "∥"   # ∥ joins original label and original-head label
 PATH_MARK = "†"  # † suffix on arcs along the lifting chain
@@ -134,7 +136,8 @@ def deprojectivize(tree: DepTree) -> DepTree:
     For an arc labelled ``base∥target`` the dependent is reattached to the
     first descendant of its current head whose (decoded) label equals
     ``target``; path-marked arcs are explored first, ties leftmost-first.
-    If no target is found the encoding is stripped and the attachment kept.
+    If no target is found the encoding is stripped, the attachment kept and
+    a warning logged.
     """
     heads = _head_column(tree)
     labels = {t.index: t.deprel for t in tree.tokens}
@@ -166,8 +169,8 @@ def deprojectivize(tree: DepTree) -> DepTree:
                 break
             queue.extend(child_order(node))
         if found is None:
-            warnings.warn(f"no attachment target labelled '{target}' found for token {d}; "
-                          "keeping lifted attachment")
+            log.warning("no attachment target labelled '%s' found for token %d of sentence %s;"
+                        " keeping the lifted attachment", target, d, tree.label())
         else:
             heads[d] = found
         labels[d] = base

@@ -5,8 +5,10 @@ order of the verb and its argument/adjunct subtrees while keeping all
 dominance relations intact, labels each variant with its S/O/V order,
 and balances the class distribution of the resulting pool.
 
-A projection's orders are two arrays of a ``PermutationBatch``: each
-order's permutation of the units and the source token at each of its new
+A ``VerbalProjection`` is its verb and the sorted inclusive spans of its
+units: the verb and each non-frozen dependent's subtree. A projection's
+orders are two arrays of a ``PermutationBatch``: each order's
+permutation of the units and the source token at each of its new
 positions. They depend only on the layout (sentence length, unit spans,
 ``limit`` and ``seed``), so each layout's table is built once and kept,
 read-only, in a bounded memo. The LM step (``ngram``) scores every
@@ -73,12 +75,11 @@ MAPPING_PRESETS = {"ud": UD_MAPPING, "pg": PG_MAPPING}
 @dataclass(frozen=True)
 class VerbalProjection:
     verb_index: int
-    constituent_roots: tuple[int, ...]
-    span_map: dict  # unit root (verb included) -> inclusive (lo, hi) span
+    spans: tuple[tuple[int, int], ...]  # each unit's inclusive span, verb included, sorted
 
     @property
     def unit_count(self) -> int:
-        return 1 + len(self.constituent_roots)
+        return len(self.spans)
 
 
 @dataclass(eq=False)
@@ -157,23 +158,16 @@ def _verbal_heads(tree: DepTree, mapping: DeprelMapping,
 
 
 def extract_projections(tree: DepTree, mapping: DeprelMapping) -> list[VerbalProjection]:
-    """One projection per verbal head; constituents are the head's direct
-    dependents' full subtrees, minus frozen labels."""
+    """One projection per verbal head; its units are the head itself and
+    its direct dependents' full subtrees, minus frozen labels."""
     if not is_projective(tree):
         raise ValueError(f"sentence {tree.label()} is non-projective; projectivize first")
     shape = tree.shape()
-    children = shape.children
-    projections = []
-    for v in _verbal_heads(tree, mapping, children):
-        roots = [c for c in children[v]
-                 if base_label(tree.deprel_of(c)) not in mapping.frozen_labels]
-        span_map = {v: (v, v)}
-        for r in roots:
-            span_map[r] = (shape.lo[r], shape.hi[r])
-        projections.append(VerbalProjection(verb_index=v,
-                                            constituent_roots=tuple(roots),
-                                            span_map=span_map))
-    return projections
+    children, lo, hi = shape.children, shape.lo, shape.hi
+    return [VerbalProjection(v, tuple(sorted([(v, v)] + [
+                (lo[c], hi[c]) for c in children[v]
+                if base_label(tree.deprel_of(c)) not in mapping.frozen_labels])))
+            for v in _verbal_heads(tree, mapping, children)]
 
 
 def _clause_roles(tree: DepTree,
@@ -295,8 +289,7 @@ def permute_projection(tree: DepTree, projection: VerbalProjection, limit: int, 
     variants are built when read (see ``PermutationBatch``) and a
     variant's tree later still (see ``PermutationVariant``).
     """
-    perms, positions = _orders(len(tree), tuple(sorted(projection.span_map.values())),
-                               limit, seed)
+    perms, positions = _orders(len(tree), projection.spans, limit, seed)
     return PermutationBatch(tree, projection, perms, positions, _clause_roles(tree, mapping))
 
 

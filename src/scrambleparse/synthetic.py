@@ -4,6 +4,11 @@ Generates flat transitive clauses in any of the six S/O/V orders with
 gold heads, labels, and tags. Subjects carry an ergative-style marker
 and indirect objects a dative-style marker, so grammatical roles stay
 recoverable under scrambling, mirroring morphologically-rich languages.
+
+A ``SyntheticGrammar`` holds what varies between grammars: each role's
+vocabulary and the weight of each order. The markers and the rates at
+which a clause gets an indirect object and an adverb are module
+constants.
 """
 
 from __future__ import annotations
@@ -19,6 +24,11 @@ from .scramble import OrderLabel, TRANSITIVE_ORDERS
 
 _CONSONANTS = "bdgkmnprstvz"
 _VOWELS = "aeiou"
+
+SUBJECT_MARKER = "ne"  # follows every subject
+IOBJ_MARKER = "ko"     # follows every indirect object
+P_IOBJ = 0.3           # chance that a clause has an indirect object
+P_ADJUNCT = 0.3        # chance that a clause has an adverb
 
 
 def _pseudo_words(count: int, syllables: int, seed: int, suffix: str = "") -> tuple[str, ...]:
@@ -37,16 +47,13 @@ def _pseudo_words(count: int, syllables: int, seed: int, suffix: str = "") -> tu
 
 @dataclass
 class SyntheticGrammar:
+    """Each role's vocabulary and the weight of each S/O/V order."""
     subjects: tuple[str, ...]
     objects: tuple[str, ...]
     indirect_objects: tuple[str, ...]
     adjuncts: tuple[str, ...]
     verbs: tuple[str, ...]
-    subject_marker: str = "ne"
-    iobj_marker: str = "ko"
     order_weights: dict = field(default_factory=lambda: {OrderLabel.SOV: 1.0})
-    p_iobj: float = 0.3
-    p_adjunct: float = 0.3
 
     def __post_init__(self):
         weights = {l: self.order_weights.get(l, 0.0) for l in TRANSITIVE_ORDERS}
@@ -55,14 +62,11 @@ class SyntheticGrammar:
             raise ValueError(f"order weights must sum to 1, got {total}")
         if min(weights.values()) < 0:
             raise ValueError("order weights must be >= 0")
-        for name in ("subjects", "objects", "verbs"):
-            if not getattr(self, name):
-                raise ValueError(f"grammar role '{name}' has an empty vocabulary")
         self.order_weights = weights
 
 
-def default_grammar(order_weights=None) -> SyntheticGrammar:
-    """Reasonably diverse vocabulary; order distribution defaults to all-SOV."""
+def default_grammar(order_weights: dict) -> SyntheticGrammar:
+    """Reasonably diverse vocabulary, with the given order distribution."""
     seed, n_nouns = 7, 150
     return SyntheticGrammar(
         subjects=_pseudo_words(n_nouns, 2, seed),
@@ -70,7 +74,7 @@ def default_grammar(order_weights=None) -> SyntheticGrammar:
         indirect_objects=_pseudo_words(n_nouns // 3, 2, seed + 2),
         adjuncts=_pseudo_words(24, 3, seed + 3),
         verbs=_pseudo_words(60, 2, seed + 4, suffix="na"),
-        order_weights=order_weights or {OrderLabel.SOV: 1.0},
+        order_weights=order_weights,
     )
 
 
@@ -105,18 +109,18 @@ def parse_order_spec(spec: str) -> dict:
 def _clause_chunks(g: SyntheticGrammar, order: OrderLabel, rng) -> list[tuple[str, list[tuple[str, str, str]]]]:
     """Chunks in linear order; each chunk is (role, [(form, upos, deprel), ...])."""
     subj = [(g.subjects[rng.integers(len(g.subjects))], "NOUN", "nsubj"),
-            (g.subject_marker, "ADP", "case")]
+            (SUBJECT_MARKER, "ADP", "case")]
     obj = [(g.objects[rng.integers(len(g.objects))], "NOUN", "obj")]
     verb = [(g.verbs[rng.integers(len(g.verbs))], "VERB", "root")]
     chunks = {"S": ("S", subj), "O": ("O", obj), "V": ("V", verb)}
     ordered = [chunks[letter] for letter in order.value]
 
-    if rng.random() < g.p_iobj and g.indirect_objects:
+    if rng.random() < P_IOBJ:
         io = [(g.indirect_objects[rng.integers(len(g.indirect_objects))], "NOUN", "iobj"),
-              (g.iobj_marker, "ADP", "case")]
+              (IOBJ_MARKER, "ADP", "case")]
         at = next(i for i, (role, _) in enumerate(ordered) if role == "O")
         ordered.insert(at, ("IO", io))
-    if rng.random() < g.p_adjunct and g.adjuncts:
+    if rng.random() < P_ADJUNCT:
         adv = [(g.adjuncts[rng.integers(len(g.adjuncts))], "ADV", "advmod")]
         at = next(i for i, (role, _) in enumerate(ordered) if role == "V")
         ordered.insert(at, ("ADV", adv))

@@ -146,9 +146,10 @@ def ref_feature_indices(c):
     s1 = stack[-2] if len(stack) >= 2 else None
     s2 = stack[-3] if len(stack) >= 3 else None
     b0 = c.buffer_front
-    return [s0, s1, s2, b0,
+    return [-1 if i is None else i for i in (
+            s0, s1, s2, b0,
             leftmost.get(s0), rightmost.get(s0), leftmost.get(s1), rightmost.get(s1),
-            leftmost.get(s2), rightmost.get(s2), leftmost.get(b0)]
+            leftmost.get(s2), rightmost.get(s2), leftmost.get(b0))]
 
 
 def ref_oracle_rollout(tree):
@@ -156,7 +157,7 @@ def ref_oracle_rollout(tree):
     c = ref_initial_config(len(tree.tokens))
     idx_rows = []
     for t in seq:
-        idx_rows.append([-1 if i is None else i for i in ref_feature_indices(c)])
+        idx_rows.append(ref_feature_indices(c))
         c = ref_apply(c, t)
     return np.array(idx_rows, dtype=np.intp), seq
 

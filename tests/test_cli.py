@@ -750,8 +750,73 @@ def test_embeddings_file_trains(embeddings_case, caplog, command):
     assert "loaded 1 pre-trained word vectors, skipped 1 lines of another width" in caplog.text
 
 
-# A one-epoch model's parses can lack the label that undoes a lift.
-@pytest.mark.filterwarnings("ignore:no attachment target")
+@pytest.mark.parametrize("reader", ["conllu", "corpus", "config", "vectors"])
+def test_input_that_is_not_utf8_names_file_and_line(embeddings_case, capsys, reader):
+    tmp_path, train_path, cfg, word = embeddings_case
+    path, argv = {
+        "conllu": (tmp_path / "latin1.conllu", ["stats", "--in"]),
+        "corpus": (tmp_path / "corpus.txt", ["train-lm", "--out", str(tmp_path / "lm.nglm"),
+                                             "--corpus"]),
+        "config": (cfg, ["train", "--train", str(train_path), "--out",
+                         str(tmp_path / "m.spnn"), "--config"]),
+        "vectors": (tmp_path / "vectors.txt", ["train", "--train", str(train_path), "--out",
+                                               str(tmp_path / "m.spnn"), "--config"]),
+    }[reader]
+    first = cfg.read_bytes() if reader == "config" else b"# a first line\n"
+    path.write_bytes(first + b"# caf\xe9\n")
+    capsys.readouterr()
+    assert run(argv + [str(cfg if reader == "vectors" else path)]) == 1
+    line = first.count(b"\n") + 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error [scrambleparse.conllu]: {path}:{line}: byte 0xe9 is not UTF-8"]
+    assert not (tmp_path / "m.spnn").exists() and not (tmp_path / "lm.nglm").exists()
+
+
+GOOD_LINE = "1\tgaya\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
+
+
+@pytest.mark.parametrize("pred_text, line, fault", [
+    ("1\tRam\t_\tNOUN\n", 1, "expected 10 tab-separated columns, got 4"),
+    (GOOD_LINE + "\n# sent_id = s2\n" + GOOD_LINE.replace("\t0\t", "\t1\t"), 3,
+     "sentence s2: self-loop at token 1"),
+], ids=["columns", "tree"])
+def test_conllu_errors_name_the_file_and_line(tmp_path, capsys, pred_text, line, fault):
+    gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+    gold.write_text(GOOD_LINE + "\n" + GOOD_LINE)
+    pred.write_text(pred_text)
+    capsys.readouterr()
+    assert run(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error [scrambleparse.conllu]: {pred}:{line}: {fault}"]
+
+
+def test_notes_and_warnings_reach_stderr_in_the_cli_format(tmp_path):
+    """Run as a program, ``stats`` reports a file's multiword-token and
+    empty-node lines once, with their count, and ``deproj`` a lift it
+    cannot undo, each as one stderr line in the CLI's format and none as
+    a Python warning."""
+    multiword = tmp_path / "mw.conllu"
+    multiword.write_text("1-2\tgayaa\t_\t_\t_\t_\t_\t_\t_\t_\n" + GOOD_LINE
+                         + "1.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
+                         + "1-2\tgayaa\t_\t_\t_\t_\t_\t_\t_\t_\n" + GOOD_LINE)
+    lifted = tmp_path / "lifted.conllu"
+    lifted.write_text("# sent_id = s1\n1\tw1\t_\t_\t_\t_\t2\ta\u2225missing\t_\t_\n"
+                      + GOOD_LINE.replace("1\tgaya", "2\tw2"))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scrambleparse.__file__)))
+
+    def stderr_lines(*argv):
+        proc = subprocess.run([sys.executable, "-X", "dev", "-m", "scrambleparse.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr.splitlines()
+
+    assert stderr_lines("stats", "--in", str(multiword)) == [
+        f"[scrambleparse] {multiword}: skipped 3 multiword-token or empty-node lines"]
+    assert stderr_lines("deproj", "--in", str(lifted), "--out", str(tmp_path / "out.conllu")) \
+        == ["[scrambleparse] no attachment target labelled 'missing' found for token 1 of "
+            "sentence s1; keeping the lifted attachment"]
+
+
 def test_curve_trains_pseudo_projective_on_non_projective_trees(tmp_path, capsys):
     rng = np.random.default_rng(2)
     train_path, dev_path, cfg = (tmp_path / "train.conllu", tmp_path / "dev.conllu",

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +32,10 @@ def test_parse_self_loop_rejected():
 
 def test_parse_bad_column_count_names_line():
     text = MINIMAL + "\n1\tonly\tthree\n"
-    with pytest.raises(ConlluParseError, match="line 4"):
+    with pytest.raises(ConlluParseError, match="^line 4: expected 10 tab-separated"):
         parse_conllu(text)
+    with pytest.raises(ConlluParseError, match=r"^g\.conllu:4: expected 10 tab-separated"):
+        parse_conllu(text, source_name="g.conllu")
 
 
 def test_parse_head_out_of_range():
@@ -40,12 +44,23 @@ def test_parse_head_out_of_range():
         parse_conllu(text)
 
 
-def test_multiword_and_empty_nodes_skipped_with_warning():
+def test_multiword_and_empty_nodes_skipped_and_counted_once(caplog):
     text = ("1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n" + MINIMAL +
             "2.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_\n")
-    with pytest.warns(UserWarning, match="skipping"):
-        tb = parse_conllu(text)
+    with warnings.catch_warnings(), caplog.at_level("INFO", logger="scrambleparse.conllu"):
+        warnings.simplefilter("error")  # valid CoNLL-U: reported, not warned
+        tb = parse_conllu(text, source_name="x.conllu")
     assert len(tb[0]) == 2
+    assert caplog.messages == ["x.conllu: skipped 2 multiword-token or empty-node lines"]
+
+
+def test_tree_error_names_the_line_opening_the_sentence():
+    loop = "# sent_id = s2\n1\ta\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+    with pytest.raises(TreeValidationError,
+                       match=r"^g\.conllu:4: sentence s2: self-loop at token 1$"):
+        parse_conllu(MINIMAL + "\n" + loop, source_name="g.conllu")
+    with pytest.raises(TreeValidationError, match=r"^line 4: sentence s2: self-loop"):
+        parse_conllu(MINIMAL + "\n" + loop)
 
 
 def test_comments_and_sent_id_preserved():

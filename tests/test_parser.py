@@ -18,6 +18,7 @@ from scrambleparse.parser import (FEATURE_SELECTORS, ParserModel, TaggerModel,
                                   sentence_loss, tag_batch, train_parser,
                                   train_tagger, _init_model)
 from scrambleparse.projectivity import HEAD_SEP, PATH_MARK, deprojectivize, projectivize
+from scrambleparse.scramble import OrderLabel
 from scrambleparse.synthetic import default_grammar, gen_synthetic, uniform_orders
 
 TINY = TrainConfig(word_dim=6, tag_dim=4, char_dim=4, char_hidden=3, enc_hidden=5,
@@ -99,7 +100,7 @@ def reference_features(c, ctx):
     dim = ctx.shape[1]
     row = np.zeros(len(FEATURE_SELECTORS) * dim)
     for slot, idx in enumerate(feature_indices(c)):
-        if idx is not None:
+        if idx >= 0:
             row[slot * dim:(slot + 1) * dim] = ctx[idx]
     return row
 
@@ -129,13 +130,13 @@ class TestFeaturize:
         idxs = feature_indices(c)
         # s0 = ROOT, b0 = 1; everything else absent.
         assert idxs[0] == 0 and idxs[3] == 1
-        assert all(i is None for k, i in enumerate(idxs) if k not in (0, 3))
+        assert all(i == -1 for k, i in enumerate(idxs) if k not in (0, 3))
 
     def test_terminal_config_buffer_slots_null(self):
         c = arceager.Configuration(1)
         c = arceager.apply(c, arceager.Transition(arceager.RIGHT_ARC, "root"))
         idxs = feature_indices(c)
-        assert idxs[3] is None and idxs[10] is None
+        assert idxs[3] == -1 and idxs[10] == -1
 
     def test_width_constant_and_null_is_zero(self):
         # The split first layer: summing one row of the slot table per
@@ -148,8 +149,8 @@ class TestFeaturize:
         assert not table[offsets + absent].any()
         c = arceager.Configuration(len(tree))
         while not arceager.is_terminal(c):
-            rows = [absent if i is None else i for i in feature_indices(c)]
-            split = table[np.array(rows) + offsets].sum(axis=0)
+            rows = np.array(feature_indices(c))
+            split = table[np.where(rows < 0, absent, rows) + offsets].sum(axis=0)
             assert np.allclose(split, reference_features(c, ctx) @ model.mlp.lin1.W.value,
                                rtol=1e-12, atol=1e-12)
             kind = sorted(arceager.legal_transitions(c))[0]
@@ -339,7 +340,7 @@ class TestTrainingAndParse:
         assert tree.token(1).head == 0
 
     def test_memorization_small(self):
-        tb = gen_synthetic(default_grammar(), 8, seed=2)
+        tb = gen_synthetic(default_grammar({OrderLabel.SOV: 1.0}), 8, seed=2)
         cfg = TrainConfig(word_dim=24, tag_dim=12, char_dim=12, char_hidden=16,
                           enc_hidden=48, mlp_hidden=64, mlp_dropout=0.0,
                           word_dropout=0.0, epochs=20, seed=5, lr=0.1,

@@ -109,13 +109,15 @@ def test_deprojectivize_no_encodings_is_identity():
     assert deprojectivize(tree).tokens == tree.tokens
 
 
-def test_deprojectivize_missing_target_degrades_gracefully():
+def test_deprojectivize_missing_target_degrades_gracefully(caplog):
     # Encoded label whose target never occurs: keep attachment, clean label.
     tokens = [Token(1, "w1", head=2, deprel=f"a{HEAD_SEP}missing"),
               Token(2, "w2", head=0, deprel="root"),
               Token(3, "w3", head=2, deprel="c")]
-    with pytest.warns(UserWarning, match="no attachment target"):
-        out = deprojectivize(DepTree(tokens))
+    with caplog.at_level("WARNING", logger="scrambleparse.projectivity"):
+        out = deprojectivize(DepTree(tokens, sentence_id="s1"))
+    assert caplog.messages == ["no attachment target labelled 'missing' found for token 1 of "
+                               "sentence s1; keeping the lifted attachment"]
     assert out.token(1).head == 2
     assert out.token(1).deprel == "a"
     assert validate_tree(out) == []

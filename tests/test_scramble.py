@@ -42,8 +42,9 @@ def test_extract_figure_projection():
     p = projs[0]
     tree = figure_like_tree()
     assert tree.token(p.verb_index).form == "di"
-    assert len(p.constituent_roots) == 3  # S, IO, O; punctuation frozen
-    spans = sorted(p.span_map.values())
+    assert p.unit_count == 4  # the verb, S, IO and O; punctuation frozen
+    assert (p.verb_index, p.verb_index) in p.spans
+    spans = p.spans
     for (_, hi), (lo, _) in zip(spans, spans[1:]):
         assert lo > hi  # pairwise disjoint
 
@@ -65,8 +66,9 @@ def test_extract_nested_clause():
     tree = DepTree(tokens)
     projs = {p.verb_index: p for p in extract_projections(tree, UD_MAPPING)}
     assert set(projs) == {2, 4}
-    assert projs[2].span_map[4] == (3, 4)  # inner clause is one unit of the outer
-    spans = sorted(projs[2].span_map.values())
+    assert projs[2].spans == ((1, 1), (2, 2), (3, 4))  # inner clause is one unit of the outer
+    assert projs[4].spans == ((3, 3), (4, 4))
+    spans = projs[2].spans
     for (_, hi), (lo, _) in zip(spans, spans[1:]):
         assert lo > hi
 
@@ -83,8 +85,9 @@ def test_projection_spans_are_disjoint(seed, n):
     overlap."""
     tree = random_projective_tree(np.random.default_rng(seed), n, tags=("VERB", "N", "X"))
     for p in extract_projections(tree, ROLES):
-        assert set(p.span_map) == {p.verb_index, *p.constituent_roots}
-        spans = sorted(p.span_map.values())
+        spans = p.spans
+        assert list(spans) == sorted(spans)
+        assert (p.verb_index, p.verb_index) in spans
         assert all(lo <= hi for lo, hi in spans)
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             assert lo > hi
@@ -263,7 +266,7 @@ def _fake_batch(order_counts: dict, start_ppl: float = 10.0) -> PermutationBatch
     source = transitive_tree("SOV")
     from scrambleparse.scramble import VerbalProjection
 
-    proj = VerbalProjection(verb_index=4, constituent_roots=(1, 3), span_map={})
+    proj = VerbalProjection(verb_index=4, spans=((1, 2), (3, 3), (4, 4)))
     variants = []
     ppl = start_ppl
     i = 0
@@ -318,7 +321,7 @@ def test_balance_drops_identity_variants():
     source = transitive_tree("SOV")
     from scrambleparse.scramble import VerbalProjection
 
-    proj = VerbalProjection(verb_index=4, constituent_roots=(1, 3), span_map={})
+    proj = VerbalProjection(verb_index=4, spans=((1, 2), (3, 3), (4, 4)))
     identity = ready_variant(source, OrderLabel.SOV, (0, 1, 2), (1, 2, 3, 4, 5), 1.0)
     scrambled = ready_variant(transitive_tree("OSV"), OrderLabel.OSV, (1, 0, 2),
                               (3, 1, 2, 4, 5), 2.0)

@@ -109,9 +109,7 @@ def ref_permute(tree, projection, limit, mapping, seed):
 
     An order is kept only when each unit's tokens stay contiguous."""
     m = projection.unit_count
-    unit_roots = sorted(projection.span_map, key=lambda r: projection.span_map[r])
-    unit_tokens = [list(range(projection.span_map[r][0], projection.span_map[r][1] + 1))
-                   for r in unit_roots]
+    unit_tokens = [list(range(lo, hi + 1)) for lo, hi in projection.spans]
     slots = sorted(idx for toks in unit_tokens for idx in toks)
     identity = tuple(range(m))
     if math.factorial(m) > limit:

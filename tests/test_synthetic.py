@@ -5,9 +5,10 @@ from scrambleparse.conllu import validate_tree
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import (TRANSITIVE_ORDERS, UD_MAPPING, OrderLabel,
                                     classify_order, order_distribution)
-from scrambleparse.synthetic import (SyntheticGrammar, _clause_chunks, _clause_tree,
-                                     default_grammar, gen_synthetic, parse_order_spec,
-                                     text_corpus, uniform_orders)
+from scrambleparse.synthetic import (IOBJ_MARKER, SUBJECT_MARKER, SyntheticGrammar,
+                                     _clause_chunks, _clause_tree, default_grammar,
+                                     gen_synthetic, parse_order_spec, text_corpus,
+                                     uniform_orders)
 
 
 def test_all_trees_valid_and_projective():
@@ -26,7 +27,7 @@ def test_order_distribution_matches_request():
 
 
 def test_degenerate_distribution():
-    tb = gen_synthetic(default_grammar(), 400, seed=1)
+    tb = gen_synthetic(default_grammar({OrderLabel.SOV: 1.0}), 400, seed=1)
     dist = order_distribution(classify_order(t, UD_MAPPING) for t in tb)
     assert dist[OrderLabel.SOV] == 100.0
 
@@ -46,14 +47,11 @@ def test_seed_determinism():
     assert [t.tokens for t in a] != [t.tokens for t in c]
 
 
-def test_grammar_validates_weights_and_vocab():
+def test_grammar_validates_weight_sum():
     with pytest.raises(ValueError, match="sum to 1"):
         SyntheticGrammar(subjects=("a",), objects=("b",), indirect_objects=(),
                          adjuncts=(), verbs=("v",),
                          order_weights={OrderLabel.SOV: 0.4})
-    with pytest.raises(ValueError, match="verbs"):
-        SyntheticGrammar(subjects=("a",), objects=("b",), indirect_objects=(),
-                         adjuncts=(), verbs=(), order_weights={OrderLabel.SOV: 1.0})
 
 
 def test_parse_order_spec():
@@ -82,19 +80,22 @@ def test_parse_order_spec_names_the_bad_weight(spec, message):
 
 
 def test_text_corpus_matches_forms():
-    tb = gen_synthetic(default_grammar(), 5, seed=0)
+    tb = gen_synthetic(default_grammar({OrderLabel.SOV: 1.0}), 5, seed=0)
     lines = text_corpus(tb)
     assert len(lines) == 5
     assert lines[0] == tb[0].forms()
 
 
 def test_case_markers_present():
-    tb = gen_synthetic(default_grammar(), 100, seed=4)
+    tb = gen_synthetic(default_grammar({OrderLabel.SOV: 1.0}), 100, seed=4)
+    markers = {"nsubj": SUBJECT_MARKER, "iobj": IOBJ_MARKER}
     for tree in tb:
-        subj = [t for t in tree.tokens if t.deprel == "nsubj"]
-        assert len(subj) == 1
-        marker = [t for t in tree.tokens if t.head == subj[0].index]
-        assert len(marker) == 1 and marker[0].deprel == "case"
+        assert sum(t.deprel == "nsubj" for t in tree.tokens) == 1
+        for noun in tree.tokens:
+            if noun.deprel in markers:
+                marker = [t for t in tree.tokens if t.head == noun.index]
+                assert [(t.form, t.deprel) for t in marker] == [(markers[noun.deprel], "case")]
+    assert any(t.deprel == "iobj" for tree in tb for t in tree.tokens)
 
 
 def ref_gen_synthetic(g, n, seed):
