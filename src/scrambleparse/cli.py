@@ -64,7 +64,7 @@ def _union_treebank(paths) -> Treebank:
 def _note_short_treebank(requested: int, tb: Treebank, flag: str) -> None:
     if requested > len(tb):
         print(f"[scrambleparse] note: {flag} {requested} exceeds the treebank's "
-              f"{len(tb)} trees; using all of them")
+              f"{len(tb)} trees; using all of them", file=sys.stderr)
 
 
 def _na(value, spec: str = ".2f") -> str:
@@ -375,13 +375,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _failing_module(exc) -> tuple[str, bool]:
     """The innermost package module on ``exc``'s traceback, and whether
-    ``exc`` was raised there rather than in code the package called."""
+    ``exc`` was raised there rather than in code the package called.
+    ``conllu.read_lines`` reads every text input, so a package frame that
+    calls it is named in its place: the reader that asked for the file."""
     package_dir = os.path.dirname(__file__)
     module, raised_here = "scrambleparse", False
     for frame in traceback.extract_tb(exc.__traceback__):
+        called_from_package = raised_here
         raised_here = os.path.dirname(frame.filename) == package_dir
-        if raised_here:
-            module = "scrambleparse." + os.path.splitext(os.path.basename(frame.filename))[0]
+        name = "scrambleparse." + os.path.splitext(os.path.basename(frame.filename))[0]
+        shared_reader = (name, frame.name) == ("scrambleparse.conllu", "read_lines")
+        if raised_here and not (shared_reader and called_from_package):
+            module = name
     return module, raised_here
 
 

@@ -18,7 +18,22 @@ flat buffers: each ``p.value`` is a view, and rebinding it detaches the
 parameter. The clip norm is one dot product over the gradient buffer;
 summed parameter by parameter before, it can change only steps where
 clipping engages. One optimizer ``step`` updates the parameters and
-zeroes the gradients.
+leaves the gradients as they were.
+
+One backward pass writes each gradient once: a weight gradient is the
+product written into the parameter's gradient (``out=``), a bias
+gradient the sum written there, and an embedding gradient the
+``segment_sum`` assigned to it. Nothing is zeroed first and nothing
+accumulates across calls, so a parameter that a pass does not reach
+must be zeroed by its owner. Against adding into a zeroed gradient the
+only difference is that a written ``-0.0`` used to be stored as
+``0.0 + (-0.0) = +0.0``. The step reads a gradient only through its
+squared norm and its sum with ``l2 * theta``, so only the sign of a zero
+velocity can differ, and ``theta + v`` then differs only for a ``-0.0``
+parameter. No initial draw gives one, ``theta + v`` never makes one,
+and one read from a vectors file is ``+0.0`` or nonzero after the first
+step, whose velocity ``+0.0 - buf`` is the same either way. So the
+parameters come out bit for bit the same.
 """
 
 from __future__ import annotations
@@ -31,7 +46,8 @@ CHECKPOINT_MAGIC = b"SPNN2"
 
 
 class Param:
-    """A named trainable array with an accumulated gradient.
+    """A named trainable array and its gradient, which each backward pass
+    writes.
 
     The gradient is allocated, as zeros, the first time it is read, so a
     model that only runs inference has none.
@@ -109,6 +125,21 @@ def sigmoid(x, out=None):
     return np.divide(num, z, out=out)
 
 
+def segment_sum(rows, values, n_rows: int) -> np.ndarray:
+    """The (n_rows, D) array whose row r sums the ``values[i]``, D-vectors,
+    with ``rows[i] == r``, for an integer array ``rows``: the gradient of
+    gathering rows ``rows``.
+
+    One ``np.bincount`` over the flattened (row, column) keys, which adds
+    each value in input order to a 0.0: bit for bit ``np.add.at`` into
+    zeros, without its per-element dispatch.
+    """
+    dim = values.shape[-1]
+    keys = rows[..., None] * dim + np.arange(dim)
+    return np.bincount(keys.ravel(), weights=values.ravel(),
+                       minlength=n_rows * dim).reshape(n_rows, dim)
+
+
 def softmax(logits):
     """Row-wise softmax of a matrix."""
     z = logits - logits.max(axis=1, keepdims=True)
@@ -138,8 +169,8 @@ class Linear:
 
     def backward(self, dY, cache):
         X = cache
-        self.W.grad += X.T @ dY
-        self.b.grad += dY.sum(axis=0)
+        np.matmul(X.T, dY, out=self.W.grad)
+        np.sum(dY, axis=0, out=self.b.grad)
         return dY @ self.W.value.T
 
     def params(self):
@@ -267,9 +298,9 @@ class BiLSTM:
         for cell, d, time in ((self.fwd, 0, slice(None)), (self.bwd, 1, slice(None, None, -1))):
             dz = np.ascontiguousarray(dZ[time, :, d].transpose(0, 2, 1, 3)).reshape(T * B, 4 * H)
             h_prev = np.ascontiguousarray(h_prevs[time, d]).reshape(T * B, H)
-            cell.Wx.grad += X.T @ dz
-            cell.Wh.grad += h_prev.T @ dz
-            cell.b.grad += dz.sum(axis=0)
+            np.matmul(X.T, dz, out=cell.Wx.grad)
+            np.matmul(h_prev.T, dz, out=cell.Wh.grad)
+            np.sum(dz, axis=0, out=cell.b.grad)
             dXs.append(dz @ cell.Wx.value.T)
         dX, dX_reverse = dXs
         dX += dX_reverse
@@ -351,9 +382,10 @@ class MomentumSGD:
     update when they exceed it; recurrent nets need this to survive the
     occasional exploding backpropagated gradient. ``values``, ``grads``
     and ``velocity`` are flat buffers in parameter order. One ``step``
-    updates the parameters and zeroes the gradients, block by block while
-    each block is in cache, so the next backward pass accumulates from
-    zero.
+    updates the parameters block by block, while each block is in cache,
+    and leaves the gradients as they were: the next backward pass writes
+    every one of them (see the module docstring for why a written
+    ``-0.0`` leaves the parameters unchanged).
     """
 
     def __init__(self, params, lr: float, momentum: float, l2: float, clip_norm: float):
@@ -365,12 +397,14 @@ class MomentumSGD:
         self.l2 = l2
         self.clip_norm = clip_norm
         n = sum(p.value.size for p in self.params)
-        self.values, self.grads, self.velocity = np.empty(n), np.empty(n), np.zeros(n)
+        self.values, self.grads, self.velocity = np.empty(n), np.zeros(n), np.zeros(n)
         at = 0
         for p in self.params:
             value, grad = (b[at:at + p.value.size].reshape(p.value.shape)
                            for b in (self.values, self.grads))
-            value[...], grad[...] = p.value, p.grad
+            value[...] = p.value
+            if p._grad is not None:  # reading p.grad would allocate zeros to copy
+                grad[...] = p._grad
             p.value, p.grad, at = value, grad, at + p.value.size
         self._scratch = np.empty(min(n, STEP_BLOCK))
 
@@ -401,7 +435,6 @@ class MomentumSGD:
             else:
                 np.multiply(grad, scale, out=buf)
                 buf += self.l2 * theta
-            grad.fill(0.0)
             buf *= self.lr
             v *= self.momentum
             v -= buf

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
@@ -97,6 +98,10 @@ _CONFIG_RANGES = {
 }
 
 
+# A config file's comment: '#' at the start of a line or after whitespace.
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
 @dataclass
 class TrainConfig:
     word_dim: int = 64
@@ -129,11 +134,13 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """Plain key=value file; '#' starts a comment. The seed is not read
-        from a file: ``--seed`` or ``SCRAMBLE_SEED`` sets it for the run."""
+        """Plain key=value file; '#' starts a comment at the start of a line
+        or after whitespace, so a value such as a path can hold one. The
+        seed is not read from a file: ``--seed`` or ``SCRAMBLE_SEED`` sets
+        it for the run."""
         values = {}
         for line_no, line in enumerate(read_lines(path), start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, maxsplit=1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
@@ -333,7 +340,11 @@ class SentenceEncoder:
                                stack_caches, present)
 
     def backward(self, dctx, cache):
-        """Accumulate the parameter gradients of ``encode`` given d(context vectors)."""
+        """Write the parameter gradients of ``encode`` given d(context
+        vectors), each once (``nn``): the embedding gradients are
+        ``nn.segment_sum`` results assigned to them. When the sentence
+        spells no form, the character BiLSTM and ``char_emb`` are not
+        reached, and their gradients are set to zero."""
         word_ids, drop, word_kept, tag_ids, char_rows, char_batch, stack_caches, present = cache
         cfg = self.cfg
         wd = cfg.word_dim
@@ -341,20 +352,26 @@ class SentenceEncoder:
         dY = np.zeros(present.shape + (dctx.shape[1],))
         dY.transpose(1, 0, 2)[present.T] = dctx
         dX = self.stack.backward(dY, stack_caches)
-        np.add.at(self.word_emb.grad, word_ids[word_kept], dX[word_kept, :wd])
+        self.word_emb.grad[...] = nn.segment_sum(word_ids[word_kept], dX[word_kept, :wd],
+                                                 len(self.word_emb.value))
         if self.use_tags:
-            np.add.at(self.tag_emb.grad, tag_ids[present], dX[present, wd + cd:])
-        if char_batch is not None:
-            char_ids, char_lens, spelled, rnn_cache = char_batch
-            dforms = np.zeros((char_rows.max() + 1, cd))  # as char_vecs: forms, then zero row
-            np.add.at(dforms, char_rows[present], dX[present, wd:wd + cd])
-            h = cfg.char_hidden
-            dHs = np.zeros(char_ids.shape + (cd,))
-            dHs[char_lens - 1, np.arange(len(spelled)), :h] = dforms[spelled, :h]
-            dHs[0, :, h:] = dforms[spelled, h:]
-            dC = self.char_rnn.backward(dHs, rnn_cache)
-            spelt = np.arange(len(char_ids))[:, None] < char_lens
-            np.add.at(self.char_emb.grad, char_ids[spelt], dC[spelt])
+            self.tag_emb.grad[...] = nn.segment_sum(tag_ids[present], dX[present, wd + cd:],
+                                                    len(self.tag_emb.value))
+        if char_batch is None:
+            for p in [self.char_emb] + self.char_rnn.params():
+                p.grad.fill(0.0)
+            return
+        char_ids, char_lens, spelled, rnn_cache = char_batch
+        # As char_vecs: the forms, then the zero row.
+        dforms = nn.segment_sum(char_rows[present], dX[present, wd:wd + cd], char_rows.max() + 1)
+        h = cfg.char_hidden
+        dHs = np.zeros(char_ids.shape + (cd,))
+        dHs[char_lens - 1, np.arange(len(spelled)), :h] = dforms[spelled, :h]
+        dHs[0, :, h:] = dforms[spelled, h:]
+        dC = self.char_rnn.backward(dHs, rnn_cache)
+        spelt = np.arange(len(char_ids))[:, None] < char_lens
+        self.char_emb.grad[...] = nn.segment_sum(char_ids[spelt], dC[spelt],
+                                                 len(self.char_emb.value))
 
 
 # The 11 positional feature selectors: stack top three, buffer front,
@@ -385,9 +402,10 @@ def _gather_features(ctx, idx_rows):
 
 def _scatter_features(dF, idx_rows, ctx_shape):
     """The gradient of ``_gather_features`` with respect to ``ctx``."""
-    dctx = np.zeros((ctx_shape[0] + 1, ctx_shape[1]))
-    np.add.at(dctx, idx_rows, dF.reshape(idx_rows.shape + (-1,)))
-    return dctx[:-1]
+    n, dim = ctx_shape
+    # Index -1 sums into the pad row after the n context rows, then dropped.
+    rows = np.where(idx_rows < 0, n, idx_rows)
+    return nn.segment_sum(rows, dF.reshape(idx_rows.shape + (dim,)), n + 1)[:-1]
 
 
 def oracle_rollout(tree: DepTree):

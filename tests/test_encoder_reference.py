@@ -2,13 +2,18 @@
 
 ``SentenceEncoder.encode``/``backward`` run the character BiLSTM once per
 sentence over its distinct truncated forms, as a length-masked batch, and
-accumulate the embedding gradients with ``np.add.at``; the feature gather
-is one fancy index over a zero pad row. The functions below are the
-versions they replaced: one character BiLSTM call per token and Python
-loops over the feature slots. The batched character pass sums in another
-order, so context vectors are compared to 1e-12 and gradients to 1e-10 of
-each parameter's largest entry; the gather and scatter only copy and add
-in the same order, so they are compared with ``np.array_equal``.
+write each gradient once: the embedding gradients are ``nn.segment_sum``
+results (one ``np.bincount``), assigned. The feature gather is one fancy
+index over a zero pad row. The functions below are the versions they
+replaced: one character BiLSTM call per token and Python loops over the
+feature slots. Each character BiLSTM call writes that token's gradients,
+so ``ref_backward`` sums them itself, as it sums the embedding rows. The
+batched character pass sums in another order, so context vectors are
+compared to 1e-12 and gradients to 1e-10 of each parameter's largest
+entry; the gather and scatter only copy and add in the same order, so
+they are compared with ``np.array_equal``, and ``segment_sum`` is
+compared with ``np.add.at`` into zeros byte for byte: both add each value
+in input order to a 0.0.
 """
 
 import copy
@@ -66,9 +71,12 @@ def ref_backward(enc, dctx, cache):
     wd = cfg.word_dim
     cd = 2 * cfg.char_hidden
     h = cfg.char_hidden
+    char_params = [enc.char_emb] + enc.char_rnn.params()
+    embs = [enc.word_emb, enc.tag_emb] if enc.use_tags else [enc.word_emb]
+    sums = {id(p): np.zeros_like(p.value) for p in char_params + embs}
     for pos, wid in enumerate(word_ids):
         if pos == 0 or not drop[pos - 1]:
-            enc.word_emb.grad[wid] += dX[pos, :wd]
+            sums[id(enc.word_emb)][wid] += dX[pos, :wd]
         if char_caches[pos] is not None:
             char_ids, T, rnn_cache = char_caches[pos]
             dchar = dX[pos, wd:wd + cd]
@@ -76,10 +84,14 @@ def ref_backward(enc, dctx, cache):
             dHs[-1, :h] = dchar[:h]
             dHs[0, h:] += dchar[h:]
             dC = enc.char_rnn.backward(dHs[:, None], rnn_cache)[:, 0]
+            for p in enc.char_rnn.params():  # this token's, written by the call
+                sums[id(p)] += p.grad
             for row, cid in enumerate(char_ids):
-                enc.char_emb.grad[cid] += dC[row]
+                sums[id(enc.char_emb)][cid] += dC[row]
         if enc.use_tags:
-            enc.tag_emb.grad[tag_ids[pos]] += dX[pos, wd + cd:]
+            sums[id(enc.tag_emb)][tag_ids[pos]] += dX[pos, wd + cd:]
+    for p in char_params + embs:
+        p.grad[...] = sums[id(p)]
 
 
 def ref_gather(ctx, idx_rows):
@@ -192,3 +204,46 @@ def test_gather_and_scatter_match_loops_bit_for_bit(n, steps, dim, seed):
     assert np.array_equal(_gather_features(ctx, idx), ref_gather(ctx, rows))
     dF = rng.normal(size=(steps, 11 * dim))
     assert np.array_equal(_scatter_features(dF, idx, ctx.shape), ref_scatter(dF, rows, ctx.shape))
+
+
+# Mostly moderate values, so that the sums of three or more round in ways
+# that depend on the order of addition.
+_value = st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                   st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_rows=st.integers(1, 4), shape=st.tuples(st.integers(0, 6), st.integers(1, 3)),
+       dim=st.integers(1, 4), data=st.data())
+def test_segment_sum_is_add_at_into_zeros_byte_for_byte(n_rows, shape, dim, data):
+    """Repeated rows, -0.0 and infinities (whose sums can be NaN), and no
+    row at all (a first dimension of 0)."""
+    size = shape[0] * shape[1]
+    rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=size,
+                                       max_size=size)), dtype=np.intp).reshape(shape)
+    values = np.array(data.draw(st.lists(_value, min_size=size * dim, max_size=size * dim)),
+                      dtype=np.float64).reshape(shape + (dim,))
+    want = np.zeros((n_rows, dim))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf, huge + huge
+        np.add.at(want, rows, values)
+    assert nn.segment_sum(rows, values, n_rows).tobytes() == want.tobytes()
+
+
+def test_unspelled_sentence_after_spelled_one_leaves_zero_char_gradients():
+    """A sentence of empty forms does not reach the character BiLSTM or
+    ``char_emb``; their gradients from the sentence before must not
+    survive its backward pass."""
+    model = copy.deepcopy(MODELS["parser"])
+    fresh = copy.deepcopy(model)
+    enc = model.encoder
+    char_params = [enc.char_emb] + enc.char_rnn.params()
+    ctx, cache = enc.encode(["ana", "kitab"], ["N", "V"])
+    enc.backward(np.ones(ctx.shape), cache)
+    assert all(p.grad.any() for p in char_params)
+    for e in (enc, fresh.encoder):
+        ctx, cache = e.encode(["", ""], ["N", "V"])
+        e.backward(np.ones(ctx.shape), cache)
+    for p in char_params:
+        assert p.grad.tobytes() == np.zeros(p.value.shape).tobytes(), p.name
+    for p, q in zip(enc.params(), fresh.encoder.params(), strict=True):
+        assert p.grad.tobytes() == q.grad.tobytes(), p.name

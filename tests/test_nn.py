@@ -322,7 +322,7 @@ class TestOptimizer:
         opt = nn.MomentumSGD([p], lr=1.0, momentum=0.5, l2=0.0, clip_norm=math.inf)
         p.grad[...] = 1.0
         opt.step()  # v = -1, theta = -1
-        p.grad[...] = 1.0  # step zeroed it
+        p.grad[...] = 1.0  # as the next backward pass writes it
         opt.step()  # v = -1.5, theta = -2.5
         assert np.allclose(p.value, [-2.5])
 

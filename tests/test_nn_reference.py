@@ -103,8 +103,8 @@ def ref_step(params, velocity, lr, momentum, l2, clip_norm):
     The squared norm is one ``np.dot`` over the gradients concatenated in
     parameter order, the summation ``MomentumSGD.step`` does over its flat
     gradient buffer. When the squares overflow, the norm is
-    ``m * sqrt(sum((g / m) ** 2))`` with m the largest |g|. Each gradient
-    is zeroed once used.
+    ``m * sqrt(sum((g / m) ** 2))`` with m the largest |g|. The gradients
+    are left as they were.
     """
     for p in params:
         if not np.all(np.isfinite(p.grad)):
@@ -122,7 +122,6 @@ def ref_step(params, velocity, lr, momentum, l2, clip_norm):
         v *= momentum
         v -= lr * (scale * p.grad + l2 * p.value)
         p.value += v
-        p.grad[...] = 0.0
 
 
 def _bits(a):
@@ -233,12 +232,13 @@ def _assert_step_matches(params, clip_norm, lr=0.05, momentum=0.9, l2=1e-3, step
     opt = nn.MomentumSGD(params, lr=lr, momentum=momentum, l2=l2, clip_norm=clip_norm)
     ref_velocity = [np.zeros_like(p.value) for p in ref]
     for _ in range(steps):
+        grads = [p.grad.copy() for p in params]
         opt.step()
         ref_step(ref, ref_velocity, lr, momentum, l2, clip_norm)
-        for p, q, v, w in zip(params, ref, _velocity_views(opt), ref_velocity):
+        for p, q, v, w, g in zip(params, ref, _velocity_views(opt), ref_velocity, grads):
             assert np.array_equal(p.value, q.value), p.name
             assert np.array_equal(v, w), p.name
-            assert not p.grad.any(), "step leaves the gradient zero"
+            assert p.grad.tobytes() == g.tobytes(), "step leaves the gradient as it was"
         if rng is not None:
             for p, q in zip(params, ref):
                 p.grad[...] = q.grad[...] = rng.normal(size=p.grad.shape)
@@ -308,8 +308,9 @@ def test_optimizer_owns_parameter_storage(shapes, seed):
     before = opt.values.copy()
     opt.step()  # from zero velocity: theta - lr * g
     assert np.array_equal(opt.values, before - 0.1 * G)
-    assert not opt.grads.any(), "step leaves the gradient zero"
-    assert all(not p.grad.any() for p in params)
+    assert opt.grads.tobytes() == G.tobytes(), "step leaves the gradient as it was"
+    assert all(np.array_equal(p.grad, a) for p, a in zip(params, added))
 
     with pytest.raises(ValueError, match="twice"):
         nn.MomentumSGD(params + params[:1], lr=0.1, momentum=0.9, l2=0.0, clip_norm=math.inf)
+

@@ -361,11 +361,15 @@ class TestTrainingAndParse:
             return sum(sentence_loss(model, w, tg, ir, g)[0]
                        for w, tg, ir, g in examples)
 
-        for p in model.params():
-            p.grad[...] = 0.0
+        # Each backprop writes its sentence's gradients; the loss sums them.
+        totals = [np.zeros(p.value.shape) for p in model.params()]
         for w, tg, ir, g in examples:
             _, back = sentence_loss(model, w, tg, ir, g)
             back()
+            for total, p in zip(totals, model.params()):
+                total += p.grad
+        for total, p in zip(totals, model.params()):
+            p.grad[...] = total
         err = check_gradients(loss_fn, model.params(), max_coords=6,
                                  rng=np.random.default_rng(0))
         assert err < 1e-4
@@ -575,6 +579,15 @@ class TestConfigFile:
         cfg = TrainConfig.from_file(path)
         assert cfg.lr == 0.5 and cfg.epochs == 3
         assert cfg.word_dropout == 0.0 and cfg.pseudo_projective is True
+
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path):
+        """A '#' inside a value, as in a directory name, is part of it."""
+        path = tmp_path / "train.cfg"
+        vectors = tmp_path / "v#1" / "vec.txt"
+        path.write_text(f"embeddings_path = {vectors}\nlr = 0.1  # note\n\t# indented\n")
+        cfg = TrainConfig.from_file(path)
+        assert cfg.embeddings_path == str(vectors)
+        assert cfg.lr == 0.1
 
     def test_seed_line_rejected(self, tmp_path):
         """The seed is set per run (--seed, SCRAMBLE_SEED), never by a file."""

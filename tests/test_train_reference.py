@@ -7,6 +7,12 @@ building the model through ``_init_model`` and reading the pseudo-projective
 flag from ``cfg``. Training draws from the same
 generator in the same order with the same arithmetic, so the parameters,
 the checkpoint bytes and the epoch log lines must all be identical.
+
+``ref_fit`` is the older arithmetic of the update: every gradient zeroed
+before a sentence and backpropagated into from there, so a written
+``-0.0`` reaches the step as ``0.0 + (-0.0) = +0.0``, and a plain
+per-parameter step (``ref_step``). ``_fit`` writes each gradient once and
+never zeroes one; its parameters must still be the same bytes.
 """
 
 import logging
@@ -28,6 +34,7 @@ from scrambleparse.projectivity import is_projective, projectivize
 from scrambleparse.synthetic import default_grammar, gen_synthetic, uniform_orders
 
 from helpers import random_nonprojective_tree
+from test_nn_reference import ref_step
 
 log = logging.getLogger("scrambleparse.parser")
 
@@ -249,3 +256,53 @@ def test_train_parser_restores_best_epoch_values(scores):
     best = snapshots[scores.index(max(scores))]
     for p, v in zip(model.params(), best, strict=True):
         assert p.value.tobytes() == v.tobytes(), p.name
+
+
+def ref_fit(model, examples):
+    """``_fit`` without a dev set, on the older gradient arithmetic."""
+    cfg = model.cfg
+    params = model.params()
+    velocity = [np.zeros(p.value.shape) for p in params]
+    rng = np.random.default_rng(cfg.seed)
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr / (1.0 + epoch * cfg.lr_decay)
+        for i in rng.permutation(len(examples)):
+            for p in params:
+                p.grad[...] = 0.0
+            _, backprop = sentence_loss(model, *examples[i], training=True, rng=rng)
+            backprop()
+            for p in params:
+                p.grad[...] = 0.0 + p.grad
+            ref_step(params, velocity, lr, cfg.momentum, cfg.l2, cfg.clip_norm)
+    return model
+
+
+def _examples(model, trees):
+    if model.kind == "tagger":
+        return [(tree.forms(), None, np.arange(1, len(tree) + 1)[:, None],
+                 [model.vocabs.tags.id(t) for t in tree.upos_tags()]) for tree in trees]
+    rollouts = [oracle_rollout(tree) for tree in trees]
+    return [(tree.forms(), tree.upos_tags(), idx_rows, [model.transition_id(t) for t in seq])
+            for tree, (idx_rows, seq) in zip(trees, rollouts)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["parser", "tagger"]), l2=st.sampled_from([0.0, 1e-6]),
+       momentum=st.sampled_from([0.0, 0.9]), clip_norm=st.sampled_from([5.0, 0.05]),
+       mlp_dropout=st.sampled_from([0.0, 0.3]), zero_rows=st.booleans())
+def test_fit_matches_zeroed_gradient_reference(kind, l2, momentum, clip_norm, mlp_dropout,
+                                               zero_rows):
+    """At ``clip_norm = 0.05`` every step clips; with ``momentum = 0`` and
+    ``l2 = 0`` a written ``-0.0`` can reach the velocity. ``zero_rows``
+    starts some word vectors at ``-0.0``, as a vectors file can."""
+    cfg = replace(BASE, l2=l2, momentum=momentum, clip_norm=clip_norm, mlp_dropout=mlp_dropout,
+                  word_dropout=0.2, epochs=2)
+    trees = _data()[0].trees
+    ref, new = (_init_model(kind, cfg, build_vocabs(trees)) for _ in range(2))
+    if zero_rows:
+        for model in (ref, new):
+            model.encoder.word_emb.value[3::4] = -0.0
+    ref_fit(ref, _examples(ref, trees))
+    parser._fit(new, _examples(new, trees))
+    for p, q in zip(ref.params(), new.params(), strict=True):
+        assert p.value.tobytes() == q.value.tobytes(), p.name
