@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 import traceback
@@ -247,8 +248,8 @@ def cmd_curve(args, argv):
 
 def cmd_gen_synthetic(args, argv):
     weights = synthetic.parse_order_spec(args.orders)
-    grammar = synthetic.default_grammar(order_weights=weights)
-    tb = synthetic.gen_synthetic(grammar, n=args.n, seed=args.seed)
+    grammar = synthetic.default_grammar(order_weights=weights, shared_nouns=args.shared_nouns)
+    tb = synthetic.gen_synthetic(grammar, n=args.n, seed=args.seed, drop_case=args.drop_case)
     dump_treebank(_stamp(tb, argv), args.output)
     print(f"generated {len(tb)} trees -> {args.output}")
     if args.text_out:
@@ -257,6 +258,17 @@ def cmd_gen_synthetic(args, argv):
                 f.write(" ".join(sent) + "\n")
         print(f"wrote raw text corpus -> {args.text_out}")
     return 0
+
+
+def _probability(text: str) -> float:
+    """argparse type of a probability: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got '{text}'")
+    return value
 
 
 def _count(text: str) -> int:
@@ -369,6 +381,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orders", default="sov=1.0",
                     help='"uniform" or comma list like sov=0.8,osv=0.2')
     sp.add_argument("--text-out", default=None)
+    sp.add_argument("--shared-nouns", action="store_true",
+                    help="objects draw from the subjects' nouns")
+    sp.add_argument("--drop-case", type=_probability, default=0.0, metavar="P",
+                    help="drop each subject's case marker with probability P")
 
     return p
 

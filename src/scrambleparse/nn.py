@@ -148,14 +148,22 @@ def softmax(logits):
 
 
 def nll_loss(logits, gold):
-    """Summed negative log-likelihood of the gold class of each row of
-    ``logits``, and its gradient w.r.t. the logits."""
-    probs = softmax(logits)
+    """Negative log-likelihood of the gold class of each row of ``logits``,
+    one per row, and the gradient of their sum w.r.t. the logits.
+
+    The loss is taken through log-sum-exp, ``log sum exp(z) - z[gold]``
+    with ``z`` the logits less their row maximum, so it stays finite where
+    the gold probability underflows to 0. The gradient is ``softmax``'s
+    probabilities, computed as there, less the one-hot gold.
+    """
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
     rows = np.arange(len(gold))
-    loss = -np.log(probs[rows, gold]).sum()
-    dlogits = probs.copy()
+    losses = np.log(total[:, 0]) - z[rows, gold]
+    dlogits = e / total
     dlogits[rows, gold] -= 1.0
-    return loss, dlogits
+    return losses, dlogits
 
 
 class Linear:

@@ -6,14 +6,15 @@ layers. The parser scores labeled transitions from 11 positional
 features of the configuration with a one-hidden-layer rectifier
 classifier; the tagger classifies each token from its own context
 vector. Both train through one loss (``sentence_loss``) on rows of
-context vectors, the parser's from the static oracle, with the mean
-cross-entropy per sentence and momentum SGD with L2. Inference runs on
-length-sorted chunks of sentences at once (``parse_batch``,
-``tag_batch``; ``parse`` and ``parse_tree`` are one-sentence calls).
-Both use one encoder method, ``SentenceEncoder.encode_batch``: the
-character BiLSTM runs once over the distinct truncated forms, the stack
-over a length-masked padded batch (one sentence when training, through
-``encode``).
+context vectors, the parser's from the static oracle, and momentum SGD
+with L2, one step per mini-batch of ``batch_sentences`` sentences: the
+batch loss is the mean over its sentences of each one's mean
+cross-entropy. Inference runs on length-sorted chunks of sentences at
+once (``parse_batch``, ``tag_batch``; ``parse`` and ``parse_tree`` are
+one-sentence calls). Both use one encoder method,
+``SentenceEncoder.encode_batch``: the character BiLSTM runs once over
+the distinct truncated forms, the stack over a length-masked padded
+batch (a training batch through ``encode``, an inference chunk).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def build_vocabs(trees) -> VocabSet:
 
 
 _SIZES = ("word_dim", "tag_dim", "char_dim", "char_hidden", "enc_hidden", "enc_layers",
-          "mlp_hidden", "epochs", "max_word_chars")
+          "mlp_hidden", "epochs", "batch_sentences", "max_word_chars")
 # Per numeric TrainConfig field: whether a value is in range (false for
 # NaN), and the range in words.
 _CONFIG_RANGES = {
@@ -119,6 +120,8 @@ class TrainConfig:
     l2: float = 1e-6
     clip_norm: float = 5.0
     epochs: int = 20
+    # Sentences per optimizer step; the step's learning rate is lr * sqrt(B).
+    batch_sentences: int = 4
     seed: int = 42
     max_word_chars: int = 32
     embeddings_path: str | None = None
@@ -190,14 +193,22 @@ def _check_config_value(key: str, value) -> None:
         raise ValueError(f"{key} must be {_CONFIG_RANGES[key][1]}, got {value}")
 
 
+def _config_to_meta(cfg: TrainConfig) -> dict:
+    """The config a checkpoint saves: every field, but ``batch_sentences``
+    only when it is not 1, so a per-sentence model's file is the one
+    written before the field existed."""
+    return {k: v for k, v in cfg.__dict__.items() if (k, v) != ("batch_sentences", 1)}
+
+
 def _config_from_meta(values) -> TrainConfig:
-    """A checkpoint's saved config; ``TrainConfig`` checks each value."""
+    """A checkpoint's saved config; ``TrainConfig`` checks each value. A
+    missing ``batch_sentences`` is 1 (``_config_to_meta``)."""
     if not isinstance(values, dict):
         raise ValueError("cfg is not a mapping")
     for key in values:
         if key not in TrainConfig.__dataclass_fields__:
             raise ValueError(f"cfg has unknown field {key!r}")
-    return TrainConfig(**values)
+    return TrainConfig(**{"batch_sentences": 1, **values})
 
 
 def build_transitions(label_vocab: Vocab) -> list[Transition]:
@@ -265,12 +276,14 @@ class SentenceEncoder:
         log.info("loaded %d pre-trained word vectors, skipped %d lines of another width",
                  loaded, skipped)
 
-    def encode(self, words: list[str], tags: list[str] | None, training: bool = False, rng=None):
-        """Context vectors for ROOT plus every token, shape (n+1, out_dim),
-        and the cache for ``backward``."""
-        ctx, _, cache = self.encode_batch([words], None if tags is None else [tags],
-                                          training=training, rng=rng, cache=True)
-        return ctx, cache
+    def encode(self, sentences: list[list[str]], tags: list[list[str]] | None,
+               training: bool = False, rng=None):
+        """``encode_batch`` with the cache for ``backward``: the context
+        vectors of each sentence (ROOT first), one sentence after another,
+        and that cache. Training encodes each batch through here."""
+        rows, _, cache = self.encode_batch(sentences, tags, training=training, rng=rng,
+                                           cache=True)
+        return rows, cache
 
     def encode_batch(self, sentences: list[list[str]], tags: list[list[str]] | None = None, *,
                      training: bool = False, rng=None, cache: bool = False):
@@ -436,7 +449,7 @@ class _Model:
     def save(self, path, extra_meta: dict | None = None) -> None:
         meta = {
             "kind": self.kind,
-            "cfg": self.cfg.__dict__,
+            "cfg": _config_to_meta(self.cfg),
             "vocab_items": {f.name: getattr(self.vocabs, f.name).itos for f in fields(VocabSet)},
         }
         meta.update(extra_meta or {})
@@ -511,12 +524,19 @@ _EPOCH_LOG = {"parser": ("epoch", "transition", "dev LAS"),
 
 
 def _fit(model: ParserModel | TaggerModel, examples: list[tuple], dev_score=None):
-    """Per-example momentum SGD (Kiperwasser & Goldberg 2016), a fresh
-    permutation and learning rate ``lr / (1 + epoch * lr_decay)`` per epoch.
+    """Mini-batch momentum SGD, a fresh permutation and learning rate
+    ``lr * sqrt(B) / (1 + epoch * lr_decay)`` per epoch.
 
-    Each example is ``sentence_loss``'s ``(words, tags, idx_rows, gold_ids)``.
-    The rows of ``cfg.embeddings_path``, if set, are loaded first. The
-    parameters of the best ``dev_score()`` epoch, if given, are kept.
+    Each example is ``(words, tags, idx_rows, gold_ids)`` (``sentence_loss``).
+    The permutation is cut into batches of ``B = cfg.batch_sentences``
+    examples, the last one possibly shorter, and each batch takes one
+    optimizer step. The rate grows with the square root of B (Hoffer,
+    Hubara & Soudry 2017); B = 1 is Kiperwasser & Goldberg's (2016)
+    per-sentence training, bit for bit. The rows of
+    ``cfg.embeddings_path``, if set, are loaded first. An epoch whose loss
+    is not finite, or in which no hidden unit of the classifier fired, is
+    logged as a warning. The parameters of the best ``dev_score()`` epoch,
+    if given, are kept.
     """
     cfg = model.cfg
     prefix, unit, dev_name = _EPOCH_LOG[model.kind]
@@ -525,20 +545,28 @@ def _fit(model: ParserModel | TaggerModel, examples: list[tuple], dev_score=None
     rng = np.random.default_rng(cfg.seed)
     opt = nn.MomentumSGD(model.params(), lr=cfg.lr, momentum=cfg.momentum, l2=cfg.l2,
                          clip_norm=cfg.clip_norm)
+    size = cfg.batch_sentences
     best_score = -1.0
     best_values = None
     for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr / (1.0 + epoch * cfg.lr_decay)
+        opt.lr = cfg.lr * math.sqrt(size) / (1.0 + epoch * cfg.lr_decay)
         total = 0.0
         n_gold = 0
-        for i in rng.permutation(len(examples)):
+        fired = False
+        order = rng.permutation(len(examples))
+        for lo in range(0, len(order), size):
+            batch = [examples[i] for i in order[lo:lo + size]]
             # The module global, so a wrapper installed on it sees every call.
-            loss, backprop = sentence_loss(model, *examples[i], training=True, rng=rng)
-            backprop()
+            losses, backprop = sentence_loss(model, batch, training=True, rng=rng)
+            fired |= backprop()
+            del backprop  # and with it the batch's activations, before the next batch
             opt.step()
-            total += loss * len(examples[i][-1])
-            n_gold += len(examples[i][-1])
-        msg = f"{prefix} {epoch + 1}/{cfg.epochs}: loss/{unit} {total / n_gold:.4f}"
+            for loss, example in zip(losses, batch):
+                total += loss * len(example[-1])
+                n_gold += len(example[-1])
+        loss = total / n_gold
+        where = f"{prefix} {epoch + 1}/{cfg.epochs}"
+        msg = f"{where}: loss/{unit} {loss:.4f}"
         if dev_score is not None:
             score = dev_score()
             msg += f", {dev_name} {score:.2f}"
@@ -546,33 +574,61 @@ def _fit(model: ParserModel | TaggerModel, examples: list[tuple], dev_score=None
                 best_score = score
                 best_values = opt.values.copy()
         log.info(msg)
+        if not math.isfinite(loss):
+            log.warning("warning: %s: the loss is %s; training diverged (lower lr)", where, loss)
+        elif not fired:
+            log.warning("warning: %s: no hidden unit of the classifier fired; the model "
+                        "predicts from its output bias alone (lower lr)", where)
     if best_values is not None:
         opt.values[...] = best_values
     return model
 
 
-def sentence_loss(model: ParserModel | TaggerModel, words, tags, idx_rows, gold_ids,
+def sentence_loss(model: ParserModel | TaggerModel, batch: list[tuple],
                   training=False, rng=None):
-    """Mean cross-entropy of the gold ids; returns it and a backprop closure.
+    """The cross-entropy of a batch of examples; returns each example's mean
+    over its gold ids and a backprop closure.
 
-    Row r of ``idx_rows`` picks the context vectors (-1: a zero row) that
-    classify ``gold_ids[r]``: a parser step's 11 feature nodes, or for the
-    tagger the one token. The gradient is divided by the number of gold
-    ids, which keeps update magnitudes comparable across sentence lengths,
-    as momentum SGD with per-sentence updates needs to stay stable.
+    An example is ``(words, tags, idx_rows, gold_ids)``: row r of
+    ``idx_rows`` picks the sentence's context vectors (-1: a zero row)
+    that classify ``gold_ids[r]``, a parser step's 11 feature nodes or the
+    tagger's one token. The batch is encoded in one padded pass and
+    classified in one pass over all its rows. ``backprop()`` writes the
+    gradient of the batch loss, the mean over the examples of their means,
+    so each row's gradient is divided by its sentence's gold-id count and
+    then by the batch size: update magnitudes stay comparable across
+    sentence lengths, as momentum SGD needs to stay stable. It returns
+    whether any hidden unit of the classifier fired on the batch.
     """
-    ctx, enc_cache = model.encoder.encode(words, tags, training=training, rng=rng)
+    words, tags, idx_rows, gold_ids = zip(*batch)
+    ctx, enc_cache = model.encoder.encode(list(words), None if tags[0] is None else list(tags),
+                                          training=training, rng=rng)
+    # Each sentence's rows start at its ROOT row; an absent node stays -1.
+    lengths = np.array([len(w) + 1 for w in words])
+    idx_rows = np.concatenate([np.where(rows < 0, -1, rows + at)
+                               for rows, at in zip(idx_rows, np.cumsum(lengths) - lengths)])
     F = _gather_features(ctx, idx_rows)
     logits, mlp_cache = model.mlp.forward(F, training=training, rng=rng)
-    loss, dlogits = nn.nll_loss(logits, gold_ids)
-    n = len(gold_ids)
+    row_losses, dlogits = nn.nll_loss(logits, np.concatenate(gold_ids))
+    steps = np.array([len(gold) for gold in gold_ids])
+    ends = np.cumsum(steps)
+    losses = np.array([row_losses[end - n:end].sum() for end, n in zip(ends, steps)]) / steps
 
     def backprop():
-        dF = model.mlp.backward(dlogits / n, mlp_cache)
+        nonlocal mlp_cache
+        dlogits_scaled = dlogits / np.repeat(steps, steps)[:, None]
+        dlogits_scaled /= len(batch)
+        dF = model.mlp.backward(dlogits_scaled, mlp_cache)
+        fired = bool((mlp_cache[1] > 0.0).any())
+        # The classifier's input and its gradient are a batch's largest
+        # arrays: both are freed before the encoder's backward pass.
+        mlp_cache = None
         dctx = _scatter_features(dF, idx_rows, ctx.shape)
+        del dF
         model.encoder.backward(dctx, enc_cache)
+        return fired
 
-    return loss / n, backprop
+    return losses, backprop
 
 
 def _trees_with_tokens(train: Treebank) -> list[DepTree]:

@@ -8,7 +8,10 @@ recoverable under scrambling, mirroring morphologically-rich languages.
 A ``SyntheticGrammar`` holds what varies between grammars: each role's
 vocabulary and the weight of each order. The markers and the rates at
 which a clause gets an indirect object and an adverb are module
-constants.
+constants. Two options make the task harder: objects that draw from the
+subjects' nouns (``default_grammar(shared_nouns=True)``), and a subject
+marker dropped at a given rate (``gen_synthetic(drop_case=P)``). With
+both, a bare noun's role shows only in the word order.
 """
 
 from __future__ import annotations
@@ -65,12 +68,14 @@ class SyntheticGrammar:
         self.order_weights = weights
 
 
-def default_grammar(order_weights: dict) -> SyntheticGrammar:
-    """Reasonably diverse vocabulary, with the given order distribution."""
+def default_grammar(order_weights: dict, shared_nouns: bool = False) -> SyntheticGrammar:
+    """Reasonably diverse vocabulary, with the given order distribution;
+    with ``shared_nouns`` the objects are the subjects' nouns."""
     seed, n_nouns = 7, 150
+    subjects = _pseudo_words(n_nouns, 2, seed)
     return SyntheticGrammar(
-        subjects=_pseudo_words(n_nouns, 2, seed),
-        objects=_pseudo_words(n_nouns, 2, seed + 1),
+        subjects=subjects,
+        objects=subjects if shared_nouns else _pseudo_words(n_nouns, 2, seed + 1),
         indirect_objects=_pseudo_words(n_nouns // 3, 2, seed + 2),
         adjuncts=_pseudo_words(24, 3, seed + 3),
         verbs=_pseudo_words(60, 2, seed + 4, suffix="na"),
@@ -156,9 +161,18 @@ def _clause_tree(chunks, order: OrderLabel, sent_id: str) -> DepTree:
     return DepTree(tokens=tokens, sentence_id=sent_id, comments=comments)
 
 
-def gen_synthetic(g: SyntheticGrammar, n: int, seed: int = 42) -> Treebank:
-    """Sample n gold trees; order class of each drawn from the grammar weights."""
+def gen_synthetic(g: SyntheticGrammar, n: int, seed: int = 42,
+                  drop_case: float = 0.0) -> Treebank:
+    """Sample n gold trees; order class of each drawn from the grammar weights.
+
+    With ``drop_case`` > 0, each clause loses its subject marker with that
+    probability, drawn from a stream of its own, so the clauses are
+    otherwise those of ``drop_case = 0``, which draws nothing.
+    """
+    if not 0.0 <= drop_case <= 1.0:
+        raise ValueError(f"drop_case must be in [0, 1], got {drop_case}")
     rng = np.random.default_rng(seed)
+    drop_rng = np.random.default_rng([seed, 1]) if drop_case > 0.0 else None
     labels = list(TRANSITIVE_ORDERS)
     probs = np.array([g.order_weights[l] for l in labels])
     probs = probs / probs.sum()
@@ -170,7 +184,10 @@ def gen_synthetic(g: SyntheticGrammar, n: int, seed: int = 42) -> Treebank:
     trees = []
     for i in range(n):
         order = labels[bisect.bisect_right(cdf, rng.random())]
-        trees.append(_clause_tree(_clause_chunks(g, order, rng), order, f"synth-{seed}-{i}"))
+        chunks = _clause_chunks(g, order, rng)
+        if drop_rng is not None and drop_rng.random() < drop_case:
+            chunks = [(role, items[:1] if role == "S" else items) for role, items in chunks]
+        trees.append(_clause_tree(chunks, order, f"synth-{seed}-{i}"))
     return Treebank(trees, source_name="synthetic")
 
 

@@ -633,6 +633,8 @@ def test_train_parse_eval_cycle(tmp_path, capsys):
     ("pseudo_projective = ture", "pseudo_projective must be one of 1/0/true/false/yes/no"),
     ("epochs = 3.5", "epochs must be int, got '3.5'"),
     ("lr = fast", "lr must be float, got 'fast'"),
+    ("batch_sentences = 2.5", "batch_sentences must be int, got '2.5'"),
+    ("batch_sentences = true", "batch_sentences must be int, got 'true'"),
     ("no_such_key = 1", "bad config line 'no_such_key = 1'"),
 ])
 def test_malformed_config_value_names_file_and_line(tmp_path, capsys, bad_line, fault):
@@ -651,6 +653,8 @@ def test_malformed_config_value_names_file_and_line(tmp_path, capsys, bad_line, 
 
 @pytest.mark.parametrize("bad_line, fault", [
     ("epochs = -1", "epochs must be finite and at least 1, got -1"),
+    ("batch_sentences = 0", "batch_sentences must be finite and at least 1, got 0"),
+    ("batch_sentences = -1", "batch_sentences must be finite and at least 1, got -1"),
     ("word_dim = 0", "word_dim must be finite and at least 1, got 0"),
     ("enc_layers = 0", "enc_layers must be finite and at least 1, got 0"),
     ("max_word_chars = 0", "max_word_chars must be finite and at least 1, got 0"),
@@ -715,6 +719,15 @@ def test_counts_below_one_are_usage_errors(synth_files, capsys, argv):
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: expected an integer >= 1, got '{argv[-1]}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-0.1", "1.5", "nan", "half"])
+def test_drop_case_outside_zero_to_one_is_a_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "out.conllu"
+    assert run(["gen-synthetic", "--n", "3", "--out", str(out), "--drop-case", value]) == 2
+    assert f"argument --drop-case: expected a number in [0, 1], got '{value}'" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

@@ -122,7 +122,7 @@ def ref_sentence_loss(model, words, tags, idx_rows, gold_ids, training=False, rn
     loss, dlogits = nn.nll_loss(logits, gold_ids)
     dF = model.mlp.backward(dlogits / len(gold_ids), mlp_cache)
     ref_backward(model.encoder, ref_scatter(dF, rows, ctx.shape), enc_cache)
-    return loss / len(gold_ids)
+    return loss.sum() / len(gold_ids)
 
 
 # Forms truncate at 5 characters, so "kitab", "kitabein" and "kitabghar"
@@ -162,7 +162,8 @@ def test_encoder_matches_per_token_reference(sentence, kind, training, seed):
     tags = [t for _, t in sentence] if kind == "parser" else None
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
 
-    ctx, cache = model.encoder.encode(words, tags, training=training, rng=rng)
+    ctx, cache = model.encoder.encode([words], None if tags is None else [tags],
+                                       training=training, rng=rng)
     ref_ctx, ref_cache = ref_encode(ref_model.encoder, words, tags, training=training,
                                     rng=ref_rng)
     assert np.allclose(ctx, ref_ctx, rtol=1e-12, atol=1e-12)
@@ -184,7 +185,7 @@ def test_sentence_loss_matches_reference(seed, tree_index):
     idx_rows, seq = oracle_rollout(tree)
     gold = [model.transition_id(t) for t in seq]
     args = (tree.forms(), tree.upos_tags(), idx_rows, gold)
-    loss, backprop = sentence_loss(model, *args, training=True,
+    loss, backprop = sentence_loss(model, [args], training=True,
                                    rng=np.random.default_rng(seed))
     backprop()
     ref_loss = ref_sentence_loss(ref_model, *args, training=True,
@@ -237,11 +238,11 @@ def test_unspelled_sentence_after_spelled_one_leaves_zero_char_gradients():
     fresh = copy.deepcopy(model)
     enc = model.encoder
     char_params = [enc.char_emb] + enc.char_rnn.params()
-    ctx, cache = enc.encode(["ana", "kitab"], ["N", "V"])
+    ctx, cache = enc.encode([["ana", "kitab"]], [["N", "V"]])
     enc.backward(np.ones(ctx.shape), cache)
     assert all(p.grad.any() for p in char_params)
     for e in (enc, fresh.encoder):
-        ctx, cache = e.encode(["", ""], ["N", "V"])
+        ctx, cache = e.encode([["", ""]], [["N", "V"]])
         e.backward(np.ones(ctx.shape), cache)
     for p in char_params:
         assert p.grad.tobytes() == np.zeros(p.value.shape).tobytes(), p.name

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,7 +56,20 @@ class TestSoftmaxAndLoss:
         expect = probs.copy()
         expect[np.arange(4), gold] -= 1.0
         assert np.allclose(dlogits, expect)
-        assert loss == pytest.approx(-np.log(probs[np.arange(4), gold]).sum())
+        assert np.allclose(loss, -np.log(probs[np.arange(4), gold]))
+
+    def test_nll_is_finite_where_the_gold_probability_underflows(self):
+        """log-sum-exp: a gold logit 1000 below another costs 1000, not inf,
+        and numpy warns of nothing; the gradient is still probs - one-hot."""
+        logits = np.array([[0.0, 1000.0, -5.0], [3.0, 1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, dlogits = nn.nll_loss(logits, np.array([0, 0]))
+        assert loss[0] == 1000.0
+        assert loss[1] == pytest.approx(-np.log(nn.softmax(logits[1:])[0, 0]))
+        expect = nn.softmax(logits)
+        expect[[0, 1], [0, 0]] -= 1.0
+        assert dlogits.tobytes() == expect.tobytes()
 
 
 class TestDropout:
@@ -108,7 +122,7 @@ class TestMLP:
 
         def loss_fn():
             logits, _ = mlp.forward(X, training=False)
-            return nn.nll_loss(logits, gold)[0]
+            return nn.nll_loss(logits, gold)[0].sum()
 
         for p in mlp.params():
             p.grad[...] = 0.0
@@ -356,7 +370,7 @@ class TestOptimizer:
         for _ in range(10):
             logits, cache = mlp.forward(X, training=False)
             loss, dlogits = nn.nll_loss(logits, gold)
-            losses.append(loss)
+            losses.append(loss.sum())
             mlp.backward(dlogits, cache)
             opt.step()
         assert all(b < a for a, b in zip(losses, losses[1:]))

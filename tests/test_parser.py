@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -35,27 +37,27 @@ class TestEncoder:
     def test_output_shape_covers_root(self):
         model, tb = tiny_model()
         words, tags = tb[1].forms(), tb[1].upos_tags()
-        ctx, _ = model.encoder.encode(words, tags)
+        ctx, _ = model.encoder.encode([words], [tags])
         assert ctx.shape == (len(words) + 1, 2 * TINY.enc_hidden)
 
     def test_rejects_empty_and_misaligned(self):
         model, _ = tiny_model()
         with pytest.raises(ValueError):
-            model.encoder.encode([], [])
+            model.encoder.encode([[]], [[]])
         with pytest.raises(ValueError):
-            model.encoder.encode(["a", "b"], ["N"])
+            model.encoder.encode([["a", "b"]], [["N"]])
 
     def test_oov_word_maps_to_unk_and_chars_differentiate(self):
         model, _ = tiny_model()
-        cache1 = model.encoder.encode(["zzz"], ["N"])[1]
+        cache1 = model.encoder.encode([["zzz"]], [["N"]])[1]
         assert cache1[0].ravel().tolist() == [1, 0]  # ROOT row then <unk>
         # Both words are OOV (same UNK embedding) and built from known
         # characters, so only the character encoder can tell them apart.
-        a, _ = model.encoder.encode(["nana"], ["N"])
-        b, _ = model.encoder.encode(["nana"], ["N"])
-        c, _ = model.encoder.encode(["anan"], ["N"])
-        assert model.encoder.encode(["nana"], ["N"])[1][0].ravel().tolist() == [1, 0]
-        assert model.encoder.encode(["anan"], ["N"])[1][0].ravel().tolist() == [1, 0]
+        a, _ = model.encoder.encode([["nana"]], [["N"]])
+        b, _ = model.encoder.encode([["nana"]], [["N"]])
+        c, _ = model.encoder.encode([["anan"]], [["N"]])
+        assert model.encoder.encode([["nana"]], [["N"]])[1][0].ravel().tolist() == [1, 0]
+        assert model.encoder.encode([["anan"]], [["N"]])[1][0].ravel().tolist() == [1, 0]
         assert np.allclose(a, b)
         assert not np.allclose(a, c)
 
@@ -80,7 +82,7 @@ class TestEncoder:
         tags = tb[1].upos_tags() * 4
         dropped = total = 0
         while total < 10_000:
-            _, cache = model.encoder.encode(words, tags, training=True, rng=rng)
+            _, cache = model.encoder.encode([words], [tags], training=True, rng=rng)
             drop = cache[1]
             dropped += int(drop.sum())
             total += len(drop)
@@ -88,7 +90,7 @@ class TestEncoder:
 
     def test_no_dropout_at_inference(self):
         model, tb = tiny_model()
-        _, cache = model.encoder.encode(tb[0].forms(), tb[0].upos_tags(),
+        _, cache = model.encoder.encode([tb[0].forms()], [tb[0].upos_tags()],
                                         training=False)
         assert not cache[1].any()
 
@@ -108,7 +110,7 @@ def reference_features(c, ctx):
 def reference_parse(model, words, tags):
     """The per-sentence greedy decode ``parse_batch`` replaced: one
     encoder pass per sentence, one classifier row per transition."""
-    ctx, _ = model.encoder.encode(words, tags)
+    ctx, _ = model.encoder.encode([words], [tags])
     c = arceager.Configuration(len(words))
     while not arceager.is_terminal(c):
         logits, _ = model.mlp.forward(reference_features(c, ctx)[None, :])
@@ -144,7 +146,7 @@ class TestFeaturize:
         # features times W1, along a whole decode.
         model, tb = tiny_model()
         tree = tb[1]
-        ctx, _ = model.encoder.encode(tree.forms(), tree.upos_tags())
+        ctx, _ = model.encoder.encode([tree.forms()], [tree.upos_tags()])
         table, offsets, absent = parser._slot_table(model.mlp.lin1.W.value, ctx)
         assert not table[offsets + absent].any()
         c = arceager.Configuration(len(tree))
@@ -255,7 +257,7 @@ class TestBatchedInference:
             batch = tag_batch(tagger, words)
         assert batch == [tag_batch(tagger, [ws])[0] for ws in words]
         for ws, tags in zip(words, batch):
-            ctx, _ = tagger.encoder.encode(ws, None)
+            ctx, _ = tagger.encoder.encode([ws], None)
             logits, _ = tagger.mlp.forward(ctx[1:])
             assert tags == [tagger.vocabs.tags.itos[i] for i in logits.argmax(axis=1)]
 
@@ -269,7 +271,7 @@ class TestBatchedInference:
         rows, lengths, cache = model.encoder.encode_batch(words, tags)
         assert cache is None
         assert list(lengths) == [len(ws) + 1 for ws in words]
-        ref = np.concatenate([model.encoder.encode(ws, ts)[0] for ws, ts in zip(words, tags)])
+        ref = np.concatenate([model.encoder.encode([ws], [ts])[0] for ws, ts in zip(words, tags)])
         assert np.allclose(rows, ref, rtol=1e-12, atol=1e-12)
 
     def test_empty_inputs(self, models):
@@ -358,13 +360,13 @@ class TestTrainingAndParse:
             examples.append((tree.forms(), tree.upos_tags(), idx_rows, gold))
 
         def loss_fn():
-            return sum(sentence_loss(model, w, tg, ir, g)[0]
+            return sum(sentence_loss(model, [(w, tg, ir, g)])[0]
                        for w, tg, ir, g in examples)
 
         # Each backprop writes its sentence's gradients; the loss sums them.
         totals = [np.zeros(p.value.shape) for p in model.params()]
         for w, tg, ir, g in examples:
-            _, back = sentence_loss(model, w, tg, ir, g)
+            _, back = sentence_loss(model, [(w, tg, ir, g)])
             back()
             for total, p in zip(totals, model.params()):
                 total += p.grad
@@ -622,3 +624,120 @@ def test_train_config_takes_an_int_for_a_float_field():
     cfg = dataclasses.replace(TINY, lr=1, momentum=0.0, l2=0.0, mlp_dropout=0,
                               embeddings_path="v.txt")
     assert cfg.lr == 1 and cfg.embeddings_path == "v.txt"
+
+
+# Mini-batch training. Trees of 3 to 8 tokens; every parser example has
+# steps with absent (-1) feature nodes.
+_POOL = (gen_synthetic(default_grammar(uniform_orders()), 6, seed=3).trees
+         + toy_treebank().trees)
+_NO_DROPOUT = dataclasses.replace(TINY, mlp_dropout=0.0, word_dropout=0.0)
+
+
+def _example(model, tree):
+    if model.kind == "tagger":
+        return (tree.forms(), None, np.arange(1, len(tree) + 1)[:, None],
+                [model.vocabs.tags.id(t) for t in tree.upos_tags()])
+    idx_rows, seq = oracle_rollout(tree)
+    return (tree.forms(), tree.upos_tags(), idx_rows, [model.transition_id(t) for t in seq])
+
+
+def _gradients(model, batch):
+    losses, backprop = sentence_loss(model, batch)
+    backprop()
+    return losses, [p.grad.copy() for p in model.params()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["parser", "tagger"]),
+       picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=5))
+def test_batched_backward_writes_the_mean_of_sentence_gradients(kind, picks):
+    """One backward pass over a batch writes the mean of its sentences'
+    one-sentence gradients, and the loss of each of them."""
+    model = _init_model(kind, _NO_DROPOUT, build_vocabs(_POOL))
+    batch = [_example(model, _POOL[i]) for i in picks]
+    losses, batched = _gradients(model, batch)
+    singles = [_gradients(model, [example]) for example in batch]
+    assert np.allclose(losses, [loss[0] for loss, _ in singles], rtol=1e-12, atol=0.0)
+    for k, p in enumerate(model.params()):
+        mean = sum(grads[k] for _, grads in singles) / len(batch)
+        assert np.allclose(batched[k], mean, rtol=1e-12, atol=1e-12 * np.abs(mean).max()), p.name
+
+
+def test_fit_steps_once_per_batch_at_lr_times_root_b():
+    """Seven examples at B = 3 take three steps, the last of one example,
+    each at lr * sqrt(3) in the first epoch."""
+    model = _init_model("parser", dataclasses.replace(TINY, batch_sentences=3, epochs=1),
+                        build_vocabs(_POOL))
+    examples = [_example(model, tree) for tree in _POOL[:7]]
+    sizes, rates = [], []
+    real_loss, real_step = parser.sentence_loss, nn.MomentumSGD.step
+
+    def loss(model, batch, **kw):
+        sizes.append(len(batch))
+        return real_loss(model, batch, **kw)
+
+    def step(opt):
+        rates.append(opt.lr)
+        return real_step(opt)
+
+    with mock.patch.object(parser, "sentence_loss", loss), \
+            mock.patch.object(nn.MomentumSGD, "step", step):
+        parser._fit(model, examples)
+    assert sizes == [3, 3, 1]
+    assert rates == [TINY.lr * np.sqrt(3)] * 3
+
+
+def test_divergence_is_reported_without_a_numpy_warning(caplog):
+    """A learning rate far too high kills every hidden unit of the
+    classifier within the first epoch; each later epoch logs one warning
+    naming it. The first epoch's loss, once infinite, is finite, and numpy
+    warns of nothing."""
+    cfg = dataclasses.replace(TINY, lr=50.0, epochs=3, batch_sentences=2)
+    with warnings.catch_warnings(), caplog.at_level("INFO", logger="scrambleparse.parser"):
+        warnings.simplefilter("error")
+        train_parser(Treebank(_POOL), None, cfg)
+    found = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert found == [f"warning: epoch {k}/3: no hidden unit of the classifier fired; the model "
+                     "predicts from its output bias alone (lower lr)" for k in (2, 3)]
+    first = caplog.records[0].getMessage()
+    assert first.startswith("epoch 1/3: loss/transition ")
+    assert 100.0 < float(first.split()[-1]) < math.inf
+
+
+def test_training_at_a_sane_rate_warns_of_nothing(caplog):
+    with caplog.at_level("INFO", logger="scrambleparse.parser"):
+        train_parser(Treebank(_POOL), None, TINY)
+    assert [r.levelname for r in caplog.records] == ["INFO"] * TINY.epochs
+
+
+def test_checkpoint_without_batch_sentences_loads_as_per_sentence_training(tmp_path):
+    """Files written before ``batch_sentences`` existed have no such key in
+    their cfg; one loads as batch_sentences = 1 and parses as the model
+    it holds. A per-sentence model writes no key, a batched one its B."""
+    model = train_parser(Treebank(_POOL), None, TINY)
+    path = tmp_path / "parser.spnn"
+    model.save(path)
+    meta = nn.load_checkpoint(path)["meta"]
+    assert meta["cfg"]["batch_sentences"] == TINY.batch_sentences == 4
+    del meta["cfg"]["batch_sentences"]
+    nn.save_checkpoint(tmp_path / "old.spnn", model.params(), meta)
+    back = ParserModel.load(tmp_path / "old.spnn")
+    assert back.cfg == dataclasses.replace(model.cfg, batch_sentences=1)
+    want, got = parse_batch(model, _POOL), parse_batch(back, _POOL)
+    assert [t.tokens for t in got[0]] == [t.tokens for t in want[0]]
+    back.save(tmp_path / "again.spnn")
+    assert (tmp_path / "again.spnn").read_bytes() == (tmp_path / "old.spnn").read_bytes()
+
+
+def test_non_finite_epoch_loss_is_reported(caplog):
+    real_loss = parser.sentence_loss
+
+    def loss(model, batch, **kw):
+        losses, backprop = real_loss(model, batch, **kw)
+        return losses + np.inf, backprop
+
+    with mock.patch.object(parser, "sentence_loss", loss), \
+            caplog.at_level("INFO", logger="scrambleparse.parser"):
+        train_parser(Treebank(_POOL), None, dataclasses.replace(TINY, epochs=1))
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        "warning: epoch 1/1: the loss is inf; training diverged (lower lr)"]

@@ -139,3 +139,35 @@ def test_grammar_rejects_negative_weights():
         SyntheticGrammar(subjects=("a",), objects=("b",), indirect_objects=(),
                          adjuncts=(), verbs=("v",),
                          order_weights={OrderLabel.SOV: 1.5, OrderLabel.OSV: -0.5})
+
+
+def test_shared_nouns_draw_objects_from_the_subjects():
+    g = default_grammar(uniform_orders(), shared_nouns=True)
+    assert g.objects == g.subjects == default_grammar(uniform_orders()).subjects
+    assert default_grammar(uniform_orders()).objects != g.subjects
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_drop_case_removes_only_subject_markers_at_its_rate(p):
+    """The clauses are those of ``drop_case = 0`` less some subject
+    markers, heads re-indexed; the drop has a stream of its own."""
+    g = default_grammar(uniform_orders(), shared_nouns=True)
+    full = gen_synthetic(g, 2000, seed=9)
+    dropped = gen_synthetic(g, 2000, seed=9, drop_case=p)
+    n_dropped = 0
+    for a, b in zip(full, dropped, strict=True):
+        assert validate_tree(b) == [] and is_projective(b)
+        kept = [t for t in a.tokens
+                if not (t.deprel == "case" and t.form == SUBJECT_MARKER and len(b) < len(a))]
+        assert [(t.form, t.deprel) for t in b.tokens] == [(t.form, t.deprel) for t in kept]
+        heads = {t.index: t.form for t in kept}
+        new_index = {t.index: i for i, t in enumerate(kept, start=1)}
+        assert [t.head for t in b.tokens] == [new_index.get(t.head, 0) for t in kept]
+        assert all(t.head == 0 or t.head in heads for t in kept)
+        n_dropped += len(b) < len(a)
+    assert abs(n_dropped / 2000 - p) < 0.04
+
+
+def test_drop_case_rejects_a_rate_outside_zero_to_one():
+    with pytest.raises(ValueError, match="drop_case must be in"):
+        gen_synthetic(default_grammar(uniform_orders()), 3, drop_case=1.5)

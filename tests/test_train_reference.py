@@ -13,6 +13,10 @@ before a sentence and backpropagated into from there, so a written
 ``-0.0`` reaches the step as ``0.0 + (-0.0) = +0.0``, and a plain
 per-parameter step (``ref_step``). ``_fit`` writes each gradient once and
 never zeroes one; its parameters must still be the same bytes.
+
+The loops are per-sentence training, so every config here sets
+``batch_sentences = 1``, and the checkpoint must be the bytes of one
+written before that field existed.
 """
 
 import logging
@@ -70,8 +74,8 @@ def ref_train_parser(train, dev, cfg):
         n_steps = 0
         for i in order:
             words, tags, idx_rows, gold_ids = examples[i]
-            loss, backprop = sentence_loss(model, words, tags, idx_rows, gold_ids,
-                                           training=True, rng=rng)
+            (loss,), backprop = sentence_loss(model, [(words, tags, idx_rows, gold_ids)],
+                                              training=True, rng=rng)
             backprop()
             opt.step()
             total += loss * len(gold_ids)
@@ -114,14 +118,14 @@ def ref_train_tagger(train, dev, cfg):
         n_tok = 0
         for i in order:
             words, gold_ids = examples[i]
-            ctx, enc_cache = model.encoder.encode(words, None, training=True, rng=rng)
+            ctx, enc_cache = model.encoder.encode([words], None, training=True, rng=rng)
             logits, mlp_cache = model.mlp.forward(ctx[1:], training=True, rng=rng)
             loss, dlogits = nn.nll_loss(logits, gold_ids)
             dctx = np.zeros_like(ctx)
             dctx[1:] = model.mlp.backward(dlogits / len(words), mlp_cache)
             model.encoder.backward(dctx, enc_cache)
             opt.step()
-            total += loss
+            total += loss.sum()
             n_tok += len(words)
         msg = f"tagger epoch {epoch + 1}/{cfg.epochs}: loss/token {total / n_tok:.4f}"
         if dev is not None and len(dev) > 0:
@@ -141,10 +145,17 @@ def ref_train_tagger(train, dev, cfg):
     return model
 
 
+def _old_cfg(cfg):
+    """The config as the older ``TrainConfig``, which had no
+    ``batch_sentences``, saved it: these loops are per-sentence training."""
+    assert cfg.batch_sentences == 1
+    return {k: v for k, v in cfg.__dict__.items() if k != "batch_sentences"}
+
+
 def ref_save_parser(self, path, extra_meta=None):
     meta = {
         "kind": "parser",
-        "cfg": self.cfg.__dict__,
+        "cfg": _old_cfg(self.cfg),
         "vocab_items": {"words": self.vocabs.words.itos,
                         "tags": self.vocabs.tags.itos,
                         "chars": self.vocabs.chars.itos,
@@ -157,7 +168,7 @@ def ref_save_parser(self, path, extra_meta=None):
 def ref_save_tagger(self, path, extra_meta=None):
     meta = {
         "kind": "tagger",
-        "cfg": self.cfg.__dict__,
+        "cfg": _old_cfg(self.cfg),
         "vocab_items": {"words": self.vocabs.words.itos,
                         "tags": self.vocabs.tags.itos,
                         "chars": self.vocabs.chars.itos,
@@ -171,7 +182,7 @@ def ref_save_tagger(self, path, extra_meta=None):
 # best-epoch restore picks an epoch other than the last in some cases.
 BASE = TrainConfig(word_dim=6, tag_dim=4, char_dim=4, char_hidden=3, enc_hidden=5,
                    mlp_hidden=8, mlp_dropout=0.0, word_dropout=0.0, epochs=3,
-                   seed=3, lr=0.3)
+                   seed=3, lr=0.3, batch_sentences=1)
 
 CASES = {
     "plain": (dict(), False),
@@ -269,7 +280,7 @@ def ref_fit(model, examples):
         for i in rng.permutation(len(examples)):
             for p in params:
                 p.grad[...] = 0.0
-            _, backprop = sentence_loss(model, *examples[i], training=True, rng=rng)
+            _, backprop = sentence_loss(model, [examples[i]], training=True, rng=rng)
             backprop()
             for p in params:
                 p.grad[...] = 0.0 + p.grad
