@@ -140,21 +140,14 @@ def segment_sum(rows, values, n_rows: int) -> np.ndarray:
                        minlength=n_rows * dim).reshape(n_rows, dim)
 
 
-def softmax(logits):
-    """Row-wise softmax of a matrix."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def nll_loss(logits, gold):
     """Negative log-likelihood of the gold class of each row of ``logits``,
     one per row, and the gradient of their sum w.r.t. the logits.
 
     The loss is taken through log-sum-exp, ``log sum exp(z) - z[gold]``
     with ``z`` the logits less their row maximum, so it stays finite where
-    the gold probability underflows to 0. The gradient is ``softmax``'s
-    probabilities, computed as there, less the one-hot gold.
+    the gold probability underflows to 0. The gradient is the softmax
+    probabilities ``exp(z) / sum exp(z)`` less the one-hot gold.
     """
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -350,33 +343,83 @@ class BiLSTMStack:
 
 
 class MLP:
-    """Single rectifier hidden layer with softmax output."""
+    """One rectifier hidden layer over K slots of D-wide context rows, then
+    a linear output layer (``nll_loss`` is its softmax cross-entropy).
 
-    def __init__(self, in_dim: int, hidden: int, out_dim: int, rng, name: str,
-                 dropout: float = 0.0):
+    A classifier row reads one context row per slot; its hidden layer is
+    their concatenation times ``W1`` (K * D, H), plus ``b1``, taken slot by
+    slot (Chen & Manning 2014): ``table`` applies each slot's D-row block
+    of ``W1`` to every context row once, and ``forward`` sums one table
+    row per slot.
+    """
+
+    def __init__(self, slots: int, dim: int, hidden: int, out_dim: int, rng, name: str,
+                 dropout: float):
+        self.slots = slots
         self.dropout = dropout
-        self.lin1 = Linear(in_dim, hidden, rng, f"{name}.lin1")
+        self.W1 = param(rng, f"{name}.lin1.W", (slots * dim, hidden), glorot)
+        self.b1 = param(rng, f"{name}.lin1.b", (hidden,), zeros)
         self.lin2 = Linear(hidden, out_dim, rng, f"{name}.lin2")
 
-    def forward(self, X, training: bool = False, rng=None):
-        Z1, c1 = self.lin1.forward(X)
+    def _blocks(self):  # W1 as its K slot blocks, (K, D, H)
+        return self.W1.value.reshape(self.slots, -1, self.W1.value.shape[1])
+
+    def table(self, rows):
+        """The (K, N + 1, H) slot table of N context rows: ``table[k, r]`` is
+        ``rows[r]`` times slot k's block of ``W1``, and ``table[k, N]`` is
+        zero, the row of an absent node. One broadcast matmul, which
+        numpy runs as one gemm per slot."""
+        blocks = self._blocks()
+        table = np.empty((self.slots, len(rows) + 1, blocks.shape[2]))
+        np.matmul(rows, blocks, out=table[:, :-1])
+        table[:, -1] = 0.0
+        return table
+
+    def forward(self, idx, table, training: bool = False, rng=None):
+        """Logits for each row of ``idx`` and the cache for ``backward``.
+
+        ``idx`` is (rows, K): per slot, the context row of ``table`` that
+        the classifier row reads, -1 for an absent node.
+        """
+        K, n_rows, H = table.shape
+        node = np.where(idx < 0, n_rows - 1, idx)
+        Z1 = table.reshape(K * n_rows, H)[node + np.arange(K) * n_rows].sum(axis=1)
+        Z1 += self.b1.value
         A = np.maximum(Z1, 0.0)
         mask = 1.0
         if training and self.dropout > 0.0:  # inverted dropout: keep with 1 - p, scaled up
             mask = (rng.random(A.shape) >= self.dropout) / (1.0 - self.dropout)
-        Ad = A * mask
-        logits, c2 = self.lin2.forward(Ad)
-        return logits, (c1, Z1, mask, c2)
+            A *= mask
+        logits, c2 = self.lin2.forward(A)
+        return logits, (node, Z1, mask, c2)
 
-    def backward(self, dlogits, cache):
-        c1, Z1, mask, c2 = cache
-        dAd = self.lin2.backward(dlogits, c2)
-        dA = dAd * mask
-        dZ1 = dA * (Z1 > 0.0)
-        return self.lin1.backward(dZ1, c1)
+    def backward(self, dlogits, cache, rows):
+        """Write the parameter gradients given d(logits), and return d(rows)
+        for the ``rows`` whose table the forward pass read.
+
+        Each classifier row's first-layer gradient reaches one table row
+        per slot, and ``segment_sum`` adds them up into the table's
+        gradient dT, one call per slot: each reads ``dZ1`` as it is, where
+        one call over all slots would first copy it K times. Then ``W1``'s
+        block k gets ``rows.T @ dT[k]``, and d(rows) is the sum over k of
+        ``dT[k] @ block_k.T``.
+        """
+        node, Z1, mask, c2 = cache
+        dA = self.lin2.backward(dlogits, c2)
+        dZ1 = dA * mask
+        dZ1 *= Z1 > 0.0
+        np.sum(dZ1, axis=0, out=self.b1.grad)
+        blocks = self._blocks()
+        K, D, H = blocks.shape
+        n = len(rows)
+        dT = np.empty((K, n, H))
+        for k in range(K):
+            dT[k] = segment_sum(node[:, k], dZ1, n + 1)[:n]
+        np.matmul(rows.T, dT, out=self.W1.grad.reshape(K, D, H))
+        return np.matmul(dT, blocks.transpose(0, 2, 1)).sum(axis=0)
 
     def params(self):
-        return self.lin1.params() + self.lin2.params()
+        return [self.W1, self.b1] + self.lin2.params()
 
 
 # Elements per optimizer update block: its four arrays stay in L2 for six passes.

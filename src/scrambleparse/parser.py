@@ -5,16 +5,18 @@ Tokens are encoded as word embedding + character BiLSTM final states
 layers. The parser scores labeled transitions from 11 positional
 features of the configuration with a one-hidden-layer rectifier
 classifier; the tagger classifies each token from its own context
-vector. Both train through one loss (``sentence_loss``) on rows of
-context vectors, the parser's from the static oracle, and momentum SGD
-with L2, one step per mini-batch of ``batch_sentences`` sentences: the
-batch loss is the mean over its sentences of each one's mean
-cross-entropy. Inference runs on length-sorted chunks of sentences at
-once (``parse_batch``, ``tag_batch``; ``parse`` and ``parse_tree`` are
-one-sentence calls). Both use one encoder method,
-``SentenceEncoder.encode_batch``: the character BiLSTM runs once over
-the distinct truncated forms, the stack over a length-masked padded
-batch (a training batch through ``encode``, an inference chunk).
+vector. Both classifiers are an ``nn.MLP`` whose first layer is a slot
+table (Chen & Manning 2014), read by ``forward`` in training, parsing
+and tagging alike: the parser has 11 slots, the tagger one. Both train
+through one loss (``sentence_loss``) on rows of context vectors, the
+parser's from the static oracle, and momentum SGD with L2, one step per
+mini-batch of ``batch_sentences`` sentences: the batch loss is the mean
+over its sentences of each one's mean cross-entropy. Inference runs on
+length-sorted chunks of sentences at once (``parse_batch``,
+``tag_batch``; ``parse`` and ``parse_tree`` are one-sentence calls).
+Both use one encoder method, ``SentenceEncoder.encode``: the character
+BiLSTM runs once over the distinct truncated forms, the stack over a
+length-masked padded batch.
 """
 
 from __future__ import annotations
@@ -276,17 +278,8 @@ class SentenceEncoder:
         log.info("loaded %d pre-trained word vectors, skipped %d lines of another width",
                  loaded, skipped)
 
-    def encode(self, sentences: list[list[str]], tags: list[list[str]] | None,
-               training: bool = False, rng=None):
-        """``encode_batch`` with the cache for ``backward``: the context
-        vectors of each sentence (ROOT first), one sentence after another,
-        and that cache. Training encodes each batch through here."""
-        rows, _, cache = self.encode_batch(sentences, tags, training=training, rng=rng,
-                                           cache=True)
-        return rows, cache
-
-    def encode_batch(self, sentences: list[list[str]], tags: list[list[str]] | None = None, *,
-                     training: bool = False, rng=None, cache: bool = False):
+    def encode(self, sentences: list[list[str]], tags: list[list[str]] | None = None, *,
+               training: bool = False, rng=None, cache: bool = False):
         """Context vectors of many sentences at once.
 
         Returns ``(rows, lengths, cache)``: each sentence's context vectors
@@ -406,21 +399,6 @@ def feature_indices(c: arceager.Configuration) -> list[int]:
             lc.get(s2, -1), rc.get(s2, -1), lc.get(b0, -1)]
 
 
-def _gather_features(ctx, idx_rows):
-    """Each row's context vectors side by side (a parser step's 11, a
-    tagger token's one); index -1 picks the zero row of an absent node."""
-    padded = np.concatenate([ctx, np.zeros((1, ctx.shape[1]))])
-    return padded[idx_rows].reshape(len(idx_rows), -1)
-
-
-def _scatter_features(dF, idx_rows, ctx_shape):
-    """The gradient of ``_gather_features`` with respect to ``ctx``."""
-    n, dim = ctx_shape
-    # Index -1 sums into the pad row after the n context rows, then dropped.
-    rows = np.where(idx_rows < 0, n, idx_rows)
-    return nn.segment_sum(rows, dF.reshape(idx_rows.shape + (dim,)), n + 1)[:-1]
-
-
 def oracle_rollout(tree: DepTree):
     """Static-oracle path: a (steps, 11) array of feature indices, -1 where
     the node is absent, and the gold moves."""
@@ -509,12 +487,12 @@ def _init_model(kind: str, cfg: TrainConfig, vocabs: VocabSet,
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     encoder = SentenceEncoder(cfg, vocabs, rng, use_tags=kind == "parser")
     if kind == "tagger":
-        mlp = nn.MLP(encoder.out_dim, cfg.mlp_hidden, len(vocabs.tags), rng,
-                     "tag_classifier", dropout=cfg.mlp_dropout)
+        mlp = nn.MLP(1, encoder.out_dim, cfg.mlp_hidden, len(vocabs.tags), rng,
+                     "tag_classifier", cfg.mlp_dropout)
         return TaggerModel(cfg=cfg, vocabs=vocabs, encoder=encoder, mlp=mlp)
     transitions = build_transitions(vocabs.labels)
-    mlp = nn.MLP(11 * encoder.out_dim, cfg.mlp_hidden, len(transitions), rng,
-                 "classifier", dropout=cfg.mlp_dropout)
+    mlp = nn.MLP(len(FEATURE_SELECTORS), encoder.out_dim, cfg.mlp_hidden, len(transitions),
+                 rng, "classifier", cfg.mlp_dropout)
     return ParserModel(cfg=cfg, vocabs=vocabs, encoder=encoder, mlp=mlp, transitions=transitions)
 
 
@@ -590,10 +568,11 @@ def sentence_loss(model: ParserModel | TaggerModel, batch: list[tuple],
     over its gold ids and a backprop closure.
 
     An example is ``(words, tags, idx_rows, gold_ids)``: row r of
-    ``idx_rows`` picks the sentence's context vectors (-1: a zero row)
+    ``idx_rows`` picks the sentence's context vectors (-1: an absent node)
     that classify ``gold_ids[r]``, a parser step's 11 feature nodes or the
     tagger's one token. The batch is encoded in one padded pass and
-    classified in one pass over all its rows. ``backprop()`` writes the
+    classified by one slot table and one ``nn.MLP.forward`` over all its
+    rows. ``backprop()`` writes the
     gradient of the batch loss, the mean over the examples of their means,
     so each row's gradient is divided by its sentence's gold-id count and
     then by the batch size: update magnitudes stay comparable across
@@ -601,14 +580,14 @@ def sentence_loss(model: ParserModel | TaggerModel, batch: list[tuple],
     whether any hidden unit of the classifier fired on the batch.
     """
     words, tags, idx_rows, gold_ids = zip(*batch)
-    ctx, enc_cache = model.encoder.encode(list(words), None if tags[0] is None else list(tags),
-                                          training=training, rng=rng)
+    rows, lengths, enc_cache = model.encoder.encode(
+        list(words), None if tags[0] is None else list(tags), training=training, rng=rng,
+        cache=True)
     # Each sentence's rows start at its ROOT row; an absent node stays -1.
-    lengths = np.array([len(w) + 1 for w in words])
-    idx_rows = np.concatenate([np.where(rows < 0, -1, rows + at)
-                               for rows, at in zip(idx_rows, np.cumsum(lengths) - lengths)])
-    F = _gather_features(ctx, idx_rows)
-    logits, mlp_cache = model.mlp.forward(F, training=training, rng=rng)
+    idx = np.concatenate([np.where(r < 0, -1, r + at)
+                          for r, at in zip(idx_rows, np.cumsum(lengths) - lengths)])
+    logits, mlp_cache = model.mlp.forward(idx, model.mlp.table(rows), training=training,
+                                          rng=rng)
     row_losses, dlogits = nn.nll_loss(logits, np.concatenate(gold_ids))
     steps = np.array([len(gold) for gold in gold_ids])
     ends = np.cumsum(steps)
@@ -618,14 +597,10 @@ def sentence_loss(model: ParserModel | TaggerModel, batch: list[tuple],
         nonlocal mlp_cache
         dlogits_scaled = dlogits / np.repeat(steps, steps)[:, None]
         dlogits_scaled /= len(batch)
-        dF = model.mlp.backward(dlogits_scaled, mlp_cache)
         fired = bool((mlp_cache[1] > 0.0).any())
-        # The classifier's input and its gradient are a batch's largest
-        # arrays: both are freed before the encoder's backward pass.
-        mlp_cache = None
-        dctx = _scatter_features(dF, idx_rows, ctx.shape)
-        del dF
-        model.encoder.backward(dctx, enc_cache)
+        drows = model.mlp.backward(dlogits_scaled, mlp_cache, rows)
+        mlp_cache = None  # the classifier's activations, freed before the encoder's pass
+        model.encoder.backward(drows, enc_cache)
         return fired
 
     return losses, backprop
@@ -684,44 +659,22 @@ def _chunks(lengths: list[int]):
         yield chunk
 
 
-def _slot_table(W1: np.ndarray, rows: np.ndarray):
-    """The classifier's first layer split by feature slot (Chen & Manning 2014).
-
-    Returns ``(table, offsets, absent)``: row ``offsets[k] + r`` of the
-    table is ``rows[r]`` times the k-th slot's block of ``W1``, and row
-    ``offsets[k] + absent`` is zero, for a feature whose node is absent.
-    Summing one row per slot gives the concatenated features times ``W1``.
-    """
-    N, D = rows.shape
-    K = len(FEATURE_SELECTORS)
-    blocks = W1.reshape(K, D, -1)
-    table = np.zeros((K, N + 1, blocks.shape[2]))
-    for k in range(K):
-        np.matmul(rows, blocks[k], out=table[k, :N])
-    return table.reshape(K * (N + 1), -1), np.arange(K) * (N + 1), N
-
-
 def _decode(model: ParserModel, rows: np.ndarray, lengths) -> list[arceager.Configuration]:
     """Greedy decode of a chunk, all sentences in lockstep.
 
     ``rows`` and ``lengths`` are the first two values that
-    ``SentenceEncoder.encode_batch`` returns. The first layer is applied
-    to every row once (``_slot_table``); each step then sums 11 table rows
-    per unfinished sentence and runs the second layer once on all of them.
-    Returns the terminal configurations in sentence order.
+    ``SentenceEncoder.encode`` returns. The classifier's slot table is
+    built once (``nn.MLP.table``); each step then classifies every
+    unfinished sentence in one ``forward`` call. Returns the terminal
+    configurations in sentence order.
     """
-    lin1, lin2 = model.mlp.lin1, model.mlp.lin2
-    table, offsets, absent = _slot_table(lin1.W.value, rows)
+    table = model.mlp.table(rows)
     starts = np.cumsum(lengths) - lengths  # row of each sentence's ROOT
     configs = [arceager.Configuration(int(n) - 1) for n in lengths]
     active = list(range(len(configs)))
     while active:
         idx = np.array([feature_indices(configs[b]) for b in active])
-        feats = np.where(idx < 0, absent, idx + starts[active, None])
-        hidden = table[feats + offsets].sum(axis=1)
-        hidden += lin1.b.value
-        np.maximum(hidden, 0.0, out=hidden)
-        logits, _ = lin2.forward(hidden)
+        logits, _ = model.mlp.forward(np.where(idx < 0, -1, idx + starts[active, None]), table)
         logits += np.array([model.legal_mask(configs[b]) for b in active])
         for b, best in zip(active, logits.argmax(axis=1)):
             configs[b] = arceager.apply(configs[b], model.transitions[best])
@@ -746,8 +699,8 @@ def parse_batch(model: ParserModel, trees: list[DepTree],
     out: list[DepTree] = [None if len(t) else t.with_tokens([]) for t in trees]
     fallbacks = 0
     for chunk in _chunks([len(t) for t in trees]):
-        rows, lengths, _ = model.encoder.encode_batch([trees[i].forms() for i in chunk],
-                                                      [tags[i] for i in chunk])
+        rows, lengths, _ = model.encoder.encode([trees[i].forms() for i in chunk],
+                                                [tags[i] for i in chunk])
         for i, c in zip(chunk, _decode(model, rows, lengths)):
             fallbacks += c.n - len(c.heads)
             tokens = arceager.tree_from_config(c, trees[i].tokens, upos=tags[i]).tokens
@@ -797,10 +750,10 @@ def tag_batch(model: TaggerModel, sentences: list[list[str]]) -> list[list[str]]
     out: list[list[str]] = [[] for _ in sentences]
     itos = model.vocabs.tags.itos
     for chunk in _chunks([len(words) for words in sentences]):
-        rows, lengths, _ = model.encoder.encode_batch([sentences[i] for i in chunk])
+        rows, lengths, _ = model.encoder.encode([sentences[i] for i in chunk])
         tokens = np.ones(len(rows), dtype=bool)
-        tokens[np.cumsum(lengths) - lengths] = False  # drop the ROOT rows
-        logits, _ = model.mlp.forward(rows[tokens])
+        tokens[np.cumsum(lengths) - lengths] = False  # not the ROOT rows
+        logits, _ = model.mlp.forward(np.flatnonzero(tokens)[:, None], model.mlp.table(rows))
         ids = logits.argmax(axis=1)
         start = 0
         for i, n in zip(chunk, lengths - 1):

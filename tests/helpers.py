@@ -265,10 +265,18 @@ def lm_perplexity(model: NGramModel, sentence) -> float:
     return _perplexities(lm_logprobs(model, [sentence]), np.array([len(sentence)]))[0]
 
 
+def softmax(logits):
+    """Row-wise softmax of a matrix."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def predict_proba(mlp: nn.MLP, x):
-    """Class probabilities of one input vector or a matrix of them."""
-    logits, _ = mlp.forward(np.atleast_2d(x), training=False)
-    p = nn.softmax(logits)
+    """Class probabilities of a one-slot classifier on one input vector or
+    a matrix of them, one per row."""
+    rows = np.atleast_2d(x)
+    logits, _ = mlp.forward(np.arange(len(rows))[:, None], mlp.table(rows))
+    p = softmax(logits)
     return p if np.ndim(x) > 1 else p[0]
 
 

@@ -1,19 +1,20 @@
-"""The shared sentence encoder and feature gather against their per-token versions.
+"""The shared sentence encoder and the classifier's slot table against
+their per-token and dense versions.
 
 ``SentenceEncoder.encode``/``backward`` run the character BiLSTM once per
-sentence over its distinct truncated forms, as a length-masked batch, and
+batch over its distinct truncated forms, as a length-masked batch, and
 write each gradient once: the embedding gradients are ``nn.segment_sum``
-results (one ``np.bincount``), assigned. The feature gather is one fancy
-index over a zero pad row. The functions below are the versions they
-replaced: one character BiLSTM call per token and Python loops over the
-feature slots. Each character BiLSTM call writes that token's gradients,
+results (one ``np.bincount``), assigned. The classifier applies its first
+layer through a slot table (``nn.MLP.table``). The functions below are
+the versions they replaced: one encoder pass per sentence with one
+character BiLSTM call per token, and the classifier input gathered as
+the concatenated context vectors by Python loops over the feature slots,
+times ``W1``. Each character BiLSTM call writes that token's gradients,
 so ``ref_backward`` sums them itself, as it sums the embedding rows. The
-batched character pass sums in another order, so context vectors are
+batched passes sum in another order, so context vectors and losses are
 compared to 1e-12 and gradients to 1e-10 of each parameter's largest
-entry; the gather and scatter only copy and add in the same order, so
-they are compared with ``np.array_equal``, and ``segment_sum`` is
-compared with ``np.add.at`` into zeros byte for byte: both add each value
-in input order to a 0.0.
+entry. ``segment_sum`` is compared with ``np.add.at`` into zeros byte for
+byte: both add each value in input order to a 0.0.
 """
 
 import copy
@@ -23,10 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import toy_treebank
+from test_train_reference import _examples
 from scrambleparse import nn
-from scrambleparse.parser import (TrainConfig, _gather_features, _init_model,
-                                  _scatter_features, build_vocabs, oracle_rollout,
-                                  sentence_loss)
+from scrambleparse.parser import TrainConfig, _init_model, build_vocabs, sentence_loss
 
 
 def ref_encode(enc, words, tags, training=False, rng=None):
@@ -96,7 +96,7 @@ def ref_backward(enc, dctx, cache):
 
 def ref_gather(ctx, idx_rows):
     dim = ctx.shape[1]
-    F = np.zeros((len(idx_rows), 11 * dim))
+    F = np.zeros((len(idx_rows), len(idx_rows[0]) * dim))
     for r, idxs in enumerate(idx_rows):
         for slot, idx in enumerate(idxs):
             if idx is not None:
@@ -114,15 +114,38 @@ def ref_scatter(dF, idx_rows, ctx_shape):
     return dctx
 
 
-def ref_sentence_loss(model, words, tags, idx_rows, gold_ids, training=False, rng=None):
-    rows = [[None if i < 0 else int(i) for i in row] for row in idx_rows]
-    ctx, enc_cache = ref_encode(model.encoder, words, tags, training=training, rng=rng)
-    F = ref_gather(ctx, rows)
-    logits, mlp_cache = model.mlp.forward(F, training=training, rng=rng)
-    loss, dlogits = nn.nll_loss(logits, gold_ids)
-    dF = model.mlp.backward(dlogits / len(gold_ids), mlp_cache)
-    ref_backward(model.encoder, ref_scatter(dF, rows, ctx.shape), enc_cache)
-    return loss.sum() / len(gold_ids)
+def ref_sentence_loss(model, batch, training=False, rng=None):
+    """Each example's mean loss, one encoder pass per sentence and the
+    classifier's first layer as the gathered features times ``W1``; the
+    parameter gradients of the batch loss, the mean of those, are written."""
+    enc, mlp = model.encoder, model.mlp
+    sents = []
+    for words, tags, idx_rows, _ in batch:
+        rows = [[None if i < 0 else int(i) for i in row] for row in idx_rows]
+        ctx, enc_cache = ref_encode(enc, words, tags, training=training, rng=rng)
+        sents.append((rows, ctx, enc_cache))
+    F = np.concatenate([ref_gather(ctx, rows) for rows, ctx, _ in sents])
+    Z1 = F @ mlp.W1.value + mlp.b1.value
+    A = np.maximum(Z1, 0.0)
+    mask = 1.0
+    if training and mlp.dropout > 0.0:
+        mask = (rng.random(A.shape) >= mlp.dropout) / (1.0 - mlp.dropout)
+    logits, c2 = mlp.lin2.forward(A * mask)
+    loss, dlogits = nn.nll_loss(logits, np.concatenate([gold for *_, gold in batch]))
+    steps = np.array([len(gold) for *_, gold in batch])
+    dZ1 = mlp.lin2.backward(dlogits / np.repeat(steps, steps)[:, None] / len(batch), c2)
+    dZ1 *= mask * (Z1 > 0.0)
+    mlp.W1.grad[...] = F.T @ dZ1
+    mlp.b1.grad[...] = dZ1.sum(axis=0)
+    dF = dZ1 @ mlp.W1.value.T
+    sums = {id(p): np.zeros_like(p.value) for p in enc.params()}
+    for (rows, ctx, enc_cache), end, n in zip(sents, np.cumsum(steps), steps):
+        ref_backward(enc, ref_scatter(dF[end - n:end], rows, ctx.shape), enc_cache)
+        for p in enc.params():  # this sentence's, written by the call
+            sums[id(p)] += p.grad
+    for p in enc.params():
+        p.grad[...] = sums[id(p)]
+    return np.array([loss[end - n:end].sum() for end, n in zip(np.cumsum(steps), steps)]) / steps
 
 
 # Forms truncate at 5 characters, so "kitab", "kitabein" and "kitabghar"
@@ -162,8 +185,8 @@ def test_encoder_matches_per_token_reference(sentence, kind, training, seed):
     tags = [t for _, t in sentence] if kind == "parser" else None
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
 
-    ctx, cache = model.encoder.encode([words], None if tags is None else [tags],
-                                       training=training, rng=rng)
+    ctx, _, cache = model.encoder.encode([words], None if tags is None else [tags],
+                                          training=training, rng=rng, cache=True)
     ref_ctx, ref_cache = ref_encode(ref_model.encoder, words, tags, training=training,
                                     rng=ref_rng)
     assert np.allclose(ctx, ref_ctx, rtol=1e-12, atol=1e-12)
@@ -176,35 +199,22 @@ def test_encoder_matches_per_token_reference(sentence, kind, training, seed):
     _assert_grads_close(model.encoder.params(), ref_model.encoder.params())
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), tree_index=st.integers(0, 2))
-def test_sentence_loss_matches_reference(seed, tree_index):
-    model = copy.deepcopy(MODELS["parser"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["parser", "tagger"]),
+       tree_indices=st.lists(st.integers(0, 2), min_size=1, max_size=4))
+def test_sentence_loss_matches_reference(seed, kind, tree_indices):
+    """Batches of one to four trees, repeats among them."""
+    model = copy.deepcopy(MODELS[kind])
     ref_model = copy.deepcopy(model)
-    tree = toy_treebank()[tree_index]
-    idx_rows, seq = oracle_rollout(tree)
-    gold = [model.transition_id(t) for t in seq]
-    args = (tree.forms(), tree.upos_tags(), idx_rows, gold)
-    loss, backprop = sentence_loss(model, [args], training=True,
-                                   rng=np.random.default_rng(seed))
+    trees = toy_treebank()
+    batch = _examples(model, [trees[i] for i in tree_indices])
+    losses, backprop = sentence_loss(model, batch, training=True,
+                                     rng=np.random.default_rng(seed))
     backprop()
-    ref_loss = ref_sentence_loss(ref_model, *args, training=True,
-                                 rng=np.random.default_rng(seed))
-    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    ref_losses = ref_sentence_loss(ref_model, batch, training=True,
+                                   rng=np.random.default_rng(seed))
+    assert np.allclose(losses, ref_losses, rtol=1e-12, atol=0.0)
     _assert_grads_close(model.params(), ref_model.params())
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 12), steps=st.integers(1, 25), dim=st.integers(1, 7),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_gather_and_scatter_match_loops_bit_for_bit(n, steps, dim, seed):
-    rng = np.random.default_rng(seed)
-    ctx = rng.normal(size=(n + 1, dim))
-    idx = rng.integers(-1, n + 1, size=(steps, 11))
-    rows = [[None if i < 0 else int(i) for i in row] for row in idx]
-    assert np.array_equal(_gather_features(ctx, idx), ref_gather(ctx, rows))
-    dF = rng.normal(size=(steps, 11 * dim))
-    assert np.array_equal(_scatter_features(dF, idx, ctx.shape), ref_scatter(dF, rows, ctx.shape))
 
 
 # Mostly moderate values, so that the sums of three or more round in ways
@@ -238,11 +248,11 @@ def test_unspelled_sentence_after_spelled_one_leaves_zero_char_gradients():
     fresh = copy.deepcopy(model)
     enc = model.encoder
     char_params = [enc.char_emb] + enc.char_rnn.params()
-    ctx, cache = enc.encode([["ana", "kitab"]], [["N", "V"]])
+    ctx, _, cache = enc.encode([["ana", "kitab"]], [["N", "V"]], cache=True)
     enc.backward(np.ones(ctx.shape), cache)
     assert all(p.grad.any() for p in char_params)
     for e in (enc, fresh.encoder):
-        ctx, cache = e.encode([["", ""]], [["N", "V"]])
+        ctx, _, cache = e.encode([["", ""]], [["N", "V"]], cache=True)
         e.backward(np.ones(ctx.shape), cache)
     for p in char_params:
         assert p.grad.tobytes() == np.zeros(p.value.shape).tobytes(), p.name

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_gradients, predict_proba
+from helpers import check_gradients, predict_proba, softmax
 from scrambleparse import nn
 from scrambleparse.parser import TrainConfig
 
@@ -24,6 +24,19 @@ def one(layer, X, **kwargs):
     return Y[:, 0], cache
 
 
+def one_slot(mlp, X, **kwargs):
+    """``mlp.forward`` of a one-slot classifier with one row per row of X."""
+    return mlp.forward(np.arange(len(X))[:, None], mlp.table(X), **kwargs)
+
+
+def probs(logits):
+    """The softmax of each row of ``logits``, as ``nll_loss``'s gradient
+    plus the one-hot gold."""
+    _, dlogits = nn.nll_loss(logits, np.zeros(len(logits), dtype=np.intp))
+    dlogits[:, 0] += 1.0
+    return dlogits
+
+
 def scalar_loss(Y, proj):
     """Deterministic scalar readout so layer outputs can be gradient-checked."""
     return float((Y * proj).sum())
@@ -31,32 +44,32 @@ def scalar_loss(Y, proj):
 
 class TestSoftmaxAndLoss:
     def test_zero_logits_uniform(self):
-        p = nn.softmax(np.zeros((1, 7)))
+        p = probs(np.zeros((1, 7)))
         assert np.allclose(p, 1 / 7)
 
     def test_rows_sum_to_one(self):
         rng = rng_()
         logits = rng.normal(size=(50, 9)) * 10
-        p = nn.softmax(logits)
+        p = probs(logits)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
         assert (p > 0).all()
 
     def test_shift_invariance_of_argmax(self):
         rng = rng_()
         z = rng.normal(size=(1, 12))
-        assert np.argmax(nn.softmax(z)) == np.argmax(nn.softmax(z + 123.4))
-        assert np.allclose(nn.softmax(z), nn.softmax(z + 123.4))
+        assert np.argmax(probs(z)) == np.argmax(probs(z + 123.4))
+        assert np.allclose(probs(z), probs(z + 123.4))
 
     def test_nll_gradient_closed_form(self):
         rng = rng_()
         logits = rng.normal(size=(4, 6))
         gold = np.array([1, 0, 5, 2])
         loss, dlogits = nn.nll_loss(logits, gold)
-        probs = nn.softmax(logits)
-        expect = probs.copy()
+        p = softmax(logits)
+        expect = p.copy()
         expect[np.arange(4), gold] -= 1.0
         assert np.allclose(dlogits, expect)
-        assert np.allclose(loss, -np.log(probs[np.arange(4), gold]))
+        assert np.allclose(loss, -np.log(p[np.arange(4), gold]))
 
     def test_nll_is_finite_where_the_gold_probability_underflows(self):
         """log-sum-exp: a gold logit 1000 below another costs 1000, not inf,
@@ -66,28 +79,28 @@ class TestSoftmaxAndLoss:
             warnings.simplefilter("error")
             loss, dlogits = nn.nll_loss(logits, np.array([0, 0]))
         assert loss[0] == 1000.0
-        assert loss[1] == pytest.approx(-np.log(nn.softmax(logits[1:])[0, 0]))
-        expect = nn.softmax(logits)
+        assert loss[1] == pytest.approx(-np.log(softmax(logits[1:])[0, 0]))
+        expect = softmax(logits)
         expect[[0, 1], [0, 0]] -= 1.0
         assert dlogits.tobytes() == expect.tobytes()
 
 
 class TestDropout:
     def test_p_zero_all_ones(self):
-        mlp = nn.MLP(4, 100, 3, rng_(), "m", dropout=0.0)
-        _, (_, _, mask, _) = mlp.forward(rng_().normal(size=(1, 4)), training=True, rng=rng_())
+        mlp = nn.MLP(1, 4, 100, 3, rng_(), "m", 0.0)
+        _, (_, _, mask, _) = one_slot(mlp, rng_().normal(size=(1, 4)), training=True, rng=rng_())
         assert np.all(mask == 1.0)
 
     def test_inference_all_ones(self):
-        mlp = nn.MLP(4, 6, 3, rng_(), "m", dropout=0.9)
-        _, (_, _, mask, _) = mlp.forward(rng_().normal(size=(5, 4)), training=False)
+        mlp = nn.MLP(1, 4, 6, 3, rng_(), "m", 0.9)
+        _, (_, _, mask, _) = one_slot(mlp, rng_().normal(size=(5, 4)), training=False)
         assert np.all(mask == 1.0)
 
     def test_empirical_drop_rate(self):
         p = 0.3
-        mlp = nn.MLP(2, 1000, 2, rng_(), "m", dropout=p)
-        _, (_, _, mask, _) = mlp.forward(rng_().normal(size=(100, 2)), training=True,
-                                         rng=rng_())
+        mlp = nn.MLP(1, 2, 1000, 2, rng_(), "m", p)
+        _, (_, _, mask, _) = one_slot(mlp, rng_().normal(size=(100, 2)), training=True,
+                                      rng=rng_())
         dropped = (mask == 0.0).mean()
         assert abs(dropped - p) < 0.01
         kept = mask[mask > 0]
@@ -100,7 +113,7 @@ class TestDropout:
 
 class TestMLP:
     def test_zero_weights_uniform_output(self):
-        mlp = nn.MLP(5, 8, 4, rng_(), "m")
+        mlp = nn.MLP(1, 5, 8, 4, rng_(), "m", 0.0)
         for p in mlp.params():
             p.value[...] = 0.0
         probs = predict_proba(mlp, np.ones(5))
@@ -108,7 +121,7 @@ class TestMLP:
 
     def test_probabilities_normalized_on_random_inputs(self):
         rng = rng_()
-        mlp = nn.MLP(6, 10, 5, rng, "m")
+        mlp = nn.MLP(1, 6, 10, 5, rng, "m", 0.0)
         X = rng.normal(size=(30, 6))
         probs = predict_proba(mlp, X)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -116,20 +129,53 @@ class TestMLP:
 
     def test_gradient_check(self):
         rng = rng_()
-        mlp = nn.MLP(4, 6, 3, rng, "m")
+        mlp = nn.MLP(1, 4, 6, 3, rng, "m", 0.0)
         X = rng.normal(size=(5, 4))
         gold = np.array([0, 2, 1, 1, 0])
 
         def loss_fn():
-            logits, _ = mlp.forward(X, training=False)
+            logits, _ = one_slot(mlp, X, training=False)
             return nn.nll_loss(logits, gold)[0].sum()
 
         for p in mlp.params():
             p.grad[...] = 0.0
-        logits, cache = mlp.forward(X, training=False)
+        logits, cache = one_slot(mlp, X, training=False)
         _, dlogits = nn.nll_loss(logits, gold)
-        mlp.backward(dlogits, cache)
+        mlp.backward(dlogits, cache, X)
         assert check_gradients(loss_fn, mlp.params()) < 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(slots=st.sampled_from([1, 11]), n=st.integers(1, 6), steps=st.integers(1, 12),
+           dim=st.integers(1, 5), hidden=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_slot_table_matches_dense_first_layer(self, slots, n, steps, dim, hidden, seed):
+        """``forward`` and ``backward`` through the slot table against the
+        concatenated rows times ``W1``: absent nodes (-1) and rows that
+        several slots or classifier rows read."""
+        rng = np.random.default_rng(seed)
+        mlp = nn.MLP(slots, dim, hidden, 3, rng, "m", 0.0)
+        mlp.b1.value[...] = rng.normal(size=hidden)
+        rows = rng.normal(size=(n, dim))
+        idx = rng.integers(-1, n, size=(steps, slots))
+        gold = rng.integers(0, 3, size=steps)
+        logits, cache = mlp.forward(idx, mlp.table(rows))
+        drows = mlp.backward(nn.nll_loss(logits, gold)[1], cache, rows)
+
+        F = np.concatenate([rows, np.zeros((1, dim))])[idx].reshape(steps, slots * dim)
+        W1, W2 = mlp.W1.value, mlp.lin2.W.value
+        Z1 = F @ W1 + mlp.b1.value
+        ref_logits = np.maximum(Z1, 0.0) @ W2 + mlp.lin2.b.value
+        dZ1 = (nn.nll_loss(ref_logits, gold)[1] @ W2.T) * (Z1 > 0.0)
+        dF = (dZ1 @ W1.T).reshape(steps, slots, dim)
+        ref_drows = np.zeros((n + 1, dim))
+        np.add.at(ref_drows, idx, dF)  # -1 adds into the last, dropped row
+
+        def close(got, want):
+            return np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+        assert close(logits, ref_logits)
+        assert close(mlp.W1.grad, F.T @ dZ1)
+        assert close(mlp.b1.grad, dZ1.sum(axis=0))
+        assert close(drows, ref_drows[:n])
 
     def test_input_gradient_via_linear(self):
         rng = rng_()
@@ -364,14 +410,14 @@ class TestOptimizer:
         rng = rng_()
         X = rng.normal(size=(20, 6))
         gold = rng.integers(0, 3, size=20)
-        mlp = nn.MLP(6, 16, 3, rng, "m")
+        mlp = nn.MLP(1, 6, 16, 3, rng, "m", 0.0)
         opt = nn.MomentumSGD(mlp.params(), lr=0.01, momentum=0.9, l2=1e-6, clip_norm=5.0)
         losses = []
         for _ in range(10):
-            logits, cache = mlp.forward(X, training=False)
+            logits, cache = one_slot(mlp, X, training=False)
             loss, dlogits = nn.nll_loss(logits, gold)
             losses.append(loss.sum())
-            mlp.backward(dlogits, cache)
+            mlp.backward(dlogits, cache, X)
             opt.step()
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -380,7 +426,7 @@ class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = rng_()
         stack = nn.BiLSTMStack(3, 4, 2, rng, "s")
-        mlp = nn.MLP(8, 5, 3, rng, "m")
+        mlp = nn.MLP(1, 8, 5, 3, rng, "m", 0.0)
         params = stack.params() + mlp.params()
         path = tmp_path / "model.spnn"
         nn.save_checkpoint(path, params, meta={"note": "test"})
@@ -388,7 +434,7 @@ class TestCheckpoint:
         assert payload["meta"]["note"] == "test"
         arrays = payload["arrays"]
         stack2 = nn.BiLSTMStack(3, 4, 2, arrays, "s")
-        mlp2 = nn.MLP(8, 5, 3, arrays, "m")
+        mlp2 = nn.MLP(1, 8, 5, 3, arrays, "m", 0.0)
         assert arrays == {}  # every array was taken
         for a, b in zip(params, stack2.params() + mlp2.params()):
             assert a.name == b.name and a.value.tobytes() == b.value.tobytes()
@@ -414,7 +460,7 @@ class TestCheckpoint:
 
     def test_file_is_deterministic_aligned_and_loads_as_views(self, tmp_path):
         rng = rng_()
-        params = nn.MLP(7, 5, 3, rng, "m").params()
+        params = nn.MLP(1, 7, 5, 3, rng, "m", 0.0).params()
         paths = [tmp_path / "a.spnn", tmp_path / "b.spnn"]
         for path in paths:
             nn.save_checkpoint(path, params, meta={"vocab": ["é", "b"], "n": 1.5})

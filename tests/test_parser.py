@@ -37,7 +37,7 @@ class TestEncoder:
     def test_output_shape_covers_root(self):
         model, tb = tiny_model()
         words, tags = tb[1].forms(), tb[1].upos_tags()
-        ctx, _ = model.encoder.encode([words], [tags])
+        ctx, _, _ = model.encoder.encode([words], [tags])
         assert ctx.shape == (len(words) + 1, 2 * TINY.enc_hidden)
 
     def test_rejects_empty_and_misaligned(self):
@@ -49,15 +49,15 @@ class TestEncoder:
 
     def test_oov_word_maps_to_unk_and_chars_differentiate(self):
         model, _ = tiny_model()
-        cache1 = model.encoder.encode([["zzz"]], [["N"]])[1]
+        cache1 = model.encoder.encode([["zzz"]], [["N"]], cache=True)[2]
         assert cache1[0].ravel().tolist() == [1, 0]  # ROOT row then <unk>
         # Both words are OOV (same UNK embedding) and built from known
         # characters, so only the character encoder can tell them apart.
-        a, _ = model.encoder.encode([["nana"]], [["N"]])
-        b, _ = model.encoder.encode([["nana"]], [["N"]])
-        c, _ = model.encoder.encode([["anan"]], [["N"]])
-        assert model.encoder.encode([["nana"]], [["N"]])[1][0].ravel().tolist() == [1, 0]
-        assert model.encoder.encode([["anan"]], [["N"]])[1][0].ravel().tolist() == [1, 0]
+        a, _, _ = model.encoder.encode([["nana"]], [["N"]])
+        b, _, _ = model.encoder.encode([["nana"]], [["N"]])
+        c, _, _ = model.encoder.encode([["anan"]], [["N"]])
+        assert model.encoder.encode([["nana"]], [["N"]], cache=True)[2][0].ravel().tolist() == [1, 0]
+        assert model.encoder.encode([["anan"]], [["N"]], cache=True)[2][0].ravel().tolist() == [1, 0]
         assert np.allclose(a, b)
         assert not np.allclose(a, c)
 
@@ -82,7 +82,8 @@ class TestEncoder:
         tags = tb[1].upos_tags() * 4
         dropped = total = 0
         while total < 10_000:
-            _, cache = model.encoder.encode([words], [tags], training=True, rng=rng)
+            _, _, cache = model.encoder.encode([words], [tags], training=True, rng=rng,
+                                               cache=True)
             drop = cache[1]
             dropped += int(drop.sum())
             total += len(drop)
@@ -90,8 +91,8 @@ class TestEncoder:
 
     def test_no_dropout_at_inference(self):
         model, tb = tiny_model()
-        _, cache = model.encoder.encode([tb[0].forms()], [tb[0].upos_tags()],
-                                        training=False)
+        _, _, cache = model.encoder.encode([tb[0].forms()], [tb[0].upos_tags()],
+                                           training=False, cache=True)
         assert not cache[1].any()
 
 
@@ -110,10 +111,11 @@ def reference_features(c, ctx):
 def reference_parse(model, words, tags):
     """The per-sentence greedy decode ``parse_batch`` replaced: one
     encoder pass per sentence, one classifier row per transition."""
-    ctx, _ = model.encoder.encode([words], [tags])
+    ctx, _, _ = model.encoder.encode([words], [tags])
+    table = model.mlp.table(ctx)
     c = arceager.Configuration(len(words))
     while not arceager.is_terminal(c):
-        logits, _ = model.mlp.forward(reference_features(c, ctx)[None, :])
+        logits, _ = model.mlp.forward(np.array([feature_indices(c)]), table)
         c = arceager.apply(c, model.transitions[int(np.argmax(logits[0] + model.legal_mask(c)))])
     tokens = [Token(index=i + 1, form=w, upos=t) for i, (w, t) in enumerate(zip(words, tags))]
     return arceager.tree_from_config(c, tokens, upos=list(tags))
@@ -146,14 +148,15 @@ class TestFeaturize:
         # features times W1, along a whole decode.
         model, tb = tiny_model()
         tree = tb[1]
-        ctx, _ = model.encoder.encode([tree.forms()], [tree.upos_tags()])
-        table, offsets, absent = parser._slot_table(model.mlp.lin1.W.value, ctx)
-        assert not table[offsets + absent].any()
+        ctx, _, _ = model.encoder.encode([tree.forms()], [tree.upos_tags()])
+        table = model.mlp.table(ctx)
+        absent = len(ctx)
+        assert not table[:, absent].any()
         c = arceager.Configuration(len(tree))
         while not arceager.is_terminal(c):
             rows = np.array(feature_indices(c))
-            split = table[np.where(rows < 0, absent, rows) + offsets].sum(axis=0)
-            assert np.allclose(split, reference_features(c, ctx) @ model.mlp.lin1.W.value,
+            split = table[np.arange(len(rows)), np.where(rows < 0, absent, rows)].sum(axis=0)
+            assert np.allclose(split, reference_features(c, ctx) @ model.mlp.W1.value,
                                rtol=1e-12, atol=1e-12)
             kind = sorted(arceager.legal_transitions(c))[0]
             label = "x" if kind in (arceager.LEFT_ARC, arceager.RIGHT_ARC) else None
@@ -257,21 +260,22 @@ class TestBatchedInference:
             batch = tag_batch(tagger, words)
         assert batch == [tag_batch(tagger, [ws])[0] for ws in words]
         for ws, tags in zip(words, batch):
-            ctx, _ = tagger.encoder.encode([ws], None)
-            logits, _ = tagger.mlp.forward(ctx[1:])
+            ctx, _, _ = tagger.encoder.encode([ws], None)
+            logits, _ = tagger.mlp.forward(np.arange(1, len(ctx))[:, None], tagger.mlp.table(ctx))
             assert tags == [tagger.vocabs.tags.itos[i] for i in logits.argmax(axis=1)]
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(sentences=_batch)
-    def test_encode_batch_matches_encode(self, models, sentences):
+    def test_batched_encode_matches_one_sentence_encode(self, models, sentences):
         model, _ = models
         words = [[w for w, _ in sent] for sent in sentences]
         tags = [[t for _, t in sent] for sent in sentences]
-        rows, lengths, cache = model.encoder.encode_batch(words, tags)
+        rows, lengths, cache = model.encoder.encode(words, tags)
         assert cache is None
         assert list(lengths) == [len(ws) + 1 for ws in words]
-        ref = np.concatenate([model.encoder.encode([ws], [ts])[0] for ws, ts in zip(words, tags)])
+        ref = np.concatenate([model.encoder.encode([ws], [ts], cache=True)[0]
+                              for ws, ts in zip(words, tags)])
         assert np.allclose(rows, ref, rtol=1e-12, atol=1e-12)
 
     def test_empty_inputs(self, models):
@@ -282,7 +286,7 @@ class TestBatchedInference:
         assert parse_batch(model, []) == ([], 0)
         assert tag_batch(tagger, []) == []
         with pytest.raises(ValueError, match="cannot encode an empty sentence"):
-            model.encoder.encode_batch([["a"], []], [["NOUN"], []])
+            model.encoder.encode([["a"], []], [["NOUN"], []])
         blank = DepTree([], comments=["# a block of no token"])
         word = DepTree([Token(1, "a", upos="NOUN", head=0, deprel="root")])
         trees, _ = parse_batch(model, [blank, word, blank])

@@ -118,11 +118,12 @@ def ref_train_tagger(train, dev, cfg):
         n_tok = 0
         for i in order:
             words, gold_ids = examples[i]
-            ctx, enc_cache = model.encoder.encode([words], None, training=True, rng=rng)
-            logits, mlp_cache = model.mlp.forward(ctx[1:], training=True, rng=rng)
+            ctx, _, enc_cache = model.encoder.encode([words], None, training=True, rng=rng,
+                                                     cache=True)
+            logits, mlp_cache = model.mlp.forward(np.arange(1, len(ctx))[:, None],
+                                                  model.mlp.table(ctx), training=True, rng=rng)
             loss, dlogits = nn.nll_loss(logits, gold_ids)
-            dctx = np.zeros_like(ctx)
-            dctx[1:] = model.mlp.backward(dlogits / len(words), mlp_cache)
+            dctx = model.mlp.backward(dlogits / len(words), mlp_cache, ctx)
             model.encoder.backward(dctx, enc_cache)
             opt.step()
             total += loss.sum()
