@@ -32,6 +32,8 @@ from .scramble import MAPPING_PRESETS, OrderLabel, TRANSITIVE_ORDERS
 
 DEFAULT_SEED = 42  # when neither --seed nor SCRAMBLE_SEED is set
 
+log = logging.getLogger("scrambleparse.cli")  # not __name__, which -m makes __main__
+
 
 def _provenance_comment(argv) -> str:
     return "# generated_by = scrambleparse " + " ".join(argv)
@@ -64,8 +66,8 @@ def _union_treebank(paths) -> Treebank:
 
 def _note_short_treebank(requested: int, tb: Treebank, flag: str) -> None:
     if requested > len(tb):
-        print(f"[scrambleparse] note: {flag} {requested} exceeds the treebank's "
-              f"{len(tb)} trees; using all of them", file=sys.stderr)
+        log.info("note: %s %d exceeds the treebank's %d trees; using all of them",
+                 flag, requested, len(tb))
 
 
 def _na(value, spec: str = ".2f") -> str:
@@ -139,9 +141,11 @@ def cmd_permute(args, argv):
     mapping = MAPPING_PRESETS[args.labels]
     model = ngram.NGramModel.load(args.lm)
     if any(not projectivity.is_projective(t) for t in tb):
-        print("input contains non-projective trees; projectivizing first")
-        tb = Treebank([projectivity.projectivize(t)[0] for t in tb],
-                      source_name=tb.source_name)
+        lifts = [projectivity.projectivize(t) for t in tb]
+        log.info("note: projectivized the input first: %d non-projective of %d trees, "
+                 "%d lifted arcs", sum(bool(records) for _, records in lifts), len(tb),
+                 sum(len(records) for _, records in lifts))
+        tb = Treebank([proj for proj, _ in lifts], source_name=tb.source_name)
     _note_short_treebank(args.select, tb, "--select")
     subset = scramble.select_representative(tb, n=args.select, seed=args.seed)
     batches, pending, rows = [], [], 0

@@ -283,7 +283,7 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(starts)
 
 
-def train_lm(corpus: list[list[str]], order: int = 3) -> NGramModel:
+def train_lm(corpus: list[list[str]], order: int) -> NGramModel:
     """Train a Witten-Bell model on tokenized sentences."""
     if not corpus:
         raise ValueError("training corpus is empty")

@@ -105,15 +105,14 @@ def lstm_bias(rng, shape) -> np.ndarray:
     return b
 
 
-def sigmoid(x, out=None):
+def sigmoid(x, out):
     """Logistic function split on the sign of x, so exp never overflows.
 
     ``exp(-|x|)`` is ``exp(x)`` for negative x and ``exp(-x)`` otherwise,
     and the numerator is 1 or that exponential: the 0/1 step ``x >= 0``
     raised to the exponential by ``maximum``, since the exponential is at
     most 1 and a NaN passes through. That is the arithmetic of
-    ``where(x >= 0, 1/(1+z), z/(1+z))``, bit for bit, with the result
-    written to ``out`` when given.
+    ``where(x >= 0, 1/(1+z), z/(1+z))``, bit for bit, written to ``out``.
     """
     z = np.abs(x)
     np.negative(z, out=z)
@@ -209,7 +208,7 @@ class BiLSTM:
         self.fwd = LSTMCell(in_dim, hidden, rng, f"{name}.fwd")
         self.bwd = LSTMCell(in_dim, hidden, rng, f"{name}.bwd")
 
-    def forward(self, X, lengths, cache: bool = True):
+    def forward(self, X, lengths, cache: bool):
         """Hidden states ``[forward; backward]`` for every position, (T, B,
         2H), and the cache for ``backward``.
 
@@ -219,7 +218,7 @@ class BiLSTM:
         its state there is zero: the reverse pass starts each sequence from
         a zero state at its own last position, and padded positions come
         out zero. The cached zero gates have zero derivative, which stops
-        ``backward`` there. With ``cache=False`` no per-step state outlives
+        ``backward`` there. Without ``cache`` no per-step state outlives
         the call, and the cell states and their tanh, which only
         ``backward`` reads, take two rows and one instead of one per step.
         """
@@ -326,7 +325,7 @@ class BiLSTMStack:
             self.layers.append(BiLSTM(d, hidden, rng, f"{name}.{k}"))
             d = 2 * hidden
 
-    def forward(self, X, lengths, cache: bool = True):
+    def forward(self, X, lengths, cache: bool):
         caches = []
         for layer in self.layers:
             X, layer_cache = layer.forward(X, lengths, cache=cache)

@@ -292,6 +292,8 @@ class SentenceEncoder:
         """
         if any(not words for words in sentences):
             raise ValueError("cannot encode an empty sentence")
+        if any(not w for words in sentences for w in words):
+            raise ValueError("cannot encode an empty word form")
         if self.use_tags and (tags is None or len(tags) != len(sentences)
                               or any(len(t) != len(w) for t, w in zip(tags, sentences))):
             raise ValueError("tag sequence must align with the sentence")
@@ -304,19 +306,16 @@ class SentenceEncoder:
         T, B = int(lengths.max()), len(sentences)
         present = np.arange(T)[:, None] < lengths  # (T, B)
         forms = list(dict.fromkeys(w[:cfg.max_word_chars] for words in sentences for w in words))
-        # One row per distinct form, plus a zero row for ROOT, padding and "".
+        char_lens = np.array([len(f) for f in forms])
+        char_ids = np.zeros((int(char_lens.max()), len(forms)), dtype=np.intp)
+        for col, f in enumerate(forms):
+            char_ids[:char_lens[col], col] = [self.vocabs.chars.id(ch) for ch in f]
+        Hs, rnn_cache = self.char_rnn.forward(self.char_emb.value[char_ids], char_lens,
+                                              cache=cache)
+        # One row per distinct form, plus a zero row for ROOT and padding.
         char_vecs = np.zeros((len(forms) + 1, 2 * cfg.char_hidden))
-        spelled = [i for i, f in enumerate(forms) if f]
-        char_batch = None
-        if spelled:
-            char_lens = np.array([len(forms[i]) for i in spelled])
-            char_ids = np.zeros((int(char_lens.max()), len(spelled)), dtype=np.intp)
-            for col, i in enumerate(spelled):
-                char_ids[:char_lens[col], col] = [self.vocabs.chars.id(ch) for ch in forms[i]]
-            Hs, rnn_cache = self.char_rnn.forward(self.char_emb.value[char_ids], char_lens,
-                                                  cache=cache)
-            char_vecs[spelled] = self.char_rnn.final_states(Hs, char_lens)
-            char_batch = (char_ids, char_lens, spelled, rnn_cache)
+        char_vecs[:-1] = self.char_rnn.final_states(Hs, char_lens)
+        char_batch = (char_ids, char_lens, rnn_cache)
         form_row = {f: i for i, f in enumerate(forms)}
         word_ids = np.full((T, B), self.vocabs.words.id(PAD))
         word_ids[0] = 1  # <root>
@@ -348,9 +347,7 @@ class SentenceEncoder:
     def backward(self, dctx, cache):
         """Write the parameter gradients of ``encode`` given d(context
         vectors), each once (``nn``): the embedding gradients are
-        ``nn.segment_sum`` results assigned to them. When the sentence
-        spells no form, the character BiLSTM and ``char_emb`` are not
-        reached, and their gradients are set to zero."""
+        ``nn.segment_sum`` results assigned to them."""
         word_ids, drop, word_kept, tag_ids, char_rows, char_batch, stack_caches, present = cache
         cfg = self.cfg
         wd = cfg.word_dim
@@ -363,17 +360,13 @@ class SentenceEncoder:
         if self.use_tags:
             self.tag_emb.grad[...] = nn.segment_sum(tag_ids[present], dX[present, wd + cd:],
                                                     len(self.tag_emb.value))
-        if char_batch is None:
-            for p in [self.char_emb] + self.char_rnn.params():
-                p.grad.fill(0.0)
-            return
-        char_ids, char_lens, spelled, rnn_cache = char_batch
+        char_ids, char_lens, rnn_cache = char_batch
         # As char_vecs: the forms, then the zero row.
-        dforms = nn.segment_sum(char_rows[present], dX[present, wd:wd + cd], char_rows.max() + 1)
+        dforms = nn.segment_sum(char_rows[present], dX[present, wd:wd + cd], len(char_lens) + 1)
         h = cfg.char_hidden
         dHs = np.zeros(char_ids.shape + (cd,))
-        dHs[char_lens - 1, np.arange(len(spelled)), :h] = dforms[spelled, :h]
-        dHs[0, :, h:] = dforms[spelled, h:]
+        dHs[char_lens - 1, np.arange(len(char_lens)), :h] = dforms[:-1, :h]
+        dHs[0, :, h:] = dforms[:-1, h:]
         dC = self.char_rnn.backward(dHs, rnn_cache)
         spelt = np.arange(len(char_ids))[:, None] < char_lens
         self.char_emb.grad[...] = nn.segment_sum(char_ids[spelt], dC[spelt],

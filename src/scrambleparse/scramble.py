@@ -220,7 +220,7 @@ def order_distribution(labels) -> dict[OrderLabel, float]:
     return {label: 100.0 * counts[label] / total for label in TRANSITIVE_ORDERS} if total else {}
 
 
-def select_representative(tb: Treebank, n: int = 4000, seed: int = 42) -> Treebank:
+def select_representative(tb: Treebank, n: int, seed: int) -> Treebank:
     """Seeded uniform sample of n trees, kept in corpus order (all of them
     when the treebank has no more than n)."""
     if n >= len(tb):
@@ -273,8 +273,7 @@ def _orders(n: int, spans: tuple, limit: int, seed: int) -> tuple[np.ndarray, np
 
 
 def permute_projection(tree: DepTree, projection: VerbalProjection, limit: int, *,
-                       mapping: DeprelMapping = UD_MAPPING,
-                       seed: int = 42) -> PermutationBatch:
+                       mapping: DeprelMapping, seed: int) -> PermutationBatch:
     """All linear orderings of a projection's units, or ``limit`` of them
     drawn with ``seed`` when there are more.
 

@@ -161,7 +161,7 @@ def _clause_tree(chunks, order: OrderLabel, sent_id: str) -> DepTree:
     return DepTree(tokens=tokens, sentence_id=sent_id, comments=comments)
 
 
-def gen_synthetic(g: SyntheticGrammar, n: int, seed: int = 42,
+def gen_synthetic(g: SyntheticGrammar, n: int, seed: int,
                   drop_case: float = 0.0) -> Treebank:
     """Sample n gold trees; order class of each drawn from the grammar weights.
 

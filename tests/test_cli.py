@@ -22,7 +22,7 @@ from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_
 from scrambleparse import conllu, nn, projectivity
 from scrambleparse.ngram import ARRAYS as LM_ARRAYS
 from scrambleparse.ngram import MAGIC as LM_MAGIC
-from scrambleparse.ngram import NGramModel
+from scrambleparse.ngram import NGramModel, train_lm
 from scrambleparse.projectivity import is_projective
 from scrambleparse.scramble import UD_MAPPING, classify_order, order_distribution
 from scrambleparse.serialize import load_arrays, save_arrays
@@ -140,25 +140,28 @@ def test_select_subcommand(synth_files):
     assert len(load_treebank(out)) == 10
 
 
-def test_short_treebank_noted_on_stderr_not_warned(synth_files, capfd):
-    """The note goes to stderr with the library's notes; stdout's last two
-    lines, which the benchmark reads, stay as they were."""
+def test_short_treebank_noted_on_stderr_not_warned(synth_files, capfd, caplog):
+    """The note is logged with the library's notes, which ``main`` sends
+    to stderr (see test_notes_and_warnings_reach_stderr_in_the_cli_format);
+    stdout's last two lines, which the benchmark reads, stay as they were."""
     tmp_path, tb_path, lm_path = synth_files
     capfd.readouterr()
     # Default --select 4000 on an 80-tree treebank.
-    assert run(["permute", "--in", str(tb_path), "--lm", str(lm_path),
-                "--out", str(tmp_path / "aug.conllu"), "--budget", "20"]) == 0
-    captured = capfd.readouterr()
-    note = "[scrambleparse] note: --select 4000 exceeds the treebank's 80 trees; using all of them"
-    assert captured.err.splitlines() == [note]
-    assert "note:" not in captured.out
-    assert captured.out.splitlines()[-2].startswith("permuted 80 sentences")
-    assert run(["select", "--in", str(tb_path), "--n", "81",
-                "--out", str(tmp_path / "all.conllu")]) == 0
-    captured = capfd.readouterr()
-    assert captured.err.splitlines() == [
-        "[scrambleparse] note: --n 81 exceeds the treebank's 80 trees; using all of them"]
-    assert "note:" not in captured.out
+    with caplog.at_level(logging.INFO, logger="scrambleparse.cli"):
+        assert run(["permute", "--in", str(tb_path), "--lm", str(lm_path),
+                    "--out", str(tmp_path / "aug.conllu"), "--budget", "20"]) == 0
+        captured = capfd.readouterr()
+        assert caplog.messages == [
+            "note: --select 4000 exceeds the treebank's 80 trees; using all of them"]
+        assert captured.err == ""
+        assert "note:" not in captured.out
+        assert captured.out.splitlines()[-2].startswith("permuted 80 sentences")
+        caplog.clear()
+        assert run(["select", "--in", str(tb_path), "--n", "81",
+                    "--out", str(tmp_path / "all.conllu")]) == 0
+        assert caplog.messages == [
+            "note: --n 81 exceeds the treebank's 80 trees; using all of them"]
+        assert "note:" not in capfd.readouterr().out
 
 
 @pytest.mark.parametrize("cut", [5, 2000])
@@ -486,7 +489,35 @@ def test_permute_respects_budget_and_preserves_arcs(synth_files, capsys):
     assert "augmented order distribution" in text
 
 
-def test_treebank_without_a_transitive_clause(synth_files, capsys):
+def test_permute_keeps_a_frozen_comma_in_place(tmp_path, capsys):
+    """Two clauses with a comma, a punct child of the verb, between the
+    subject and the object. No order splits a unit across the comma, so
+    every variant stays projective: stats on permute's output reads a
+    non-projective arc ratio of 0.00, and train accepts the source plus
+    that output."""
+    src, corpus, lm, aug, cfg = (tmp_path / f for f in ("src.conllu", "lm.txt", "lm.nglm",
+                                                         "aug.conllu", "train.cfg"))
+    clauses = [[("Ram", "NOUN", 5, "nsubj"), ("ne", "ADP", 1, "case"), (",", "PUNCT", 5, "punct"),
+                ("kitab", "NOUN", 5, "obj"), ("di", "VERB", 0, "root")],
+               [("Sita", "NOUN", 5, "nsubj"), ("ne", "ADP", 1, "case"), (",", "PUNCT", 5, "punct"),
+                ("phal", "NOUN", 5, "obj"), ("khaya", "VERB", 0, "root"),
+                (".", "PUNCT", 5, "punct")]]
+    dump_treebank(Treebank([DepTree([Token(i, form, upos=upos, head=head, deprel=deprel)
+                                     for i, (form, upos, head, deprel) in enumerate(c, start=1)])
+                            for c in clauses]), src)
+    corpus.write_text("Ram ne , kitab di\nSita ne , phal khaya .\nkitab Ram ne , di\n")
+    assert run(["train-lm", "--corpus", str(corpus), "--order", "3", "--out", str(lm)]) == 0
+    assert run(["permute", "--in", str(src), "--lm", str(lm), "--keep", "6",
+                "--out", str(aug)]) == 0
+    capsys.readouterr()
+    assert run(["stats", "--in", str(aug)]) == 0
+    assert capsys.readouterr().out.endswith("nonprojective_arc_ratio\t0.00\n")
+    cfg.write_text(TINY_CFG)
+    assert run(["train", "--train", str(src), "--train", str(aug), "--config", str(cfg),
+                "--out", str(tmp_path / "model.spnn")]) == 0
+
+
+def test_treebank_without_a_transitive_clause(synth_files, capsys, caplog):
     """stats, permute and eval succeed on valid clauses of subject, adverb
     and verb; the order distributions they print read n/a."""
     tmp_path, _, lm_path = synth_files
@@ -501,10 +532,13 @@ def test_treebank_without_a_transitive_clause(synth_files, capsys):
     text = capsys.readouterr().out
     assert "1\tS O V\tn/a\n" in text and "6\tV S O\tn/a\n" in text
     assert "sentences\t2\ntransitive_sentences\t0\n" in text
-    assert run(["permute", "--in", str(tb_path), "--lm", str(lm_path), "--out", str(out)]) == 0
+    with caplog.at_level(logging.INFO, logger="scrambleparse.cli"):
+        assert run(["permute", "--in", str(tb_path), "--lm", str(lm_path),
+                    "--out", str(out)]) == 0
+    assert caplog.messages == [
+        "note: --select 4000 exceeds the treebank's 2 trees; using all of them"]
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        "[scrambleparse] note: --select 4000 exceeds the treebank's 2 trees; using all of them"]
+    assert captured.err == ""
     assert captured.out.endswith("augmented order distribution: SOV=n/a OSV=n/a OVS=n/a "
                                  "SVO=n/a VOS=n/a VSO=n/a\n")
     aug = load_treebank(out)
@@ -809,9 +843,10 @@ def test_conllu_errors_name_the_file_and_line(tmp_path, capsys, pred_text, line,
 
 def test_notes_and_warnings_reach_stderr_in_the_cli_format(tmp_path):
     """Run as a program, ``stats`` reports a file's multiword-token and
-    empty-node lines once, with their count, and ``deproj`` a lift it
-    cannot undo, each as one stderr line in the CLI's format and none as
-    a Python warning."""
+    empty-node lines once, with their count, ``select`` an ``--n`` above
+    the treebank's size, ``permute`` the non-projective trees it lifts,
+    and ``deproj`` a lift it cannot undo, each as one stderr line in the
+    CLI's format and none as a Python warning."""
     multiword = tmp_path / "mw.conllu"
     multiword.write_text("1-2\tgayaa\t_\t_\t_\t_\t_\t_\t_\t_\n" + GOOD_LINE
                          + "1.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
@@ -829,6 +864,20 @@ def test_notes_and_warnings_reach_stderr_in_the_cli_format(tmp_path):
 
     assert stderr_lines("stats", "--in", str(multiword)) == [
         f"[scrambleparse] {multiword}: skipped 3 multiword-token or empty-node lines"]
+    assert stderr_lines("select", "--in", str(multiword), "--n", "3",
+                        "--out", str(tmp_path / "all.conllu")) == [
+        f"[scrambleparse] {multiword}: skipped 3 multiword-token or empty-node lines",
+        "[scrambleparse] note: --n 3 exceeds the treebank's 2 trees; using all of them"]
+    nonprojective, lm = tmp_path / "np.conllu", tmp_path / "lm.nglm"
+    tree = random_nonprojective_tree(np.random.default_rng(0))
+    dump_treebank(Treebank([tree]), nonprojective)
+    train_lm([tree.forms()], order=2).save(lm)
+    n_lifted = len(projectivity.projectivize(tree)[1])
+    assert stderr_lines("permute", "--in", str(nonprojective), "--lm", str(lm),
+                        "--out", str(tmp_path / "aug.conllu")) == [
+        "[scrambleparse] note: projectivized the input first: 1 non-projective of 1 trees, "
+        f"{n_lifted} lifted arcs",
+        "[scrambleparse] note: --select 4000 exceeds the treebank's 1 trees; using all of them"]
     assert stderr_lines("deproj", "--in", str(lifted), "--out", str(tmp_path / "out.conllu")) \
         == ["[scrambleparse] no attachment target labelled 'missing' found for token 1 of "
             "sentence s1; keeping the lifted attachment"]

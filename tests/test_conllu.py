@@ -45,13 +45,16 @@ def test_parse_head_out_of_range():
 
 
 def test_multiword_and_empty_nodes_skipped_and_counted_once(caplog):
-    text = ("1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n" + MINIMAL +
-            "2.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_\n")
+    """A count of one reads in the singular."""
+    multiword = "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n" + MINIMAL
     with warnings.catch_warnings(), caplog.at_level("INFO", logger="scrambleparse.conllu"):
         warnings.simplefilter("error")  # valid CoNLL-U: reported, not warned
-        tb = parse_conllu(text, source_name="x.conllu")
+        tb = parse_conllu(multiword + "2.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_\n",
+                          source_name="x.conllu")
+        parse_conllu(multiword, source_name="y.conllu")
     assert len(tb[0]) == 2
-    assert caplog.messages == ["x.conllu: skipped 2 multiword-token or empty-node lines"]
+    assert caplog.messages == ["x.conllu: skipped 2 multiword-token or empty-node lines",
+                               "y.conllu: skipped 1 multiword-token or empty-node line"]
 
 
 def test_tree_error_names_the_line_opening_the_sentence():

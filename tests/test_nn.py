@@ -17,10 +17,10 @@ def rng_():
     return np.random.default_rng(0)
 
 
-def one(layer, X, **kwargs):
+def one(layer, X):
     """``layer.forward`` of one (T, in) sequence as a padded batch of one:
     its (T, out) states and the cache."""
-    Y, cache = layer.forward(X[:, None], [len(X)], **kwargs)
+    Y, cache = layer.forward(X[:, None], [len(X)], cache=True)
     return Y[:, 0], cache
 
 
@@ -315,7 +315,7 @@ def test_forward_without_cache_is_bit_identical(lengths, dims, padded, seed):
         X, lens = rng.normal(size=(max(lengths), len(lengths), in_dim)), lengths
     else:
         X, lens = rng.normal(size=(lengths[0], 1, in_dim)), lengths[:1]
-    cached, cache = bi.forward(X, lens)
+    cached, cache = bi.forward(X, lens, cache=True)
     bare, none = bi.forward(X, lens, cache=False)
     assert none is None and cache is not None
     assert np.array_equal(bare, cached)
@@ -335,7 +335,7 @@ def test_padded_backward_matches_per_sequence_backward(lengths, dims, seed):
 
     def backward(X, dHs, lengths):
         b = copy.deepcopy(bi)
-        _, cache = b.forward(X, lengths)
+        _, cache = b.forward(X, lengths, cache=True)
         return b.backward(dHs, cache), [p.grad for p in b.params()]
 
     dX, grads = backward(X, dHs, lengths)
@@ -361,7 +361,7 @@ def test_padded_bilstm_final_states_match_per_sequence():
     bi = nn.BiLSTM(3, 4, rng, "b")
     lengths = [1, 5, 3]
     X = rng.normal(size=(5, 3, 3))
-    Hs, _ = bi.forward(X, lengths)
+    Hs, _ = bi.forward(X, lengths, cache=False)
     finals = bi.final_states(Hs, lengths)
     for b, n in enumerate(lengths):
         Y, _ = one(bi, X[:n, b])

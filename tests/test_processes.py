@@ -1,12 +1,15 @@
 """Training, parsing, tagging and the n-gram LM are deterministic across
-processes, and bad model files and configs exit 1.
+processes, the augmentation chain does not depend on hash order, and bad
+model files and configs exit 1.
 
 Every run is a fresh ``python -m scrambleparse.cli`` process. Two runs of
 one command take the same argv, output path included, since checkpoints
 and predictions record the command line; each output is renamed before
-the next run, and the two must be the same bytes. A fresh process gets
-zero-filled pages, so an uninitialised buffer can pass here; the
-in-process reference tests catch that.
+the next run, and the two must be the same bytes. The hash-order check
+runs the gen-synthetic, train-lm and permute chain under two
+``PYTHONHASHSEED`` values, which only a new interpreter reads. A fresh
+process gets zero-filled pages, so an uninitialised buffer can pass here;
+the in-process reference tests catch that.
 """
 
 import os
@@ -29,14 +32,14 @@ TRAIN_CFG = ("word_dim = 32\ntag_dim = 16\nchar_dim = 16\nchar_hidden = 32\nenc_
              "mlp_hidden = 64\nepochs = 2\nclip_norm = 1.0\n")
 
 
-def cli(*argv):
+def cli(*argv, env=ENV):
     """One CLI run in a fresh process."""
     return subprocess.run([sys.executable, "-m", "scrambleparse.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=ENV, timeout=300)
+                          capture_output=True, text=True, env=env, timeout=300)
 
 
-def ok(*argv):
-    proc = cli(*argv)
+def ok(*argv, env=ENV):
+    proc = cli(*argv, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -190,3 +193,26 @@ def test_language_model_is_the_same_bytes_and_a_cut_one_exits_1(d):
     assert cli("permute", "--in", d / "train.conllu", "--lm", cut,
                "--out", out).returncode == 1
     assert not out.exists()
+
+
+def test_augmentation_chain_does_not_depend_on_hash_order(tmp_path):
+    """The same chain under two string-hash seeds, with the same argv,
+    writes the same bytes: no set or dict iteration order reaches a
+    generated treebank, an LM file or permute's output. --max-variants 20
+    makes five-unit clauses take the sampled path."""
+    files = ("lm.conllu", "lm.txt", "train.conllu", "lm.nglm", "aug.conllu")
+    lm_conllu, lm_txt, train, lm, aug = (tmp_path / f for f in files)
+    for k in (1, 2):
+        env = dict(ENV, PYTHONHASHSEED=str(k))
+        ok("gen-synthetic", "--n", 300, "--out", lm_conllu, "--orders", "uniform", "--seed", 4,
+           "--text-out", lm_txt, env=env)
+        ok("gen-synthetic", "--n", 200, "--out", train, "--orders", "sov=0.7,osv=0.3",
+           "--seed", 1, env=env)
+        ok("train-lm", "--corpus", lm_txt, "--order", 3, "--out", lm, env=env)
+        ok("permute", "--in", train, "--lm", lm, "--budget", 200, "--max-variants", 20,
+           "--out", aug, env=env)
+        (tmp_path / str(k)).mkdir()
+        for f in files:
+            (tmp_path / f).rename(tmp_path / str(k) / f)
+    for f in files:
+        assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes(), f

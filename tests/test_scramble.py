@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 from unittest import mock
@@ -105,7 +106,7 @@ def test_extract_requires_projective():
 def test_permute_figure_sentence_gives_24_variants():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING, seed=42)
     assert len(batch.variants) == math.factorial(4) == 24
     # The IO-postposed order exists: "Ram ne kitab di Gopal ko ."
     forms = {" ".join(v.tree.forms()) for v in batch.variants}
@@ -117,7 +118,7 @@ def test_permute_figure_sentence_gives_24_variants():
 def test_permute_single_unit_identity():
     tree = DepTree([Token(1, "go", upos="VERB", head=0, deprel="root")])
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING, seed=42)
     assert len(batch.variants) == 1
     assert batch.variants[0].is_identity
     assert batch.variants[0].tree.forms() == tree.forms()
@@ -126,7 +127,7 @@ def test_permute_single_unit_identity():
 def test_variants_preserve_arc_multiset_and_validate():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING, seed=42)
     src_arcs = arcs(tree)
     for v in batch.variants:
         assert validate_tree(v.tree) == []
@@ -146,7 +147,7 @@ def test_permute_keeps_each_unit_inside_one_run_of_slots():
                     Token(4, "kitab", upos="NOUN", head=5, deprel="obj"),
                     Token(5, "di", upos="VERB", head=0, deprel="root")])
     (p,) = extract_projections(tree, UD_MAPPING)
-    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING, seed=42)
     assert {" ".join(words) for words in order_words(batch)} == {
         "Ram ne , kitab di", "Ram ne , di kitab", "kitab di , Ram ne", "di kitab , Ram ne"}
     assert {v.order for v in batch.variants} == {OrderLabel.SOV, OrderLabel.SVO,
@@ -167,7 +168,7 @@ def test_variants_with_frozen_tokens_between_units_stay_projective(seed, n):
                                   labels=("a", "b", "c", "punct"))
     for p in extract_projections(tree, PUNCT_ROLES):
         if p.unit_count <= 6:
-            batch = permute_projection(tree, p, limit=120, mapping=PUNCT_ROLES)
+            batch = permute_projection(tree, p, limit=120, mapping=PUNCT_ROLES, seed=42)
             assert any(v.is_identity for v in batch.variants)
             for v in batch.variants:
                 assert is_projective(v.tree) and remapped_arcs(v) == arcs(tree)
@@ -176,7 +177,7 @@ def test_variants_with_frozen_tokens_between_units_stay_projective(seed, n):
 def test_identity_variant_present_and_matches_source_order():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING, seed=42)
     identity = [v for v in batch.variants if v.is_identity]
     assert len(identity) == 1
     assert identity[0].tree.forms() == tree.forms()
@@ -202,15 +203,15 @@ def test_permute_refuses_factorial_blowup():
     p = extract_projections(tree, UD_MAPPING)[0]
     assert p.unit_count == 10
     with pytest.raises(TypeError, match="limit"):
-        permute_projection(tree, p, mapping=UD_MAPPING)
-    capped = permute_projection(tree, p, limit=5, mapping=UD_MAPPING)
+        permute_projection(tree, p, mapping=UD_MAPPING, seed=42)
+    capped = permute_projection(tree, p, limit=5, mapping=UD_MAPPING, seed=42)
     assert len(capped.variants) == 5
 
 
 def test_variant_comments_record_order_and_perm():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING, seed=42)
     for v in batch.variants:
         assert any(c.startswith("# scramble_order=") and "perm=" in c
                    for c in v.tree.comments)
@@ -225,7 +226,7 @@ def test_classify_io_postposed_still_sov():
     # Indirect object moves do not affect the S/O/V label.
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING, seed=42)
     target = next(v for v in batch.variants
                   if " ".join(v.tree.forms()) == "Ram ne kitab di Gopal ko .")
     assert target.order == OrderLabel.SOV
@@ -252,13 +253,13 @@ def test_order_distribution_is_empty_without_transitive():
 
 def test_select_representative_identity_and_determinism():
     tb = Treebank([transitive_tree("SOV") for _ in range(10)])
-    assert select_representative(tb, 10).trees == tb.trees
+    assert select_representative(tb, 10, seed=42).trees == tb.trees
     a = select_representative(tb, 4, seed=9)
     b = select_representative(tb, 4, seed=9)
     assert [id(x) for x in a.trees] == [id(x) for x in b.trees]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the CLI reports a short treebank itself
-        all_of_them = select_representative(tb, 99)
+        all_of_them = select_representative(tb, 99, seed=42)
     assert all_of_them.trees == tb.trees
 
 
@@ -332,7 +333,7 @@ def test_balance_drops_identity_variants():
 def test_trees_built_only_for_kept_variants():
     tree = figure_like_tree()
     p = extract_projections(tree, UD_MAPPING)[0]
-    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING)
+    batch = permute_projection(tree, p, limit=120, mapping=UD_MAPPING, seed=42)
     batch.perplexities = [float(i) for i in range(len(batch.perms))]
     assert [v.perplexity for v in batch.variants] == batch.perplexities
     assert not any("tree" in vars(v) for v in batch.variants)
@@ -362,7 +363,7 @@ def test_permutation_count_matches_factorial_on_random_trees():
                                 frozen_labels=frozenset())
         for p in extract_projections(tree, mapping):
             if p.unit_count <= 5:
-                batch = permute_projection(tree, p, limit=120, mapping=mapping)
+                batch = permute_projection(tree, p, limit=120, mapping=mapping, seed=42)
                 assert len(batch.variants) == math.factorial(p.unit_count)
                 checked += 1
     assert checked > 10
@@ -395,7 +396,7 @@ def test_permute_path_builds_each_tree_shape_once(permute_inputs):
     with mock.patch.object(conllu, "tree_shape", counting), \
             mock.patch.object(projectivity, "tree_shape", counting):
         (projection,) = extract_projections(tree, UD_MAPPING)
-        batch = permute_projection(tree, projection, limit=120)
+        batch = permute_projection(tree, projection, limit=120, mapping=UD_MAPPING, seed=42)
         assert len(calls) == 1
         assert batch.variants
         calls.clear()
@@ -420,14 +421,22 @@ def test_permute_tests_each_tree_for_projectivity_once(permute_inputs):
     assert check.call_count == 40
 
 
-def test_permute_notes_a_nonprojective_tree_it_does_not_select(permute_inputs, capsys):
+def test_permute_notes_a_nonprojective_tree_it_does_not_select(permute_inputs, capsys, caplog):
+    """The note, logged (``main`` sends it to stderr), counts the trees
+    projectivized and the arcs lifted; stdout does not carry it."""
     tb = load_treebank(permute_inputs / "in.conllu")
     bad = random_nonprojective_tree(np.random.default_rng(0))
     tb = Treebank([bad] + tb.trees)
     dump_treebank(tb, permute_inputs / "in.conllu")
     assert bad not in select_representative(tb, n=5, seed=42).trees
-    assert _permute(permute_inputs, "--select", "5") == 0
-    assert "projectivizing first" in capsys.readouterr().out
+    lifted = len(projectivity.projectivize(bad)[1])
+    assert lifted > 0
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO, logger="scrambleparse.cli"):
+        assert _permute(permute_inputs, "--select", "5") == 0
+    assert caplog.messages == [
+        f"note: projectivized the input first: 1 non-projective of 41 trees, {lifted} lifted arcs"]
+    assert "projectivized" not in capsys.readouterr().out
 
 
 def test_permute_labels_and_builds_only_the_filter_survivors(permute_inputs, capsys):
