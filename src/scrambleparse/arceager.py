@@ -1,5 +1,6 @@
-"""Arc-eager transition system: configurations, legal moves, and the
-static oracle that turns a projective gold tree into a training sequence.
+"""Arc-eager transition system: configurations, legal moves, the 11
+feature nodes of a configuration, and the static oracle that turns a
+projective gold tree into its moves and their feature rows in one walk.
 
 A configuration is one sentence's state, which ``apply`` updates in
 place in O(1). The buffer is always the contiguous suffix of the
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .conllu import DepTree, Token
 from .projectivity import is_projective
 
@@ -17,8 +20,6 @@ SHIFT = "shift"
 LEFT_ARC = "left_arc"
 RIGHT_ARC = "right_arc"
 REDUCE = "reduce"
-
-_MNEMONICS = {SHIFT: "SH", LEFT_ARC: "LA", RIGHT_ARC: "RA", REDUCE: "RE"}
 
 FALLBACK_LABEL = "dep"  # attachment for tokens left headless by greedy decoding
 
@@ -29,16 +30,12 @@ class Transition:
     label: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _MNEMONICS:
+        if self.kind not in (SHIFT, LEFT_ARC, RIGHT_ARC, REDUCE):
             raise ValueError(f"unknown transition kind {self.kind!r}")
         if self.kind in (LEFT_ARC, RIGHT_ARC) and not self.label:
             raise ValueError(f"{self.kind} requires a label")
         if self.kind in (SHIFT, REDUCE) and self.label is not None:
             raise ValueError(f"{self.kind} takes no label")
-
-    def mnemonic(self) -> str:
-        m = _MNEMONICS[self.kind]
-        return f"{m}:{self.label}" if self.label else m
 
 
 @dataclass(eq=False)
@@ -102,10 +99,30 @@ def apply(c: Configuration, t: Transition) -> Configuration:
     return c
 
 
-def static_oracle(tree: DepTree) -> list[Transition]:
-    """Gold transition sequence whose replay reconstructs the tree's arcs.
-    A non-projective tree raises ``ValueError``: this is the projectivity
-    check of every training tree."""
+# The 11 positional feature selectors: stack top three, buffer front,
+# left/rightmost children of the stack's top three, leftmost child of
+# the buffer front.
+FEATURE_SELECTORS = ("s0", "s1", "s2", "b0",
+                     "lc(s0)", "rc(s0)", "lc(s1)", "rc(s1)", "lc(s2)", "rc(s2)",
+                     "lc(b0)")
+
+
+def feature_indices(c: Configuration) -> list[int]:
+    """Token index picked by each selector, -1 where the node is absent."""
+    stack, lc, rc = c.stack, c.lc, c.rc
+    s0 = stack[-1]  # ROOT is never popped
+    s1 = stack[-2] if len(stack) >= 2 else -1
+    s2 = stack[-3] if len(stack) >= 3 else -1
+    b0 = c.buffer_start if c.buffer_start <= c.n else -1
+    return [s0, s1, s2, b0, lc.get(s0, -1), rc.get(s0, -1), lc.get(s1, -1), rc.get(s1, -1),
+            lc.get(s2, -1), rc.get(s2, -1), lc.get(b0, -1)]
+
+
+def static_oracle(tree: DepTree) -> tuple[np.ndarray, list[Transition]]:
+    """The gold moves whose replay reconstructs the tree's arcs, and a
+    (moves, 11) array of the feature indices of the configuration each
+    move is made in, from one walk. A non-projective tree raises
+    ``ValueError``: this is the projectivity check of every training tree."""
     if not is_projective(tree):
         raise ValueError(f"sentence {tree.label()} is non-projective; projectivize it "
                          "first, or train with pseudo_projective set")
@@ -114,8 +131,10 @@ def static_oracle(tree: DepTree) -> list[Transition]:
     dependents = tree.shape().children
 
     c = Configuration(len(tree.tokens))
+    rows: list[list[int]] = []
     seq: list[Transition] = []
     while not is_terminal(c):
+        rows.append(feature_indices(c))
         s = c.stack[-1]
         b = c.buffer_start
         if s != 0 and gold_head[s] == b and s not in c.heads:
@@ -129,7 +148,7 @@ def static_oracle(tree: DepTree) -> list[Transition]:
             t = Transition(SHIFT)
         seq.append(t)
         c = apply(c, t)
-    return seq
+    return np.array(rows, dtype=np.intp), seq
 
 
 def tree_from_config(c: Configuration, tokens: list[Token], upos: list[str]) -> DepTree:

@@ -275,14 +275,21 @@ def _probability(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """argparse type of a count: an integer of at least 1."""
+# permute --max-variants: every order of a clause of up to 8 units, and a
+# bound on the memory of a longer clause's sampled ones.
+MAX_VARIANTS = math.factorial(8)
+
+
+def _count(text: str, most: float = math.inf) -> int:
+    """argparse type of a count: an integer of at least 1, at most ``most``."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got '{text}'")
+    if value > most:
+        raise argparse.ArgumentTypeError(f"expected an integer <= {most}, got '{text}'")
     return value
 
 
@@ -343,7 +350,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--select", type=_count, default=4000)
     sp.add_argument("--keep", type=_count, default=None,
                     help="survivors per projection (default: unit count)")
-    sp.add_argument("--max-variants", type=_count, default=120)
+    sp.add_argument("--max-variants", type=functools.partial(_count, most=MAX_VARIANTS),
+                    default=120)
 
     for name in ("train", "train-tagger"):
         sp = add(name, cmd_train, help=f"{name.replace('-', ' ')} on CoNLL-U data")

@@ -2,21 +2,22 @@
 
 Tokens are encoded as word embedding + character BiLSTM final states
 (+ tag embedding for the parser), fed through two stacked bidirectional
-layers. The parser scores labeled transitions from 11 positional
-features of the configuration with a one-hidden-layer rectifier
-classifier; the tagger classifies each token from its own context
-vector. Both classifiers are an ``nn.MLP`` whose first layer is a slot
-table (Chen & Manning 2014), read by ``forward`` in training, parsing
-and tagging alike: the parser has 11 slots, the tagger one. Both train
-through one loss (``sentence_loss``) on rows of context vectors, the
-parser's from the static oracle, and momentum SGD with L2, one step per
-mini-batch of ``batch_sentences`` sentences: the batch loss is the mean
-over its sentences of each one's mean cross-entropy. Inference runs on
-length-sorted chunks of sentences at once (``parse_batch``,
-``tag_batch``; ``parse`` and ``parse_tree`` are one-sentence calls).
-Both use one encoder method, ``SentenceEncoder.encode``: the character
-BiLSTM runs once over the distinct truncated forms, the stack over a
-length-masked padded batch.
+layers. The parser scores labeled transitions from the context vectors
+of the configuration's 11 feature nodes (``arceager.feature_indices``)
+with a one-hidden-layer rectifier classifier; the tagger classifies
+each token from its own context vector. Both classifiers are an
+``nn.MLP`` whose first layer is a slot table (Chen & Manning 2014), read
+by ``forward`` in training, parsing and tagging alike: the parser has 11
+slots, the tagger one. Both train through one loss (``sentence_loss``)
+on rows of context vectors, the parser's read by
+``arceager.static_oracle`` on its one walk of each tree, and momentum
+SGD with L2, one step per mini-batch of ``batch_sentences`` sentences:
+the batch loss is the mean over its sentences of each one's mean
+cross-entropy. Inference runs on length-sorted chunks of sentences at
+once (``parse_batch``, ``tag_batch``; ``parse`` and ``parse_tree`` are
+one-sentence calls). Both use one encoder method,
+``SentenceEncoder.encode``: the character BiLSTM runs once over the
+distinct truncated forms, the stack over a length-masked padded batch.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import arceager, metrics, nn
-from .arceager import LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT, Transition
+from .arceager import FEATURE_SELECTORS, LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT, Transition
 from .conllu import DepTree, Token, Treebank, read_lines
 from .projectivity import deprojectivize, projectivize
 
@@ -373,37 +374,6 @@ class SentenceEncoder:
                                                  len(self.char_emb.value))
 
 
-# The 11 positional feature selectors: stack top three, buffer front,
-# left/rightmost children of the stack's top three, leftmost child of
-# the buffer front.
-FEATURE_SELECTORS = ("s0", "s1", "s2", "b0",
-                     "lc(s0)", "rc(s0)", "lc(s1)", "rc(s1)", "lc(s2)", "rc(s2)",
-                     "lc(b0)")
-
-
-def feature_indices(c: arceager.Configuration) -> list[int]:
-    """Token index picked by each selector, -1 where the node is absent."""
-    stack, lc, rc = c.stack, c.lc, c.rc
-    s0 = stack[-1]  # ROOT is never popped
-    s1 = stack[-2] if len(stack) >= 2 else -1
-    s2 = stack[-3] if len(stack) >= 3 else -1
-    b0 = c.buffer_start if c.buffer_start <= c.n else -1
-    return [s0, s1, s2, b0, lc.get(s0, -1), rc.get(s0, -1), lc.get(s1, -1), rc.get(s1, -1),
-            lc.get(s2, -1), rc.get(s2, -1), lc.get(b0, -1)]
-
-
-def oracle_rollout(tree: DepTree):
-    """Static-oracle path: a (steps, 11) array of feature indices, -1 where
-    the node is absent, and the gold moves."""
-    seq = arceager.static_oracle(tree)
-    c = arceager.Configuration(len(tree.tokens))
-    idx_rows = []
-    for t in seq:
-        idx_rows.append(feature_indices(c))
-        c = arceager.apply(c, t)
-    return np.array(idx_rows, dtype=np.intp), seq
-
-
 @dataclass
 class _Model:
     """A sentence encoder and a classifier; the checkpoint meta records ``kind``."""
@@ -453,10 +423,10 @@ class ParserModel(_Model):
     kind: ClassVar[str] = "parser"
 
     def transition_id(self, t: Transition) -> int:
-        return self._tmap[t.mnemonic()]
+        return self._tmap[t]
 
     def __post_init__(self):
-        self._tmap = {t.mnemonic(): i for i, t in enumerate(self.transitions)}
+        self._tmap = {t: i for i, t in enumerate(self.transitions)}
         # One read-only mask per set of legal kinds: 0 on its classes, -inf elsewhere.
         masks = np.array([[0.0 if t.kind in legal else -np.inf for t in self.transitions]
                           for legal in arceager.LEGAL_SETS])
@@ -623,7 +593,7 @@ def train_parser(train: Treebank, dev: Treebank | None, cfg: TrainConfig) -> Par
     model = _init_model("parser", cfg, build_vocabs(trees))
     examples = []
     for tree in trees:
-        idx_rows, seq = oracle_rollout(tree)
+        idx_rows, seq = arceager.static_oracle(tree)
         gold_ids = [model.transition_id(t) for t in seq]
         examples.append((tree.forms(), tree.upos_tags(), idx_rows, gold_ids))
 
@@ -666,7 +636,7 @@ def _decode(model: ParserModel, rows: np.ndarray, lengths) -> list[arceager.Conf
     configs = [arceager.Configuration(int(n) - 1) for n in lengths]
     active = list(range(len(configs)))
     while active:
-        idx = np.array([feature_indices(configs[b]) for b in active])
+        idx = np.array([arceager.feature_indices(configs[b]) for b in active])
         logits, _ = model.mlp.forward(np.where(idx < 0, -1, idx + starts[active, None]), table)
         logits += np.array([model.legal_mask(configs[b]) for b in active])
         for b, best in zip(active, logits.argmax(axis=1)):

@@ -8,7 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from scrambleparse import nn
-from scrambleparse.arceager import _MNEMONICS, Configuration, Transition, apply
+from scrambleparse.arceager import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT, Configuration,
+                                    Transition, apply)
 from scrambleparse.conllu import DepTree, Token, Treebank
 from scrambleparse.ngram import (BOS, UNK, NGramModel, _perplexities, filter_by_perplexity,
                                  score_batches)
@@ -131,11 +132,18 @@ def transitive_tree(order: str = "SOV", with_io: bool = False) -> DepTree:
     return DepTree(tokens)
 
 
+_MNEMONICS = {SHIFT: "SH", LEFT_ARC: "LA", RIGHT_ARC: "RA", REDUCE: "RE"}
 _FROM_MNEMONIC = {v: k for k, v in _MNEMONICS.items()}
 
 
+def mnemonic(t: Transition) -> str:
+    """A transition as text: "SH", "LA:nsubj", ..."""
+    m = _MNEMONICS[t.kind]
+    return f"{m}:{t.label}" if t.label else m
+
+
 def transition_from_mnemonic(text: str) -> Transition:
-    """Inverse of ``Transition.mnemonic``: "SH", "LA:nsubj", ..."""
+    """Inverse of ``mnemonic``."""
     head, _, label = text.partition(":")
     if head not in _FROM_MNEMONIC:
         raise ValueError(f"unknown transition mnemonic '{text}'")
@@ -143,7 +151,7 @@ def transition_from_mnemonic(text: str) -> Transition:
 
 
 def format_sequence(seq: list[Transition]) -> str:
-    return " ".join(t.mnemonic() for t in seq)
+    return " ".join(map(mnemonic, seq))
 
 
 def parse_sequence(text: str) -> list[Transition]:

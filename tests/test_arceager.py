@@ -53,7 +53,8 @@ def test_initial_config_of_no_token_is_terminal():
     terminal from the start with no legal move, and its oracle is empty."""
     c = Configuration(0)
     assert is_terminal(c) and legal_transitions(c) == set()
-    assert static_oracle(DepTree([])) == []
+    rows, seq = static_oracle(DepTree([]))
+    assert seq == [] and rows.size == 0
 
 
 def test_legal_at_initial():
@@ -123,13 +124,13 @@ def test_transition_label_contract():
 
 
 def test_oracle_on_three_token_tree():
-    seq = static_oracle(three_token_tree())
+    _, seq = static_oracle(three_token_tree())
     assert format_sequence(seq) == "SH LA:x RA:root RA:y"
 
 
 def test_oracle_single_token():
     tree = DepTree([Token(1, "a", head=0, deprel="root")])
-    assert format_sequence(static_oracle(tree)) == "RA:root"
+    assert format_sequence(static_oracle(tree)[1]) == "RA:root"
 
 
 def test_oracle_rejects_nonprojective():
@@ -146,7 +147,7 @@ def test_oracle_round_trip_random_trees():
     rng = np.random.default_rng(7)
     for _ in range(200):
         tree = random_projective_tree(rng, int(rng.integers(1, 15)))
-        seq = static_oracle(tree)
+        _, seq = static_oracle(tree)
         assert len(seq) <= 2 * len(tree)
         c = run_sequence(len(tree), seq)
         assert is_terminal(c)

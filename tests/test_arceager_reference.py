@@ -2,14 +2,16 @@
 
 ``arceager.apply`` updates one mutable state per sentence and keeps each
 head's leftmost and rightmost dependents as arcs are made, so
-``parser.feature_indices`` reads them instead of rescanning every arc.
+``arceager.feature_indices`` reads them instead of rescanning every arc,
+and ``arceager.static_oracle`` reads them at each step of its one walk.
 The functions below are the versions they replaced: a frozen value whose
-``apply`` copies the arc dict, a legal set built per call and a feature
-read that derives the children from all arcs. Driven by the same moves,
-both must agree at every step on the stack, the buffer, the arcs in the
-order they were made, the legal moves and the 11 feature indices. The
-last tests hold the long inputs that the replaced state took quadratic
-time on.
+``apply`` copies the arc dict, a legal set built per call, a feature
+read that derives the children from all arcs, and a rollout that replays
+the oracle's moves to read the features. Driven by the same moves, both
+must agree at every step on the stack, the buffer, the arcs in the order
+they were made, the legal moves and the 11 feature indices. The last
+tests hold the long inputs that the replaced state took quadratic time
+on.
 """
 
 import time
@@ -23,9 +25,8 @@ from hypothesis import strategies as st
 from helpers import chain_tree, random_projective_tree
 from scrambleparse import arceager
 from scrambleparse.arceager import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT, Transition,
-                                    static_oracle)
+                                    feature_indices, static_oracle)
 from scrambleparse.conllu import DepTree, Token
-from scrambleparse.parser import feature_indices, oracle_rollout
 from scrambleparse.projectivity import is_projective
 
 LABELS = ("a", "b", "c", "d")
@@ -202,7 +203,7 @@ def trees(max_tokens=14):
 @settings(max_examples=300, deadline=None)
 @given(tree=trees())
 def test_oracle_path_matches_reference(tree):
-    seq = static_oracle(tree)
+    rows, seq = static_oracle(tree)
     assert seq == ref_static_oracle(tree)
     ref, new = ref_initial_config(len(tree)), arceager.Configuration(len(tree))
     assert_same_state(ref, new)
@@ -212,9 +213,8 @@ def test_oracle_path_matches_reference(tree):
     assert arceager.is_terminal(new)
     assert set(new.heads) == set(range(1, len(tree) + 1))
 
-    rows, rseq = oracle_rollout(tree)
     ref_rows, ref_seq = ref_oracle_rollout(tree)
-    assert rseq == ref_seq
+    assert seq == ref_seq
     assert rows.dtype == ref_rows.dtype and np.array_equal(rows, ref_rows)
 
 
@@ -253,7 +253,7 @@ def comb_tree(n):
 def test_oracle_rollout_on_a_long_tree_is_linear(make_tree):
     tree = make_tree(N_LONG)
     start = time.perf_counter()
-    rows, seq = oracle_rollout(tree)
+    rows, seq = static_oracle(tree)
     elapsed = time.perf_counter() - start
     assert len(seq) == len(rows) <= 2 * len(tree)
     assert elapsed < 1.0  # linear: about 0.1 s; copying the arcs per arc takes 2 s at 4,000 tokens

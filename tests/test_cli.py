@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import chain_tree, random_nonprojective_tree, toy_treebank, transitive_tree
 import scrambleparse
-from scrambleparse.cli import run
+from scrambleparse.cli import build_arg_parser, run
 from scrambleparse.conllu import (DepTree, Token, Treebank, dump_treebank, load_treebank,
                                   validate_tree)
 from scrambleparse import conllu, nn, projectivity
@@ -753,6 +753,20 @@ def test_counts_below_one_are_usage_errors(synth_files, capsys, argv):
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: expected an integer >= 1, got '{argv[-1]}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["40321", "39916800", "100000000"])
+def test_max_variants_above_eight_factorial_is_a_usage_error(tmp_path, capsys, value):
+    """All orders of an 11-unit clause, or a (limit, 12) block of sampled
+    ones at 10^8, would exhaust memory: the flag stops at 8!."""
+    out = tmp_path / "out"
+    argv = ["permute", "--in", "in.conllu", "--lm", "lm.nglm", "--out", str(out)]
+    assert build_arg_parser().parse_args(argv + ["--max-variants", "40320"]).max_variants == 40320
+    capsys.readouterr()
+    assert run(argv + ["--max-variants", value]) == 2
+    assert f"argument --max-variants: expected an integer <= 40320, got '{value}'" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import warnings
@@ -12,13 +13,12 @@ from helpers import (check_gradients, random_nonprojective_tree, random_projecti
                      toy_treebank)
 from scrambleparse import arceager, nn
 from scrambleparse import parser
+from scrambleparse.arceager import FEATURE_SELECTORS, feature_indices, static_oracle
 from scrambleparse.conllu import DepTree, Token, Treebank, validate_tree
 from scrambleparse.metrics import score
-from scrambleparse.parser import (FEATURE_SELECTORS, ParserModel, TaggerModel,
-                                  TrainConfig, build_vocabs, feature_indices,
-                                  oracle_rollout, parse, parse_batch, parse_tree,
-                                  sentence_loss, tag_batch, train_parser,
-                                  train_tagger, _init_model)
+from scrambleparse.parser import (ParserModel, TaggerModel, TrainConfig, build_vocabs,
+                                  parse, parse_batch, parse_tree, sentence_loss, tag_batch,
+                                  train_parser, train_tagger, _init_model)
 from scrambleparse.projectivity import HEAD_SEP, PATH_MARK, deprojectivize, projectivize
 from scrambleparse.scramble import OrderLabel
 from scrambleparse.synthetic import default_grammar, gen_synthetic, uniform_orders
@@ -126,7 +126,7 @@ class TestFeaturize:
         assert len(FEATURE_SELECTORS) == 11
         _, tb = tiny_model()
         for tree in tb:
-            idx_rows, _ = oracle_rollout(tree)
+            idx_rows, _ = static_oracle(tree)
             assert {len(row) for row in idx_rows} == {11}
 
     def test_initial_config_slots(self):
@@ -326,6 +326,28 @@ class TestTrainingAndParse:
         # loop saw every tree via the per-epoch log line.
         assert any("epoch 1/1" in r.message for r in caplog.records)
 
+    def test_training_examples_take_one_walk_per_tree(self, monkeypatch):
+        """Building the parser's examples applies each gold move once, and
+        checks its legality once: the oracle reads the feature rows on its
+        own walk, with no replay of the moves."""
+        calls = collections.Counter()
+
+        def counting(name):
+            fn = getattr(arceager, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("apply", "legal_transitions"):
+            monkeypatch.setattr(arceager, name, counting(name))
+        with mock.patch.object(parser, "_fit", side_effect=lambda model, examples, dev: examples):
+            examples = train_parser(toy_treebank(), None, TINY)
+        moves = sum(len(gold) for *_, gold in examples)
+        assert moves == 12
+        assert calls == {"apply": moves, "legal_transitions": moves}
+
     def test_parse_output_always_valid(self):
         model, tb = tiny_model()
         rng = np.random.default_rng(3)
@@ -359,7 +381,7 @@ class TestTrainingAndParse:
         model, tb = tiny_model()
         examples = []
         for tree in tb:
-            idx_rows, seq = oracle_rollout(tree)
+            idx_rows, seq = static_oracle(tree)
             gold = [model.transition_id(t) for t in seq]
             examples.append((tree.forms(), tree.upos_tags(), idx_rows, gold))
 
@@ -641,7 +663,7 @@ def _example(model, tree):
     if model.kind == "tagger":
         return (tree.forms(), None, np.arange(1, len(tree) + 1)[:, None],
                 [model.vocabs.tags.id(t) for t in tree.upos_tags()])
-    idx_rows, seq = oracle_rollout(tree)
+    idx_rows, seq = static_oracle(tree)
     return (tree.forms(), tree.upos_tags(), idx_rows, [model.transition_id(t) for t in seq])
 
 

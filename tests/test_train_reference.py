@@ -30,10 +30,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrambleparse import nn, parser
+from scrambleparse.arceager import static_oracle
 from scrambleparse.conllu import Treebank
 from scrambleparse.parser import (ParserModel, TaggerModel, TrainConfig, _init_model,
-                                  build_vocabs, oracle_rollout, parse_batch, sentence_loss,
-                                  tag_batch, train_parser, train_tagger)
+                                  build_vocabs, parse_batch, sentence_loss, tag_batch,
+                                  train_parser, train_tagger)
 from scrambleparse.projectivity import is_projective, projectivize
 from scrambleparse.synthetic import default_grammar, gen_synthetic, uniform_orders
 
@@ -58,7 +59,7 @@ def ref_train_parser(train, dev, cfg):
 
     examples = []
     for tree in train:
-        idx_rows, seq = oracle_rollout(tree)
+        idx_rows, seq = static_oracle(tree)
         gold_ids = [model.transition_id(t) for t in seq]
         examples.append((tree.forms(), tree.upos_tags(), idx_rows, gold_ids))
 
@@ -293,7 +294,7 @@ def _examples(model, trees):
     if model.kind == "tagger":
         return [(tree.forms(), None, np.arange(1, len(tree) + 1)[:, None],
                  [model.vocabs.tags.id(t) for t in tree.upos_tags()]) for tree in trees]
-    rollouts = [oracle_rollout(tree) for tree in trees]
+    rollouts = [static_oracle(tree) for tree in trees]
     return [(tree.forms(), tree.upos_tags(), idx_rows, [model.transition_id(t) for t in seq])
             for tree, (idx_rows, seq) in zip(trees, rollouts)]
 

@@ -301,7 +301,7 @@ def test_matches_replaced_walks(tree):
     assert classify_order(proj, UD_MAPPING) == ref_classify_order(proj, UD_MAPPING)
     assert [(p.verb_index, p.spans) for p in extract_projections(proj, UD_MAPPING)] == \
         ref_projections(proj, UD_MAPPING)
-    assert static_oracle(proj) == ref_static_oracle(proj)
+    assert static_oracle(proj)[1] == ref_static_oracle(proj)
 
 
 @settings(max_examples=200, deadline=None)
